@@ -6,12 +6,11 @@ workload twice:
 
 - **serial**: ``answer_all(..., jobs=1)`` — the plain one-query-at-a-time
   loop;
-- **sharded**: ``answer_all(..., jobs=N, executor="process")`` — the
-  process-pool shard executor (``docs/sharding.md``): the grounding and the
-  database tables are published once through an artifact cache, worker
-  *processes* memory-map them, and every query's graph-walk/collection phase
-  is split into contiguous unit-range shards collected in parallel and
-  merged exactly in the dispatcher.
+- **sharded**: ``answer_all(..., jobs=N, executor="process")`` — the shard
+  scheduler (``docs/sharding.md``): worker *processes* inherit the grounded
+  engine (or memory-map it from artifacts published once through a cache),
+  and every query's graph-walk/collection phase is split into contiguous
+  unit-range shards collected in parallel and merged exactly.
 
 This is the workload the GIL kept the thread executor from scaling on: the
 collection phase is pure Python, so threads serialize on it while processes

@@ -229,8 +229,8 @@ class ArtifactCache:
         self.stats = CacheStats()
         #: Refcounted paths protected from :meth:`evict` (artifacts a live
         #: shard worker may be memory-mapping); guarded by a lock because the
-        #: process-pool dispatcher pins from the submitting thread while
-        #: stats-reading threads may iterate.  Each first pin also drops a
+        #: scheduler pins from its dispatcher thread while stats-reading
+        #: threads may iterate.  Each first pin also drops a
         #: ``.pin`` sidecar file naming this process, so an eviction issued
         #: from *another* process (``repro cache evict``) can see — and
         #: respect — the pins of every in-flight session on the machine.
@@ -464,9 +464,9 @@ class ArtifactCache:
     def pin(self, key: CacheKey) -> Path:
         """Protect ``key``'s artifact from :meth:`evict` until unpinned.
 
-        The process-pool shard executor and the streaming query service pin
-        the grounding, table and shard payloads their workers memory-map for
-        the lifetime of the pool: an eviction racing a live worker must never
+        The shard scheduler behind every process-mode session pins the
+        grounding, table and shard payloads its workers memory-map for the
+        lifetime of the session: an eviction racing a live worker must never
         pull a mapped file out from under it (the unlink itself would be safe
         on POSIX, but the artifact would silently stop being reusable by the
         next shard task).

@@ -1,17 +1,18 @@
-"""Shared scratch state for one batched ``answer_all`` call.
+"""Shared scratch state for one thread-mode query session.
 
 A batch of causal queries over one grounded graph repeats a lot of work: the
 relational peers and the covariate collection of the columnar unit-table
 build depend only on the ``(treatment attribute, response attribute)`` pair,
 not on the treatment threshold, embedding or estimator a specific query
 uses.  :class:`BatchScratch` memoizes those per-pair intermediates for the
-lifetime of a single :meth:`CaRLEngine.answer_all` call, so an 8-query
-workload with three distinct attribute pairs walks the grounded graph three
-times instead of eight.
+lifetime of one :class:`~repro.service.session.QuerySession` (one
+``answer_all(jobs>1)`` or ``answer_iter`` call), so an 8-query workload with
+three distinct attribute pairs walks the grounded graph three times instead
+of eight.
 
 The scratch is deliberately batch-scoped rather than engine-scoped: its
 entries hold references into the current grounding and can be arbitrarily
-large, so they are dropped as soon as the batch returns instead of
+large, so they are dropped as soon as the session closes instead of
 accumulating on a long-lived engine.
 """
 

@@ -15,10 +15,8 @@ Ties the whole pipeline of Section 5 together:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -40,7 +38,7 @@ from repro.cache.store import ArtifactCache, CacheKey
 from repro.carl.ast import CausalQuery, PeerCondition, Program, Variable
 from repro.carl.batch import BatchScratch
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
-from repro.carl.errors import QueryError
+from repro.carl.errors import CaRLError, QueryError
 from repro.carl.grounding import Grounder
 from repro.carl.model import RelationalCausalModel
 from repro.carl.parser import parse_program, parse_query
@@ -291,7 +289,7 @@ class CaRLEngine:
         grounding (or cache-load) time when this call triggered it.
 
         Safe to call concurrently from multiple threads; ``_scratch`` is the
-        batch memo :meth:`answer_all` threads through its workers.
+        batch memo a thread-mode query session threads through its workers.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -362,57 +360,48 @@ class CaRLEngine:
         answer-for-answer identical to issuing the same queries serially with
         the same options.
 
-        ``jobs`` selects the execution strategy.  ``jobs=1`` (the default) is
-        the plain serial loop.  ``jobs>1`` (or ``None`` for one job per CPU)
-        runs a concurrent batch executor: the program is grounded at most
-        once — up front when the engine is uncached; lazily (or not at all,
-        when every query hits a cached unit table) with an artifact cache —
-        a thread pool overlaps the per-query work, and a batch-scoped
-        scratch shares the graph-walk intermediates (relational peers,
-        covariate collection) between queries over the same (treatment,
-        response) attribute pair.
-        Answers are bit-identical to the serial loop either way; only the
-        per-answer timing fields reflect the shared work.  ``jobs=1``
-        deliberately keeps the exact legacy serial behavior (no sharing, no
-        threads); ``jobs>1`` is worthwhile even on a single core because the
-        graph-walk sharing alone beats the serial loop on workloads with
-        repeated attribute pairs.
+        ``jobs=1`` on the thread executor (the default, with no ``shards``)
+        is the plain serial loop — the reference every other mode is tested
+        against — and stops at the first failing query.  Every other setting
+        drains :meth:`answer_iter`, so a batch runs on one
+        :class:`~repro.service.session.QuerySession` like every other
+        multi-query path:
 
-        ``executor`` selects the worker kind.  ``"thread"`` (the default) is
-        the PR 3 thread pool described above.  ``"process"`` runs the sharded
-        process-pool executor (``docs/sharding.md``): the grounded graph and
-        the database tables are published once through the artifact cache
-        (a private temporary cache when the engine runs uncached), worker
-        *processes* memory-map that shared state, and each query's
-        graph-walk/collection phase is split into ``shards`` contiguous
-        unit-range shards (default: one per job) whose partial collections
-        merge back in the dispatching process.  Because the merge is pure
-        concatenation, process-sharded answers are bit-identical to serial
-        ones — but the pure-Python hot loops now overlap across cores
-        instead of serializing on the GIL.  A worker process that dies (or
-        raises) fails the batch with a :class:`QueryError`; the batch never
-        hangs.
+        * ``executor="thread"`` with ``jobs>1`` (or ``None`` for one job per
+          CPU) answers on the session's thread pool.  The program is grounded
+          at most once — up front when the engine is uncached, so no answer
+          is charged for it; lazily (or not at all, when every query hits a
+          cached unit table) with an artifact cache — and a session-scoped
+          scratch shares the graph-walk intermediates (relational peers,
+          covariate collection) between queries over the same (treatment,
+          response) attribute pair, which beats the serial loop even on one
+          core.
+        * ``executor="process"`` runs the shard scheduler
+          (``docs/sharding.md``): worker processes share the grounded engine
+          (fork-inherited, or memory-mapped from artifacts published through
+          the cache — a private temporary one when the engine is uncached),
+          each query's graph-walk/collection phase is split into ``shards``
+          contiguous unit-range shards (default: one per job) whose partial
+          collections merge back exactly, and a worker that raises or dies
+          has its task retried on another worker (``docs/service.md``).
+
+        Answers are bit-identical to the serial loop in every mode; only the
+        per-answer timing fields reflect the shared work.  Answers come back
+        in input order once every query has resolved.  If any query failed,
+        the failure of the first failed query in input order is raised: its
+        original CaRL error (e.g. :class:`~repro.carl.errors.EstimationError`)
+        when there is one, else the session's :class:`QueryError`.
         """
         if isinstance(queries, dict):
             items = list(queries.items())
         else:
             items = [(str(index), query) for index, query in enumerate(queries)]
         # Parse up front so a syntax error surfaces immediately (and once),
-        # not from inside a worker thread.
-        parsed = [
-            (name, parse_query(query) if isinstance(query, str) else query)
+        # before any grounding or worker start.
+        parsed = {
+            name: parse_query(query) if isinstance(query, str) else query
             for name, query in items
-        ]
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise QueryError(f"jobs must be a positive integer, got {jobs!r}")
-        if executor not in ("thread", "process"):
-            raise QueryError(
-                f"unknown executor {executor!r}; expected 'thread' or 'process'"
-            )
-        if shards is not None and shards < 1:
-            raise QueryError(f"shards must be a positive integer, got {shards!r}")
+        }
         options: dict[str, Any] = {
             "estimator": estimator,
             "embedding": embedding,
@@ -420,46 +409,17 @@ class CaRLEngine:
             "seed": seed,
             "backend": backend,
         }
-        if executor == "process":
-            from repro.carl.shard import answer_all_process
-
-            # `shards or jobs` would silently turn an (invalid) explicit
-            # shards=0 into jobs if it ever slipped past the validation
-            # above; spell the default out instead.
-            return answer_all_process(
-                self, parsed, options, jobs=jobs,
-                shards=jobs if shards is None else shards,
-            )
-        if shards is not None:
-            raise QueryError("shards requires executor='process'")
-        if jobs == 1 or len(parsed) <= 1:
-            return {name: self.answer(query, **options) for name, query in parsed}
-
-        if self.cache is None:
-            # Ground once before any worker starts: no query is then charged
-            # for shared grounding.  With a cache configured, grounding stays
-            # lazy (and lock-guarded) exactly as in a serial run — a batch
-            # whose every query hits a cached unit table must keep the PR 2
-            # guarantee of never touching the graph at all.
-            self._reset_grounding_charge()
-            self.graph  # noqa: B018
-        scratch = BatchScratch()
-        with ThreadPoolExecutor(
-            max_workers=min(jobs, len(parsed)), thread_name_prefix="carl-answer"
-        ) as pool:
-            futures = [
-                (name, pool.submit(self.answer, query, _scratch=scratch, **options))
-                for name, query in parsed
-            ]
-            try:
-                return {name: future.result() for name, future in futures}
-            except BaseException:
-                # Fail fast: drop queries that have not started yet instead
-                # of building their unit tables just to discard them (threads
-                # already running still finish — they cannot be interrupted).
-                for _, future in futures:
-                    future.cancel()
-                raise
+        if executor == "thread" and jobs == 1 and shards is None:
+            return {name: self.answer(query, **options) for name, query in parsed.items()}
+        outcomes = dict(
+            self.answer_iter(parsed, jobs=jobs, executor=executor, shards=shards, **options)
+        )
+        answers = {name: outcomes[name] for name in parsed}
+        for outcome in answers.values():
+            if isinstance(outcome, QueryError):
+                cause = outcome.__cause__
+                raise cause if isinstance(cause, CaRLError) else outcome
+        return answers
 
     def answer_iter(
         self,
@@ -486,7 +446,9 @@ class CaRLEngine:
         instead of at the end.  A failing query yields a
         :class:`QueryError` for its key alone; every other query streams
         on.  Each completed answer is bit-identical to the serial
-        :meth:`answer` of the same query with the same options.
+        :meth:`answer` of the same query with the same options.  An
+        uncached engine is grounded once before the first query starts, so
+        no answer is charged for the shared grounding.
 
         ``executor="process"`` runs the shard scheduler: worker faults are
         retried on other workers up to ``retries`` times per task, and
@@ -761,7 +723,7 @@ class CaRLEngine:
         """One contiguous unit-range shard ``[start, stop)`` of a query's
         columnar collection phase (``docs/sharding.md``).
 
-        This is the task a process-pool shard worker executes: the unit list
+        This is the task a process-mode shard worker executes: the unit list
         is derived deterministically from the (shared) grounding and
         database, sliced by position, and only the slice is walked — peer
         *membership* still spans the full unit list, so a unit's peers are

@@ -72,9 +72,10 @@ class QueryAnswer:
     triggered: the full grounding (or cache-load) time when answering the
     query forced it, and 0.0 when the grounded graph already existed or the
     answer came straight from a cached unit table.  The field never double
-    counts one grounding across answers; note that an uncached
-    ``answer_all(jobs>1)`` batch grounds up front, *before* its workers, so
-    that grounding is attributed to no individual answer (the engine's
+    counts one grounding across answers; note that an uncached batch
+    (``answer_all`` with ``jobs>1`` or ``executor="process"``, and
+    ``answer_iter``) grounds up front, *before* its workers, so that
+    grounding is attributed to no individual answer (the engine's
     ``grounding_runs``/``grounding_seconds`` still record it).
     """
 

@@ -1,51 +1,46 @@
-"""Process-pool sharded execution of ``answer_all`` (see ``docs/sharding.md``).
+"""Worker protocol of process-mode query answering (see ``docs/sharding.md``).
 
-The thread-pool batch executor (PR 3) overlaps the numpy phases of a batch,
-but the hot loops of query answering — relational-peer walks and the
-covariate collection of the columnar unit-table build — are pure Python and
-serialize on the GIL.  This module runs those loops in worker *processes*:
+The thread executor overlaps the numpy phases of a batch, but the hot loops
+of query answering — relational-peer walks and the covariate collection of
+the columnar unit-table build — are pure Python and serialize on the GIL.
+Process mode runs those loops in the worker processes of
+:class:`repro.service.scheduler.ShardScheduler`; this module is what both
+sides of that process boundary share:
 
-* the dispatching engine publishes its shared state once through the
-  artifact cache — every database table and the grounded graph become npz
-  artifacts a worker memory-maps instead of unpickling;
+* the dispatcher publishes the engine's shared state once
+  (:func:`_publish_engine_state`) — workers forked from the dispatcher
+  inherit the grounded engine copy-on-write; otherwise every database table
+  and the grounded graph become npz artifacts a worker memory-maps instead
+  of unpickling;
 * each query's unit list is split into contiguous ranges
-  (:func:`repro.db.aggregates.shard_ranges`), one collection task per range,
-  load-balanced across the pool;
+  (:func:`repro.db.aggregates.shard_ranges`, sized by :func:`_plan_query`),
+  one :class:`ShardTask` per range;
 * workers hand their partial collections back as ``unit_inputs`` artifacts
-  (numeric row ids memory-mappable, raw values exact object round-trips) and
-  the dispatcher merges them with
+  (numeric row ids memory-mappable, raw values exact object round-trips)
+  and a :class:`FinishTask` merges them with
   :func:`repro.carl.unit_table.merge_unit_table_inputs` — pure
   concatenation, so the merged collection is *identical* to the serial one
-  and every downstream number (materialization, estimation) is bit-identical
-  by construction;
+  and every downstream number (materialization, estimation) is
+  bit-identical by construction;
 * partials are keyed deterministically by ``(grounding fingerprint,
   collection signature, unit range)`` (:func:`shard_partial_key`) and — in a
-  persistent cache — outlive the batch: a warm re-sweep probes the cache
-  before enqueuing each collect task and performs zero collection work, and
-  queries of one batch that share a collection signature (a threshold
-  sweep) share each range's work in flight (``docs/service.md``);
-* materialization and estimation run in the dispatcher, which also stores
-  the finished unit table under its normal cache key so later runs hit the
-  PR 2 warm path.
+  persistent cache — outlive the session: a warm re-sweep probes the cache
+  before enqueuing each collect task and performs zero collection work
+  (``docs/service.md``).
 
-A worker that raises fails the batch with the original error (wrapped in
-:class:`~repro.carl.errors.QueryError` when it is not already a CaRL error);
-a worker that *dies* breaks the pool, which surfaces as a prompt
-:class:`~repro.carl.errors.QueryError` — the batch never hangs.
+A task that raises or whose worker dies is the scheduler's business: it is
+retried on another worker, and only the queries depending on it fail once
+the retry budget is spent.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
-import shutil
-import tempfile
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cache.fingerprint import collect_fingerprint, database_fingerprint
 from repro.cache.serialization import (
@@ -59,27 +54,23 @@ from repro.cache.serialization import (
 )
 from repro.cache.store import ArtifactCache, CacheDegradedError, CacheKey
 from repro.carl.ast import CausalQuery, Program
-from repro.carl.errors import CaRLError, QueryError
+from repro.carl.errors import QueryError
 from repro.carl.queries import QueryAnswer
 from repro.carl.unit_table import materialize_unit_table, merge_unit_table_inputs
-from repro.db.aggregates import shard_ranges
 from repro.db.database import Database
 from repro.db.table import as_columnar
-from repro.observability.merge import merge_worker_batch
 from repro.observability.telemetry import get_registry, set_role, trace_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
     from repro.carl.engine import CaRLEngine
 
-#: Test-only fault injection: set to ``"exit"`` to make every shard worker
-#: die abruptly (``os._exit``), or ``"raise"`` to make it raise.  Exists so
-#: the crash-handling contract ("a dead worker fails the batch cleanly, no
-#: hang") stays testable without reaching into multiprocessing internals.
-#: The streaming query service (``docs/service.md``) extends the syntax with
-#: a target list — ``"exit@0"`` / ``"raise@0,2"`` fault only the service
-#: workers whose ids are listed (pool workers have no id and never match),
-#: which is how the retry-and-requeue tests pin a fault to one worker while
-#: its peers stay healthy.
+#: Test-only fault injection: ``"exit"`` makes every shard worker die
+#: abruptly (``os._exit``) at the start of each collect task, ``"raise"``
+#: makes it raise.  A target list — ``"exit@0"`` / ``"raise@0,2"`` — faults
+#: only the workers whose ids are listed, which is how the retry-and-requeue
+#: tests pin a fault to one worker while its peers stay healthy.  Exists so
+#: the fault-handling contract stays testable without reaching into
+#: multiprocessing internals.
 FAULT_ENV = "REPRO_SHARD_WORKER_FAULT"
 
 #: Test-only slow-down: a float number of seconds every shard-collect task
@@ -87,9 +78,8 @@ FAULT_ENV = "REPRO_SHARD_WORKER_FAULT"
 #: use it to hold tasks in flight deterministically.
 DELAY_ENV = "REPRO_SERVICE_TASK_DELAY"
 
-#: Id of this service worker process (None under the PR 4 pool executor,
-#: whose anonymous workers cannot be fault-targeted individually).  Set by
-#: the service's worker bootstrap, read by :func:`_fault_action`.
+#: Id of this worker process, set by :func:`_worker_init` and read by
+#: :func:`_fault_action`.
 _WORKER_ID: int | None = None
 
 
@@ -102,9 +92,7 @@ def _fault_action() -> str | None:
     if action not in ("exit", "raise"):
         return None
     if not sep:
-        return action  # untargeted: every worker faults (the PR 4 contract)
-    if _WORKER_ID is None:
-        return None
+        return action  # untargeted: every worker faults
     try:
         targets = {int(part) for part in ids.split(",") if part.strip()}
     except ValueError:
@@ -181,7 +169,7 @@ class FinishTask:
     Runs in a worker too (the merge and the Python half of materialization
     are GIL-bound, so finishing queries in the pool lets the tail of one
     query overlap the collection of the next); only the small
-    :class:`QueryAnswer` crosses back through the pool.
+    :class:`QueryAnswer` crosses back to the dispatcher.
     """
 
     query: CausalQuery
@@ -198,11 +186,8 @@ class FinishTask:
 
 @dataclass
 class _QueryPlan:
-    """Dispatcher-side bookkeeping for one query of a process batch."""
+    """Dispatcher-side resolution of one query: warm, or how to shard it."""
 
-    name: str
-    query: CausalQuery
-    response_attribute: str
     table_key: CacheKey | None
     cached: bool
     n_units: int = 0
@@ -210,9 +195,6 @@ class _QueryPlan:
     #: every query that collects the same inputs — a threshold sweep shares
     #: one signature, so its shard partials alias shard-for-shard.
     signature: str = ""
-    #: (future or None when the partial came from the cache, result CacheKey)
-    #: per (non-empty) shard range, in range order.
-    submitted: list[tuple[Future | None, CacheKey]] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +222,8 @@ def register_inheritable_engine(engine: "CaRLEngine") -> str:
     """Make ``engine`` fork-inheritable; returns the registry token.
 
     The caller keeps the token registered for as long as it may fork workers
-    (a batch's pool creation; a scheduler's whole lifetime, since it respawns
-    replacement workers at any point) and must unregister it on teardown.
+    (a scheduler's whole lifetime, since it respawns replacement workers at
+    any point) and must unregister it on teardown.
     """
     global _next_inherit_token
     with _INHERIT_LOCK:
@@ -259,23 +241,23 @@ def unregister_inheritable_engine(token: str | None) -> None:
         _INHERITABLE_ENGINES.pop(token, None)
 
 
-def _worker_init(spec: WorkerSpec) -> None:
-    """Pool initializer: stash the spec; the engine is resolved lazily on the
-    first task so construction failures surface as task errors, not as an
-    opaque broken pool."""
-    global _WORKER_SPEC, _WORKER_ENGINE, _WORKER_CACHE
+def _worker_init(spec: WorkerSpec, worker_id: int) -> None:
+    """Worker bootstrap: stash the spec and this worker's id; the engine is
+    resolved lazily on the first task so construction failures surface as
+    task errors, not as a dead worker."""
+    global _WORKER_SPEC, _WORKER_ENGINE, _WORKER_CACHE, _WORKER_ID
     _WORKER_SPEC = spec
     _WORKER_ENGINE = None
     _WORKER_CACHE = None
+    _WORKER_ID = worker_id
     # Telemetry: this process records as a worker from here on — generated
-    # trace/span ids get a globally-unique prefix so shipped batches merge
-    # into the dispatcher's registry without remapping.  Service workers
-    # re-declare with their worker id right after this initializer runs.
-    set_role("worker")
+    # trace/span ids get a w<id>. prefix so shipped batches merge into the
+    # dispatcher's registry without remapping.
+    set_role("worker", worker_id)
 
 
 def _worker_cache() -> ArtifactCache:
-    """The batch's shared artifact cache, as seen from this worker."""
+    """The session's shared artifact cache, as seen from this worker."""
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
         spec = _WORKER_SPEC
@@ -431,276 +413,18 @@ def _finish_task_body(task: FinishTask) -> QueryAnswer:
     )
 
 
-def _run_shard_task_shipped(task: ShardTask) -> tuple[tuple[CacheKey, float], dict[str, Any] | None]:
-    """Pool wrapper: run the task, then drain this worker's telemetry ring.
-
-    The batch rides the result tuple back to the dispatcher — the pool's
-    only channel.  A failed task ships nothing; its events drain with the
-    worker's next successful task (or are lost at pool shutdown — the
-    service scheduler, unlike the pool, has an explicit exit drain)."""
-    outcome = _run_shard_task(task)
-    return outcome, get_registry().drain_events()
-
-
-def _run_finish_task_shipped(task: FinishTask) -> tuple[QueryAnswer, dict[str, Any] | None]:
-    """Pool wrapper for :func:`_run_finish_task`; see above."""
-    outcome = _run_finish_task(task)
-    return outcome, get_registry().drain_events()
-
-
-# ----------------------------------------------------------------------
-# dispatcher side
-# ----------------------------------------------------------------------
-#: Serializes process batches within one dispatcher process: the fork
-#: fast path hands workers the engine through a module global, and the
-#: pinned-artifact lifecycle assumes one live batch per process — two
-#: concurrent ``answer_all(executor="process")`` calls therefore queue here
-#: instead of racing each other's state.
-_DISPATCH_LOCK = threading.Lock()
-
-
-def answer_all_process(
-    engine: "CaRLEngine",
-    parsed: list[tuple[str, CausalQuery]],
-    options: dict[str, Any],
-    jobs: int,
-    shards: int,
-) -> dict[str, QueryAnswer]:
-    """The ``executor="process"`` branch of :meth:`CaRLEngine.answer_all`.
-
-    One process batch runs at a time per dispatcher process (concurrent
-    calls serialize on an internal lock).  Do not run *thread*-based query
-    answering on the same engine while a process batch is in flight: the
-    pool may fork while another thread holds the engine's state lock, and
-    the forked child would inherit that lock mid-acquire (see
-    ``docs/sharding.md``).
-    """
-    if not parsed:
-        return {}
-    with _DISPATCH_LOCK:
-        return _answer_all_process_locked(engine, parsed, options, jobs, shards)
-
-
-def _answer_all_process_locked(
-    engine: "CaRLEngine",
-    parsed: list[tuple[str, CausalQuery]],
-    options: dict[str, Any],
-    jobs: int,
-    shards: int,
-) -> dict[str, QueryAnswer]:
-    backend = options.get("backend") or engine.backend
-    if backend != "columnar":
-        raise QueryError(
-            "executor='process' shards the columnar collection phase; "
-            f"backend {backend!r} is not shardable"
-        )
-    estimator = options.get("estimator") or engine.default_estimator
-    embedding = options.get("embedding") or engine.default_embedding
-    bootstrap = options.get("bootstrap", 0)
-    seed = options.get("seed", 0)
-
-    cleanup_root: str | None = None
-    cache = engine.cache
-    if cache is None:
-        # Uncached engine: the shared state still crosses the process
-        # boundary through an artifact cache — a private, batch-lifetime one.
-        cleanup_root = tempfile.mkdtemp(prefix="repro-shard-")
-        cache = ArtifactCache(cleanup_root)
-
-    engine._reset_grounding_charge()  # noqa: SLF001 - shared grounding is batch prework
-    pinned_keys: list[CacheKey] = []
-    # Fork fast path: when worker processes are forked from this process,
-    # they inherit the grounded engine copy-on-write — no artifacts need
-    # publishing for bootstrap and workers pay zero deserialization.  On
-    # spawn platforms (or when disabled for tests) the engine state crosses
-    # through the artifact cache as memory-mapped npz payloads instead.
-    # Shard partials travel through the cache either way.
-    inherit = (
-        multiprocessing.get_start_method() == "fork"
-        and not os.environ.get(NO_INHERIT_ENV)
-    )
-    inherit_token: str | None = None
-    try:
-        if inherit:
-            inherit_token = register_inheritable_engine(engine)
-        spec = _publish_engine_state(
-            engine, cache, inherit=inherit, pinned=pinned_keys, inherit_token=inherit_token
-        )
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(spec,)
-        ) as pool:
-            plans = [
-                _plan_query(engine, cache, spec, name, query, embedding, backend)
-                for name, query in parsed
-            ]
-            # One root span (and trace) per query, stitched across the
-            # process boundary: shard/finish tasks carry (trace, root span)
-            # and workers parent everything they record under it.  Worker
-            # batches ride back on the result tuples; a future shared by
-            # several plans (threshold-sweep dedup) is merged exactly once.
-            registry = get_registry()
-            roots = {
-                plan.name: registry.start_span(
-                    "query",
-                    trace=registry.new_trace(),
-                    index=index,
-                    mode="warm" if plan.cached else "cold",
-                    executor="process",
-                )
-                for index, plan in enumerate(plans)
-            }
-            merged_futures: set[int] = set()
-
-            def _pool_result(future: Future, plan: _QueryPlan) -> Any:
-                outcome, batch = _shard_result(future, plan)
-                if id(future) not in merged_futures:
-                    merged_futures.add(id(future))
-                    merge_worker_batch(registry, batch)
-                return outcome
-
-            def _finish_root(plan: _QueryPlan) -> None:
-                root = roots[plan.name]
-                registry.finish_span(root, outcome="ok")
-                registry.histogram(
-                    "query.duration",
-                    (root.t1 or root.t0) - root.t0,
-                    mode=root.meta.get("mode"),
-                    outcome="ok",
-                )
-            # Shard partials are keyed deterministically by (grounding,
-            # collection signature, unit range) — see docs/service.md — so
-            # a partial produced once is reusable: within this batch (a
-            # threshold sweep's queries share collections shard-for-shard,
-            # deduplicated through `inflight`) and across batches (a warm
-            # re-sweep probes the cache and skips collection entirely).
-            inflight: dict[CacheKey, Future] = {}
-            for plan in plans:
-                if plan.cached:
-                    continue
-                for start, stop in shard_ranges(plan.n_units, shards):
-                    if start == stop:
-                        continue  # empty trailing range: contributes nothing
-                    result_key = shard_partial_key(
-                        spec.database_fingerprint,
-                        spec.program_fingerprint,
-                        plan.signature,
-                        start,
-                        stop,
-                        plan.n_units,
-                    )
-                    cache.pin(result_key)
-                    pinned_keys.append(result_key)
-                    running = inflight.get(result_key)
-                    if running is not None:
-                        # Another query of this batch already collects this
-                        # exact range (same signature): share its work.
-                        plan.submitted.append((running, result_key))
-                        continue
-                    if cache.load(result_key) is not None:
-                        # Verified warm partial from an earlier sweep: zero
-                        # collection work for this range.
-                        plan.submitted.append((None, result_key))
-                        continue
-                    task = ShardTask(
-                        query=plan.query,
-                        start=start,
-                        stop=stop,
-                        n_units=plan.n_units,
-                        result_key=result_key,
-                        trace=roots[plan.name].trace,
-                        parent=roots[plan.name].span_id,
-                    )
-                    future = pool.submit(_run_shard_task_shipped, task)
-                    inflight[result_key] = future
-                    plan.submitted.append((future, result_key))
-
-            answers: dict[str, QueryAnswer] = {}
-            finish_futures: dict[str, Future] = {}
-            try:
-                for plan in plans:
-                    if plan.cached:
-                        # The unit table is already on disk: the serial path
-                        # answers straight from the warm cache, no sharding.
-                        root = roots[plan.name]
-                        with trace_context(root.trace, root.span_id):
-                            answers[plan.name] = engine.answer(
-                                plan.query,
-                                estimator=estimator,
-                                embedding=embedding,
-                                bootstrap=bootstrap,
-                                seed=seed,
-                                backend=backend,
-                            )
-                        _finish_root(plan)
-                        continue
-                    part_keys = []
-                    collect_seconds = 0.0
-                    for future, result_key in plan.submitted:
-                        if future is not None:
-                            _, seconds = _pool_result(future, plan)
-                            collect_seconds += seconds
-                        part_keys.append(result_key)
-                    finish_futures[plan.name] = pool.submit(
-                        _run_finish_task_shipped,
-                        FinishTask(
-                            query=plan.query,
-                            part_keys=tuple(part_keys),
-                            table_key=plan.table_key,
-                            collect_seconds=collect_seconds,
-                            estimator=estimator,
-                            embedding=embedding,
-                            bootstrap=bootstrap,
-                            seed=seed,
-                            trace=roots[plan.name].trace,
-                            parent=roots[plan.name].span_id,
-                        ),
-                    )
-                for plan in plans:
-                    if plan.cached:
-                        continue
-                    answers[plan.name] = _pool_result(finish_futures[plan.name], plan)
-                    _finish_root(plan)
-            except BaseException:
-                for plan in plans:
-                    for future, _ in plan.submitted:
-                        if future is not None:
-                            future.cancel()
-                for future in finish_futures.values():
-                    future.cancel()
-                for root in roots.values():
-                    registry.finish_span(root, outcome="error")
-                raise
-            return {name: answers[name] for name, _ in parsed if name in answers}
-    except BrokenExecutor as error:
-        raise QueryError(
-            "a shard worker process died before finishing its task; "
-            "the batch was aborted cleanly (no partial answers were produced)"
-        ) from error
-    finally:
-        unregister_inheritable_engine(inherit_token)
-        # Unpin exactly what this batch pinned (never unpin_all: a streaming
-        # session sharing the cache instance holds pins of its own).  The
-        # partials themselves stay: persistently cached, they are what lets
-        # the next sweep skip collection shard by shard; `repro cache evict
-        # --kind unit_inputs` trims them when space matters.
-        for key in pinned_keys:
-            cache.unpin(key)
-        if cleanup_root is not None:
-            shutil.rmtree(cleanup_root, ignore_errors=True)
-
-
 def _publish_engine_state(
     engine: "CaRLEngine",
     cache: ArtifactCache,
     inherit: bool,
-    pinned: list[CacheKey] | None = None,
+    pinned: list[CacheKey],
     inherit_token: str | None = None,
 ) -> WorkerSpec:
     """Ground once and (unless workers fork-inherit) publish the engine's
-    shared state as artifacts, pinned for the batch's lifetime.
+    shared state as artifacts, pinned for the session's lifetime.
 
-    Every key pinned on ``cache`` is appended to ``pinned`` (when given) so
-    the caller can release exactly its own pins on exit.
+    Every key pinned on ``cache`` is appended to ``pinned`` so the caller
+    can release exactly its own pins on exit.
     """
     with engine._state_lock:  # noqa: SLF001 - dispatcher-side engine internals
         engine.graph  # noqa: B018 - ground (or cache-load) once, up front
@@ -718,8 +442,7 @@ def _publish_engine_state(
             else:
                 _touch(cache.path_for(grounding_key))
             cache.pin(grounding_key)
-            if pinned is not None:
-                pinned.append(grounding_key)
+            pinned.append(grounding_key)
             for table in engine.database.tables:
                 key = CacheKey(
                     database=db_fp,
@@ -734,8 +457,7 @@ def _publish_engine_state(
                 else:
                     _touch(cache.path_for(key))
                 cache.pin(key)
-                if pinned is not None:
-                    pinned.append(key)
+                pinned.append(key)
                 table_keys.append((table.name, key))
     return WorkerSpec(
         cache_root=str(cache.root),
@@ -752,8 +474,6 @@ def _publish_engine_state(
 def _plan_query(
     engine: "CaRLEngine",
     cache: ArtifactCache,
-    spec: WorkerSpec,
-    name: str,
     query: CausalQuery,
     embedding: str,
     backend: str,
@@ -766,7 +486,7 @@ def _plan_query(
             query, embedding, backend, response_attribute
         )
         if table_key is not None and cache.contains(table_key):
-            return _QueryPlan(name, query, response_attribute, table_key, cached=True)
+            return _QueryPlan(table_key, cached=True)
         signature = collect_fingerprint(
             treatment_attribute,
             response_attribute,
@@ -778,13 +498,7 @@ def _plan_query(
             query, treatment_attribute, response_attribute
         )
     return _QueryPlan(
-        name,
-        query,
-        response_attribute,
-        table_key,
-        cached=False,
-        n_units=len(units),
-        signature=signature,
+        table_key, cached=False, n_units=len(units), signature=signature
     )
 
 
@@ -792,7 +506,7 @@ def _touch(path) -> None:
     """Refresh an artifact's mtime so a reused published artifact is the
     newest file under the root — in-process pins do not protect against an
     eviction run from *another* process, but oldest-first eviction order
-    does, as long as a live batch's artifacts are recent."""
+    does, as long as a live session's artifacts are recent."""
     try:
         os.utime(path, None)
     except OSError:
@@ -812,10 +526,9 @@ def shard_partial_key(
     ``(grounding fingerprint, collection signature, unit range)`` fully
     determines the collected :class:`~repro.carl.unit_table.UnitTableInputs`
     — the unit list is a pure function of (database, program, condition) and
-    collection walks only the grounding — so re-keying partials this way
-    (instead of PR 4's per-batch nonce) makes them *reusable*: any later
-    batch or streaming session over the same database re-derives the same
-    key and skips the collection.  ``n_units`` is part of the key as a
+    collection walks only the grounding — so keying partials this way makes
+    them *reusable*: any later session over the same database re-derives
+    the same key and skips the collection.  ``n_units`` is part of the key as a
     belt-and-braces guard: ranges only align between runs that saw the same
     unit count.
     """
@@ -825,17 +538,3 @@ def shard_partial_key(
     return CacheKey(
         database=database_fp, program=program_fp, kind="unit_inputs", detail=detail
     )
-
-
-def _shard_result(future: Future, plan: _QueryPlan):
-    """One worker future's result, with worker errors surfaced as CaRL errors."""
-    try:
-        return future.result()
-    except CaRLError:
-        raise
-    except BrokenExecutor:
-        raise
-    except Exception as error:
-        raise QueryError(
-            f"shard worker failed while answering {plan.query!s}: {error}"
-        ) from error

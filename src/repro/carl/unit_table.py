@@ -310,7 +310,7 @@ class UnitTableInputs:
     treatment attribute, response attribute, units, peers)``.  Queries that
     differ only in treatment threshold or embedding can therefore share one
     collection and diverge at :func:`materialize_unit_table`, which is how
-    :meth:`CaRLEngine.answer_all` amortizes graph walks across a batch.
+    a batched :meth:`CaRLEngine.answer_all` amortizes graph walks.
 
     Instances are treated as immutable after collection: materialization only
     reads them, so one collection may back any number of concurrent

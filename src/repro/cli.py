@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         default="thread",
         help="batch worker kind: 'thread' overlaps numpy phases, 'process' runs "
-        "the sharded process pool (unit ranges collected in parallel worker "
+        "the shard scheduler (unit ranges collected in parallel worker "
         "processes, merged exactly; see docs/sharding.md)",
     )
     parser.add_argument(

@@ -35,8 +35,8 @@ interleave garbage into the daemon's log.
 Cross-process stitching has three moving parts here:
 
 * :func:`set_role` — a worker process declares itself one; its trace and
-  span ids gain a ``w<id>.`` (or ``p<pid>.``) prefix, so records it ships to
-  the dispatcher are globally unique and merge without remapping;
+  span ids gain a ``w<id>.`` prefix, so records it ships to the dispatcher
+  are globally unique and merge without remapping;
 * :func:`trace_context` — a thread-local ``(trace, parent)`` pair that
   :meth:`TelemetryRegistry.start_span` falls back to when neither is given
   explicitly, which is how a shipped task's originating ``query.collect``
@@ -111,18 +111,15 @@ _ID_PREFIX = ""
 def set_role(role: str, worker_id: int | None = None) -> None:
     """Declare this process's telemetry role (``dispatcher`` / ``worker``).
 
-    A worker's generated trace and span ids gain a ``w<id>.`` prefix (or
-    ``p<pid>.`` for anonymous pool workers), making every id it ships
-    globally unique — the dispatcher merges worker batches verbatim, with no
-    id remapping.  Dispatcher ids stay unprefixed (``t1`` / ``s1``).
+    A worker's generated trace and span ids gain a ``w<id>.`` prefix, making
+    every id it ships globally unique — the dispatcher merges worker batches
+    verbatim, with no id remapping.  Dispatcher ids stay unprefixed
+    (``t1`` / ``s1``).
     """
     global _ROLE, _ID_PREFIX
     with _ROLE_LOCK:
         _ROLE = role
-        if role == "worker":
-            _ID_PREFIX = f"w{worker_id}." if worker_id is not None else f"p{os.getpid()}."
-        else:
-            _ID_PREFIX = ""
+        _ID_PREFIX = f"w{worker_id}." if role == "worker" else ""
 
 
 def current_role() -> str:

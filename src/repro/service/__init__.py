@@ -1,7 +1,8 @@
 """Streaming query service over the CaRL engine (``docs/service.md``).
 
-The service turns the all-or-nothing batch executors of PR 3/4 into an
-incremental, fault-tolerant query pipeline:
+The service is the one incremental, fault-tolerant query pipeline every
+multi-query entry point runs on — ``CaRLEngine.answer_all`` (beyond its
+``jobs=1`` serial loop) drains a session and raises the first failure:
 
 * :class:`~repro.service.session.QuerySession` — a futures-style session
   with ``submit()`` / ``as_completed()`` / ``cancel()`` and per-query

@@ -1,17 +1,16 @@
-"""The streaming service's process-mode task scheduler (``docs/service.md``).
+"""The process-mode task scheduler behind every query session (``docs/service.md``).
 
-PR 4's process executor fails the whole batch on the first worker fault and
-returns nothing until every query is done.  This scheduler replaces both
-behaviors with explicit task-level bookkeeping:
+Every process-mode entry point — ``answer_all(executor="process")``,
+``answer_iter``, ``open_session`` and the ``QueryDaemon`` — runs its queries
+here, with explicit task-level bookkeeping:
 
 * each submitted query is decomposed into shard-level **collect tasks**
   (one per contiguous unit range, reusing :class:`~repro.carl.shard.ShardTask`)
   plus one **finish task** (merge partials, materialize, estimate —
   :class:`~repro.carl.shard.FinishTask`), tracked through the
   :class:`TaskState` machine ``PENDING → RUNNING → DONE | FAILED``;
-* workers are long-lived processes the scheduler manages itself (not a
-  ``ProcessPoolExecutor``, whose pool breaks permanently on a worker death):
-  a task whose worker raises or dies is **retried and requeued** — on a
+* workers are long-lived processes the scheduler manages itself: a task
+  whose worker raises or dies is **retried and requeued** — on a
   different worker where possible (the faulting worker is excluded for that
   task), with a dead worker replaced by a fresh process — up to a bounded
   retry budget, after which only the affected query fails with a
@@ -39,9 +38,9 @@ Long-lived service hardening (PR 7):
   retry/timeout/queue-depth signals through
   :mod:`repro.observability.telemetry` (see ``docs/observability.md``).
 
-Everything a worker computes flows through the artifact cache exactly as in
-PR 4 (partials as ``unit_inputs`` artifacts, never bulk pickles), and the
-per-query merge is pure concatenation — so every answer the scheduler emits
+Everything a worker computes flows through the artifact cache (partials as
+``unit_inputs`` artifacts, never bulk pickles; see :mod:`repro.carl.shard`),
+and the per-query merge is pure concatenation — so every answer the scheduler emits
 is bit-identical to the serial :meth:`~repro.carl.engine.CaRLEngine.answer`
 of the same query.  The task queue plus artifact-keyed partials are the
 designed seam for the ROADMAP's remote-dispatch backend: a multi-host
@@ -67,7 +66,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from typing import TYPE_CHECKING, Any
 
-from repro.carl import shard as shard_module
+from repro.carl import errors as carl_errors
 from repro.carl.errors import CaRLError, QueryError
 from repro.carl.shard import (
     DEFAULT_HANG_TIMEOUT,
@@ -92,7 +91,6 @@ from repro.faults.injection import fault_point, set_role
 from repro.observability.flight import dump_flight_recording
 from repro.observability.merge import merge_worker_batch
 from repro.observability.telemetry import Span, get_registry
-from repro.observability.telemetry import set_role as set_telemetry_role
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.carl.engine import CaRLEngine
@@ -310,10 +308,8 @@ def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: 
     exit sentinel triggers a final drain shipped as ``"events"`` messages,
     so only a crash (``os._exit``) can lose worker-side telemetry.
     """
-    _worker_init(spec)
-    shard_module._WORKER_ID = worker_id  # noqa: SLF001 - fault-injection target id
+    _worker_init(spec, worker_id)
     set_role("worker", worker_id)  # arms worker-only fault sites
-    set_telemetry_role("worker", worker_id)  # w<id>.-prefixed trace/span ids
     registry = get_registry()
     beat_state: dict[str, Any] = {"started": None}
     threading.Thread(
@@ -482,7 +478,12 @@ class ShardScheduler:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Publish the engine's shared state and spawn the worker pool."""
+        """Publish the engine's shared state and spawn the worker pool.
+
+        A failure (grounding, publishing, spawning) closes the scheduler
+        before it propagates: pins, the inherit-registry slot, started
+        workers and a private cache directory are released, not leaked.
+        """
         cache = self._engine.cache
         if cache is None:
             # Uncached engine: shared state still crosses the process
@@ -491,34 +492,38 @@ class ShardScheduler:
             self._cleanup_root = tempfile.mkdtemp(prefix="repro-service-")
             cache = ArtifactCache(self._cleanup_root)
         self._cache = cache
-        # Sweep temp files a torn writer (crash between temp write and
-        # rename) may have leaked in an earlier session.
-        cache.reap_temp_files()
-        inherit = (
-            multiprocessing.get_start_method() == "fork"
-            and not os.environ.get(NO_INHERIT_ENV)
-        )
-        if inherit:
-            # Registered for the scheduler's whole lifetime: replacement
-            # workers may fork at any point, and the token-keyed registry
-            # lets any number of sessions fork concurrently.
-            self._inherit_token = register_inheritable_engine(self._engine)
-        self._spec = _publish_engine_state(
-            self._engine,
-            cache,
-            inherit=inherit,
-            # Lock-free by happens-before: start() runs once, before the
-            # dispatcher thread and workers that contend on the lock exist.
-            pinned=self._pinned,  # repro-lint: disable=lock-guarded-attr
-            inherit_token=self._inherit_token,
-        )
-        self._results = multiprocessing.Queue()
-        for _ in range(self._jobs):
-            self._spawn_worker()
-        self._dispatcher = threading.Thread(
-            target=self._run_dispatcher, name="carl-service-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+        try:
+            # Sweep temp files a torn writer (crash between temp write and
+            # rename) may have leaked in an earlier session.
+            cache.reap_temp_files()
+            inherit = (
+                multiprocessing.get_start_method() == "fork"
+                and not os.environ.get(NO_INHERIT_ENV)
+            )
+            if inherit:
+                # Registered for the scheduler's whole lifetime: replacement
+                # workers may fork at any point, and the token-keyed registry
+                # lets any number of sessions fork concurrently.
+                self._inherit_token = register_inheritable_engine(self._engine)
+            self._spec = _publish_engine_state(
+                self._engine,
+                cache,
+                inherit=inherit,
+                # Lock-free by happens-before: start() runs once, before the
+                # dispatcher thread and workers that contend on the lock exist.
+                pinned=self._pinned,  # repro-lint: disable=lock-guarded-attr
+                inherit_token=self._inherit_token,
+            )
+            self._results = multiprocessing.Queue()
+            for _ in range(self._jobs):
+                self._spawn_worker()
+            self._dispatcher = threading.Thread(
+                target=self._run_dispatcher, name="carl-service-dispatcher", daemon=True
+            )
+            self._dispatcher.start()
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
         """Stop the dispatcher, shut workers down, release pins.
@@ -761,15 +766,13 @@ class ShardScheduler:
             plan = _plan_query(
                 self._engine,
                 self._cache,
-                self._spec,
-                str(index),
                 record.query,
                 options["embedding"],
                 self._backend,
             )
         except Exception as error:  # noqa: BLE001 - a plan failure is per-query
             telemetry.finish_span(ground_span)
-            self._finish_query(index, self._as_query_error(error))
+            self._finish_query(index, as_query_error(error))
             return
         telemetry.finish_span(ground_span, cached=plan.cached)
         if plan.cached:
@@ -931,7 +934,7 @@ class ShardScheduler:
                     )
             except Exception as error:  # noqa: BLE001 - per-query failure
                 get_registry().finish_span(finish_span, outcome="error")
-                self._finish_query(index, self._as_query_error(error))
+                self._finish_query(index, as_query_error(error))
             else:
                 get_registry().finish_span(finish_span, outcome="ok")
                 self._finish_query(index, answer)
@@ -1273,6 +1276,10 @@ class ShardScheduler:
             f"shard worker {worker_id} failed while running a "
             f"{task.kind} task: {type_name}: {text}"
         )
+        if is_carl:
+            # Deterministic semantic failure: rebuild the worker's CaRL error
+            # as the cause, so batch callers can re-raise its original type.
+            error.__cause__ = _rebuild_carl_error(type_name, text)
         self._task_faulted(task_id, worker_id, error, retryable=not is_carl)
 
     def _task_succeeded(self, task: _Task, payload: Any) -> None:
@@ -1363,9 +1370,9 @@ class ShardScheduler:
             else ""
         )
         for index in affected:
-            self._finish_query(
-                index, QueryError(f"{error}{budget_note}"), failed_task=task_id
-            )
+            failure = QueryError(f"{error}{budget_note}")
+            failure.__cause__ = error.__cause__
+            self._finish_query(index, failure, failed_task=task_id)
         with self._lock:
             failed = self._tasks.get(task_id)
             if failed is not None:
@@ -1517,6 +1524,22 @@ class ShardScheduler:
         for index in live:
             self._finish_query(index, error)
 
-    @staticmethod
-    def _as_query_error(error: Exception) -> QueryError:
-        return error if isinstance(error, QueryError) else QueryError(str(error))
+
+def as_query_error(error: Exception, message: str | None = None) -> QueryError:
+    """``error`` as a query-failure event: a :class:`QueryError` as itself,
+    anything else wrapped in one (``message``, default ``str(error)``) with
+    the original as ``__cause__``."""
+    if isinstance(error, QueryError):
+        return error
+    wrapped = QueryError(str(error) if message is None else message)
+    wrapped.__cause__ = error
+    return wrapped
+
+
+def _rebuild_carl_error(type_name: str, text: str) -> CaRLError | None:
+    """A worker's CaRL error, rebuilt from its reported type name (None when
+    the name is not a :mod:`repro.carl.errors` class)."""
+    error_type = getattr(carl_errors, type_name, None)
+    if isinstance(error_type, type) and issubclass(error_type, CaRLError):
+        return error_type(text)
+    return None

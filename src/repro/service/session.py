@@ -63,7 +63,7 @@ from repro.carl.errors import CaRLError, QueryError
 from repro.carl.parser import parse_query
 from repro.faults.injection import fault_point
 from repro.observability.telemetry import get_registry
-from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler
+from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler, as_query_error
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.carl.engine import CaRLEngine
@@ -318,9 +318,9 @@ class QuerySession:
                 query, backend=self._backend, _scratch=self._scratch, **options
             )
         except CaRLError as error:
-            outcome = error if isinstance(error, QueryError) else QueryError(str(error))
+            outcome = as_query_error(error)
         except Exception as error:  # noqa: BLE001 - a worker must emit, not die
-            outcome = QueryError(f"query {index} failed unexpectedly: {error}")
+            outcome = as_query_error(error, f"query {index} failed unexpectedly: {error}")
         get_registry().finish_span(
             span, outcome="error" if isinstance(outcome, QueryError) else "ok"
         )
@@ -561,7 +561,9 @@ def answer_iter(
     Yields ``(key, QueryAnswer | QueryError)`` in completion order, where
     ``key`` is the query's dict name or its position in the list.  Closing
     the iterator early tears the session down (workers stopped, outstanding
-    queries abandoned).
+    queries abandoned).  An uncached engine is grounded once before the
+    first query starts, on either executor, so no answer is charged for
+    the shared grounding.
     """
     if isinstance(queries, dict):
         items = list(queries.items())
@@ -586,6 +588,11 @@ def answer_iter(
         backend=backend,
         hang_timeout=hang_timeout,
     ) as session:
+        if executor == "thread" and engine.cache is None and parsed:
+            # The process scheduler grounds while publishing engine state;
+            # threads ground here, up front.  With a cache, grounding stays
+            # lazy: a sweep of cached unit tables never touches the graph.
+            engine.graph  # noqa: B018
         keys = {
             session.submit(query, timeout=timeout): key for key, query in parsed
         }

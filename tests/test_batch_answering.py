@@ -14,11 +14,13 @@ The historical bugs pinned here:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.carl.engine import CaRLEngine
-from repro.carl.errors import QueryError
+from repro.carl.errors import EstimationError, QueryError
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
 
 #: A batch mixing every query family: plain ATE, aggregate-unified response,
@@ -117,6 +119,24 @@ class TestConcurrentExecutor:
         with pytest.raises(Exception):
             engine.answer_all(["this is not a query"], jobs=4)
         assert engine.grounding_runs == 0
+
+    def test_batch_raises_first_failure_in_input_order(self, monkeypatch):
+        """The raised error is the first failed query's in input order,
+        whichever failure completed first."""
+        engine = fresh_engine()
+        answer = engine.answer
+
+        def slow_qualification(query, *args, **kwargs):
+            if "Qualification" in str(query):
+                time.sleep(0.2)  # first in input order, last to fail
+            return answer(query, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "answer", slow_qualification)
+        with pytest.raises(EstimationError, match="Qualification"):
+            engine.answer_all(
+                ["AVG_Score[A] <= Qualification[A] ?", "Score[S] <= NoSuchAttr[A] ?"],
+                jobs=2,
+            )
 
 
 class TestGroundingAttribution:

@@ -16,11 +16,15 @@ Contracts held here:
   queries yield a timeout ``QueryError`` without touching their neighbours;
 * **shard-level cache reuse** — a warm re-sweep over an unchanged database
   runs zero collect tasks (every shard range resolves from the artifact
-  cache), verified through the scheduler's stats.
+  cache), verified through the scheduler's stats;
+* **one batch path** — ``answer_all`` drains the same session: worker
+  faults are retried instead of aborting the batch, failed queries keep
+  their CaRL error types, and a scheduler whose start fails leaks nothing.
 """
 
 from __future__ import annotations
 
+import tempfile
 import threading
 import time
 
@@ -28,10 +32,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.store import ArtifactCache
+from repro.carl import shard
 from repro.carl.engine import CaRLEngine
-from repro.carl.errors import ParseError, QueryError
+from repro.carl.errors import EstimationError, GroundingError, ParseError, QueryError
 from repro.carl.queries import QueryAnswer
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
+from repro.observability import reset_registry
 from repro.service import QuerySession
 
 QUERIES = {
@@ -145,6 +151,20 @@ def test_semantic_error_yields_query_error_event_not_batch_failure():
         got = dict(engine.answer_iter(queries, jobs=2, executor=executor))
         assert isinstance(got["bad"], QueryError)
         assert isinstance(got["good"], QueryAnswer)
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_failed_query_keeps_its_carl_error_type(executor):
+    """A query that fails inside estimation reports the original
+    EstimationError as the event's cause (rebuilt from its type name when
+    a worker process raised it), and answer_all re-raises that cause."""
+    query = "AVG_Score[A] <= Qualification[A] ?"
+    with pytest.raises(EstimationError):
+        fresh_engine().answer_all([query], jobs=2, executor=executor)
+    [(_, event)] = list(fresh_engine().answer_iter([query], jobs=2, executor=executor))
+    assert isinstance(event, QueryError)
+    assert isinstance(event.__cause__, EstimationError)
+    assert str(event.__cause__) in str(event)
 
 
 # ----------------------------------------------------------------------
@@ -383,11 +403,32 @@ def test_budget_exhaustion_fails_only_that_query(monkeypatch):
     assert stats["retries"] >= 1
 
 
-def test_answer_all_process_still_fails_batch_on_untargeted_fault(monkeypatch):
-    """The PR 4 contract is unchanged: without the scheduler, a worker fault
-    fails the whole batch cleanly."""
+def test_answer_all_process_survives_untargeted_faults(
+    monkeypatch, tmp_path, serial_answers
+):
+    """answer_all runs on the scheduler, so a worker fault does not abort
+    the batch.  When every worker dies on every task, the dead workers are
+    replaced and their tasks retried until the circuit breaker opens
+    (threshold max(3, jobs + 2) = 4 deaths); then every query is answered
+    serially in-process, bit-identical.  When every worker raises, each
+    task is retried until its budget is spent, and the error says so."""
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "exit")
+    registry = reset_registry()
+    try:
+        got = fresh_engine().answer_all(QUERIES, jobs=2, executor="process", shards=2)
+        counters = registry.counters()
+    finally:
+        reset_registry()
+    assert counters["scheduler.worker_death"] == 4
+    assert counters["scheduler.circuit_open"] == 1
+    assert counters["scheduler.serial_fallback"] == len(QUERIES)
+    assert list(got) == list(QUERIES)
+    for name, answer in got.items():
+        assert answer_fingerprint(answer) == answer_fingerprint(serial_answers[name])
+
     monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "raise")
-    with pytest.raises(QueryError):
+    with pytest.raises(QueryError, match=r"shard worker .* retry budget 2\)"):
         fresh_engine().answer_all(QUERIES, jobs=2, executor="process", shards=2)
 
 
@@ -485,3 +526,37 @@ def test_session_pins_released_and_no_sidecars_leak(tmp_path):
         assert list((tmp_path / "cache").glob("*/*.pin.*"))
     assert engine.cache.pinned_paths() == set()
     assert not list((tmp_path / "cache").glob("*/*.pin.*"))
+
+
+def test_failed_scheduler_start_leaks_nothing(monkeypatch, tmp_path):
+    """A scheduler whose start() fails (grounding, publication) releases
+    what it acquired before the error propagates — the private cache dir
+    of an uncached engine, the fork-inherit registry slot and every cache
+    pin — on the streaming and the batch entry point alike."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runs = [
+        lambda engine: list(engine.answer_iter(QUERIES, jobs=2, executor="process")),
+        lambda engine: engine.answer_all(QUERIES, jobs=2, executor="process"),
+    ]
+
+    def fail(*_args):
+        raise GroundingError("injected failure")
+
+    for run in runs:
+        engine = fresh_engine()
+        monkeypatch.setattr(engine.grounder, "ground", fail)
+        with pytest.raises(GroundingError):
+            run(engine)
+        assert not list(tmp_path.glob("repro-service-*"))
+        assert engine not in shard._INHERITABLE_ENGINES.values()
+
+    # Artifact transport over a persistent cache: publication fails after
+    # the grounding artifact was stored and pinned.
+    monkeypatch.setenv(shard.NO_INHERIT_ENV, "1")
+    monkeypatch.setattr(shard, "columnar_table_payload", fail)
+    for run in runs:
+        engine = fresh_engine(cache=tmp_path / "cache")
+        with pytest.raises(GroundingError):
+            run(engine)
+        assert engine.cache.pinned_paths() == set()
+        assert not list((tmp_path / "cache").glob("*/*.pin.*"))

@@ -11,10 +11,11 @@ contracts against their serial references:
 * **unit-table collection** — collecting consecutive unit ranges and merging
   must reproduce the unsharded collection exactly (bit-identical
   materialized unit tables);
-* **process-pool answering** — ``answer_all(executor="process")`` must be
-  answer-for-answer bit-identical to the serial loop at any shard count, and
-  a worker that dies or raises must fail the batch with a clean
-  :class:`QueryError`, never a hang.
+* **process answering** — ``answer_all(executor="process")`` must be
+  answer-for-answer bit-identical to the serial loop at any shard count; a
+  batch whose workers keep dying is answered serially once the scheduler's
+  circuit breaker opens, and one whose workers keep raising fails with a
+  clean :class:`QueryError` once the retry budget is spent, never a hang.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.db.aggregates import (
     sharded_grouped_aggregate,
 )
 from repro.db.table import ColumnarTable, Table
+from repro.observability import reset_registry
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -447,17 +449,32 @@ def test_threshold_sweep_shares_collections_within_one_batch(tmp_path):
         assert repr(result_key(answers[name])) == repr(result_key(serial[name]))
 
 
-def test_process_executor_worker_death_raises_cleanly(monkeypatch):
+def test_process_executor_worker_death_answers_serially(monkeypatch, tmp_path):
+    """Every worker dies on every task: the scheduler replaces them until
+    its circuit breaker opens, then answers the batch serially in-process,
+    bit-identical to the serial loop."""
+    serial = fresh_engine().answer_all({"ate": QUERIES["ate"]}, jobs=1)
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "exit")
-    with pytest.raises(QueryError):
-        fresh_engine().answer_all(
+    registry = reset_registry()
+    try:
+        answers = fresh_engine().answer_all(
             {"ate": QUERIES["ate"]}, jobs=2, executor="process", shards=2
         )
+        counters = registry.counters()
+    finally:
+        reset_registry()
+    assert result_key(answers["ate"]) == result_key(serial["ate"])
+    assert answers["ate"].unit_table_summary == serial["ate"].unit_table_summary
+    assert counters["scheduler.circuit_open"] == 1
+    assert counters["scheduler.serial_fallback"] == 1
 
 
 def test_process_executor_worker_exception_raises_cleanly(monkeypatch):
+    """A worker that raises on every attempt fails the query once its retry
+    budget is spent; the error names the fault and the budget."""
     monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "raise")
-    with pytest.raises(QueryError, match="shard worker"):
+    with pytest.raises(QueryError, match=r"shard worker .* retry budget 2\)"):
         fresh_engine().answer_all(
             {"ate": QUERIES["ate"]}, jobs=2, executor="process", shards=2
         )

@@ -7,9 +7,9 @@ Contracts held here, per transport (fork-inherit, fork-rebuild via
   shard partials only workers touch) lands in the dispatcher's merged
   totals, identically across transports;
 * **stitched parents** — every worker-recorded span carries a trace owned
-  by a dispatcher ``query`` root and a parent that exists in that trace
-  (the root itself on the pool path, the attempt's ``query.collect`` /
-  ``query.finish`` span on the scheduler path);
+  by a dispatcher ``query`` root and a parent in that trace: the attempt's
+  ``query.collect`` / ``query.finish`` span, on the batch path
+  (``answer_all``) and the session path (``open_session``) alike;
 * **determinism** — a subprocess run under different ``PYTHONHASHSEED``
   values produces the same merged event-name order, counter totals and
   fixed-value histogram buckets.
@@ -58,7 +58,7 @@ def fresh_engine() -> CaRLEngine:
     return CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
 
 
-def answer_pool(monkeypatch, *, no_inherit: bool):
+def answer_batch(monkeypatch, *, no_inherit: bool):
     if no_inherit:
         monkeypatch.setenv(NO_INHERIT_ENV, "1")
     else:
@@ -87,12 +87,22 @@ def span_index(registry):
     return spans, by_id, roots
 
 
+def assert_parented_under_attempts(span, by_id, roots):
+    """The scheduler ships (trace, attempt span) with each task: worker
+    phases hang off the originating query.collect / query.finish span."""
+    assert span["trace"] in roots
+    parent = by_id.get(span["parent"])
+    assert parent is not None
+    assert parent["event"] in ("query.collect", "query.finish")
+    assert parent["trace"] == span["trace"]
+
+
 # ----------------------------------------------------------------------
-# pool path (answer_all) — fork inherit and fork rebuild
+# batch path (answer_all) — fork inherit and fork rebuild
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("no_inherit", [False, True], ids=["fork-inherit", "fork-rebuild"])
 def test_pool_run_ships_worker_spans_with_valid_parents(monkeypatch, no_inherit):
-    answers = answer_pool(monkeypatch, no_inherit=no_inherit)
+    answers = answer_batch(monkeypatch, no_inherit=no_inherit)
     assert set(answers) == set(QUERIES)
     registry = get_registry()
     spans, by_id, roots = span_index(registry)
@@ -107,13 +117,11 @@ def test_pool_run_ships_worker_spans_with_valid_parents(monkeypatch, no_inherit)
         "worker.estimate",
     }
     for span in worker_spans:
-        # Worker ids are role-prefixed (p<pid>.s<n>): globally unique.
-        assert "." in span["span"]
+        # Worker ids are role-prefixed (w<id>.s<n>): globally unique.
+        assert span["span"].startswith("w") and "." in span["span"]
         # Stitched: the trace belongs to a dispatcher root, and the parent
-        # is a span that exists — here the root itself (the pool path
-        # parents worker phases directly under the query root).
-        assert span["trace"] in roots
-        assert span["parent"] == roots[span["trace"]]["span"]
+        # is the attempt span of that trace the task was shipped under.
+        assert_parented_under_attempts(span, by_id, roots)
 
     # The merged stream is observable: one worker.span_batch counter per
     # merged batch, and worker-side cache partial traffic in the totals.
@@ -125,14 +133,14 @@ def test_pool_run_ships_worker_spans_with_valid_parents(monkeypatch, no_inherit)
 
 
 def test_fork_inherit_and_rebuild_transports_merge_identical_counters(monkeypatch):
-    answer_pool(monkeypatch, no_inherit=False)
+    answer_batch(monkeypatch, no_inherit=False)
     inherit_counts = unit_inputs_counters(get_registry())
     inherit_names = Counter(
         span["event"] for span in get_registry().spans() if span["event"] in WORKER_SPANS
     )
 
     reset_registry()
-    answer_pool(monkeypatch, no_inherit=True)
+    answer_batch(monkeypatch, no_inherit=True)
     rebuild_counts = unit_inputs_counters(get_registry())
     rebuild_names = Counter(
         span["event"] for span in get_registry().spans() if span["event"] in WORKER_SPANS
@@ -145,7 +153,7 @@ def test_fork_inherit_and_rebuild_transports_merge_identical_counters(monkeypatc
 
 
 # ----------------------------------------------------------------------
-# scheduler path (open_session) — parents are the attempt's spans
+# session path (open_session) over a persistent cache
 # ----------------------------------------------------------------------
 def test_scheduler_run_reparents_worker_spans_under_attempt_spans(tmp_path):
     registry = get_registry()
@@ -161,13 +169,7 @@ def test_scheduler_run_reparents_worker_spans_under_attempt_spans(tmp_path):
     worker_spans = [span for span in spans if span["event"] in WORKER_SPANS]
     assert worker_spans
     for span in worker_spans:
-        assert span["trace"] in roots
-        parent = by_id.get(span["parent"])
-        # The scheduler ships (trace, attempt-span) with each task: worker
-        # phases hang off the originating query.collect / query.finish span.
-        assert parent is not None
-        assert parent["event"] in ("query.collect", "query.finish")
-        assert parent["trace"] == span["trace"]
+        assert_parented_under_attempts(span, by_id, roots)
     # Merged records carry the shipping worker's id for attribution.
     assert all("worker" in span for span in worker_spans)
     # Queue-wait histograms come from the dispatcher side of the same run.
@@ -205,12 +207,22 @@ unit_inputs = sorted(
     if event.get("kind") == "counter"
     and event.get("meta", {}).get("kind") == "unit_inputs"
 )
+spans = registry.spans()
+by_id = {span["span"]: span for span in spans}
+
+
+def parented(span):
+    parent = by_id.get(span["parent"])
+    return (
+        parent is not None
+        and parent["event"] in ("query.collect", "query.finish")
+        and parent["trace"] == span["trace"]
+    )
+
+
 worker_spans = sorted(
-    (span["event"], span["parent"] == root_span)
-    for span in registry.spans()
-    for root_span in [
-        {r["trace"]: r["span"] for r in registry.spans("query")}.get(span["trace"])
-    ]
+    (span["event"], parented(span))
+    for span in spans
     if span["event"].startswith("worker.")
 )
 print(json.dumps({
