@@ -33,7 +33,7 @@ if str(_SRC) not in sys.path:
 
 from repro.carl.engine import CaRLEngine
 from repro.db.database import Database
-from repro.db.table import ColumnarTable
+from repro.db.table import Table
 
 #: Required cold/warm end-to-end speedup (acceptance criterion).
 MIN_SPEEDUP = 10.0
@@ -63,11 +63,11 @@ QUERY = "Outcome[P] <= Treatment[P] ?"
 
 def build_database(seed: int = 7) -> Database:
     rng = random.Random(seed)
-    database = Database("bench_cache", backend="columnar")
+    database = Database("bench_cache")
 
     persons = list(range(N_PERSONS))
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "Person",
             {
                 "person": persons,
@@ -88,7 +88,7 @@ def build_database(seed: int = 7) -> Database:
     )
     orgs = list(range(N_ORGS))
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "Org",
             {"org": orgs, "budget": [rng.uniform(0.0, 1000.0) for _ in orgs]},
             dtypes={"org": "int", "budget": "float"},
@@ -96,7 +96,7 @@ def build_database(seed: int = 7) -> Database:
         )
     )
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "WorksAt",
             {
                 "person": [rng.randrange(N_PERSONS) for _ in range(N_WORKSAT)],

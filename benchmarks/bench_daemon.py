@@ -47,7 +47,7 @@ from bench_cache import PROGRAM  # noqa: E402 - sibling benchmark
 from repro.carl.engine import CaRLEngine  # noqa: E402
 from repro.carl.queries import QueryAnswer  # noqa: E402
 from repro.db.database import Database  # noqa: E402
-from repro.db.table import ColumnarTable  # noqa: E402
+from repro.db.table import Table  # noqa: E402
 from repro.observability import get_registry  # noqa: E402
 from repro.service import AdmissionError, QueryDaemon  # noqa: E402
 
@@ -103,10 +103,10 @@ QUERY_LIST = list(QUERIES.values())
 
 def build_database(seed: int = 11) -> Database:
     rng = random.Random(seed)
-    database = Database("bench_daemon", backend="columnar")
+    database = Database("bench_daemon")
     persons = list(range(N_PERSONS))
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "Person",
             {
                 "person": persons,
@@ -127,7 +127,7 @@ def build_database(seed: int = 11) -> Database:
     )
     orgs = list(range(N_ORGS))
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "Org",
             {"org": orgs, "budget": [rng.uniform(0.0, 1000.0) for _ in orgs]},
             dtypes={"org": "int", "budget": "float"},
@@ -136,7 +136,7 @@ def build_database(seed: int = 11) -> Database:
     )
     pairs = sorted({(rng.randrange(N_PERSONS), rng.randrange(N_ORGS)) for _ in range(N_WORKSAT)})
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "WorksAt",
             {"person": [p for p, _ in pairs], "org": [o for _, o in pairs]},
             dtypes={"person": "int", "org": "int"},

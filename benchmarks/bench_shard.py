@@ -46,7 +46,7 @@ from bench_cache import PROGRAM  # noqa: E402 - sibling benchmark module
 
 from repro.carl.engine import CaRLEngine  # noqa: E402
 from repro.db.database import Database  # noqa: E402
-from repro.db.table import ColumnarTable  # noqa: E402
+from repro.db.table import Table  # noqa: E402
 
 #: Required sharded/serial end-to-end speedup (acceptance criterion), gated
 #: only on runners with at least MIN_CORES cores.
@@ -76,10 +76,10 @@ QUERIES = {
 
 def build_database(seed: int = 7) -> Database:
     rng = random.Random(seed)
-    database = Database("bench_shard", backend="columnar")
+    database = Database("bench_shard")
     persons = list(range(N_PERSONS))
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "Person",
             {
                 "person": persons,
@@ -100,7 +100,7 @@ def build_database(seed: int = 7) -> Database:
     )
     orgs = list(range(N_ORGS))
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "Org",
             {"org": orgs, "budget": [rng.uniform(0.0, 1000.0) for _ in orgs]},
             dtypes={"org": "int", "budget": "float"},
@@ -108,7 +108,7 @@ def build_database(seed: int = 7) -> Database:
         )
     )
     database.add_table(
-        ColumnarTable.from_columns(
+        Table.from_columns(
             "WorksAt",
             {
                 "person": [rng.randrange(N_PERSONS) for _ in range(N_WORKSAT)],

@@ -1,16 +1,17 @@
 """Pytest path bootstrap and test-tier configuration.
 
-Makes ``src/`` importable even when the package has not been installed
-(e.g. running the test suite straight from a source checkout on an offline
-machine).  When ``repro`` is already installed this is a no-op.
+The package is not installable: ``src/`` on the import path is the only
+way in.  Run everything from the repository root with ``PYTHONPATH=src``
+(CI does); this file also puts ``src/`` on ``sys.path`` so a bare
+``pytest`` works from a source checkout.
 
 Test tiers (see ``pytest.ini``):
 
 * tier-1 (default): ``pytest`` runs everything not marked ``slow`` with the
   modest ``tier1`` Hypothesis profile — the fast loop the CI gate uses.
 * full property run: ``HYPOTHESIS_PROFILE=thorough pytest -m slow`` raises
-  the Hypothesis example counts for the heavy differential suites (backend
-  parity, exhaustive aggregate sweeps).
+  the Hypothesis example counts for the heavy differential suites (parity
+  against the row oracle, exhaustive aggregate sweeps); CI runs it too.
 """
 
 import os

@@ -1,5 +1,5 @@
 """Persistent artifact cache: fingerprinted on-disk storage for grounded
-graphs, columnar tables and unit tables.
+graphs, tables and unit tables.
 
 Grounding a relational causal program is deterministic given the database
 and the program, yet dominates end-to-end time (Table 2 of the paper); this

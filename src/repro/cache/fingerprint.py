@@ -13,7 +13,7 @@ digest so the store can be content-addressed:
   treatment and response units, so a grounding extended by earlier queries
   never aliases the pure program's grounding;
 * the *query* fingerprint hashes the canonical query AST together with the
-  embedding and unit-table backend it was materialized with.
+  embedding it was materialized with.
 """
 
 from __future__ import annotations
@@ -87,12 +87,10 @@ def collect_fingerprint(
     )
 
 
-def query_fingerprint(
-    query: CausalQuery, embedding: Any, backend: str, resolution: Any = None
-) -> str:
+def query_fingerprint(query: CausalQuery, embedding: Any, resolution: Any = None) -> str:
     """Stable hash of a unit-table request.
 
-    Covers the query AST, the embedding and unit-table backend, and the
+    Covers the query AST, the embedding, and the
     *resolved response* (the response attribute name plus, when the engine
     unified treatment and response units, the derived-attribute definition it
     resolved to).  Including the resolution — rather than the engine's whole
@@ -101,4 +99,4 @@ def query_fingerprint(
     query as a fresh one.
     """
     embedding_token = embedding if isinstance(embedding, str) else repr(embedding)
-    return _digest(canonical_text([query, embedding_token, backend, resolution]))
+    return _digest(canonical_text([query, embedding_token, resolution]))

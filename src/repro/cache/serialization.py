@@ -9,7 +9,7 @@ pickle path at the cost of an eager load.
 
 Supported artifacts:
 
-* :class:`~repro.db.table.ColumnarTable` — schema + one array per column;
+* :class:`~repro.db.table.Table` — schema + one array per column;
 * a grounded causal graph together with its grounded attribute values —
   interned attribute names, dual-CSR adjacency arrays (memory-mappable,
   deterministic node-id order; see ``docs/grounding.md``) and object arrays
@@ -37,7 +37,7 @@ from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.graph.csr import CSRGraph
 from repro.carl.unit_table import UnitTable, UnitTableInputs
 from repro.db.schema import ColumnSchema, TableSchema
-from repro.db.table import ColumnarTable, as_object_array
+from repro.db.table import Table, as_object_array
 
 class SerializationError(ValueError):
     """Raised when an artifact payload cannot be decoded."""
@@ -68,10 +68,10 @@ def _expect_kind(meta: dict[str, Any], kind: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# ColumnarTable
+# Table
 # ----------------------------------------------------------------------
-def columnar_table_payload(table: ColumnarTable) -> dict[str, np.ndarray]:
-    """Encode a columnar table: schema meta + one array per column."""
+def columnar_table_payload(table: Table) -> dict[str, np.ndarray]:
+    """Encode a table: schema meta + one array per column."""
     meta = {
         "format": FORMAT_VERSION,
         "kind": "columnar_table",
@@ -93,7 +93,7 @@ def columnar_table_payload(table: ColumnarTable) -> dict[str, np.ndarray]:
     return payload
 
 
-def load_columnar_table(payload: Mapping[str, np.ndarray]) -> ColumnarTable:
+def load_columnar_table(payload: Mapping[str, np.ndarray]) -> Table:
     """Decode :func:`columnar_table_payload`; numeric columns keep the loaded
     (possibly memory-mapped) arrays in the table's array cache."""
     meta = read_meta(payload)
@@ -111,7 +111,7 @@ def load_columnar_table(payload: Mapping[str, np.ndarray]) -> ColumnarTable:
         array = payload[f"column_{position}"]
         columns_data.append(array.tolist())
         arrays.append(None if array.dtype == object else np.asarray(array))
-    table = ColumnarTable._from_columns(schema, columns_data)  # noqa: SLF001
+    table = Table._from_columns(schema, columns_data)  # noqa: SLF001
     for position, array in enumerate(arrays):
         if array is not None:
             table._array_cache[position] = array  # noqa: SLF001 - seed cache with mmap

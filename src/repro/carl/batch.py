@@ -1,8 +1,8 @@
 """Shared scratch state for one thread-mode query session.
 
 A batch of causal queries over one grounded graph repeats a lot of work: the
-relational peers and the covariate collection of the columnar unit-table
-build depend only on the ``(treatment attribute, response attribute)`` pair,
+relational peers and the covariate collection of the unit-table build
+depend only on the ``(treatment attribute, response attribute)`` pair,
 not on the treatment threshold, embedding or estimator a specific query
 uses.  :class:`BatchScratch` memoizes those per-pair intermediates for the
 lifetime of one :class:`~repro.service.session.QuerySession` (one

@@ -48,7 +48,7 @@ def parent_adjustment_set(
             continue
         # id-ordered iteration: the discovery order of adjustment covariates
         # (and hence the unit table's column order) must be deterministic and
-        # identical to the columnar path's.
+        # identical to collect_unit_table_inputs'.
         for parent in graph.parent_nodes(treatment_node):
             if parent.attribute == treatment_attribute:
                 continue

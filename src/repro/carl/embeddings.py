@@ -27,7 +27,7 @@ class Embedding(ABC):
     """A set-embedding function ``psi`` with a fixed output dimensionality.
 
     Besides the scalar :meth:`apply`, embeddings support a *flat* batch form
-    used by the columnar unit-table builder: all groups' values concatenated
+    used by the unit-table builder: all groups' values concatenated
     into one float array plus a parallel group-id array.  Subclasses override
     :meth:`apply_flat` with a vectorized kernel; the default returns ``None``
     and callers fall back to a per-group :meth:`apply` loop with identical

@@ -47,10 +47,8 @@ from repro.carl.queries import ATEResult, EffectsResult, QueryAnswer
 from repro.carl.schema import RelationalCausalSchema
 from repro.carl.shard import DEFAULT_HANG_TIMEOUT
 from repro.carl.unit_table import (
-    UNIT_TABLE_BACKENDS,
     UnitTable,
     UnitTableInputs,
-    build_unit_table,
     collect_unit_table_inputs,
     materialize_unit_table,
 )
@@ -79,13 +77,8 @@ class CaRLEngine:
         program: str | Program,
         estimator: str = "regression",
         embedding: str = "mean",
-        backend: str = "columnar",
         cache: ArtifactCache | str | Path | None = None,
     ) -> None:
-        if backend not in UNIT_TABLE_BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {UNIT_TABLE_BACKENDS}"
-            )
         if isinstance(program, str):
             program = parse_program(program)
         self.program = program
@@ -95,10 +88,9 @@ class CaRLEngine:
         )
         self.database = database
         self.instance = self.schema.bind(database)
-        self.grounder = Grounder(self.model, self.instance, query_backend=backend)
+        self.grounder = Grounder(self.model, self.instance)
         self.default_estimator = estimator
         self.default_embedding = embedding
-        self.backend = backend
         #: Persistent artifact cache (a path enables one rooted there); the
         #: engine probes it before grounding and before unit-table builds.
         self.cache = ArtifactCache(cache) if isinstance(cache, (str, Path)) else cache
@@ -204,7 +196,7 @@ class CaRLEngine:
             self._values = None
             self._db_token = None
             self.instance = self.schema.bind(self.database)
-            self.grounder = Grounder(self.model, self.instance, query_backend=self.backend)
+            self.grounder = Grounder(self.model, self.instance)
 
     # ------------------------------------------------------------------
     # per-answer grounding attribution
@@ -245,7 +237,7 @@ class CaRLEngine:
         )
 
     def _unit_table_key(
-        self, query: CausalQuery, embedding: Any, backend: str, response_attribute: str
+        self, query: CausalQuery, embedding: Any, response_attribute: str
     ) -> CacheKey | None:
         if self.cache is None:
             return None
@@ -257,7 +249,7 @@ class CaRLEngine:
             database=database_fingerprint(self.database),
             program=self._program_fingerprint,
             kind="unit_table",
-            detail=query_fingerprint(query, embedding, backend, resolution),
+            detail=query_fingerprint(query, embedding, resolution),
         )
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
@@ -275,13 +267,9 @@ class CaRLEngine:
         embedding: str | None = None,
         bootstrap: int = 0,
         seed: int = 0,
-        backend: str | None = None,
         _scratch: BatchScratch | None = None,
     ) -> QueryAnswer:
         """Answer a causal query; returns effects, naive contrasts and timings.
-
-        ``backend`` overrides the engine's unit-table backend for this query
-        (``"rows"`` or ``"columnar"``); both produce identical answers.
 
         The reported ``grounding_seconds`` is the grounding work this call
         actually performed: 0.0 when the grounded graph already existed (or
@@ -304,9 +292,7 @@ class CaRLEngine:
             self.graph  # noqa: B018
         charged_before_build = self._grounding_charged()
         started = time.perf_counter()
-        unit_table, peers = self._build_unit_table(
-            query, embedding, backend=backend, scratch=_scratch
-        )
+        unit_table, peers = self._build_unit_table(query, embedding, scratch=_scratch)
         unit_table_seconds = time.perf_counter() - started
         charged_during_build = self._grounding_charged() - charged_before_build
         if charged_during_build > 0.0:
@@ -327,19 +313,12 @@ class CaRLEngine:
             grounding_seconds=self._grounding_charged(),
         )
 
-    def unit_table(
-        self,
-        query: str | CausalQuery,
-        embedding: str | None = None,
-        backend: str | None = None,
-    ) -> UnitTable:
+    def unit_table(self, query: str | CausalQuery, embedding: str | None = None) -> UnitTable:
         """Build (only) the unit table for a query — useful for inspection and
         for the Table 2 runtime benchmark."""
         if isinstance(query, str):
             query = parse_query(query)
-        table, _ = self._build_unit_table(
-            query, embedding or self.default_embedding, backend=backend
-        )
+        table, _ = self._build_unit_table(query, embedding or self.default_embedding)
         return table
 
     def answer_all(
@@ -349,7 +328,6 @@ class CaRLEngine:
         embedding: str | None = None,
         bootstrap: int = 0,
         seed: int = 0,
-        backend: str | None = None,
         jobs: int | None = 1,
         executor: str = "thread",
         shards: int | None = None,
@@ -407,7 +385,6 @@ class CaRLEngine:
             "embedding": embedding,
             "bootstrap": bootstrap,
             "seed": seed,
-            "backend": backend,
         }
         if executor == "thread" and jobs == 1 and shards is None:
             return {name: self.answer(query, **options) for name, query in parsed.items()}
@@ -428,7 +405,6 @@ class CaRLEngine:
         embedding: str | None = None,
         bootstrap: int = 0,
         seed: int = 0,
-        backend: str | None = None,
         jobs: int | None = 1,
         executor: str = "thread",
         shards: int | None = None,
@@ -470,7 +446,6 @@ class CaRLEngine:
             embedding=embedding,
             bootstrap=bootstrap,
             seed=seed,
-            backend=backend,
             jobs=jobs,
             executor=executor,
             shards=shards,
@@ -489,7 +464,6 @@ class CaRLEngine:
         embedding: str | None = None,
         bootstrap: int = 0,
         seed: int = 0,
-        backend: str | None = None,
         max_pending: int | None = None,
         submit_timeout: float | None = None,
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
@@ -516,32 +490,20 @@ class CaRLEngine:
             embedding=embedding,
             bootstrap=bootstrap,
             seed=seed,
-            backend=backend,
             max_pending=max_pending,
             submit_timeout=submit_timeout,
             hang_timeout=hang_timeout,
         )
 
-    def diagnostics(
-        self,
-        query: str | CausalQuery,
-        embedding: str | None = None,
-        backend: str | None = None,
-    ):
+    def diagnostics(self, query: str | CausalQuery, embedding: str | None = None):
         """Covariate-balance and overlap diagnostics for a query's unit table.
 
         Returns a :class:`repro.inference.diagnostics.BalanceReport` over the
         adjustment features (embedded covariates + peer-treatment embedding).
-        ``backend`` overrides the engine's unit-table backend for this query,
-        exactly as it does for :meth:`answer` and :meth:`unit_table`.
         """
         from repro.inference.diagnostics import covariate_balance
 
-        if isinstance(query, str):
-            query = parse_query(query)
-        unit_table, _ = self._build_unit_table(
-            query, embedding or self.default_embedding, backend=backend
-        )
+        unit_table = self.unit_table(query, embedding)
         return covariate_balance(
             unit_table.treatment,
             unit_table.adjustment_features(),
@@ -549,25 +511,15 @@ class CaRLEngine:
         )
 
     def conditional_effects(
-        self,
-        query: str | CausalQuery,
-        embedding: str | None = None,
-        backend: str | None = None,
+        self, query: str | CausalQuery, embedding: str | None = None
     ) -> np.ndarray:
         """Per-unit conditional treatment effects (CATE) under the outcome model.
 
         Used by the Figure 8 / Figure 10 benchmarks: for every unit, the
         model-predicted contrast between own-treatment 1 and 0 holding the
         unit's peers and covariates at their observed values.
-
-        ``backend`` overrides the engine's unit-table backend for this query,
-        exactly as it does for :meth:`answer` and :meth:`unit_table`.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        unit_table, _ = self._build_unit_table(
-            query, embedding or self.default_embedding, backend=backend
-        )
+        unit_table = self.unit_table(query, embedding)
         model = OutcomeModel().fit(
             unit_table.outcome,
             unit_table.treatment,
@@ -589,21 +541,15 @@ class CaRLEngine:
         self,
         query: CausalQuery,
         embedding: str,
-        backend: str | None = None,
         scratch: BatchScratch | None = None,
     ) -> tuple[UnitTable, dict[tuple[Any, ...], list[tuple[Any, ...]]]]:
-        backend = backend or self.backend
-        if backend not in UNIT_TABLE_BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {UNIT_TABLE_BACKENDS}"
-            )
         treatment_attribute, treatment_subject = self._validated_treatment(query)
 
         # Response resolution may register a unifying aggregate rule on the
         # shared model, so it runs under the state lock.
         with self._state_lock:
             response_attribute = self._resolve_response(query, treatment_subject)
-            table_key = self._unit_table_key(query, embedding, backend, response_attribute)
+            table_key = self._unit_table_key(query, embedding, response_attribute)
 
         # Probe the artifact cache after response resolution: the resolved
         # response (and its derived-attribute definition, if unification
@@ -620,14 +566,13 @@ class CaRLEngine:
                     pass
 
         # binarize=None lets the builder fall back to the default binarizer
-        # itself — and, on the columnar backend, take the vectorized
-        # bulk-binarization path instead of a per-value callable.
+        # itself — and take the vectorized bulk-binarization path instead of
+        # a per-value callable.
         binarize = None
         if query.treatment_threshold is not None:
             threshold = query.treatment_threshold
             binarize = lambda value: 1.0 if threshold.evaluate(value) else 0.0  # noqa: E731
 
-        inputs: UnitTableInputs | None = None
         with self._state_lock:
             self.graph  # noqa: B018 - ground before any epoch-keyed memo lookup
             self._apply_pending_aggregates()
@@ -635,10 +580,7 @@ class CaRLEngine:
             # same (treatment, response) pair when the WHERE clause is trivial
             # (the collected inputs are then independent of the query's
             # threshold, embedding and estimator).
-            shareable = (
-                scratch is not None and backend == "columnar" and query.condition.is_trivial
-            )
-            if shareable:
+            if scratch is not None and query.condition.is_trivial:
                 memo_key = (
                     "unit-table-inputs",
                     treatment_attribute,
@@ -651,34 +593,13 @@ class CaRLEngine:
                         query, treatment_attribute, response_attribute
                     ),
                 )
-            elif backend == "columnar":
+            else:
                 peers, inputs = self._collect_inputs(
                     query, treatment_attribute, response_attribute
                 )
-            else:
-                # The rows backend (the reference transcription of
-                # Algorithm 1) interleaves graph walks with assembly, so it
-                # builds entirely under the lock; it is pure Python and would
-                # serialize on the GIL anyway.
-                values, units, peers = self._prepare_query_state(
-                    query, treatment_attribute, response_attribute
-                )
-                table = build_unit_table(
-                    graph=self.graph,
-                    values=values,
-                    treatment_attribute=treatment_attribute,
-                    response_attribute=response_attribute,
-                    units=units,
-                    peers=peers,
-                    is_observed=self.model.is_observed,
-                    embedding=embedding,
-                    binarize=binarize,
-                    backend=backend,
-                )
-        if inputs is not None:
-            # The numpy-dominated phase (binarization, embeddings, assembly)
-            # runs outside the state lock so concurrent builds overlap.
-            table = materialize_unit_table(inputs, embedding=embedding, binarize=binarize)
+        # The numpy-dominated phase (binarization, embeddings, assembly) runs
+        # outside the state lock so concurrent builds overlap.
+        table = materialize_unit_table(inputs, embedding=embedding, binarize=binarize)
         if table_key is not None:
             self.cache.store(table_key, unit_table_payload(table))
         return table, peers
@@ -686,10 +607,9 @@ class CaRLEngine:
     def _collect_inputs(
         self, query: CausalQuery, treatment_attribute: str, response_attribute: str
     ) -> tuple[dict[tuple[Any, ...], list[tuple[Any, ...]]], UnitTableInputs]:
-        """Graph-walk phase of the columnar build (state lock must be held)."""
-        values, units, peers = self._prepare_query_state(
-            query, treatment_attribute, response_attribute
-        )
+        """Graph-walk phase of the unit-table build (state lock must be held)."""
+        values, units = self._restricted_units(query, treatment_attribute, response_attribute)
+        peers = compute_peers(self.graph, treatment_attribute, response_attribute, units)
         inputs = collect_unit_table_inputs(
             self.graph,
             values,
@@ -721,7 +641,7 @@ class CaRLEngine:
         expected_units: int | None = None,
     ) -> UnitTableInputs:
         """One contiguous unit-range shard ``[start, stop)`` of a query's
-        columnar collection phase (``docs/sharding.md``).
+        collection phase (``docs/sharding.md``).
 
         This is the task a process-mode shard worker executes: the unit list
         is derived deterministically from the (shared) grounding and
@@ -770,19 +690,6 @@ class CaRLEngine:
                 self.model.is_observed,
                 allow_empty=True,
             )
-
-    def _prepare_query_state(
-        self, query: CausalQuery, treatment_attribute: str, response_attribute: str
-    ) -> tuple[
-        dict[GroundedAttribute, Any],
-        list[tuple[Any, ...]],
-        dict[tuple[Any, ...], list[tuple[Any, ...]]],
-    ]:
-        """Values snapshot, restricted units and peers for one query (state
-        lock must be held)."""
-        values, units = self._restricted_units(query, treatment_attribute, response_attribute)
-        peers = compute_peers(self.graph, treatment_attribute, response_attribute, units)
-        return values, units, peers
 
     def _restricted_units(
         self,

@@ -37,20 +37,9 @@ Binding = dict[str, Any]
 
 
 class Grounder:
-    """Grounds a relational causal model against a bound instance.
+    """Grounds a relational causal model against a bound instance."""
 
-    ``query_backend`` selects the conjunctive-query evaluation strategy
-    (``"rows"`` or ``"columnar"``; ``None`` uses the module default of
-    :mod:`repro.db.query`) — the engine threads its own backend choice here
-    so ``backend="rows"`` bypasses the columnar code end to end.
-    """
-
-    def __init__(
-        self,
-        model: RelationalCausalModel,
-        instance: BoundInstance,
-        query_backend: str | None = None,
-    ) -> None:
+    def __init__(self, model: RelationalCausalModel, instance: BoundInstance) -> None:
         if model.schema is not instance.schema:
             # Not an error per se, but almost always a bug: the model was
             # validated against a different schema object.
@@ -60,7 +49,6 @@ class Grounder:
                 )
         self.model = model
         self.instance = instance
-        self.query_backend = query_backend
         #: Number of full :meth:`ground` runs this grounder has performed.
         #: The artifact cache's tests and benchmarks assert warm runs leave
         #: this at zero — grounding work must be loaded, not redone.
@@ -72,9 +60,7 @@ class Grounder:
     def condition_bindings(self, condition: Condition) -> list[Binding]:
         """All satisfying assignments of a rule/query condition."""
         atoms = [self._to_db_atom(atom.predicate, atom.terms) for atom in condition.atoms]
-        bindings = ConjunctiveQuery(atoms).evaluate(
-            self.instance.skeleton, backend=self.query_backend
-        )
+        bindings = ConjunctiveQuery(atoms).evaluate(self.instance.skeleton)
         if condition.comparisons:
             bindings = [
                 binding

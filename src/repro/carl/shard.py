@@ -2,7 +2,7 @@
 
 The thread executor overlaps the numpy phases of a batch, but the hot loops
 of query answering — relational-peer walks and the covariate collection of
-the columnar unit-table build — are pure Python and serialize on the GIL.
+the unit-table build — are pure Python and serialize on the GIL.
 Process mode runs those loops in the worker processes of
 :class:`repro.service.scheduler.ShardScheduler`; this module is what both
 sides of that process boundary share:
@@ -58,7 +58,6 @@ from repro.carl.errors import QueryError
 from repro.carl.queries import QueryAnswer
 from repro.carl.unit_table import materialize_unit_table, merge_unit_table_inputs
 from repro.db.database import Database
-from repro.db.table import as_columnar
 from repro.observability.telemetry import get_registry, set_role, trace_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
@@ -138,7 +137,6 @@ class WorkerSpec:
     #: (table name, artifact key) in the dispatcher's table order.
     table_keys: tuple[tuple[str, CacheKey], ...]
     program: Program
-    backend: str
     inherit: bool = False
     inherit_token: str | None = None
 
@@ -288,7 +286,7 @@ def _worker_engine() -> "CaRLEngine":
     from repro.carl.engine import CaRLEngine
 
     cache = _worker_cache()
-    database = Database(name="sharded", backend="columnar")
+    database = Database(name="sharded")
     for table_name, table_key in spec.table_keys:
         payload = cache.load(table_key)
         if payload is None:
@@ -310,9 +308,7 @@ def _worker_engine() -> "CaRLEngine":
             f"{spec.database_fingerprint[:16]}; the published table artifacts "
             "did not round-trip exactly"
         )
-    _WORKER_ENGINE = CaRLEngine(
-        database, spec.program, backend=spec.backend, cache=cache
-    )
+    _WORKER_ENGINE = CaRLEngine(database, spec.program, cache=cache)
     return _WORKER_ENGINE
 
 
@@ -453,7 +449,7 @@ def _publish_engine_state(
                     ).hexdigest(),
                 )
                 if not cache.contains(key):
-                    cache.store(key, columnar_table_payload(as_columnar(table)))
+                    cache.store(key, columnar_table_payload(table))
                 else:
                     _touch(cache.path_for(key))
                 cache.pin(key)
@@ -465,7 +461,6 @@ def _publish_engine_state(
         program_fingerprint=program_fp,
         table_keys=tuple(table_keys),
         program=engine.program,
-        backend=engine.backend,
         inherit=inherit,
         inherit_token=inherit_token,
     )
@@ -476,15 +471,12 @@ def _plan_query(
     cache: ArtifactCache,
     query: CausalQuery,
     embedding: str,
-    backend: str,
 ) -> _QueryPlan:
     """Resolve one query far enough to split it into shard tasks."""
     with engine._state_lock:  # noqa: SLF001
         treatment_attribute, treatment_subject = engine._validated_treatment(query)  # noqa: SLF001
         response_attribute = engine._resolve_response(query, treatment_subject)  # noqa: SLF001
-        table_key = engine._unit_table_key(  # noqa: SLF001
-            query, embedding, backend, response_attribute
-        )
+        table_key = engine._unit_table_key(query, embedding, response_attribute)  # noqa: SLF001
         if table_key is not None and cache.contains(table_key):
             return _QueryPlan(table_key, cached=True)
         signature = collect_fingerprint(

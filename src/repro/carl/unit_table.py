@@ -5,6 +5,13 @@ causal query: one row per (unified) unit with its outcome, its own
 treatment, the embedded treatments of its relational peers, and the embedded
 confounding covariates detected by Theorem 5.2.  Once built, any standard
 single-table causal estimator can be applied to it (Section 5.2.1).
+
+The build runs in two phases: :func:`collect_unit_table_inputs` walks the
+grounded graph once and gathers flat ``(value, unit-row)`` covariate
+buckets, and :func:`materialize_unit_table` binarizes, embeds and assembles
+them with vectorized numpy passes.  ``tests/row_oracle.py`` keeps the
+unit-by-unit transcription of Algorithm 1 that the parity tests hold this
+build to.
 """
 
 from __future__ import annotations
@@ -18,16 +25,12 @@ from typing import Any
 import numpy as np
 
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
-from repro.carl.covariates import parent_adjustment_set
 from repro.carl.embeddings import Embedding, MeanEmbedding, get_embedding
 from repro.carl.errors import EstimationError
 from repro.db.aggregates import as_numeric_array
 
 #: Maximum number of distinct categories one-hot encoded for a categorical covariate.
 MAX_CATEGORIES = 20
-
-#: Unit-table construction backends (see :func:`build_unit_table`).
-UNIT_TABLE_BACKENDS = ("rows", "columnar")
 
 
 class UnitTable:
@@ -176,127 +179,6 @@ def default_binarizer(attribute: str) -> Callable[[Any], float]:
     return binarize
 
 
-def build_unit_table(
-    graph: GroundedCausalGraph,
-    values: dict[GroundedAttribute, Any],
-    treatment_attribute: str,
-    response_attribute: str,
-    units: Sequence[tuple[Any, ...]],
-    peers: dict[tuple[Any, ...], list[tuple[Any, ...]]],
-    is_observed: Callable[[str], bool],
-    embedding: str | Embedding = "mean",
-    peer_embedding: str | Embedding | None = None,
-    binarize: Callable[[Any], float] | None = None,
-    backend: str = "columnar",
-) -> UnitTable:
-    """Algorithm 1: build the unit table for a (unified) treatment/response pair.
-
-    Parameters mirror the paper's algorithm: the grounded causal graph, the
-    observed (and aggregated) grounded values, the treatment and response
-    attribute functions, the unified units and their relational peers, and
-    the embedding functions used to collapse variable-size vectors.
-
-    ``backend`` selects the materialization strategy: ``"rows"`` builds
-    per-unit dicts and embeds group by group (the original Algorithm 1
-    transcription); ``"columnar"`` (the default) collects covariates into
-    flat value/group-id arrays, shares one ancestor walk per unit between
-    the own- and peer-adjustment sets, and embeds every unit in single
-    vectorized passes.  Both produce identical unit tables.
-    """
-    if backend not in UNIT_TABLE_BACKENDS:
-        raise EstimationError(
-            f"unknown unit-table backend {backend!r}; expected one of {UNIT_TABLE_BACKENDS}"
-        )
-    if backend == "columnar":
-        return _build_unit_table_columnar(
-            graph,
-            values,
-            treatment_attribute,
-            response_attribute,
-            units,
-            peers,
-            is_observed,
-            embedding,
-            peer_embedding,
-            binarize,
-        )
-    binarize = binarize or default_binarizer(treatment_attribute)
-    peer_embedder = get_embedding(peer_embedding if peer_embedding is not None else MeanEmbedding())
-
-    kept_units: list[tuple[Any, ...]] = []
-    outcomes: list[float] = []
-    treatments: list[float] = []
-    peer_groups: list[list[float]] = []
-    peer_counts: list[int] = []
-    covariate_groups: list[dict[str, list[Any]]] = []
-
-    for unit in units:
-        response_node = GroundedAttribute(response_attribute, unit)
-        treatment_node = GroundedAttribute(treatment_attribute, unit)
-        outcome_value = values.get(response_node)
-        treatment_value = values.get(treatment_node)
-        if outcome_value is None or treatment_value is None:
-            continue
-        try:
-            own_treatment = binarize(treatment_value)
-            peer_values = [
-                binarize(values[GroundedAttribute(treatment_attribute, peer)])
-                for peer in peers.get(unit, [])
-                if GroundedAttribute(treatment_attribute, peer) in values
-            ]
-        except EstimationError:
-            raise
-        # Theorem 5.2 adjustment set, split into the unit's own confounders and
-        # its peers' confounders so they enter the unit table as separate
-        # (separately embedded) columns, mirroring Table 1 of the paper.
-        own_adjustment = parent_adjustment_set(
-            graph, treatment_attribute, response_node, [unit], is_observed
-        )
-        peer_adjustment = parent_adjustment_set(
-            graph, treatment_attribute, response_node, list(peers.get(unit, [])), is_observed
-        )
-        own_nodes = set(own_adjustment)
-        grouped: dict[str, list[Any]] = {}
-        for node in own_adjustment:
-            if node in values:
-                grouped.setdefault(f"own_{node.attribute}", []).append(values[node])
-        for node in peer_adjustment:
-            if node in values and node not in own_nodes:
-                grouped.setdefault(f"peer_{node.attribute}", []).append(values[node])
-
-        kept_units.append(unit)
-        outcomes.append(float(outcome_value))
-        treatments.append(own_treatment)
-        peer_groups.append(peer_values)
-        peer_counts.append(len(peers.get(unit, [])))
-        covariate_groups.append(grouped)
-
-    if not kept_units:
-        raise EstimationError(
-            f"no units with observed treatment {treatment_attribute!r} and response "
-            f"{response_attribute!r}; cannot build a unit table"
-        )
-
-    peer_matrix, peer_columns = _embed_peer_treatments(peer_groups, peer_embedder)
-    covariate_matrix, covariate_columns = _embed_covariates(covariate_groups, embedding)
-
-    return UnitTable(
-        unit_keys=kept_units,
-        outcome=np.asarray(outcomes, dtype=float),
-        treatment=np.asarray(treatments, dtype=float),
-        peer_treatment=peer_matrix,
-        peer_counts=np.asarray(peer_counts, dtype=float),
-        covariates=covariate_matrix,
-        peer_columns=peer_columns,
-        covariate_columns=covariate_columns,
-        treatment_attribute=treatment_attribute,
-        response_attribute=response_attribute,
-    )
-
-
-# ----------------------------------------------------------------------
-# columnar (bulk) materialization
-# ----------------------------------------------------------------------
 _MISSING = object()
 
 
@@ -333,7 +215,7 @@ class UnitTableInputs:
         return len(self.unit_keys)
 
 
-def _build_unit_table_columnar(
+def build_unit_table(
     graph: GroundedCausalGraph,
     values: dict[GroundedAttribute, Any],
     treatment_attribute: str,
@@ -341,18 +223,16 @@ def _build_unit_table_columnar(
     units: Sequence[tuple[Any, ...]],
     peers: dict[tuple[Any, ...], list[tuple[Any, ...]]],
     is_observed: Callable[[str], bool],
-    embedding: str | Embedding,
-    peer_embedding: str | Embedding | None,
-    binarize: Callable[[Any], float] | None,
+    embedding: str | Embedding = "mean",
+    peer_embedding: str | Embedding | None = None,
+    binarize: Callable[[Any], float] | None = None,
 ) -> UnitTable:
-    """Bulk variant of Algorithm 1.
+    """Algorithm 1: build the unit table for a (unified) treatment/response pair.
 
-    Differences from the row path are purely mechanical: covariate and peer
-    values are appended to flat ``(value, unit-row)`` arrays instead of
-    per-unit dicts, the own- and peer-adjustment sets share a single
-    ancestor walk per unit instead of one directed-path search per (unit,
-    peer), binarization happens vectorized, and embeddings run as one numpy
-    pass per attribute via :meth:`Embedding.apply_flat`.
+    Parameters mirror the paper's algorithm: the grounded causal graph, the
+    observed (and aggregated) grounded values, the treatment and response
+    attribute functions, the unified units and their relational peers, and
+    the embedding functions used to collapse variable-size vectors.
 
     Implemented as :func:`collect_unit_table_inputs` (graph walks, pure
     Python) followed by :func:`materialize_unit_table` (binarization,
@@ -377,7 +257,7 @@ def collect_unit_table_inputs(
     is_observed: Callable[[str], bool],
     allow_empty: bool = False,
 ) -> UnitTableInputs:
-    """Phase 1 of the columnar build: walk the grounded graph once.
+    """Phase 1 of the build: walk the grounded graph once.
 
     Collects, per kept unit, the raw outcome/treatment values, the raw peer
     treatments, and the Theorem 5.2 adjustment-set values as flat covariate
@@ -400,8 +280,8 @@ def collect_unit_table_inputs(
 
     # Hot-loop locals: interned node ids for membership tests, binary-search
     # edge probes and ancestor masks over the compiled CSR adjacency.
-    # Iteration uses the id-ordered ``parent_nodes`` so the covariate
-    # discovery order matches the row path exactly.
+    # Iteration uses the id-ordered ``parent_nodes``, which fixes the
+    # covariate discovery order (and so the covariate column order).
     node_id = graph.index_of
     csr = graph.csr()
     csr_has_edge = csr.has_edge
@@ -412,8 +292,8 @@ def collect_unit_table_inputs(
     observed_cache: dict[str, bool] = {}
     observed_get = observed_cache.get
 
-    # Per-node cache of the observed, non-treatment parents.  A node's
-    # parents are iterated once per visiting unit in the row path; the
+    # Per-node cache of the observed, non-treatment parents.  A node is
+    # visited once per unit it is a peer (or the own treatment) of; the
     # filtered list is identical every time, so computing it once per node is
     # pure reuse.  Entries are mutable 5-slots
     # ``[parent, own_name, peer_name, own_bucket, peer_bucket]`` so the
@@ -650,10 +530,10 @@ def materialize_unit_table(
     peer_embedding: str | Embedding | None = None,
     binarize: Callable[[Any], float] | None = None,
 ) -> UnitTable:
-    """Phase 2 of the columnar build: binarize, embed and assemble.
+    """Phase 2 of the build: binarize, embed and assemble.
 
     Pure function of ``inputs`` (which it never mutates) plus the embedding
-    and binarizer choices — the numpy-dominated half of the columnar path,
+    and binarizer choices — the numpy-dominated half of the build,
     safe to run concurrently over one shared collection.
     """
     treatment_attribute = inputs.treatment_attribute
@@ -714,7 +594,7 @@ def materialize_unit_table(
 def _binarize_vector(
     raw_values: list[Any], binarize: Callable[[Any], float], vectorize: bool
 ) -> np.ndarray:
-    """Binarize treatments in bulk; error semantics match the row path."""
+    """Binarize treatments in bulk; errors match a per-value ``binarize`` loop."""
     if not raw_values:
         return np.empty(0)
     if vectorize:
@@ -723,7 +603,7 @@ def _binarize_vector(
             valid = (array == 0.0) | (array == 1.0)
             if bool(valid.all()):
                 return array
-            # Raise the row path's exact error for the first offending value.
+            # Raise the per-value error for the first offending value.
             binarize(raw_values[int(np.argmax(~valid))])
     return np.asarray([binarize(value) for value in raw_values], dtype=float)
 
@@ -780,7 +660,13 @@ def _regroup(values: np.ndarray, group_ids: np.ndarray, n_groups: int) -> list[l
 def _encode_categorical_flat(
     attribute: str, values: list[Any], group_ids: np.ndarray, n_groups: int
 ) -> tuple[np.ndarray, list[str]]:
-    """Vectorized :func:`_encode_categorical` over flat (value, unit) pairs."""
+    """Encode a categorical covariate as per-unit category fractions + count.
+
+    For the common case of a single parent value per unit this reduces to a
+    one-hot encoding.  The most frequent :data:`MAX_CATEGORIES` categories get
+    their own column; the rest share an ``other`` column.  Vectorized over
+    flat (value, unit) pairs.
+    """
     counts: Counter[Any] = Counter(values)
     categories = [category for category, _ in counts.most_common(MAX_CATEGORIES)]
     category_index = {category: position for position, category in enumerate(categories)}
@@ -805,51 +691,6 @@ def _encode_categorical_flat(
     return matrix, columns
 
 
-# ----------------------------------------------------------------------
-# embedding helpers
-# ----------------------------------------------------------------------
-def _embed_peer_treatments(
-    peer_groups: list[list[float]], embedder: Embedding
-) -> tuple[np.ndarray, list[str]]:
-    if not any(peer_groups):
-        return np.empty((len(peer_groups), 0)), []
-    embedder = copy.deepcopy(embedder).fit(peer_groups)
-    columns = embedder.feature_names("peer_treatment")
-    matrix = np.asarray([embedder.apply(group) for group in peer_groups], dtype=float)
-    return matrix, columns
-
-
-def _embed_covariates(
-    covariate_groups: list[dict[str, list[Any]]],
-    embedding: str | Embedding,
-) -> tuple[np.ndarray, list[str]]:
-    attribute_names: list[str] = []
-    for grouped in covariate_groups:
-        for name in grouped:
-            if name not in attribute_names:
-                attribute_names.append(name)
-    if not attribute_names:
-        return np.empty((len(covariate_groups), 0)), []
-
-    blocks: list[np.ndarray] = []
-    columns: list[str] = []
-    for attribute in attribute_names:
-        groups = [grouped.get(attribute, []) for grouped in covariate_groups]
-        if _is_numeric_attribute(groups):
-            embedder = copy.deepcopy(get_embedding(embedding)).fit(
-                [[_to_number(v) for v in group] for group in groups]
-            )
-            block = np.asarray(
-                [embedder.apply([_to_number(v) for v in group]) for group in groups], dtype=float
-            )
-            block_columns = embedder.feature_names(f"cov_{attribute}")
-        else:
-            block, block_columns = _encode_categorical(attribute, groups)
-        blocks.append(block)
-        columns.extend(block_columns)
-    return np.hstack(blocks), columns
-
-
 def _is_numeric_attribute(groups: list[list[Any]]) -> bool:
     for group in groups:
         for value in group:
@@ -864,42 +705,6 @@ def _to_number(value: Any) -> float:
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     return float(value)
-
-
-def _encode_categorical(
-    attribute: str, groups: list[list[Any]]
-) -> tuple[np.ndarray, list[str]]:
-    """Encode a categorical covariate group as per-category fractions + count.
-
-    For the common case of a single parent value per unit this reduces to a
-    one-hot encoding.  The most frequent :data:`MAX_CATEGORIES` categories get
-    their own column; the rest share an ``other`` column.
-    """
-    counts: Counter[Any] = Counter()
-    for group in groups:
-        counts.update(group)
-    categories = [category for category, _ in counts.most_common(MAX_CATEGORIES)]
-    category_index = {category: position for position, category in enumerate(categories)}
-    has_other = len(counts) > len(categories)
-
-    width = len(categories) + (1 if has_other else 0) + 1  # + count column
-    matrix = np.zeros((len(groups), width), dtype=float)
-    for row, group in enumerate(groups):
-        if not group:
-            continue
-        total = float(len(group))
-        for value in group:
-            position = category_index.get(value)
-            if position is None:
-                position = len(categories)  # "other"
-            matrix[row, position] += 1.0 / total
-        matrix[row, -1] = total
-
-    columns = [f"cov_{attribute}_is_{_category_label(category)}" for category in categories]
-    if has_other:
-        columns.append(f"cov_{attribute}_is_other")
-    columns.append(f"cov_{attribute}_count")
-    return matrix, columns
 
 
 def _category_label(category: Any) -> str:

@@ -16,29 +16,17 @@ from repro.db.aggregates import (
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.db.schema import ColumnSchema, TableSchema
-from repro.db.table import (
-    TABLE_BACKENDS,
-    ColumnarTable,
-    Table,
-    as_columnar,
-    as_rows,
-    table_backend,
-)
+from repro.db.table import Table
 
 __all__ = [
     "AGGREGATES",
     "Atom",
     "ColumnSchema",
-    "ColumnarTable",
     "ConjunctiveQuery",
     "Database",
     "GROUPED_AGGREGATES",
-    "TABLE_BACKENDS",
     "Table",
     "TableSchema",
     "aggregate",
-    "as_columnar",
-    "as_rows",
     "grouped_aggregate",
-    "table_backend",
 ]

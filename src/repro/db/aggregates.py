@@ -7,10 +7,11 @@ mean/median/moment embedding functions (Section 5.2.2).
 Two families live here:
 
 * scalar aggregates (``agg_*``) operating on one Python sequence at a time,
-  used by the row backend and by grounding; and
+  used by grounding and by group-bys over non-numeric columns; and
 * grouped vectorized aggregates (:data:`GROUPED_AGGREGATES`) operating on a
-  flat numpy value array plus a group-id array, used by the columnar backend
-  to aggregate every group of a ``group_by`` in one numpy pass.
+  flat numpy value array plus a group-id array, used by
+  :meth:`~repro.db.table.Table.group_by` to aggregate every group in one
+  numpy pass.
 
 Both families implement the same semantics (the parity test suite in
 ``tests/test_backend_parity.py`` enforces it): NaN inputs propagate
@@ -201,7 +202,7 @@ def as_numeric_array(values: Sequence[Any]) -> np.ndarray | None:
 
 
 # ----------------------------------------------------------------------
-# grouped (vectorized) aggregates — the columnar backend's group-by kernels
+# grouped (vectorized) aggregates — Table.group_by's kernels
 # ----------------------------------------------------------------------
 def _group_counts(group_ids: np.ndarray, n_groups: int) -> np.ndarray:
     return np.bincount(group_ids, minlength=n_groups)

@@ -9,27 +9,19 @@ from pathlib import Path
 from typing import Any
 
 from repro.db.schema import SchemaError, TableSchema
-from repro.db.table import AnyTable, Table, as_columnar, as_rows, table_backend
+from repro.db.table import Table
 
 
 class Database:
-    """A collection of tables by name, in either storage backend.
+    """A collection of :class:`~repro.db.table.Table` objects by name.
 
     This plays the role of the relational database the paper assumes as
     input: a CaRL relational causal schema maps onto the tables stored here.
-    ``backend`` selects the storage layout for tables the database creates
-    itself (:meth:`create_table`, :meth:`load_rows`, :meth:`import_csv`):
-    ``"rows"`` for the row-major :class:`~repro.db.table.Table`,
-    ``"columnar"`` for the numpy-backed
-    :class:`~repro.db.table.ColumnarTable`.  Tables registered via
-    :meth:`add_table` keep whatever backend they already use.
     """
 
-    def __init__(self, name: str = "db", backend: str = "rows") -> None:
-        table_backend(backend)  # validate early
+    def __init__(self, name: str = "db") -> None:
         self.name = name
-        self.backend = backend
-        self._tables: dict[str, AnyTable] = {}
+        self._tables: dict[str, Table] = {}
         self._structure_version = 0
         self._fingerprint_cache: tuple[Any, str] | None = None
 
@@ -41,31 +33,23 @@ class Database:
         name: str,
         columns: dict[str, str] | Sequence[str],
         primary_key: Sequence[str] = (),
-    ) -> AnyTable:
-        """Create an empty table (in this database's backend) and register it."""
+    ) -> Table:
+        """Create an empty table and register it."""
         if name in self._tables:
             raise SchemaError(f"table {name!r} already exists in database {self.name!r}")
         schema = TableSchema.from_spec(name, columns, tuple(primary_key))
-        table = table_backend(self.backend)(schema)
+        table = Table(schema)
         self._tables[name] = table
         self._structure_version += 1
         return table
 
-    def add_table(self, table: AnyTable) -> AnyTable:
-        """Register an existing table object (its backend is preserved)."""
+    def add_table(self, table: Table) -> Table:
+        """Register an existing table object."""
         if table.name in self._tables:
             raise SchemaError(f"table {table.name!r} already exists in database {self.name!r}")
         self._tables[table.name] = table
         self._structure_version += 1
         return table
-
-    def to_backend(self, backend: str) -> "Database":
-        """A new database with every table converted to ``backend``."""
-        convert = as_columnar if table_backend(backend) is not Table else as_rows
-        converted = Database(self.name, backend=backend)
-        for table in self._tables.values():
-            converted.add_table(convert(table))
-        return converted
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
@@ -110,7 +94,7 @@ class Database:
         self._fingerprint_cache = (token, fingerprint)
         return fingerprint
 
-    def table(self, name: str) -> AnyTable:
+    def table(self, name: str) -> Table:
         """Look up a table by name."""
         try:
             return self._tables[name]
@@ -120,7 +104,7 @@ class Database:
                 f"available: {sorted(self._tables)}"
             ) from None
 
-    def __getitem__(self, name: str) -> AnyTable:
+    def __getitem__(self, name: str) -> Table:
         return self.table(name)
 
     def __contains__(self, name: str) -> bool:
@@ -131,7 +115,7 @@ class Database:
         return list(self._tables)
 
     @property
-    def tables(self) -> list[AnyTable]:
+    def tables(self) -> list[Table]:
         return list(self._tables.values())
 
     def total_rows(self) -> int:
@@ -153,9 +137,9 @@ class Database:
         else:
             table.insert_many(rows)
 
-    def load_rows(self, table_name: str, rows: Sequence[dict[str, Any]]) -> AnyTable:
+    def load_rows(self, table_name: str, rows: Sequence[dict[str, Any]]) -> Table:
         """Create a table by inferring its schema from ``rows`` and fill it."""
-        table = table_backend(self.backend).from_rows(table_name, rows)
+        table = Table.from_rows(table_name, rows)
         return self.add_table(table)
 
     # ------------------------------------------------------------------
@@ -182,7 +166,7 @@ class Database:
         path: str | Path,
         dtypes: dict[str, str] | None = None,
         primary_key: Sequence[str] = (),
-    ) -> AnyTable:
+    ) -> Table:
         """Load ``path`` into a new table, coercing columns per ``dtypes``."""
         path = Path(path)
         with path.open(newline="") as handle:
@@ -195,9 +179,7 @@ class Database:
             {column: _coerce(value, dtypes.get(column, "any")) for column, value in row.items()}
             for row in raw_rows
         ]
-        table = table_backend(self.backend).from_rows(
-            table_name, rows, dtypes=dtypes or None, primary_key=primary_key
-        )
+        table = Table.from_rows(table_name, rows, dtypes=dtypes or None, primary_key=primary_key)
         return self.add_table(table)
 
     def summary(self) -> dict[str, dict[str, int]]:

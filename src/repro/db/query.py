@@ -4,35 +4,28 @@ Relational causal rules carry a condition ``WHERE Q(Y)`` that is a standard
 conjunctive query (Definition 3.3).  Grounding a rule amounts to enumerating
 the satisfying assignments of that query over the relational skeleton; this
 module implements exactly that: atoms over base tables, joined by shared
-variables, evaluated with a simple index-backed nested-loop strategy.
+variables in a greedy join order.
 
-Two evaluation backends produce identical results (bindings and their
-order):
-
-* ``"rows"`` — the original strategy: bindings are dicts, candidate rows are
-  materialized as dicts via :meth:`~repro.db.table.Table.lookup`.
-* ``"columnar"`` — the vectorized strategy (the default): the binding set is
-  stored column-major (one value list per variable) and each atom is joined
-  as a numpy join — join keys are factorized to integer codes, matched with
-  a sorted array intersection (``argsort`` + ``searchsorted``), and the
-  result assembled by bulk gathers — so no per-row Python loop runs over
-  the join output.
+Evaluation is vectorized: the binding set is stored column-major (one value
+list per variable) and each atom is joined as a numpy join — join keys are
+factorized to integer codes, matched with a sorted array intersection
+(``argsort`` + ``searchsorted``), and the result assembled by bulk gathers —
+so no per-row Python loop runs over the join output.
+``tests/row_oracle.py`` keeps the row-at-a-time transcription (dict
+bindings extended through hash-index lookups) that the parity tests hold
+this evaluator to: identical bindings in identical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.db.database import Database
 from repro.db.table import _equality_mask, as_object_array
-
-#: Evaluation backend used when :meth:`ConjunctiveQuery.evaluate` is not given
-#: one explicitly.
-DEFAULT_QUERY_BACKEND = "columnar"
 
 
 @dataclass(frozen=True)
@@ -110,52 +103,23 @@ class ConjunctiveQuery:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, database: Database, backend: str | None = None) -> list[Binding]:
+    def evaluate(self, database: Database) -> list[Binding]:
         """Return all satisfying assignments as ``{variable name: value}`` dicts.
 
         Duplicate bindings (arising from bag semantics of the underlying
-        tables) are removed: the result has set semantics over the query
-        variables, matching Definition 3.5 of the paper.  ``backend`` selects
-        the evaluation strategy (``"rows"`` or ``"columnar"``); both return
-        identical bindings in identical order.
+        tables) are removed, keeping first occurrences: the result has set
+        semantics over the query variables, matching Definition 3.5 of the
+        paper.
         """
-        backend = backend or DEFAULT_QUERY_BACKEND
-        if backend not in ("rows", "columnar"):
-            raise QueryError(
-                f"unknown query backend {backend!r}; expected 'rows' or 'columnar'"
-            )
         self.validate(database)
         if not self.atoms:
             return [{}]
-        if backend == "columnar":
-            return self._evaluate_columnar(database)
-
-        bindings: list[Binding] = [{}]
-        for atom in self._ordered_atoms(database):
-            bindings = list(self._extend(database, atom, bindings))
-            if not bindings:
-                return []
-        # Deduplicate over the variable set (same factorized-code dedup as
-        # the columnar path; no per-binding tuple keys).
-        names = [variable.name for variable in self.variables]
-        if not names:
-            return [{}]
-        value_lists: list[list[Any] | None] = [
-            [binding.get(name) for binding in bindings] for name in names
-        ]
-        positions = _distinct_positions(value_lists, len(bindings))
-        return [
-            {name: values[position] for name, values in zip(names, value_lists)}
-            for position in positions
-        ]
-
-    def _evaluate_columnar(self, database: Database) -> list[Binding]:
-        """Column-major evaluation: the binding set is one value list per
-        variable, extended atom by atom without materializing row dicts."""
+        # The binding set is one value list per variable, extended atom by
+        # atom without materializing row dicts.
         columns: dict[str, list[Any]] = {}
         count = 1  # one empty binding
         for atom in self._ordered_atoms(database):
-            columns, count = self._extend_columnar(database, atom, columns, count)
+            columns, count = self._extend(database, atom, columns, count)
             if count == 0:
                 return []
         names = [variable.name for variable in self.variables]
@@ -190,7 +154,7 @@ class ConjunctiveQuery:
             bound.update(v.name for v in chosen.variables)
         return ordered
 
-    def _extend_columnar(
+    def _extend(
         self,
         database: Database,
         atom: Atom,
@@ -199,15 +163,13 @@ class ConjunctiveQuery:
     ) -> tuple[dict[str, list[Any]], int]:
         """Extend a column-major binding set with one atom, as a numpy join.
 
-        Result and order match :meth:`_extend` exactly (for each binding in
-        order, matching table rows in table order), but the join runs
-        vectorized: constant and intra-atom equalities become boolean masks,
-        the (bound variable) join keys are factorized to integer codes once
-        per side, and the code arrays are intersected with a stable
+        Output order: for each binding in order, its matching table rows in
+        table order.  Constant and intra-atom equalities become boolean
+        masks, the (bound variable) join keys are factorized to integer codes
+        once per side, and the code arrays are intersected with a stable
         ``argsort`` + ``searchsorted`` instead of per-binding index probes.
         Factorization uses the raw column values (Python ``dict`` hashing),
-        so key-equality semantics are identical to the hash index the row
-        path probes.
+        so key equality is that of a Python hash index.
         """
         table = database.table(atom.predicate)
         columns = table.columns
@@ -249,9 +211,9 @@ class ConjunctiveQuery:
         if bound_positions:
             # Factorize the join keys of both sides to integer codes.  Keys
             # that are not equal to themselves (NaN components) can never
-            # join under the row path's ``!=`` rechecks, but a Python dict
-            # would match them by identity — route them to sentinel codes
-            # (-2 right / -1 left) that never intersect.
+            # join (IEEE: NaN != NaN), but a Python dict would match them by
+            # identity — route them to sentinel codes (-2 right / -1 left)
+            # that never intersect.
             key_lists = [column_lists[position] for position, _ in bound_positions]
             left_lists = [bindings[name] for _, name in bound_positions]
             if len(key_lists) == 1:
@@ -300,55 +262,6 @@ class ConjunctiveQuery:
         for name, position in new_positions.items():
             extended[name] = _gather_values(column_lists[position], right_take)
         return extended, out_count
-
-    def _extend(
-        self, database: Database, atom: Atom, bindings: list[Binding]
-    ) -> Iterator[Binding]:
-        table = database.table(atom.predicate)
-        columns = table.columns
-        for binding in bindings:
-            # Pick the most selective access path: an already-bound variable
-            # or constant position lets us use an index lookup.
-            lookup_column = None
-            lookup_value = None
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, Variable):
-                    if term.name in binding:
-                        lookup_column = columns[position]
-                        lookup_value = binding[term.name]
-                        break
-                else:
-                    lookup_column = columns[position]
-                    lookup_value = term
-                    break
-            if lookup_column is not None:
-                if lookup_column not in table._indexes:  # noqa: SLF001 - internal fast path
-                    table.build_index(lookup_column)
-                candidates = table.lookup(lookup_column, lookup_value)
-            else:
-                candidates = table.to_list()
-
-            for row in candidates:
-                extended = self._match(atom, row, columns, binding)
-                if extended is not None:
-                    yield extended
-
-    @staticmethod
-    def _match(
-        atom: Atom, row: Binding, columns: Sequence[str], binding: Binding
-    ) -> Binding | None:
-        extended = dict(binding)
-        for position, term in enumerate(atom.terms):
-            value = row[columns[position]]
-            if isinstance(term, Variable):
-                if term.name in extended:
-                    if extended[term.name] != value:
-                        return None
-                else:
-                    extended[term.name] = value
-            elif term != value:
-                return None
-        return extended
 
     def __repr__(self) -> str:
         return " AND ".join(repr(atom) for atom in self.atoms) or "TRUE"

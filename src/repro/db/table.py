@@ -1,24 +1,19 @@
 """In-memory relational tables with selection, projection, join and grouping.
 
-Two interchangeable backends share one relational API:
+:class:`Table` stores data column-major: one value list (plus a lazily
+built, cached numpy array) per column.  Filters, joins and group-bys are
+vectorized, and results are assembled by bulk column gathers instead of
+per-row dict inserts.  The row facade (``rows()`` yields dicts) serves
+callers that think in rows.
 
-* :class:`Table` — the original row-major backend: rows stored as tuples in
-  schema order, operators implemented row-at-a-time.
-* :class:`ColumnarTable` — the column-major backend: one value list (plus a
-  lazily built, cached numpy array) per column; filters, joins and group-bys
-  are vectorized and results are assembled by bulk column gathers instead of
-  per-row dict inserts.
-
-Both expose the same row facade (``rows()`` yields dicts), enforce the same
-schema validation on insert, and produce results in the same order, so they
-are drop-in replacements for each other; ``tests/test_backend_parity.py``
-holds them to that contract with differential property tests.
+``tests/row_oracle.py`` keeps a row-at-a-time transcription of every
+operator; ``tests/test_backend_parity.py`` holds this module to it (same
+rows, same order, same content digests) with differential property tests.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
@@ -72,295 +67,13 @@ def _apply_aggregation(fn: str | Callable[[list[Any]], Any], values: list[Any]) 
 
 
 class Table:
-    """A bag of tuples conforming to a :class:`TableSchema`.
+    """A bag of rows conforming to a :class:`TableSchema`, stored by column.
 
-    Rows are stored as tuples in schema order; the public API exposes them as
-    dictionaries keyed by column name.  Primary-key uniqueness is enforced on
-    insert when the schema declares a key.
-    """
-
-    def __init__(self, schema: TableSchema, rows: Iterable[dict[str, Any]] = ()) -> None:
-        self.schema = schema
-        self._rows: list[tuple[Any, ...]] = []
-        self._key_index: dict[tuple[Any, ...], int] = {}
-        self._indexes: dict[str, dict[Any, list[int]]] = {}
-        self._version = 0
-        self._digest_cache: tuple[int, str] | None = None
-        for row in rows:
-            self.insert(row)
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_rows(
-        cls,
-        name: str,
-        rows: Sequence[dict[str, Any]],
-        dtypes: dict[str, str] | None = None,
-        primary_key: Sequence[str] = (),
-    ) -> "Table":
-        """Infer a schema from ``rows`` (or use ``dtypes``) and build a table."""
-        return cls(infer_table_schema(name, rows, dtypes, primary_key), rows)
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def insert(self, row: dict[str, Any]) -> None:
-        """Insert a row (mapping of column name to value)."""
-        values = self.schema.validate_row(row)
-        if self.schema.primary_key:
-            key = tuple(values[self.schema.index_of(k)] for k in self.schema.primary_key)
-            if key in self._key_index:
-                raise SchemaError(
-                    f"duplicate primary key {key!r} in table {self.schema.name!r}"
-                )
-            self._key_index[key] = len(self._rows)
-        position = len(self._rows)
-        self._rows.append(values)
-        self._version += 1
-        for column, index in self._indexes.items():
-            index[values[self.schema.index_of(column)]].append(position)
-
-    def insert_many(self, rows: Iterable[dict[str, Any]]) -> None:
-        for row in rows:
-            self.insert(row)
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.schema.name
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self.schema.column_names
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped on every insert (used for cache invalidation)."""
-        return self._version
-
-    def content_digest(self) -> str:
-        """Stable hash of the table's schema and contents.
-
-        Incrementally maintained: the digest is cached and only recomputed
-        when :attr:`version` has moved since it was last computed, so repeated
-        fingerprinting of an unchanged table is O(1).  Equal content yields
-        equal digests in both storage backends.
-        """
-        if self._digest_cache is not None and self._digest_cache[0] == self._version:
-            return self._digest_cache[1]
-        hasher = hashlib.sha256(_schema_token(self.schema))
-        for column in self.schema.columns:
-            hasher.update(_column_digest(column, self.column(column.name)))
-        digest = hasher.hexdigest()
-        self._digest_cache = (self._version, digest)
-        return digest
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return self.rows()
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        """Iterate over rows as dictionaries."""
-        columns = self.schema.column_names
-        for values in self._rows:
-            yield dict(zip(columns, values))
-
-    def to_list(self) -> list[dict[str, Any]]:
-        return list(self.rows())
-
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order."""
-        index = self.schema.index_of(name)
-        return [values[index] for values in self._rows]
-
-    def distinct(self, name: str) -> list[Any]:
-        """Distinct values of one column, in first-seen order."""
-        return list(dict.fromkeys(self.column(name)))
-
-    def get_by_key(self, key: tuple[Any, ...] | Any) -> dict[str, Any]:
-        """Look up a row by primary key (scalar keys need not be wrapped)."""
-        if not self.schema.primary_key:
-            raise SchemaError(f"table {self.schema.name!r} has no primary key")
-        if not isinstance(key, tuple):
-            key = (key,)
-        position = self._key_index.get(key)
-        if position is None:
-            raise KeyError(f"no row with key {key!r} in table {self.schema.name!r}")
-        return dict(zip(self.schema.column_names, self._rows[position]))
-
-    # ------------------------------------------------------------------
-    # relational operators
-    # ------------------------------------------------------------------
-    def select(self, predicate: Callable[[dict[str, Any]], bool]) -> "Table":
-        """Rows satisfying ``predicate`` (selection)."""
-        result = Table(self._schema_without_key(self.schema.name))
-        for row in self.rows():
-            if predicate(row):
-                result.insert(row)
-        return result
-
-    def where(self, **conditions: Any) -> "Table":
-        """Rows whose columns equal the given values (equality selection)."""
-        for column in conditions:
-            self.schema.index_of(column)
-        return self.select(
-            lambda row: all(row[column] == value for column, value in conditions.items())
-        )
-
-    def project(self, columns: Sequence[str], distinct: bool = False) -> "Table":
-        """Keep only ``columns`` (projection), optionally deduplicating."""
-        column_schemas = tuple(self.schema.column(name) for name in columns)
-        schema = TableSchema(name=self.schema.name, columns=column_schemas)
-        result = Table(schema)
-        seen: set[tuple[Any, ...]] = set()
-        for row in self.rows():
-            values = tuple(row[name] for name in columns)
-            if distinct:
-                if values in seen:
-                    continue
-                seen.add(values)
-            result.insert(dict(zip(columns, values)))
-        return result
-
-    def rename(self, mapping: dict[str, str], name: str | None = None) -> "Table":
-        """Rename columns according to ``mapping``."""
-        columns = tuple(
-            ColumnSchema(mapping.get(column.name, column.name), column.dtype, column.nullable)
-            for column in self.schema.columns
-        )
-        schema = TableSchema(name=name or self.schema.name, columns=columns)
-        result = Table(schema)
-        for values in self._rows:
-            result.insert(dict(zip(schema.column_names, values)))
-        return result
-
-    def join(self, other: "Table", on: Sequence[str] | None = None, name: str | None = None) -> "Table":
-        """Natural (or explicit equi-) hash join with ``other``.
-
-        ``on`` defaults to the shared column names.  Non-join columns that
-        collide keep the left value (they are identical under natural join
-        semantics only when the data agrees; callers should rename first when
-        that matters).
-        """
-        if on is None:
-            on = [column for column in self.columns if column in other.columns]
-        for column in on:
-            self.schema.index_of(column)
-            other.schema.index_of(column)
-
-        other_extra = [column for column in other.columns if column not in self.columns]
-        joined_columns = tuple(self.schema.columns) + tuple(
-            other.schema.column(column) for column in other_extra
-        )
-        schema = TableSchema(name=name or f"{self.name}_{other.name}", columns=joined_columns)
-        result = Table(schema)
-
-        if not on:
-            # Cartesian product.
-            other_rows = other.to_list()
-            for left in self.rows():
-                for right in other_rows:
-                    merged = dict(left)
-                    merged.update({column: right[column] for column in other_extra})
-                    result.insert(merged)
-            return result
-
-        index: dict[tuple[Any, ...], list[dict[str, Any]]] = defaultdict(list)
-        for right in other.rows():
-            index[tuple(right[column] for column in on)].append(right)
-        for left in self.rows():
-            key = tuple(left[column] for column in on)
-            for right in index.get(key, ()):
-                merged = dict(left)
-                merged.update({column: right[column] for column in other_extra})
-                result.insert(merged)
-        return result
-
-    def group_by(
-        self,
-        keys: Sequence[str],
-        aggregations: dict[str, tuple[str, str | Callable[[list[Any]], Any]]],
-    ) -> "Table":
-        """Group rows by ``keys`` and aggregate.
-
-        ``aggregations`` maps output column name to ``(input column, fn)``
-        where ``fn`` receives the list of group values; ``fn`` may also be a
-        registered aggregate name (e.g. ``"AVG"``).
-        """
-        groups: dict[tuple[Any, ...], list[dict[str, Any]]] = defaultdict(list)
-        for row in self.rows():
-            groups[tuple(row[key] for key in keys)].append(row)
-
-        key_columns = tuple(self.schema.column(key) for key in keys)
-        agg_columns = tuple(ColumnSchema(output, "any") for output in aggregations)
-        schema = TableSchema(name=f"{self.name}_grouped", columns=key_columns + agg_columns)
-        result = Table(schema)
-        for key_values, members in groups.items():
-            row = dict(zip(keys, key_values))
-            for output, (input_column, fn) in aggregations.items():
-                row[output] = _apply_aggregation(fn, [member[input_column] for member in members])
-            result.insert(row)
-        return result
-
-    def build_index(self, column: str) -> None:
-        """Build (or rebuild) a hash index on ``column`` for :meth:`lookup`."""
-        position = self.schema.index_of(column)
-        index: dict[Any, list[int]] = defaultdict(list)
-        for row_number, values in enumerate(self._rows):
-            index[values[position]].append(row_number)
-        self._indexes[column] = index
-
-    def lookup(self, column: str, value: Any) -> list[dict[str, Any]]:
-        """Rows whose ``column`` equals ``value`` (uses an index when present)."""
-        columns = self.schema.column_names
-        if column in self._indexes:
-            return [
-                dict(zip(columns, self._rows[row_number]))
-                for row_number in self._indexes[column].get(value, ())
-            ]
-        position = self.schema.index_of(column)
-        return [
-            dict(zip(columns, values)) for values in self._rows if values[position] == value
-        ]
-
-    # ------------------------------------------------------------------
-    # backend conversion
-    # ------------------------------------------------------------------
-    def to_columnar(self) -> "ColumnarTable":
-        """Convert to the column-major backend (values are already validated)."""
-        if len(self._rows):
-            columns_data = [list(values) for values in zip(*self._rows)]
-        else:
-            columns_data = [[] for _ in self.schema.columns]
-        return ColumnarTable._from_columns(self.schema, columns_data)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _column_list(self, name: str) -> list[Any]:
-        """Raw column values (internal; may alias storage, do not mutate)."""
-        return self.column(name)
-
-    def _schema_without_key(self, name: str) -> TableSchema:
-        return TableSchema(name=name, columns=self.schema.columns)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Table({self.schema.name!r}, rows={len(self)}, columns={list(self.columns)})"
-
-
-class ColumnarTable:
-    """Column-major table: one value list + cached numpy array per column.
-
-    Drop-in replacement for :class:`Table` with the same relational API and
-    identical results (including row order), but with vectorized filters,
-    hash joins over column arrays, and group-bys that dispatch to the grouped
-    numpy aggregate kernels of :mod:`repro.db.aggregates`.
+    One value list plus a cached numpy array per column: filters are
+    vectorized, joins hash over column arrays, and group-bys dispatch to the
+    grouped numpy aggregate kernels of :mod:`repro.db.aggregates`.
+    Primary-key uniqueness is enforced on insert when the schema declares a
+    key.
 
     Row values are stored as the original Python objects, so the row facade
     (``rows()``, ``lookup()``, ``to_list()``) never leaks numpy scalars for
@@ -378,8 +91,7 @@ class ColumnarTable:
         self._indexes: dict[str, dict[Any, list[int]]] = {}
         self._version = 0
         self._digest_cache: tuple[int, str] | None = None
-        for row in rows:
-            self.insert(row)
+        self.insert_many(rows)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -391,7 +103,7 @@ class ColumnarTable:
         rows: Sequence[dict[str, Any]],
         dtypes: dict[str, str] | None = None,
         primary_key: Sequence[str] = (),
-    ) -> "ColumnarTable":
+    ) -> "Table":
         """Infer a schema from ``rows`` (or use ``dtypes``) and build a table."""
         return cls(infer_table_schema(name, rows, dtypes, primary_key), rows)
 
@@ -402,10 +114,10 @@ class ColumnarTable:
         columns: dict[str, Sequence[Any]],
         dtypes: dict[str, str] | None = None,
         primary_key: Sequence[str] = (),
-    ) -> "ColumnarTable":
+    ) -> "Table":
         """Bulk construction from column sequences (validated per column)."""
         if not columns:
-            raise SchemaError("cannot build a columnar table from zero columns")
+            raise SchemaError("cannot build a table from zero columns")
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise SchemaError(f"columns of table {name!r} have unequal lengths: {sorted(lengths)}")
@@ -427,7 +139,7 @@ class ColumnarTable:
         return cls._from_columns(schema, validated)
 
     @classmethod
-    def _from_columns(cls, schema: TableSchema, columns_data: list[list[Any]]) -> "ColumnarTable":
+    def _from_columns(cls, schema: TableSchema, columns_data: list[list[Any]]) -> "Table":
         """Internal fast path: adopt already-validated column lists."""
         table = cls(schema)
         table._data = columns_data
@@ -448,24 +160,37 @@ class ColumnarTable:
     # ------------------------------------------------------------------
     def insert(self, row: dict[str, Any]) -> None:
         """Insert a row (mapping of column name to value)."""
-        values = self.schema.validate_row(row)
-        if self.schema.primary_key:
-            key = tuple(values[self.schema.index_of(k)] for k in self.schema.primary_key)
-            if key in self._key_index:
-                raise SchemaError(
-                    f"duplicate primary key {key!r} in table {self.schema.name!r}"
-                )
-            self._key_index[key] = len(self._data[0])
-        position = len(self._data[0])
-        for column_position, value in enumerate(values):
-            self._data[column_position].append(value)
-        self._version += 1
-        for column, index in self._indexes.items():
-            index.setdefault(values[self.schema.index_of(column)], []).append(position)
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[dict[str, Any]]) -> None:
-        for row in rows:
-            self.insert(row)
+        """Insert rows in order.
+
+        Rows are validated one by one and their columns appended in bulk; a
+        row that fails validation or repeats a primary key raises after
+        every row before it has been inserted.
+        """
+        start = len(self)
+        key_positions = [self.schema.index_of(column) for column in self.schema.primary_key]
+        validated: list[tuple[Any, ...]] = []
+        try:
+            for row in rows:
+                values = self.schema.validate_row(row)
+                if key_positions:
+                    key = tuple(values[position] for position in key_positions)
+                    if key in self._key_index:
+                        raise SchemaError(
+                            f"duplicate primary key {key!r} in table {self.schema.name!r}"
+                        )
+                    self._key_index[key] = start + len(validated)
+                validated.append(values)
+        finally:
+            for column_values, values in zip(self._data, zip(*validated)):
+                column_values.extend(values)
+            self._version += len(validated)
+            for column, index in self._indexes.items():
+                column_position = self.schema.index_of(column)
+                for offset, values in enumerate(validated):
+                    index.setdefault(values[column_position], []).append(start + offset)
 
     # ------------------------------------------------------------------
     # inspection (row facade)
@@ -487,10 +212,10 @@ class ColumnarTable:
         """Stable hash of the table's schema and contents (cached per version).
 
         Typed numeric columns hash their (cached) numpy array buffers, so
-        fingerprinting a large columnar table is a handful of ``tobytes``
-        passes rather than a per-value Python loop.  The conversion rules are
-        shared with :class:`Table`'s digest, so equal content yields equal
-        digests in both backends.
+        fingerprinting a large table is a handful of ``tobytes`` passes
+        rather than a per-value Python loop.  The digest depends on content
+        only, never on how the arrays were obtained (built in memory or
+        memory-mapped from an artifact).
         """
         if self._digest_cache is not None and self._digest_cache[0] == self._version:
             return self._digest_cache[1]
@@ -555,7 +280,7 @@ class ColumnarTable:
     # ------------------------------------------------------------------
     # relational operators (vectorized)
     # ------------------------------------------------------------------
-    def select(self, predicate: Callable[[dict[str, Any]], bool]) -> "ColumnarTable":
+    def select(self, predicate: Callable[[dict[str, Any]], bool]) -> "Table":
         """Rows satisfying ``predicate`` (selection).
 
         The predicate is an arbitrary Python callable over the row facade, so
@@ -565,7 +290,7 @@ class ColumnarTable:
         indices = [position for position, row in enumerate(self.rows()) if predicate(row)]
         return self._take(indices, schema=self._schema_without_key(self.schema.name))
 
-    def where(self, **conditions: Any) -> "ColumnarTable":
+    def where(self, **conditions: Any) -> "Table":
         """Rows whose columns equal the given values (vectorized equality)."""
         for column in conditions:
             self.schema.index_of(column)
@@ -576,7 +301,7 @@ class ColumnarTable:
             np.flatnonzero(mask), schema=self._schema_without_key(self.schema.name)
         )
 
-    def project(self, columns: Sequence[str], distinct: bool = False) -> "ColumnarTable":
+    def project(self, columns: Sequence[str], distinct: bool = False) -> "Table":
         """Keep only ``columns`` (projection), optionally deduplicating."""
         column_schemas = tuple(self.schema.column(name) for name in columns)
         schema = TableSchema(name=self.schema.name, columns=column_schemas)
@@ -589,25 +314,26 @@ class ColumnarTable:
                     seen.add(values)
                     keep.append(position)
             data = [[column[position] for position in keep] for column in data]
-        return ColumnarTable._from_columns(schema, [list(column) for column in data])
+        return Table._from_columns(schema, [list(column) for column in data])
 
-    def rename(self, mapping: dict[str, str], name: str | None = None) -> "ColumnarTable":
+    def rename(self, mapping: dict[str, str], name: str | None = None) -> "Table":
         """Rename columns according to ``mapping``."""
         columns = tuple(
             ColumnSchema(mapping.get(column.name, column.name), column.dtype, column.nullable)
             for column in self.schema.columns
         )
         schema = TableSchema(name=name or self.schema.name, columns=columns)
-        return ColumnarTable._from_columns(schema, [list(column) for column in self._data])
+        return Table._from_columns(schema, [list(column) for column in self._data])
 
     def join(
-        self, other: "Table | ColumnarTable", on: Sequence[str] | None = None, name: str | None = None
-    ) -> "ColumnarTable":
+        self, other: "Table", on: Sequence[str] | None = None, name: str | None = None
+    ) -> "Table":
         """Natural (or explicit equi-) hash join over column arrays.
 
-        Semantics and row order match :meth:`Table.join`: left rows in order,
-        matching right rows in their table order, left values winning on
-        non-join column collisions.
+        ``on`` defaults to the shared column names.  Output order: left rows
+        in order, each followed by its matching right rows in their table
+        order; left values win on non-join column collisions (rename first
+        when that matters).
         """
         if on is None:
             on = [column for column in self.columns if column in other.columns]
@@ -640,24 +366,24 @@ class ColumnarTable:
             left_take = np.asarray(left_indices, dtype=np.intp)
             right_take = np.asarray(right_indices, dtype=np.intp)
 
-        data = [_gather(self, column, left_take) for column in self.columns]
-        data.extend(_gather(other, column, right_take) for column in other_extra)
-        return ColumnarTable._from_columns(schema, data)
+        data = [self.array(column)[left_take].tolist() for column in self.columns]
+        data.extend(other.array(column)[right_take].tolist() for column in other_extra)
+        return Table._from_columns(schema, data)
 
     def group_by(
         self,
         keys: Sequence[str],
         aggregations: dict[str, tuple[str, str | Callable[[list[Any]], Any]]],
         shards: int | None = None,
-    ) -> "ColumnarTable":
+    ) -> "Table":
         """Group rows by ``keys`` and aggregate (vectorized where possible).
 
         Aggregations given as registered names (e.g. ``"AVG"``) over numeric
         columns run as single-pass numpy kernels (equal to the scalar
         aggregates up to float tolerance).  Callables — including the
         registered scalar functions themselves — are always invoked per
-        group, exactly as :meth:`Table.group_by` does, so an explicitly
-        chosen aggregation algorithm is never silently substituted.
+        group, so an explicitly chosen aggregation algorithm is never
+        silently substituted.
 
         ``shards`` (any positive integer) routes named aggregations over
         numeric columns through the sharded execution layer instead: the
@@ -665,8 +391,8 @@ class ColumnarTable:
         contributes a partial, and the partials are merged exactly
         (:func:`repro.db.aggregates.sharded_grouped_aggregate`).  Sharded
         results are bit-identical across shard counts and match the *scalar*
-        aggregate semantics (:meth:`Table.group_by`'s fsum family) rather
-        than the single-pass numpy kernels' rounding.
+        aggregate semantics (the fsum family) rather than the single-pass
+        numpy kernels' rounding.
         """
         n_rows = len(self)
         key_columns = [self._column_list(key) for key in keys]
@@ -703,7 +429,7 @@ class ColumnarTable:
                 for group, value in zip(group_ids, values):
                     grouped_values[group].append(value)
                 data.append([_apply_aggregation(fn, group) for group in grouped_values])
-        return ColumnarTable._from_columns(schema, data)
+        return Table._from_columns(schema, data)
 
     def build_index(self, column: str) -> None:
         """Build (or rebuild) a hash index on ``column`` for :meth:`lookup`."""
@@ -726,31 +452,20 @@ class ColumnarTable:
             for position in positions
         ]
 
-    def row_slice(self, start: int, stop: int) -> "ColumnarTable":
+    def row_slice(self, start: int, stop: int) -> "Table":
         """Contiguous row-range shard ``[start, stop)`` as a new table.
 
-        The natural sharding primitive of the columnar backend: column
-        storage is plain per-column lists, so a slice is one list slice per
+        The natural sharding primitive of column storage: columns are plain
+        per-column lists, so a slice is one list slice per
         column — no per-row work, no schema change.  Primary-key uniqueness
         is preserved by construction (a subset of unique keys stays unique).
         """
         n_rows = len(self)
         start = max(0, min(start, n_rows))
         stop = max(start, min(stop, n_rows))
-        return ColumnarTable._from_columns(
+        return Table._from_columns(
             self.schema, [column[start:stop] for column in self._data]
         )
-
-    # ------------------------------------------------------------------
-    # backend conversion
-    # ------------------------------------------------------------------
-    def to_row_table(self) -> Table:
-        """Convert to the row-major backend."""
-        table = Table(self.schema)
-        table._rows = [tuple(values) for values in zip(*self._data)]
-        if self.schema.primary_key:
-            table._key_index = dict(self._key_index)
-        return table
 
     # ------------------------------------------------------------------
     # internals
@@ -767,58 +482,24 @@ class ColumnarTable:
         self._array_cache[position] = array
         return array
 
-    def _take(self, indices: Sequence[int] | np.ndarray, schema: TableSchema) -> "ColumnarTable":
+    def _take(self, indices: Sequence[int] | np.ndarray, schema: TableSchema) -> "Table":
         take = np.asarray(indices, dtype=np.intp)
         data = [
             self._array_by_position(position)[take].tolist()
             for position in range(len(self.schema.columns))
         ]
-        return ColumnarTable._from_columns(schema, data)
+        return Table._from_columns(schema, data)
 
     def _schema_without_key(self, name: str) -> TableSchema:
         return TableSchema(name=name, columns=self.schema.columns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarTable({self.schema.name!r}, rows={len(self)}, "
-            f"columns={list(self.columns)})"
-        )
+        return f"Table({self.schema.name!r}, rows={len(self)}, columns={list(self.columns)})"
 
 
 # ----------------------------------------------------------------------
-# backend registry and helpers
+# helpers
 # ----------------------------------------------------------------------
-#: Table backends by name; :class:`~repro.db.database.Database` and the CaRL
-#: engine select one via their ``backend`` parameter.
-TABLE_BACKENDS: dict[str, type] = {"rows": Table, "columnar": ColumnarTable}
-
-AnyTable = Table | ColumnarTable
-
-
-def table_backend(name: str) -> type:
-    """Resolve a table backend class by name."""
-    backend = TABLE_BACKENDS.get(name)
-    if backend is None:
-        raise SchemaError(
-            f"unknown table backend {name!r}; expected one of {sorted(TABLE_BACKENDS)}"
-        )
-    return backend
-
-
-def as_columnar(table: AnyTable) -> "ColumnarTable":
-    """Convert any table to the columnar backend (no-op when already columnar)."""
-    if isinstance(table, ColumnarTable):
-        return table
-    return table.to_columnar()
-
-
-def as_rows(table: AnyTable) -> Table:
-    """Convert any table to the row backend (no-op when already row-major)."""
-    if isinstance(table, Table):
-        return table
-    return table.to_row_table()
-
-
 def _schema_token(schema: TableSchema) -> bytes:
     """Canonical byte encoding of a table schema, for content digests."""
     return repr(
@@ -850,10 +531,9 @@ def as_object_array(values: Sequence[Any]) -> np.ndarray:
 def _numeric_column_array(column: ColumnSchema, data: Sequence[Any]) -> np.ndarray | None:
     """A typed non-nullable numeric column as a numpy array (else None).
 
-    The single source of the backend's numeric-conversion rules: both the
-    columnar array cache and the content digests of *both* backends go
-    through here, so a column converts (or falls back to objects) the same
-    way everywhere.
+    The single source of the numeric-conversion rules: the array cache and
+    the content digests both go through here, so a column converts (or falls
+    back to objects) the same way everywhere.
     """
     if column.nullable:
         return None
@@ -872,11 +552,11 @@ def _numeric_column_array(column: ColumnSchema, data: Sequence[Any]) -> np.ndarr
 def _column_digest(
     column: ColumnSchema, values: Sequence[Any], array: np.ndarray | None = None
 ) -> bytes:
-    """Digest of one column's values, identical across storage backends.
+    """Digest of one column's values.
 
-    Numeric columns hash their array buffer (``array`` lets the columnar
-    backend pass its cached array; the row backend converts on the fly with
-    the same :func:`_numeric_column_array` rules).  Everything else hashes a
+    Numeric columns hash their array buffer (``array`` passes a cached
+    array; without one, ``values`` convert on the fly by the same
+    :func:`_numeric_column_array` rules).  Everything else hashes a
     ``type|repr`` token per value, so ``1``, ``1.0``, ``True`` and ``"1"``
     never collide; ``repr`` escapes newlines inside strings, so the newline
     separator is unambiguous.
@@ -901,7 +581,7 @@ def _equality_mask(array: np.ndarray, value: Any) -> np.ndarray:
     Sequence-valued ``value`` (tuples, lists, arrays stored in ``any``
     columns) must compare as a scalar against each cell — numpy would
     broadcast it elementwise across rows instead — so those fall back to a
-    per-cell comparison, matching the row backend.
+    per-cell comparison.
     """
     if isinstance(value, (list, tuple, set, frozenset, dict, np.ndarray)):
         return np.fromiter(
@@ -913,15 +593,7 @@ def _equality_mask(array: np.ndarray, value: Any) -> np.ndarray:
     return result.astype(bool, copy=False)
 
 
-def _key_tuples(table: AnyTable, columns: Sequence[str]) -> list[tuple[Any, ...]]:
+def _key_tuples(table: Table, columns: Sequence[str]) -> list[tuple[Any, ...]]:
     """Row-order join/group keys as tuples, straight from column storage."""
     column_lists = [table._column_list(column) for column in columns]
     return list(zip(*column_lists))
-
-
-def _gather(table: AnyTable, column: str, indices: np.ndarray) -> list[Any]:
-    """Values of ``column`` at ``indices``, as a Python list."""
-    if isinstance(table, ColumnarTable):
-        return table._array_by_position(table.schema.index_of(column))[indices].tolist()
-    values = table._column_list(column)
-    return [values[position] for position in indices]

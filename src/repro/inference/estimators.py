@@ -46,7 +46,7 @@ def _prepare(
     if covariates is None:
         covariates = np.empty((len(outcome), 0))
     # ascontiguousarray is a no-op for the C-contiguous float64 matrices the
-    # columnar unit-table backend hands over; anything else is normalized once
+    # unit-table builder hands over; anything else is normalized once
     # here so the BLAS-heavy estimators below never re-copy.
     covariates = np.ascontiguousarray(covariates, dtype=float)
     if covariates.ndim == 1:
@@ -324,7 +324,7 @@ def estimate_ate_from_unit_table(
 ) -> ATEEstimate:
     """Estimate an ATE straight from a unit table's column arrays.
 
-    The unit-table backends (``repro.carl.unit_table``) already hold the
+    Unit tables (``repro.carl.unit_table``) already hold the
     outcome, treatment and adjustment features as float64 arrays, so this
     entry point feeds them to the propensity/outcome models without any
     row-level materialization in between.

@@ -242,15 +242,8 @@ class QueryDaemon:
         jobs: int | None = 1,
         shards: int | None = None,
         retries: int = 2,
-        backend: str | None = None,
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
     ) -> None:
-        backend = backend or engine.backend
-        if backend != "columnar":
-            raise QueryError(
-                "the query daemon shards the columnar collection phase; "
-                f"backend {backend!r} is not shardable"
-            )
         if jobs is None:
             import os
 
@@ -258,13 +251,11 @@ class QueryDaemon:
         if jobs < 1:
             raise QueryError(f"jobs must be a positive integer, got {jobs!r}")
         self._engine = engine
-        self._backend = backend
         self._scheduler = ShardScheduler(
             engine,
             jobs=jobs,
             shards=shards or jobs,
             retries=retries,
-            backend=backend,
             hang_timeout=hang_timeout,
         )
         self._scheduler.start()
@@ -334,7 +325,6 @@ class QueryDaemon:
         return QuerySession(
             self._engine,
             executor="process",
-            backend=self._backend,
             estimator=estimator,
             embedding=embedding,
             bootstrap=bootstrap,

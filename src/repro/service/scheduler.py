@@ -54,6 +54,7 @@ import enum
 import hashlib
 import heapq
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue
 import shutil
@@ -95,7 +96,7 @@ from repro.observability.telemetry import Span, get_registry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.carl.engine import CaRLEngine
 
-#: Seconds the dispatcher blocks on the result queue per loop iteration —
+#: Seconds the dispatcher blocks on the result pipes per loop iteration —
 #: the upper bound on how stale its view of worker deaths, deadlines and
 #: control messages can get.
 _POLL_SECONDS = 0.02
@@ -115,7 +116,7 @@ _DISPATCHER_JOIN = 5.0
 #: the scheduler accumulating a row per task it ever ran.
 _WARM_KEYS_CAP = 4096
 
-#: Seconds between worker heartbeats on the result queue.  Each beat carries
+#: Seconds between worker heartbeats on the result pipe.  Each beat carries
 #: the worker's own measurement of how long it has been on its current task,
 #: so the dispatcher can tell a *hung* worker (alive but stuck — invisible
 #: to ``Process.is_alive()``) from a merely busy one.
@@ -255,12 +256,18 @@ class _QueryRecord:
 
 
 class _Worker:
-    """One managed worker process plus its private task pipe."""
+    """One managed worker process plus its private task queue and result pipe."""
 
-    def __init__(self, worker_id: int, process: multiprocessing.Process, tasks: Any) -> None:
+    def __init__(
+        self, worker_id: int, process: multiprocessing.Process, tasks: Any, results: Any
+    ) -> None:
         self.id = worker_id
         self.process = process
         self.tasks = tasks  #: multiprocessing.SimpleQueue of (task id, spec)
+        #: Read end of the worker's private result pipe.  Private, so a
+        #: worker terminated mid-write can tear only its own pipe, never
+        #: hold a lock other workers' results wait on.
+        self.results = results
         self.task_id: int | None = None  #: task currently assigned, if any
         #: Dispatcher-side view of the worker's last heartbeat (monotonic)
         #: and its self-reported seconds on its current task.
@@ -272,7 +279,7 @@ class _Worker:
         self.expected_death: bool = False
 
 
-def _heartbeat_loop(worker_id: int, state: dict[str, Any], results: Any) -> None:
+def _heartbeat_loop(worker_id: int, state: dict[str, Any], send: Any) -> None:
     """Worker-side daemon thread: report liveness + time-on-task forever.
 
     The beat carries the *worker's own* measurement of how long the main
@@ -285,17 +292,18 @@ def _heartbeat_loop(worker_id: int, state: dict[str, Any], results: Any) -> None
         started = state.get("started")
         busy = 0.0 if started is None else time.monotonic() - started
         try:
-            results.put((worker_id, None, "beat", busy, None))
-        except BaseException:  # noqa: BLE001 - queue closed: session over
+            send((worker_id, None, "beat", busy, None))
+        except BaseException:  # noqa: BLE001 - pipe closed: session over
             return
         time.sleep(_HEARTBEAT_SECONDS)
 
 
 def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: Any) -> None:
-    """Worker process entry point: run tasks off the private pipe forever.
+    """Worker process entry point: run tasks off the private queue forever.
 
-    Every outcome — success or failure — is reported on the shared result
-    queue; a worker that dies without reporting is detected by the
+    Every outcome — success or failure — is reported on the worker's private
+    result pipe (``results``, shared by its main and heartbeat threads under
+    a worker-local lock); a worker that dies without reporting is detected by the
     dispatcher through its process handle, and a worker that *hangs* is
     detected through its heartbeats (see :func:`_heartbeat_loop`).  Errors
     cross the boundary as ``(type name, message, is-CaRL-error)`` triples:
@@ -311,10 +319,16 @@ def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: 
     _worker_init(spec, worker_id)
     set_role("worker", worker_id)  # arms worker-only fault sites
     registry = get_registry()
+    send_lock = threading.Lock()
+
+    def send(message: tuple[Any, ...]) -> None:
+        with send_lock:
+            results.send(message)
+
     beat_state: dict[str, Any] = {"started": None}
     threading.Thread(
         target=_heartbeat_loop,
-        args=(worker_id, beat_state, results),
+        args=(worker_id, beat_state, send),
         name=f"carl-worker-{worker_id}-heartbeat",
         daemon=True,
     ).start()
@@ -325,8 +339,8 @@ def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: 
             batch = registry.drain_events()
             while batch is not None:
                 try:
-                    results.put((worker_id, None, "events", None, batch))
-                except BaseException:  # noqa: BLE001 - queue closed: session over
+                    send((worker_id, None, "events", None, batch))
+                except BaseException:  # noqa: BLE001 - pipe closed: session over
                     break
                 batch = registry.drain_events()
             return
@@ -348,9 +362,9 @@ def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: 
             stall = fault_point("worker.result_stall", key=f"task-{task_id}")
             if stall is not None:
                 time.sleep(stall.delay)
-            results.put((worker_id, task_id, "ok", outcome, registry.drain_events()))
+            send((worker_id, task_id, "ok", outcome, registry.drain_events()))
         except BaseException as error:  # noqa: BLE001 - must cross the pipe
-            results.put(
+            send(
                 (
                     worker_id,
                     task_id,
@@ -385,7 +399,6 @@ class ShardScheduler:
         jobs: int,
         shards: int,
         retries: int,
-        backend: str,
         *,
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -407,7 +420,6 @@ class ShardScheduler:
         self._jobs = jobs
         self._shards = shards
         self._retries = retries
-        self._backend = backend
         self._hang_timeout = hang_timeout
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
@@ -450,7 +462,6 @@ class ShardScheduler:
         self._next_task_id = 0  # guarded-by: _lock
         self._next_worker_id = 0
         self._workers: dict[int, _Worker] = {}
-        self._results: Any = None
         #: Session-lifetime pins: the published engine-state artifacts
         #: (grounding + tables).  Partial-key pins live on their records and
         #: on ``_warm_keys`` entries instead.
@@ -514,7 +525,6 @@ class ShardScheduler:
                 pinned=self._pinned,  # repro-lint: disable=lock-guarded-attr
                 inherit_token=self._inherit_token,
             )
-            self._results = multiprocessing.Queue()
             for _ in range(self._jobs):
                 self._spawn_worker()
             self._dispatcher = threading.Thread(
@@ -543,30 +553,32 @@ class ShardScheduler:
             self._dispatcher.join(timeout=_DISPATCHER_JOIN)
         if self._warm_pool is not None:
             self._warm_pool.shutdown(wait=False)
-        for worker in list(self._workers.values()):
+        workers = list(self._workers.values())
+        for worker in workers:
             try:
                 worker.tasks.put(None)
             except (OSError, ValueError):  # pragma: no cover - pipe already gone
                 pass
+        # The exit sentinel triggers each worker's final telemetry drain.
+        # Read the pipes while waiting (a worker blocked on a full pipe could
+        # not exit) and merge those last batches and any result-piggybacked
+        # stragglers — unless the dispatcher outlived its join timeout and
+        # still owns the pipes.
+        dispatcher_done = self._dispatcher is None or not self._dispatcher.is_alive()
+        readers = workers if dispatcher_done else []
+        registry = get_registry()
         deadline = time.monotonic() + _SHUTDOWN_GRACE
-        for worker in list(self._workers.values()):
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        while time.monotonic() < deadline and any(w.process.is_alive() for w in workers):
+            for message in _receive(readers, _POLL_SECONDS):
+                merge_worker_batch(registry, message[4], worker=message[0])
+        for worker in workers:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=_SHUTDOWN_GRACE)
-        if self._results is not None:
-            # The exit sentinel triggered each worker's final telemetry
-            # drain; the dispatcher thread is gone by now, so merge those
-            # last batches (and any result-piggybacked stragglers) here.
-            registry = get_registry()
-            while True:
-                try:
-                    message = self._results.get_nowait()
-                except (queue.Empty, OSError, ValueError):
-                    break
-                if isinstance(message, tuple) and len(message) == 5:
-                    merge_worker_batch(registry, message[4], worker=message[0])
-            self._results.close()
+        for message in _receive(readers, 0.0):
+            merge_worker_batch(registry, message[4], worker=message[0])
+        for worker in readers:
+            worker.results.close()
         unregister_inheritable_engine(self._inherit_token)
         self._inherit_token = None
         if self._cache is not None:
@@ -716,13 +728,8 @@ class ShardScheduler:
                 self._expire_deadlines()
                 self._release_delayed()
                 self._assign_ready_tasks()
-                try:
-                    message = self._results.get(timeout=_POLL_SECONDS)
-                except queue.Empty:
-                    continue
-                except (OSError, ValueError):  # pragma: no cover - queue closed
-                    break
-                self._handle_result(message)
+                for message in _receive(list(self._workers.values()), _POLL_SECONDS):
+                    self._handle_result(message)
         except BaseException as error:  # noqa: BLE001 - dispatcher must not die silently
             self._fail_all_live(
                 QueryError(f"the service dispatcher failed: {error}")
@@ -764,11 +771,7 @@ class ShardScheduler:
         )
         try:
             plan = _plan_query(
-                self._engine,
-                self._cache,
-                record.query,
-                options["embedding"],
-                self._backend,
+                self._engine, self._cache, record.query, options["embedding"]
             )
         except Exception as error:  # noqa: BLE001 - a plan failure is per-query
             telemetry.finish_span(ground_span)
@@ -930,7 +933,6 @@ class ShardScheduler:
                         embedding=options["embedding"],
                         bootstrap=options["bootstrap"],
                         seed=options["seed"],
-                        backend=self._backend,
                     )
             except Exception as error:  # noqa: BLE001 - per-query failure
                 get_registry().finish_span(finish_span, outcome="error")
@@ -1028,11 +1030,12 @@ class ShardScheduler:
     # -- workers --------------------------------------------------------
     def _spawn_worker(self) -> _Worker:
         tasks: Any = multiprocessing.SimpleQueue()
+        results, results_writer = multiprocessing.Pipe(duplex=False)
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         process = multiprocessing.Process(
             target=_service_worker_main,
-            args=(worker_id, self._spec, tasks, self._results),
+            args=(worker_id, self._spec, tasks, results_writer),
             name=f"carl-service-worker-{worker_id}",
             daemon=True,
         )
@@ -1044,7 +1047,10 @@ class ShardScheduler:
         # engine or cache lock.
         with self._fork_lock:
             process.start()
-        worker = _Worker(worker_id, process, tasks)
+        # Only the worker writes: closing this end lets a dead worker's pipe
+        # read as EOF instead of blocking on a torn message.
+        results_writer.close()
+        worker = _Worker(worker_id, process, tasks, results)
         self._workers[worker_id] = worker
         with self._lock:
             self._stats.workers_spawned += 1
@@ -1052,6 +1058,11 @@ class ShardScheduler:
 
     def _reap_dead_workers(self) -> None:
         for worker in [w for w in self._workers.values() if not w.process.is_alive()]:
+            # Results the worker sent before dying come first: a task it
+            # finished must not be retried as if its death interrupted it.
+            for message in _drain_pipe(worker.results):
+                self._handle_result(message)
+            worker.results.close()
             del self._workers[worker.id]
             if not worker.expected_death:
                 with self._lock:
@@ -1168,7 +1179,13 @@ class ShardScheduler:
         with self._lock:
             if not self._ready_count:
                 return
-            idle = [w for w in self._workers.values() if w.task_id is None]
+            # A worker killed on purpose (expected_death) is idle only until
+            # it is reaped: a task sent to it would die with it.
+            idle = [
+                w
+                for w in self._workers.values()
+                if w.task_id is None and not w.expected_death
+            ]
             if not idle:
                 return
             alive_ids = set(self._workers)
@@ -1523,6 +1540,31 @@ class ShardScheduler:
             ]
         for index in live:
             self._finish_query(index, error)
+
+
+def _receive(workers: list[_Worker], timeout: float) -> list[tuple[Any, ...]]:
+    """Messages waiting on ``workers``' result pipes, after blocking up to
+    ``timeout`` seconds for the first."""
+    pipes = [worker.results for worker in workers if not worker.results.closed]
+    if not pipes:
+        time.sleep(timeout)
+        return []
+    messages: list[tuple[Any, ...]] = []
+    for pipe in multiprocessing.connection.wait(pipes, timeout=timeout):
+        messages.extend(_drain_pipe(pipe))
+    return messages
+
+
+def _drain_pipe(pipe: Any) -> list[tuple[Any, ...]]:
+    """Every message readable on one result pipe; closes it at EOF (the
+    worker exited, possibly mid-message)."""
+    messages: list[tuple[Any, ...]] = []
+    try:
+        while not pipe.closed and pipe.poll():
+            messages.append(pipe.recv())
+    except (EOFError, OSError):
+        pipe.close()
+    return messages
 
 
 def as_query_error(error: Exception, message: str | None = None) -> QueryError:

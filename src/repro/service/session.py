@@ -129,7 +129,6 @@ class QuerySession:
         embedding: str | None = None,
         bootstrap: int = 0,
         seed: int = 0,
-        backend: str | None = None,
         max_pending: int | None = None,
         submit_timeout: float | None = None,
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
@@ -151,12 +150,6 @@ class QuerySession:
             raise QueryError(f"max_pending must be a positive integer, got {max_pending!r}")
         if submit_timeout is not None and submit_timeout < 0:
             raise QueryError(f"submit_timeout must be >= 0, got {submit_timeout!r}")
-        backend = backend or engine.backend
-        if executor == "process" and backend != "columnar":
-            raise QueryError(
-                "executor='process' shards the columnar collection phase; "
-                f"backend {backend!r} is not shardable"
-            )
 
         self._engine = engine
         self._executor = executor
@@ -166,7 +159,6 @@ class QuerySession:
             "bootstrap": bootstrap,
             "seed": seed,
         }
-        self._backend = backend
         self._max_pending = max_pending
         self._submit_timeout = submit_timeout
         self._lock = threading.RLock()
@@ -198,7 +190,6 @@ class QuerySession:
                 jobs=jobs,
                 shards=shards or jobs,
                 retries=retries,
-                backend=backend,
                 hang_timeout=hang_timeout,
             )
             self._scheduler.start()
@@ -314,9 +305,7 @@ class QuerySession:
                 self._scratch_epoch = epoch
         span = get_registry().start_span("query", index=index, executor="thread")
         try:
-            outcome: Any = self._engine.answer(
-                query, backend=self._backend, _scratch=self._scratch, **options
-            )
+            outcome: Any = self._engine.answer(query, _scratch=self._scratch, **options)
         except CaRLError as error:
             outcome = as_query_error(error)
         except Exception as error:  # noqa: BLE001 - a worker must emit, not die
@@ -548,7 +537,6 @@ def answer_iter(
     embedding: str | None = None,
     bootstrap: int = 0,
     seed: int = 0,
-    backend: str | None = None,
     jobs: int | None = 1,
     executor: str = "thread",
     shards: int | None = None,
@@ -585,7 +573,6 @@ def answer_iter(
         embedding=embedding,
         bootstrap=bootstrap,
         seed=seed,
-        backend=backend,
         hang_timeout=hang_timeout,
     ) as session:
         if executor == "thread" and engine.cache is None and parsed:

@@ -1,12 +1,13 @@
-"""Differential tests: the columnar backend must match the row backend.
+"""Differential tests: the production path must match the row oracle.
 
 Every query shape the engine supports — equality filters, predicate
-selections, projections, joins, group-bys over every registered aggregate,
-conjunctive-query evaluation, and unit-table materialization — is generated
-randomly with Hypothesis and executed against both backends; results must be
-identical (bit-for-bit for discrete values, to tolerance for floating-point
-aggregates).  NaN values, empty tables and single-row tables are part of the
-generated space.
+selections, index lookups, projections, joins, group-bys over every
+registered aggregate, conjunctive-query evaluation, unit-table construction
+and content digests — is generated randomly with Hypothesis and executed
+against both the production code and the row-at-a-time reference in
+``tests/row_oracle.py``; results must be identical (bit-for-bit for discrete
+values, to tolerance for floating-point aggregates).  NaN values, empty
+tables and single-row tables are part of the generated space.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import row_oracle
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
 from repro.carl.embeddings import EMBEDDINGS
+from repro.carl.engine import CaRLEngine
+from repro.carl.parser import parse_query
 from repro.carl.peers import compute_peers
 from repro.carl.unit_table import build_unit_table
+from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
 from repro.db.aggregates import AGGREGATES, AggregateError, aggregate, grouped_aggregate
+from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery, Variable
 from repro.db.schema import TableSchema
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
+from row_oracle import RowTable
 
 # ----------------------------------------------------------------------
 # strategies
@@ -50,10 +57,10 @@ TABLE_SCHEMA = TableSchema.from_spec(
 )
 
 
-def both_backends(rows: list[dict]) -> tuple[Table, ColumnarTable]:
-    """The same rows in both backends (sharing value objects, like a real
-    ingest would)."""
-    return Table(TABLE_SCHEMA, rows), ColumnarTable(TABLE_SCHEMA, rows)
+def oracle_and_table(rows: list[dict]) -> tuple[RowTable, Table]:
+    """The same rows in the oracle and the production table (sharing value
+    objects, like a real ingest would)."""
+    return RowTable(TABLE_SCHEMA, rows), Table(TABLE_SCHEMA, rows)
 
 
 def assert_same_rows(left, right) -> None:
@@ -74,44 +81,48 @@ def assert_same_rows(left, right) -> None:
 # ----------------------------------------------------------------------
 @given(rows_strategy, small_ints, labels)
 def test_where_parity(rows, key, label):
-    row_table, columnar = both_backends(rows)
-    assert_same_rows(row_table.where(k=key), columnar.where(k=key))
-    assert_same_rows(row_table.where(k=key, s=label), columnar.where(k=key, s=label))
+    oracle, table = oracle_and_table(rows)
+    assert_same_rows(oracle.where(k=key), table.where(k=key))
+    assert_same_rows(oracle.where(k=key, s=label), table.where(k=key, s=label))
     predicate = lambda row: row["b"] and row["k"] >= 0  # noqa: E731
-    assert_same_rows(row_table.select(predicate), columnar.select(predicate))
+    assert_same_rows(oracle.select(predicate), table.select(predicate))
+    assert table.lookup("s", label) == oracle.lookup("s", label)
+    oracle.build_index("k")
+    table.build_index("k")
+    assert table.lookup("k", key) == oracle.lookup("k", key)
 
 
 @given(rows_strategy, st.booleans())
 def test_project_parity(rows, distinct):
-    row_table, columnar = both_backends(rows)
+    oracle, table = oracle_and_table(rows)
     assert_same_rows(
-        row_table.project(["s", "k"], distinct=distinct),
-        columnar.project(["s", "k"], distinct=distinct),
+        oracle.project(["s", "k"], distinct=distinct),
+        table.project(["s", "k"], distinct=distinct),
     )
     assert_same_rows(
-        row_table.rename({"v": "value"}, name="renamed"),
-        columnar.rename({"v": "value"}, name="renamed"),
+        oracle.rename({"v": "value"}, name="renamed"),
+        table.rename({"v": "value"}, name="renamed"),
     )
 
 
 @given(rows_strategy, rows_strategy, st.sampled_from([None, ["k"], ["k", "s"], []]))
 def test_join_parity(left_rows, right_rows, on):
-    left_row, left_col = both_backends(left_rows)
+    left_oracle, left = oracle_and_table(left_rows)
     # Rename one non-join column so the right side contributes new columns.
-    right_row = Table(TABLE_SCHEMA, right_rows).rename({"v": "w", "b": "c"}, name="r")
-    right_col = ColumnarTable(TABLE_SCHEMA, right_rows).rename({"v": "w", "b": "c"}, name="r")
-    expected = left_row.join(right_row, on=on)
-    actual = left_col.join(right_col, on=on)
+    right_oracle = RowTable(TABLE_SCHEMA, right_rows).rename({"v": "w", "b": "c"}, name="r")
+    right = Table(TABLE_SCHEMA, right_rows).rename({"v": "w", "b": "c"}, name="r")
+    expected = left_oracle.join(right_oracle, on=on)
+    actual = left.join(right, on=on)
     assert expected.columns == actual.columns
     assert_same_rows(expected, actual)
 
 
 @given(rows_strategy, st.sampled_from([["s"], ["k"], ["s", "b"], []]))
 def test_group_by_all_aggregates_parity(rows, keys):
-    row_table, columnar = both_backends(rows)
+    oracle, table = oracle_and_table(rows)
     aggregations = {f"agg_{name.lower()}": ("v", name) for name in AGGREGATES}
-    expected = row_table.group_by(keys, aggregations).to_list()
-    actual = columnar.group_by(keys, aggregations).to_list()
+    expected = oracle.group_by(keys, aggregations).to_list()
+    actual = table.group_by(keys, aggregations).to_list()
     assert len(expected) == len(actual)
     for expected_row, actual_row in zip(expected, actual):
         assert expected_row.keys() == actual_row.keys()
@@ -156,7 +167,7 @@ def test_scalar_vs_grouped_aggregate_parity(values, n_groups, rng):
 
 def test_non_finite_sum_avg_parity():
     """inf/overflow inputs: scalar and grouped SUM/AVG must agree (IEEE
-    semantics), not raise on one backend and return on the other."""
+    semantics), not raise on one path and return on the other."""
     cases = [
         [math.inf, -math.inf],  # fsum would raise ValueError
         [1e308, 1e308],  # fsum would raise OverflowError
@@ -174,23 +185,21 @@ def test_non_finite_sum_avg_parity():
             else:
                 assert grouped == scalar, (name, values, scalar, grouped)
         rows = [{"k": 0, "v": value, "s": "a", "b": False} for value in values]
-        row_table, columnar = both_backends(rows)
+        oracle, table = oracle_and_table(rows)
         aggregations = {"total": ("v", "SUM"), "mean": ("v", "AVG")}
-        assert_same_rows(
-            row_table.group_by(["k"], aggregations), columnar.group_by(["k"], aggregations)
-        )
+        assert_same_rows(oracle.group_by(["k"], aggregations), table.group_by(["k"], aggregations))
 
 
 def test_where_with_sequence_values_parity():
     """Sequence-valued equality filters must compare cell-wise, not broadcast."""
     rows = [{"k": (1, 2)}, {"k": (3, 4)}, {"k": 5}]
     schema = TableSchema.from_spec("seq", {"k": "any"})
-    row_table = Table(schema, rows)
-    columnar = ColumnarTable(schema, rows)
-    assert_same_rows(row_table.where(k=(1, 2)), columnar.where(k=(1, 2)))
-    assert_same_rows(row_table.where(k=[1, 2]), columnar.where(k=[1, 2]))
-    assert_same_rows(row_table.where(k=(9,)), columnar.where(k=(9,)))
-    assert_same_rows(row_table.where(k=5), columnar.where(k=5))
+    oracle = RowTable(schema, rows)
+    table = Table(schema, rows)
+    assert_same_rows(oracle.where(k=(1, 2)), table.where(k=(1, 2)))
+    assert_same_rows(oracle.where(k=[1, 2]), table.where(k=[1, 2]))
+    assert_same_rows(oracle.where(k=(9,)), table.where(k=(9,)))
+    assert_same_rows(oracle.where(k=5), table.where(k=5))
 
 
 @given(
@@ -224,8 +233,6 @@ def test_embedding_flat_parity(groups, embedding_name):
     small_ints,
 )
 def test_conjunctive_query_backend_parity(r_pairs, s_pairs, constant):
-    from repro.db.database import Database
-
     database = Database("parity")
     database.load_rows("R", [{"x": x, "y": y} for x, y in r_pairs] or [{"x": 0, "y": 0}])
     database.load_rows("S", [{"y": y, "z": z} for y, z in s_pairs] or [{"y": 0, "z": "a"}])
@@ -239,14 +246,36 @@ def test_conjunctive_query_backend_parity(r_pairs, s_pairs, constant):
         ConjunctiveQuery([Atom("R", (x, y)), Atom("S", (y, "a"))]),
     ]
     for query in queries:
-        assert query.evaluate(database, backend="rows") == query.evaluate(
-            database, backend="columnar"
-        )
+        assert query.evaluate(database) == row_oracle.evaluate(query, database)
 
 
 # ----------------------------------------------------------------------
-# unit-table materialization
+# content digests
 # ----------------------------------------------------------------------
+@given(rows_strategy)
+def test_content_digest_parity(rows):
+    """Digests depend on content only, never on the storage layout, so
+    grounding, table and shard-partial artifacts keyed by them stay valid."""
+    oracle, table = oracle_and_table(rows)
+    assert table.content_digest() == oracle.content_digest()
+    projected = oracle.project(["s", "b"], distinct=True)
+    assert table.project(["s", "b"], distinct=True).content_digest() == projected.content_digest()
+
+
+# ----------------------------------------------------------------------
+# unit-table construction
+# ----------------------------------------------------------------------
+def assert_same_unit_table(expected, actual) -> None:
+    assert expected.unit_keys == actual.unit_keys
+    assert expected.peer_columns == actual.peer_columns
+    assert expected.covariate_columns == actual.covariate_columns
+    for attribute in ("outcome", "treatment", "peer_treatment", "peer_counts", "covariates"):
+        left = getattr(expected, attribute)
+        right = getattr(actual, attribute)
+        assert left.shape == right.shape, attribute
+        assert np.allclose(left, right, rtol=1e-9, atol=1e-12, equal_nan=True), attribute
+
+
 @st.composite
 def grounded_setups(draw):
     """A random grounded causal graph + values for T/Y/C attributes.
@@ -300,9 +329,9 @@ def test_unit_table_backend_parity(setup, embedding):
     graph, values, units = setup
     peers = compute_peers(graph, "T", "Y", units)
 
-    def build(backend):
+    def build(builder):
         try:
-            return build_unit_table(
+            return builder(
                 graph,
                 values,
                 "T",
@@ -311,35 +340,27 @@ def test_unit_table_backend_parity(setup, embedding):
                 peers,
                 is_observed=lambda name: True,
                 embedding=embedding,
-                backend=backend,
             )
-        except Exception as error:  # noqa: BLE001 - compared across backends
+        except Exception as error:  # noqa: BLE001 - compared across paths
             return error
 
-    expected = build("rows")
-    actual = build("columnar")
+    expected = build(row_oracle.build_unit_table)
+    actual = build(build_unit_table)
     if isinstance(expected, Exception) or isinstance(actual, Exception):
         assert type(expected) is type(actual), (expected, actual)
         return
-    assert expected.unit_keys == actual.unit_keys
-    assert expected.peer_columns == actual.peer_columns
-    assert expected.covariate_columns == actual.covariate_columns
-    for attribute in ("outcome", "treatment", "peer_treatment", "peer_counts", "covariates"):
-        left = getattr(expected, attribute)
-        right = getattr(actual, attribute)
-        assert left.shape == right.shape, attribute
-        assert np.allclose(left, right, rtol=1e-9, atol=1e-12, equal_nan=True), attribute
+    assert_same_unit_table(expected, actual)
 
 
 def test_group_by_callable_aggregates_are_bitwise_identical():
-    """An explicitly passed callable must run as-is on both backends — the
-    columnar backend may not substitute its approximate numpy kernel."""
+    """An explicitly passed callable must run as-is on both paths — the
+    production group-by may not substitute its approximate numpy kernel."""
     from repro.db.aggregates import agg_sum
 
     rows = [{"k": 0, "v": 0.1, "s": "a", "b": False} for _ in range(10)]
-    row_table, columnar = both_backends(rows)
-    expected = row_table.group_by(["k"], {"total": ("v", agg_sum)}).to_list()
-    actual = columnar.group_by(["k"], {"total": ("v", agg_sum)}).to_list()
+    oracle, table = oracle_and_table(rows)
+    expected = oracle.group_by(["k"], {"total": ("v", agg_sum)}).to_list()
+    actual = table.group_by(["k"], {"total": ("v", agg_sum)}).to_list()
     assert actual == expected  # exact equality: fsum on both sides
     assert actual[0]["total"] == 1.0
 
@@ -349,8 +370,8 @@ def test_from_columns_rejects_null_in_non_nullable_any_column():
     from repro.db.schema import SchemaError
 
     with pytest.raises(SchemaError, match="not nullable"):
-        ColumnarTable.from_columns("t", {"x": [1, None, 3]})
-    table = ColumnarTable.from_columns("t", {"x": [1, 2, 3]})
+        Table.from_columns("t", {"x": [1, None, 3]})
+    table = Table.from_columns("t", {"x": [1, 2, 3]})
     assert table.column("x") == [1, 2, 3]
 
 
@@ -380,20 +401,32 @@ def test_custom_embedding_subclass_overrides_are_honoured():
 
 
 # ----------------------------------------------------------------------
-# end-to-end: engine answers must not depend on the backend
+# end-to-end: the engine's unit tables match the oracle's
 # ----------------------------------------------------------------------
-def test_engine_answer_backend_parity(toy_engine):
-    rows = toy_engine.answer("Score[S] <= Prestige[A] ?", backend="rows")
-    columnar = toy_engine.answer("Score[S] <= Prestige[A] ?", backend="columnar")
-    assert columnar.result.ate == pytest.approx(rows.result.ate, rel=1e-12)
-    assert columnar.result.naive_difference == pytest.approx(
-        rows.result.naive_difference, rel=1e-12
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Score[S] <= Prestige[A] ?",
+        'Score[S] <= Prestige[A] ? WHERE Submitted(S, C), Blind[C] = "double"',
+        "Score[S] <= Prestige[A] ? WHEN ALL PEERS TREATED",
+    ],
+    ids=["ate", "where", "peers"],
+)
+def test_engine_unit_table_matches_oracle(text):
+    """The engine's unit table equals the oracle's Algorithm 1 run on the
+    engine's own graph, values, units and peers."""
+    engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
+    actual = engine.unit_table(text)
+    query = parse_query(text)
+    treatment, subject = engine._validated_treatment(query)
+    with engine._state_lock:
+        response = engine._resolve_response(query, subject)
+        values, units = engine._restricted_units(query, treatment, response)
+    peers = compute_peers(engine.graph, treatment, response, units)
+    expected = row_oracle.build_unit_table(
+        engine.graph, values, treatment, response, units, peers, engine.model.is_observed
     )
-    assert columnar.unit_table_summary == rows.unit_table_summary
-
-
-def test_engine_defaults_to_columnar(toy_engine):
-    assert toy_engine.backend == "columnar"
+    assert_same_unit_table(expected, actual)
 
 
 # ----------------------------------------------------------------------
@@ -403,10 +436,10 @@ def test_engine_defaults_to_columnar(toy_engine):
 @given(rows_strategy, st.sampled_from([["s"], ["k", "b"]]))
 @settings(max_examples=800, deadline=None)
 def test_group_by_parity_exhaustive(rows, keys):
-    row_table, columnar = both_backends(rows)
+    oracle, table = oracle_and_table(rows)
     aggregations = {f"agg_{name.lower()}": ("v", name) for name in AGGREGATES}
-    expected = row_table.group_by(keys, aggregations).to_list()
-    actual = columnar.group_by(keys, aggregations).to_list()
+    expected = oracle.group_by(keys, aggregations).to_list()
+    actual = table.group_by(keys, aggregations).to_list()
     assert len(expected) == len(actual)
     for expected_row, actual_row in zip(expected, actual):
         for column in expected_row:

@@ -2,11 +2,9 @@
 
 The historical bugs pinned here:
 
-- ``answer_all`` silently dropped the ``backend``, ``bootstrap`` and ``seed``
-  options that ``answer`` accepts, so batch answers could differ from
-  one-at-a-time answers issued with the same options;
-- ``diagnostics`` and ``conditional_effects`` ignored the per-query
-  ``backend`` override that ``answer``/``unit_table`` honor;
+- ``answer_all`` silently dropped the ``bootstrap`` and ``seed`` options
+  that ``answer`` accepts, so batch answers could differ from one-at-a-time
+  answers issued with the same options;
 - ``QueryAnswer.grounding_seconds`` reported the engine's mutable
   last-grounding time, wrongly charging every later answer (including pure
   cache hits that never ground) for work it did not do.
@@ -16,7 +14,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.carl.engine import CaRLEngine
@@ -64,7 +61,7 @@ def result_key(answer):
 class TestKwargsForwarding:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_batch_forwards_backend_bootstrap_seed(self, jobs):
-        options = {"backend": "rows", "bootstrap": 20, "seed": 7}
+        options = {"bootstrap": 20, "seed": 7}
         serial_engine = fresh_engine()
         serial = {
             name: serial_engine.answer(query, **options) for name, query in QUERIES.items()
@@ -160,28 +157,3 @@ class TestGroundingAttribution:
         answers = fresh_engine().answer_all(QUERIES, jobs=4)
         # The one grounding ran up front in answer_all, before any worker.
         assert all(answer.grounding_seconds == 0.0 for answer in answers.values())
-
-
-class TestBackendOverrideThreading:
-    def test_diagnostics_honors_backend(self, toy_engine):
-        rows = toy_engine.diagnostics(QUERIES["agg"], backend="rows")
-        columnar = toy_engine.diagnostics(QUERIES["agg"], backend="columnar")
-        assert [entry.name for entry in rows.covariates] == [
-            entry.name for entry in columnar.covariates
-        ]
-        for mine, theirs in zip(rows.covariates, columnar.covariates):
-            assert mine.smd_unadjusted == theirs.smd_unadjusted
-            assert mine.smd_weighted == theirs.smd_weighted
-
-    def test_diagnostics_rejects_unknown_backend(self, toy_engine):
-        with pytest.raises(QueryError, match="backend"):
-            toy_engine.diagnostics(QUERIES["agg"], backend="nope")
-
-    def test_conditional_effects_honors_backend(self, toy_engine):
-        rows = toy_engine.conditional_effects(QUERIES["agg"], backend="rows")
-        columnar = toy_engine.conditional_effects(QUERIES["agg"], backend="columnar")
-        assert np.array_equal(rows, columnar)
-
-    def test_conditional_effects_rejects_unknown_backend(self, toy_engine):
-        with pytest.raises(QueryError, match="backend"):
-            toy_engine.conditional_effects(QUERIES["agg"], backend="nope")

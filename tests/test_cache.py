@@ -58,12 +58,6 @@ class TestFingerprints:
         database.drop_table("t")
         assert database.version_token() != token
 
-    def test_fingerprint_is_backend_independent(self):
-        database = toy_review_database()  # row backend
-        columnar = database.to_backend("columnar")
-        assert columnar.fingerprint() == database.fingerprint()
-        assert columnar.to_backend("rows").fingerprint() == database.fingerprint()
-
     def test_value_type_changes_fingerprint(self):
         left, right = Database("l"), Database("r")
         left.load_rows("t", [{"a": 1}])
@@ -80,11 +74,10 @@ class TestFingerprints:
 
     def test_query_fingerprint_distinguishes_embedding_and_backend(self):
         query = parse_query("AVG_Score[A] <= Prestige[A] ?")
-        base = query_fingerprint(query, "mean", "columnar")
-        assert query_fingerprint(query, "moments", "columnar") != base
-        assert query_fingerprint(query, "mean", "rows") != base
+        base = query_fingerprint(query, "mean")
+        assert query_fingerprint(query, "moments") != base
         other = parse_query("AVG_Score[A] <= Qualification[A] >= 5 ?")
-        assert query_fingerprint(other, "mean", "columnar") != base
+        assert query_fingerprint(other, "mean") != base
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.cache import (
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.carl.unit_table import UnitTable
 from repro.db.schema import ColumnSchema, TableSchema
-from repro.db.table import ColumnarTable
+from repro.db.table import Table
 
 # ----------------------------------------------------------------------
 # strategies
@@ -56,7 +56,7 @@ VALUE_STRATEGIES = {
 
 
 @st.composite
-def columnar_tables(draw) -> ColumnarTable:
+def columnar_tables(draw) -> Table:
     n_columns = draw(st.integers(min_value=1, max_value=4))
     names = draw(
         st.lists(unicode_names, min_size=n_columns, max_size=n_columns, unique=True)
@@ -78,7 +78,7 @@ def columnar_tables(draw) -> ColumnarTable:
             for name, dtype, null in zip(names, dtypes, nullable)
         ),
     )
-    table = ColumnarTable(schema)
+    table = Table(schema)
     n_rows = draw(st.integers(min_value=0, max_value=8))
     for _ in range(n_rows):
         row = {}

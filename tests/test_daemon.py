@@ -111,7 +111,7 @@ def _collect_task(task_id: int, group: str | None) -> _Task:
 
 
 def test_ready_queue_drains_round_robin_across_groups():
-    scheduler = ShardScheduler(fresh_engine(), jobs=1, shards=1, retries=0, backend="columnar")
+    scheduler = ShardScheduler(fresh_engine(), jobs=1, shards=1, retries=0)
     order = ["a", "a", "a", "a", "b", "b", "c"]
     for task_id, group in enumerate(order):
         scheduler._enqueue_ready_locked(_collect_task(task_id, group))
@@ -129,7 +129,7 @@ def test_ready_queue_drains_round_robin_across_groups():
 
 
 def test_priority_tasks_jump_every_group():
-    scheduler = ShardScheduler(fresh_engine(), jobs=1, shards=1, retries=0, backend="columnar")
+    scheduler = ShardScheduler(fresh_engine(), jobs=1, shards=1, retries=0)
     scheduler._enqueue_ready_locked(_collect_task(0, "a"))
     scheduler._enqueue_ready_locked(_collect_task(1, "b"))
     scheduler._priority.append(2)  # a finish task, enqueued last

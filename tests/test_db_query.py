@@ -6,6 +6,8 @@ import pytest
 
 from repro.db.database import Database
 from repro.db.query import Atom, ConjunctiveQuery, QueryError, Variable
+from repro.db.table import Table
+import row_oracle
 
 
 @pytest.fixture()
@@ -114,10 +116,9 @@ class TestVectorizedJoinEdges:
     """Shapes the numpy join must get right beyond the Hypothesis parity runs."""
 
     def both(self, query, db):
-        rows = query.evaluate(db, backend="rows")
-        columnar = query.evaluate(db, backend="columnar")
-        assert rows == columnar  # identical bindings, identical order
-        return columnar
+        bindings = query.evaluate(db)
+        assert bindings == row_oracle.evaluate(query, db)  # same bindings, same order
+        return bindings
 
     def test_cartesian_product_no_shared_variables(self, review_db):
         query = ConjunctiveQuery(
@@ -145,7 +146,7 @@ class TestVectorizedJoinEdges:
     def test_nan_join_keys_never_match(self):
         # IEEE semantics: NaN != NaN, so a NaN key joins nothing — even when
         # both sides hold the *same* NaN object (a dict would match it by
-        # identity; the row backend's equality rechecks reject it).
+        # identity; the row oracle's equality rechecks reject it).
         nan = float("nan")
         db = Database("nanjoin")
         db.load_rows("R", [{"a": 1, "b": nan}, {"a": 2, "b": 3.0}])
@@ -179,9 +180,21 @@ class TestVectorizedJoinEdges:
         assert len(bindings) == 5
 
     def test_columnar_backend_on_columnar_tables(self):
-        db = Database("col", backend="columnar")
-        db.load_rows("R", [{"x": i, "y": i % 3} for i in range(20)])
-        db.load_rows("S", [{"y": y, "z": f"z{y}"} for y in range(3)])
+        # Typed columns built in bulk: their cached numeric arrays must not
+        # change join semantics.
+        db = Database("col")
+        db.add_table(
+            Table.from_columns(
+                "R",
+                {"x": list(range(20)), "y": [i % 3 for i in range(20)]},
+                dtypes={"x": "int", "y": "int"},
+            )
+        )
+        db.add_table(
+            Table.from_columns(
+                "S", {"y": [0, 1, 2], "z": ["z0", "z1", "z2"]}, dtypes={"y": "int", "z": "str"}
+            )
+        )
         query = ConjunctiveQuery(
             [Atom("R", (var("X"), var("Y"))), Atom("S", (var("Y"), var("Z")))]
         )

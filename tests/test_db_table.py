@@ -50,6 +50,28 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             people.insert({"name": "bob", "age": 50, "city": "x"})
 
+    def test_insert_many_keeps_the_rows_before_a_failing_row(self, people):
+        people.build_index("city")
+        version = people.version
+        rows = [
+            {"name": "dana", "age": 50, "city": "x"},
+            {"name": "eli", "age": 51, "city": "x"},
+            {"name": "dana", "age": 52, "city": "y"},  # repeats a key
+            {"name": "fay", "age": 53, "city": "z"},
+        ]
+        with pytest.raises(SchemaError, match="duplicate"):
+            people.insert_many(rows)
+        assert [row["name"] for row in people] == ["bob", "eva", "carlos", "dana", "eli"]
+        assert people.version == version + 2
+        assert people.get_by_key("eli")["age"] == 51
+        assert len(people.lookup("city", "x")) == 2
+        with pytest.raises(SchemaError):
+            people.insert_many(
+                [{"name": "gus", "age": 1, "city": "q"}, {"name": "hal", "age": "?", "city": "q"}]
+            )
+        assert people.get_by_key("gus")["age"] == 1
+        assert len(people) == 6
+
     def test_len_and_iteration(self, people):
         assert len(people) == 3
         assert sorted(row["name"] for row in people) == ["bob", "carlos", "eva"]

@@ -23,6 +23,7 @@ Contracts held here:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -35,7 +36,9 @@ import pytest
 from repro.cache.store import ArtifactCache, CacheKey
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import QueryError
+from repro.carl.parser import parse_query
 from repro.carl.queries import QueryAnswer
+from repro.carl.shard import ShardTask
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
 from repro.faults.injection import (
     PLAN_ENV,
@@ -54,7 +57,7 @@ from repro.faults.plan import (
 )
 from repro.faults.sites import FAULT_SITES
 from repro.observability.telemetry import reset_registry
-from repro.service.scheduler import ShardScheduler
+from repro.service.scheduler import ShardScheduler, _Task, _Worker
 
 QUERIES = {
     "ate": "Score[S] <= Prestige[A] ?",
@@ -311,7 +314,7 @@ def backoff_task(attempts: int) -> types.SimpleNamespace:
 
 
 def test_backoff_is_seeded_exponential_with_bounded_jitter():
-    scheduler = ShardScheduler(None, jobs=1, shards=1, retries=2, backend="columnar")
+    scheduler = ShardScheduler(None, jobs=1, shards=1, retries=2)
     previous_exponential = 0.0
     for attempts in range(1, 8):
         delay = scheduler._backoff_seconds(backoff_task(attempts))
@@ -324,19 +327,73 @@ def test_backoff_is_seeded_exponential_with_bounded_jitter():
 
 
 def test_backoff_is_deterministic_across_schedulers_and_disablable():
-    a = ShardScheduler(None, jobs=1, shards=1, retries=2, backend="columnar")
-    b = ShardScheduler(None, jobs=1, shards=1, retries=2, backend="columnar")
+    a = ShardScheduler(None, jobs=1, shards=1, retries=2)
+    b = ShardScheduler(None, jobs=1, shards=1, retries=2)
     assert a._backoff_seconds(backoff_task(2)) == b._backoff_seconds(backoff_task(2))
-    seeded = ShardScheduler(
-        None, jobs=1, shards=1, retries=2, backend="columnar", backoff_seed=1
-    )
+    seeded = ShardScheduler(None, jobs=1, shards=1, retries=2, backoff_seed=1)
     assert a._backoff_seconds(backoff_task(2)) != seeded._backoff_seconds(
         backoff_task(2)
     )
-    disabled = ShardScheduler(
-        None, jobs=1, shards=1, retries=2, backend="columnar", backoff_base=0.0
-    )
+    disabled = ShardScheduler(None, jobs=1, shards=1, retries=2, backoff_base=0.0)
     assert disabled._backoff_seconds(backoff_task(5)) == 0.0
+
+
+# ----------------------------------------------------------------------
+# killed workers: no new tasks; results sent before death still count
+# ----------------------------------------------------------------------
+def fake_worker(worker_id: int, alive: bool = True, results=None) -> _Worker:
+    """A dispatcher-side worker record over a stand-in process and task queue."""
+    process = types.SimpleNamespace(is_alive=lambda: alive, exitcode=None if alive else -15)
+    sent: list = []
+    worker = _Worker(worker_id, process, types.SimpleNamespace(put=sent.append), results)
+    worker.sent = sent
+    return worker
+
+
+def ready_collect_task(scheduler: ShardScheduler) -> _Task:
+    spec = ShardTask(
+        query=parse_query(QUERIES["ate"]),
+        start=0,
+        stop=1,
+        n_units=1,
+        result_key=CacheKey(database="ab" * 32, program="cd" * 32, kind="unit_inputs"),
+    )
+    task = _Task(id=0, kind="collect", spec=spec, queries={0})
+    scheduler._tasks[task.id] = task
+    scheduler._enqueue_ready_locked(task)
+    return task
+
+
+def test_a_killed_worker_is_not_sent_a_task():
+    scheduler = ShardScheduler(None, jobs=2, shards=1, retries=2)
+    dying, live = fake_worker(0), fake_worker(1)
+    dying.expected_death = True  # terminated, not yet reaped
+    scheduler._workers = {0: dying, 1: live}
+    task = ready_collect_task(scheduler)
+    scheduler._assign_ready_tasks()
+    assert dying.sent == []
+    assert [task_id for task_id, _ in live.sent] == [task.id]
+
+
+def test_a_dead_workers_last_result_is_handled_before_its_death(tmp_path):
+    scheduler = ShardScheduler(None, jobs=1, shards=1, retries=2)
+    scheduler._cache = ArtifactCache(tmp_path)
+    scheduler._stop.set()  # closing: the dead worker is not replaced
+    results, writer = multiprocessing.Pipe(duplex=False)
+    worker = fake_worker(0, alive=False, results=results)
+    scheduler._workers = {0: worker}
+    task = ready_collect_task(scheduler)
+    scheduler._assign_ready_tasks()
+    # The worker finished its task, reported it, then died.
+    writer.send((0, task.id, "ok", (task.spec.result_key, 0.5), None))
+    writer.close()
+    scheduler._reap_dead_workers()
+    stats = scheduler.stats()
+    assert stats["retries"] == 0  # the finished task is not rerun
+    assert stats["live_tasks"] == 0
+    assert stats["warm_keys"] == 1
+    assert results.closed
+    scheduler._cache.unpin_all()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Estimator behavior on degenerate unit tables.
 
-The columnar unit-table backend hands the estimators arrays straight from
-bulk materialization, so degenerate shapes (all-treated, all-control,
+The unit-table builder hands the estimators arrays straight from bulk
+materialization, so degenerate shapes (all-treated, all-control,
 zero-variance covariates, single-unit strata, empty covariate matrices)
 must keep failing loudly — or succeeding finitely — exactly as before.
 These tests pin that contract so vectorization can't silently regress it.

@@ -195,8 +195,6 @@ def test_session_rejects_bad_options():
         QuerySession(engine, jobs=2, shards=0, executor="process")
     with pytest.raises(QueryError, match="shards"):
         QuerySession(engine, jobs=2, shards=2)  # thread executor
-    with pytest.raises(QueryError, match="columnar"):
-        QuerySession(engine, jobs=2, executor="process", backend="rows")
     with pytest.raises(QueryError, match="retries"):
         QuerySession(engine, jobs=2, executor="process", retries=-1)
     session = engine.open_session()

@@ -44,8 +44,9 @@ from repro.db.aggregates import (
     shard_ranges,
     sharded_grouped_aggregate,
 )
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 from repro.observability import reset_registry
+from row_oracle import RowTable
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -236,28 +237,27 @@ def test_shard_partials_round_trip_through_artifact_store(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# sharded ColumnarTable.group_by vs the row backend
+# sharded Table.group_by vs the row oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", SHARDABLE_AGGREGATES)
 def test_sharded_group_by_matches_row_backend_bitwise(name):
-    """With shards set, the columnar group-by adopts the scalar (fsum) family
-    and therefore matches the row backend *bit for bit*, at any shard count."""
+    """With shards set, the group-by adopts the scalar (fsum) family and
+    therefore matches the row oracle *bit for bit*, at any shard count."""
     rng = np.random.default_rng(11)
     rows = [
         {"k": int(i % 4), "v": float(v)}
         for i, v in enumerate(rng.normal(size=150) * 10.0 ** rng.integers(-3, 7, size=150).astype(float))
     ]
-    row_table = Table.from_rows("t", rows)
-    columnar = row_table.to_columnar()
-    reference = row_table.group_by(["k"], {"out": ("v", name)}).to_list()
+    table = Table.from_rows("t", rows)
+    reference = RowTable(table.schema, rows).group_by(["k"], {"out": ("v", name)}).to_list()
     for shards in SHARD_COUNTS:
-        sharded = columnar.group_by(["k"], {"out": ("v", name)}, shards=shards).to_list()
+        sharded = table.group_by(["k"], {"out": ("v", name)}, shards=shards).to_list()
         assert sharded == reference
 
 
 def test_row_slice_shards_reassemble():
     rng = np.random.default_rng(5)
-    table = ColumnarTable.from_columns(
+    table = Table.from_columns(
         "t",
         {"a": rng.normal(size=23).tolist(), "b": [f"s{i}" for i in range(23)]},
         dtypes={"a": "float", "b": "str"},
@@ -488,8 +488,6 @@ def test_answer_all_option_validation():
         engine.answer_all(QUERIES, jobs=2, shards=0, executor="process")
     with pytest.raises(QueryError, match="shards"):
         engine.answer_all(QUERIES, jobs=2, shards=2)  # thread executor
-    with pytest.raises(QueryError, match="columnar"):
-        engine.answer_all(QUERIES, jobs=2, executor="process", backend="rows")
     assert engine.answer_all({}, jobs=2, executor="process") == {}
     # An explicit shards=0 must never silently become `jobs` (the old
     # `shards or jobs` resolution): it is rejected with a clear error, at
