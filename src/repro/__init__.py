@@ -3,7 +3,8 @@
 Public API overview
 -------------------
 * :mod:`repro.db` — in-memory relational database substrate.
-* :mod:`repro.graph` — DAG and d-separation machinery.
+* :mod:`repro.graph` — CSR adjacency for grounded causal graphs: closures,
+  topological order and d-separation.
 * :mod:`repro.carl` — the CaRL language (parser), grounding, covariate
   detection, unit-table construction and the query-answering engine.
 * :mod:`repro.inference` — single-table causal estimators (regression

@@ -27,7 +27,6 @@ import tempfile
 import threading
 import time
 import zipfile
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -557,9 +556,7 @@ class ArtifactCache:
                 pass
         return protected
 
-    def evict(
-        self, max_bytes: int, protect: Iterable[Path] = (), kind: str | None = None
-    ) -> tuple[int, int]:
+    def evict(self, max_bytes: int, kind: str | None = None) -> tuple[int, int]:
         """Size-budgeted LRU eviction: delete oldest artifacts until the cache
         fits in ``max_bytes``; returns ``(artifacts removed, bytes freed)``.
 
@@ -567,12 +564,12 @@ class ArtifactCache:
         store never rewrites an artifact in place, so mtime is last-write =
         least-recently-produced; loads do not bump it).  Pinned artifacts —
         pinned through this instance (see :meth:`pin`) or by a live session
-        in *another* process (its ``.pin`` sidecar) — and paths in
-        ``protect`` are skipped.  A file the OS refuses to delete (e.g.
-        ``EBUSY`` on platforms that lock memory-mapped files — Linux never
-        does, Windows and some network filesystems do) is skipped too, not
-        retried and not counted: eviction is best-effort by design, so a busy
-        artifact simply survives until the next sweep.
+        in *another* process (its ``.pin`` sidecar) — are skipped.  A file
+        the OS refuses to delete (e.g. ``EBUSY`` on platforms that lock
+        memory-mapped files — Linux never does, Windows and some network
+        filesystems do) is skipped too, not retried and not counted:
+        eviction is best-effort by design, so a busy artifact simply survives
+        until the next sweep.
 
         With ``kind`` set, only artifacts of that kind are counted against
         ``max_bytes`` and considered for deletion — ``kind="unit_inputs"``
@@ -585,7 +582,7 @@ class ArtifactCache:
         if kind is not None:
             entries = [entry for entry in entries if entry.kind == kind]
         total = sum(entry.size_bytes for entry in entries)
-        skip = self.pinned_paths() | set(protect)
+        skip = self.pinned_paths()
         removed = 0
         freed = 0
         for entry in entries:

@@ -29,7 +29,6 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dag import DAG
 
 
 class GroundedAttribute(NamedTuple):
@@ -164,6 +163,7 @@ class GroundedCausalGraph:
         wires them in directly instead of re-interning node by node.  The
         ``_by_attribute`` index is installed separately by the loader (it is
         derived from the payload's attribute-id array in one vectorized pass).
+        :meth:`do` uses it the same way for the mutilated graph.
         """
         self._nodes = nodes
         self._node_index = dict(zip(nodes, range(len(nodes))))
@@ -326,23 +326,27 @@ class GroundedCausalGraph:
     # ------------------------------------------------------------------
     def topological_order(self) -> list[GroundedAttribute]:
         """Deterministic topological order (level-synchronous Kahn over CSR);
-        raises :class:`~repro.graph.dag.CycleError` on cyclic graphs."""
+        raises :class:`~repro.graph.csr.CycleError` on cyclic graphs."""
         nodes = self._nodes
         return [nodes[index] for index in self.csr().topological_order().tolist()]
 
     def validate_acyclic(self) -> None:
         self.csr().topological_order()
 
-    def do(self, nodes: Iterable[GroundedAttribute]) -> DAG:
-        """Mutilated DAG for an intervention on ``nodes`` (edges into them
-        removed), with nodes and edges inserted in deterministic id order."""
-        intervened = {node for node in nodes if node in self._node_index}
-        mutilated = DAG()
-        for node in self._nodes:
-            mutilated.add_node(node)
-        for parent, child in self.edges:
-            if child not in intervened:
-                mutilated.add_edge(parent, child)
+    def do(self, nodes: Iterable[GroundedAttribute]) -> "GroundedCausalGraph":
+        """Mutilated graph for an intervention on ``nodes``: the same node ids
+        and aggregate marks, with every edge into an intervened node removed."""
+        csr = self.csr()
+        intervened = np.zeros(csr.n, dtype=bool)
+        intervened[sorted(self._as_ids(nodes))] = True
+        parents, children = csr.edge_arrays()
+        keep = ~intervened[children]
+        mutilated = GroundedCausalGraph()
+        mutilated._adopt_arrays(
+            list(self._nodes), CSRGraph.from_edges(csr.n, parents[keep], children[keep])
+        )
+        mutilated._by_attribute = {name: list(ids) for name, ids in self._by_attribute.items()}
+        mutilated._aggregates = dict(self._aggregates)
         return mutilated
 
     def _as_ids(
@@ -375,7 +379,7 @@ class GroundedCausalGraph:
         """d-separation in the grounded graph (used to verify adjustment sets).
 
         Bayes-ball reachability as boolean-mask frontier sweeps over the CSR
-        arrays; semantics match :func:`repro.graph.dseparation.d_separated`.
+        arrays (:meth:`~repro.graph.csr.CSRGraph.dconnected_mask`).
         """
         given_ids = self._as_ids(given)
         x_ids = self._as_ids(x) - given_ids

@@ -16,10 +16,10 @@ benchmarks and tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any, Callable
 
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
-from repro.graph.dseparation import d_separated, find_minimal_separator
 
 
 def parent_adjustment_set(
@@ -82,7 +82,7 @@ def verify_adjustment_set(
     if not parent_union:
         return True
     conditioning = list(treatment_nodes) + list(adjustment)
-    return d_separated(graph, [response_node], parent_union, conditioning)
+    return graph.d_separated([response_node], parent_union, conditioning)
 
 
 def minimal_adjustment_set(
@@ -114,17 +114,37 @@ def minimal_adjustment_set(
     parent_union -= set(treatment_nodes)
     if not parent_union:
         return []
-    reduced = find_minimal_separator(
-        graph,
-        [response_node],
-        parent_union,
-        list(treatment_nodes) + candidate,
+    reduced = _minimal_separator(
+        graph, [response_node], parent_union, list(treatment_nodes) + candidate
     )
     if reduced is None:
         return candidate
     # Drop the treatment nodes themselves; they are conditioned on separately.
     treatment_set = set(treatment_nodes)
     return [node for node in reduced if node not in treatment_set]
+
+
+def _minimal_separator(
+    graph: GroundedCausalGraph,
+    x: Iterable[GroundedAttribute] | GroundedAttribute,
+    y: Iterable[GroundedAttribute] | GroundedAttribute,
+    candidate: Iterable[GroundedAttribute],
+) -> list[GroundedAttribute] | None:
+    """Greedily shrink ``candidate`` to a minimal set still d-separating x and y.
+
+    Returns the reduced separator (order-stable with respect to ``candidate``)
+    or None when ``candidate`` itself does not separate ``x`` from ``y``.
+    The result is *minimal* (no single element can be dropped), not
+    necessarily *minimum*.
+    """
+    keep = list(dict.fromkeys(candidate))
+    if not graph.d_separated(x, y, keep):
+        return None
+    for node in list(keep):
+        trial = [other for other in keep if other != node]
+        if graph.d_separated(x, y, trial):
+            keep = trial
+    return keep
 
 
 def adjustment_attributes(adjustment: list[GroundedAttribute]) -> list[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -57,7 +58,7 @@ from repro.db.database import Database
 from repro.inference.bootstrap import bootstrap_statistic
 from repro.observability.telemetry import get_registry
 from repro.inference.correlation import naive_difference, pearson_correlation
-from repro.inference.estimators import estimate_ate, estimate_ate_from_unit_table
+from repro.inference.estimators import estimate_ate
 from repro.inference.outcome import OutcomeModel
 
 
@@ -932,29 +933,29 @@ class CaRLEngine:
         naive = naive_difference(unit_table.treatment, unit_table.outcome)
         correlation = pearson_correlation(unit_table.treatment, unit_table.outcome)
 
+        # ``statistic(*columns)`` is the point estimate; the bootstrap
+        # resamples rows of these same columns and recomputes it.
         if estimator == "regression":
-            ate = self._regression_ate(unit_table)
+            statistic: Callable[..., float] = _regression_ate
+            columns = [
+                unit_table.outcome,
+                unit_table.treatment,
+                unit_table.peer_treatment,
+                unit_table.peer_counts,
+                unit_table.covariates,
+            ]
+            ate = statistic(*columns)
             details: dict[str, Any] = {"method": "outcome model over own + peer treatment"}
         else:
-            estimate = estimate_ate_from_unit_table(unit_table, estimator=estimator)
+            columns = [unit_table.outcome, unit_table.treatment, unit_table.adjustment_features()]
+            estimate = estimate_ate(*columns, estimator=estimator)
             ate = estimate.ate
             details = dict(estimate.details)
+            statistic = lambda *arrays: estimate_ate(*arrays, estimator=estimator).ate  # noqa: E731
 
         confidence_interval = None
         if bootstrap > 0:
-            features = unit_table.adjustment_features()
-
-            def statistic(outcome: np.ndarray, treatment: np.ndarray, covariates: np.ndarray) -> float:
-                if estimator == "regression":
-                    return estimate_ate(outcome, treatment, covariates, estimator="regression").ate
-                return estimate_ate(outcome, treatment, covariates, estimator=estimator).ate
-
-            result = bootstrap_statistic(
-                statistic,
-                [unit_table.outcome, unit_table.treatment, features],
-                n_bootstrap=bootstrap,
-                seed=seed,
-            )
+            result = bootstrap_statistic(statistic, columns, n_bootstrap=bootstrap, seed=seed)
             confidence_interval = (result.lower, result.upper)
             details["bootstrap_se"] = result.standard_error
 
@@ -972,22 +973,6 @@ class CaRLEngine:
             confidence_interval=confidence_interval,
             details=details,
         )
-
-    def _regression_ate(self, unit_table: UnitTable) -> float:
-        """ATE as AOE(all treated ; none treated) under the outcome model (Eq. 23)."""
-        model = OutcomeModel().fit(
-            unit_table.outcome,
-            unit_table.treatment,
-            unit_table.peer_treatment,
-            unit_table.covariates,
-        )
-        all_treated = model.predict_intervention(
-            1.0, 1.0, unit_table.peer_treatment, unit_table.peer_counts, unit_table.covariates
-        )
-        none_treated = model.predict_intervention(
-            0.0, 0.0, unit_table.peer_treatment, unit_table.peer_counts, unit_table.covariates
-        )
-        return float(np.mean(all_treated - none_treated))
 
     def _estimate_effects(
         self,
@@ -1039,3 +1024,17 @@ class CaRLEngine:
             estimator=estimator,
             details={"coefficients": model.coefficients},
         )
+
+
+def _regression_ate(
+    outcome: np.ndarray,
+    treatment: np.ndarray,
+    peer_treatment: np.ndarray,
+    peer_counts: np.ndarray,
+    covariates: np.ndarray,
+) -> float:
+    """ATE as AOE(all treated ; none treated) under the outcome model (Eq. 23)."""
+    model = OutcomeModel().fit(outcome, treatment, peer_treatment, covariates)
+    all_treated = model.predict_intervention(1.0, 1.0, peer_treatment, peer_counts, covariates)
+    none_treated = model.predict_intervention(0.0, 0.0, peer_treatment, peer_counts, covariates)
+    return float(np.mean(all_treated - none_treated))

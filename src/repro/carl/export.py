@@ -57,13 +57,13 @@ def grounded_graph_to_dot(
 
 def attribute_graph_to_dot(model: RelationalCausalModel) -> str:
     """Render the attribute-level dependency graph (Figure 3-style) as DOT."""
-    graph = model.attribute_dependency_graph()
+    names = dict.fromkeys((*model.schema.attribute_names, *model.derived_attributes))
     lines = ["digraph attribute_dependencies {", "  rankdir=BT;"]
-    for name in graph.nodes:
+    for name in names:
         shape = "box" if model.is_derived(name) else "ellipse"
         peripheries = 1 if model.is_observed(name) else 2
         lines.append(f"  {_quote(name)} [shape={shape}, peripheries={peripheries}];")
-    for parent, child in graph.edges:
+    for parent, child in model.attribute_dependency_edges():
         lines.append(f"  {_quote(parent)} -> {_quote(child)};")
     lines.append("}")
     return "\n".join(lines)

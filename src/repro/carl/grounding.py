@@ -140,7 +140,7 @@ class Grounder:
     # ------------------------------------------------------------------
     # graph assembly
     # ------------------------------------------------------------------
-    def ground(self, include_aggregates: bool = True) -> GroundedCausalGraph:
+    def ground(self) -> GroundedCausalGraph:
         """Ground every rule of the model and assemble ``G(Phi_Delta)``.
 
         Nodes are also created for every unit of every declared attribute even
@@ -159,10 +159,9 @@ class Grounder:
             for grounded_rule in self.ground_rule(rule):
                 graph.add_grounded_rule(grounded_rule)
 
-        if include_aggregates:
-            for rule in self.model.aggregate_rules:
-                for grounded_rule in self.ground_aggregate_rule(rule):
-                    graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
+        for rule in self.model.aggregate_rules:
+            for grounded_rule in self.ground_aggregate_rule(rule):
+                graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
 
         graph.validate_acyclic()
         return graph

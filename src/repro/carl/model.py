@@ -24,7 +24,7 @@ from repro.carl.ast import (
 )
 from repro.carl.errors import ModelError
 from repro.carl.schema import RelationalCausalSchema
-from repro.graph.dag import DAG, CycleError
+from repro.graph.csr import CSRGraph, CycleError
 
 
 @dataclass(frozen=True)
@@ -146,21 +146,21 @@ class RelationalCausalModel:
         """The rule set ``phi_A`` of the paper: rules whose head is ``attribute_name``."""
         return [rule for rule in self.rules if rule.head.name == attribute_name]
 
-    def attribute_dependency_graph(self) -> DAG:
-        """Attribute-level DAG: edge ``B -> A`` when some rule derives A from B."""
-        graph = DAG()
-        for name in self.schema.attribute_names:
-            graph.add_node(name)
-        for name in self._derived:
-            graph.add_node(name)
-        for rule in self.rules:
-            for atom in rule.body:
-                if atom.name != rule.head.name:
-                    graph.add_edge(atom.name, rule.head.name)
-        for rule in self.aggregate_rules:
-            if rule.body.name != rule.head.name:
-                graph.add_edge(rule.body.name, rule.head.name)
-        return graph
+    def attribute_dependency_edges(self) -> list[tuple[str, str]]:
+        """Attribute-level dependencies: ``(B, A)`` when some rule derives A
+        from B.  Deduplicated, in rule order."""
+        edges = [
+            (atom.name, rule.head.name)
+            for rule in self.rules
+            for atom in rule.body
+            if atom.name != rule.head.name
+        ]
+        edges += [
+            (rule.body.name, rule.head.name)
+            for rule in self.aggregate_rules
+            if rule.body.name != rule.head.name
+        ]
+        return list(dict.fromkeys(edges))
 
     # ------------------------------------------------------------------
     # validation helpers
@@ -269,9 +269,16 @@ class RelationalCausalModel:
         for rule in self.aggregate_rules:
             if rule.body.name == rule.head.name:
                 raise ModelError(f"recursive aggregate rule {rule}")
-        graph = self.attribute_dependency_graph()
+        edges = self.attribute_dependency_edges()
+        ids: dict[str, int] = {}
+        for edge in edges:
+            for name in edge:
+                ids.setdefault(name, len(ids))
+        graph = CSRGraph.from_edges(
+            len(ids), [ids[parent] for parent, _ in edges], [ids[child] for _, child in edges]
+        )
         try:
-            graph.validate_acyclic()
+            graph.topological_order()
         except CycleError as error:
             raise ModelError(
                 "the relational causal model is recursive (attribute-level dependency cycle); "

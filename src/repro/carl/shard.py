@@ -13,8 +13,8 @@ sides of that process boundary share:
   and the grounded graph become npz artifacts a worker memory-maps instead
   of unpickling;
 * each query's unit list is split into contiguous ranges
-  (:func:`repro.db.aggregates.shard_ranges`, sized by :func:`_plan_query`),
-  one :class:`ShardTask` per range;
+  (:func:`shard_ranges`, sized by :func:`_plan_query`), one
+  :class:`ShardTask` per range;
 * workers hand their partial collections back as ``unit_inputs`` artifacts
   (numeric row ids memory-mappable, raw values exact object round-trips)
   and a :class:`FinishTask` merges them with
@@ -62,41 +62,6 @@ from repro.observability.telemetry import get_registry, set_role, trace_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
     from repro.carl.engine import CaRLEngine
-
-#: Test-only fault injection: ``"exit"`` makes every shard worker die
-#: abruptly (``os._exit``) at the start of each collect task, ``"raise"``
-#: makes it raise.  A target list — ``"exit@0"`` / ``"raise@0,2"`` — faults
-#: only the workers whose ids are listed, which is how the retry-and-requeue
-#: tests pin a fault to one worker while its peers stay healthy.  Exists so
-#: the fault-handling contract stays testable without reaching into
-#: multiprocessing internals.
-FAULT_ENV = "REPRO_SHARD_WORKER_FAULT"
-
-#: Test-only slow-down: a float number of seconds every shard-collect task
-#: sleeps before doing real work.  The service's cancellation/timeout tests
-#: use it to hold tasks in flight deterministically.
-DELAY_ENV = "REPRO_SERVICE_TASK_DELAY"
-
-#: Id of this worker process, set by :func:`_worker_init` and read by
-#: :func:`_fault_action`.
-_WORKER_ID: int | None = None
-
-
-def _fault_action() -> str | None:
-    """The injected fault this worker should perform now, if any."""
-    spec = os.environ.get(FAULT_ENV)
-    if not spec:
-        return None
-    action, sep, ids = spec.partition("@")
-    if action not in ("exit", "raise"):
-        return None
-    if not sep:
-        return action  # untargeted: every worker faults
-    try:
-        targets = {int(part) for part in ids.split(",") if part.strip()}
-    except ValueError:
-        return None
-    return action if _WORKER_ID in targets else None
 
 #: Set (to any non-empty value) to disable the fork fast path and force
 #: workers to rebuild their engine from the published artifacts even on
@@ -240,14 +205,13 @@ def unregister_inheritable_engine(token: str | None) -> None:
 
 
 def _worker_init(spec: WorkerSpec, worker_id: int) -> None:
-    """Worker bootstrap: stash the spec and this worker's id; the engine is
-    resolved lazily on the first task so construction failures surface as
-    task errors, not as a dead worker."""
-    global _WORKER_SPEC, _WORKER_ENGINE, _WORKER_CACHE, _WORKER_ID
+    """Worker bootstrap: stash the spec and take this worker's telemetry
+    role; the engine is resolved lazily on the first task so construction
+    failures surface as task errors, not as a dead worker."""
+    global _WORKER_SPEC, _WORKER_ENGINE, _WORKER_CACHE
     _WORKER_SPEC = spec
     _WORKER_ENGINE = None
     _WORKER_CACHE = None
-    _WORKER_ID = worker_id
     # Telemetry: this process records as a worker from here on — generated
     # trace/span ids get a w<id>. prefix so shipped batches merge into the
     # dispatcher's registry without remapping.
@@ -315,14 +279,6 @@ def _worker_engine() -> "CaRLEngine":
 def _run_shard_task(task: ShardTask) -> tuple[CacheKey, float]:
     """Worker entry point: collect one unit-range shard, store it, return the
     result artifact's key and the seconds of collection work performed."""
-    fault = _fault_action()
-    if fault == "exit":
-        os._exit(3)
-    if fault == "raise":
-        raise RuntimeError("injected shard-worker fault (REPRO_SHARD_WORKER_FAULT)")
-    delay = float(os.environ.get(DELAY_ENV) or 0.0)
-    if delay > 0.0:
-        time.sleep(delay)
     started = time.perf_counter()
     registry = get_registry()
     with trace_context(task.trace, task.parent):
@@ -492,6 +448,25 @@ def _plan_query(
     return _QueryPlan(
         table_key, cached=False, n_units=len(units), signature=signature
     )
+
+
+def shard_ranges(n_units: int, shards: int) -> list[tuple[int, int]]:
+    """Contiguous unit ranges ``[(start, stop), ...]`` covering ``[0, n_units)``.
+
+    Ranges are in unit order and balanced to within one unit; when
+    ``shards`` exceeds ``n_units`` the trailing ranges are empty (kept, so a
+    shard's position in the list identifies it regardless of the data size).
+    """
+    if shards < 1:
+        raise QueryError(f"shards must be a positive integer, got {shards!r}")
+    base, extra = divmod(max(n_units, 0), shards)
+    ranges: list[tuple[int, int]] = []
+    start = 0
+    for index in range(shards):
+        stop = start + base + (1 if index < extra else 0)
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 def _touch(path) -> None:

@@ -9,8 +9,8 @@ Two families live here:
 * scalar aggregates (``agg_*``) operating on one Python sequence at a time,
   used by grounding and by group-bys over non-numeric columns; and
 * grouped vectorized aggregates (:data:`GROUPED_AGGREGATES`) operating on a
-  flat numpy value array plus a group-id array, used by
-  :meth:`~repro.db.table.Table.group_by` to aggregate every group in one
+  flat numpy value array plus a group-id array, used by the embeddings and
+  by :meth:`~repro.db.table.Table.group_by` to aggregate every group in one
   numpy pass.
 
 Both families implement the same semantics (the parity test suite in
@@ -22,7 +22,7 @@ is an error, and VAR/SKEW of fewer than two values is 0.0.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -374,443 +374,3 @@ def grouped_aggregate(
     if len(values) != len(group_ids):
         raise AggregateError("values and group_ids must have the same length")
     return fn(values, group_ids, n_groups)
-
-
-# ----------------------------------------------------------------------
-# shard partials and associative merge — the sharded execution layer
-# ----------------------------------------------------------------------
-# A grouped aggregate over a row-range-sharded table runs in three steps:
-# each shard computes a *partial* (a flat mapping of numeric arrays, so a
-# partial can cross a process boundary as an npz artifact payload), the
-# partials are merged associatively, and the merge finalizes one value per
-# group.  The merged result is **independent of the shard split**: partial
-# sums are carried as Shewchuk error-free partials (never rounded until the
-# final merge), so SUM/AVG/VAR/STD/SKEW reproduce the *scalar* aggregate
-# family (``agg_*``, fsum + clamp semantics) bit-for-bit at any shard count,
-# while COUNT/MIN/MAX/ANY/ALL merge trivially and MEDIAN — a holistic
-# aggregate — carries its group values in the partial.
-#
-# The contract ``sharded_grouped_aggregate(name, v, g, n, shards=k) ==
-# [agg_name(group) for group]`` holds for every ``k`` for all inputs whose
-# exact sums stay in the double range, and for same-sign overflow (a shard
-# whose running sum overflows degrades to the scalar family's own IEEE
-# left-to-right fallback, so ``[1e308, 1e308]`` sums to ``inf`` at any shard
-# count).  The one remaining split-dependent corner is *cancelling*
-# overflow — a finite true sum reached through out-of-range intermediates,
-# where ``math.fsum`` itself raises and the scalar family's accumulation
-# order is inherently split-dependent.  ``tests/test_shard_merge.py`` pins
-# the contract with Hypothesis differential tests.
-
-#: Aggregates whose partials merge with :func:`merge_grouped_shards` in a
-#: single pass over the data.
-MERGEABLE_AGGREGATES = ("COUNT", "SUM", "AVG", "MEAN", "MIN", "MAX", "MEDIAN", "ANY", "ALL")
-
-#: Centered-moment aggregates: merged in two passes (exact means first, then
-#: centered-power partials), the exactness-preserving refinement of the
-#: classic ``(count, sum, sumsq)`` merge.
-MOMENT_AGGREGATES = ("VAR", "STD", "SKEW")
-
-#: Every aggregate the sharded execution layer supports (= the grouped family).
-SHARDABLE_AGGREGATES = MERGEABLE_AGGREGATES + MOMENT_AGGREGATES
-
-
-def shard_ranges(n_rows: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges ``[(start, stop), ...]`` covering ``[0, n_rows)``.
-
-    Ranges are in row order and balanced to within one row; when ``shards``
-    exceeds ``n_rows`` the trailing ranges are empty (kept, so a shard's
-    position in the list identifies it regardless of the data size).
-    """
-    if shards < 1:
-        raise AggregateError(f"shards must be a positive integer, got {shards!r}")
-    base, extra = divmod(max(n_rows, 0), shards)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def _sum_partials(values: Sequence[float]) -> list[float]:
-    """Shewchuk's error-free running partials of a finite float sequence.
-
-    The returned list of non-overlapping doubles sums *exactly* to the true
-    (infinite-precision) sum of ``values``; ``math.fsum`` over it therefore
-    yields the correctly rounded total.  Because the representation is exact,
-    partials of different shards can be concatenated and re-summed without
-    ever depending on how the rows were split.
-    """
-    partials: list[float] = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
-
-
-def _csr_groups(
-    values: np.ndarray, group_ids: np.ndarray, n_groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values regrouped contiguously: group ``g`` sits at ``[off[g], off[g+1])``."""
-    counts = np.bincount(group_ids, minlength=n_groups)
-    offsets = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(group_ids, kind="stable")
-    return values[order], offsets
-
-
-def _flag_counts(
-    values: np.ndarray, group_ids: np.ndarray, n_groups: int
-) -> dict[str, np.ndarray]:
-    """Per-group counts of total / NaN / +inf / -inf values."""
-    return {
-        "count": np.bincount(group_ids, minlength=n_groups).astype(np.int64),
-        "nan": np.bincount(group_ids[np.isnan(values)], minlength=n_groups).astype(np.int64),
-        "posinf": np.bincount(
-            group_ids[values == np.inf], minlength=n_groups
-        ).astype(np.int64),
-        "neginf": np.bincount(
-            group_ids[values == -np.inf], minlength=n_groups
-        ).astype(np.int64),
-    }
-
-
-def _exact_sum_partial(
-    values: np.ndarray, group_ids: np.ndarray, n_groups: int
-) -> dict[str, np.ndarray]:
-    """Per-group exact sum state of one shard: flag counts + Shewchuk CSR."""
-    payload = _flag_counts(values, group_ids, n_groups)
-    finite = np.isfinite(values)
-    csr_values, offsets = _csr_groups(values[finite], group_ids[finite], n_groups)
-    out_values: list[float] = []
-    out_offsets = np.empty(n_groups + 1, dtype=np.int64)
-    out_offsets[0] = 0
-    for group in range(n_groups):
-        chunk = csr_values[offsets[group] : offsets[group + 1]]
-        if len(chunk):
-            chunk_list = chunk.tolist()
-            partials = _sum_partials(chunk_list)
-            if not all(math.isfinite(partial) for partial in partials):
-                # The exact running sum overflowed the double range (2Sum
-                # produced an inf and a garbage compensation term).  Degrade
-                # this group to the scalar family's own overflow behavior —
-                # one IEEE left-to-right sum — instead of carrying partials
-                # that would merge to a manufactured NaN.
-                total = 0.0
-                for value in chunk_list:
-                    total += value
-                partials = [total]
-            out_values.extend(partials)
-        out_offsets[group + 1] = len(out_values)
-    payload["partials"] = np.asarray(out_values, dtype=float)
-    payload["offsets"] = out_offsets
-    return payload
-
-
-def _group_extremes(
-    values: np.ndarray, group_ids: np.ndarray, n_groups: int, kind: str
-) -> np.ndarray:
-    """Per-group min/max over the non-NaN values (fill value when none)."""
-    mask = ~np.isnan(values)
-    fill = np.inf if kind == "MIN" else -np.inf
-    result = np.full(n_groups, fill)
-    if kind == "MIN":
-        np.minimum.at(result, group_ids[mask], values[mask])
-    else:
-        np.maximum.at(result, group_ids[mask], values[mask])
-    return result
-
-
-def _merged_flags(parts: Sequence[Mapping[str, np.ndarray]], field: str, n_groups: int) -> np.ndarray:
-    total = np.zeros(n_groups, dtype=np.int64)
-    for part in parts:
-        total += np.asarray(part[field], dtype=np.int64)
-    return total
-
-
-def _merge_exact_sums(
-    parts: Sequence[Mapping[str, np.ndarray]], n_groups: int
-) -> np.ndarray:
-    """Finalize per-group sums from shard partials, with ``agg_sum`` semantics.
-
-    Finite groups get the correctly rounded exact sum (``math.fsum`` over the
-    concatenated Shewchuk partials); groups containing NaN — or both
-    infinities — are NaN, a single-signed infinity wins otherwise, exactly as
-    the scalar family's :func:`_exactish_sum` fallback behaves.
-    """
-    nan = _merged_flags(parts, "nan", n_groups)
-    posinf = _merged_flags(parts, "posinf", n_groups)
-    neginf = _merged_flags(parts, "neginf", n_groups)
-    totals = np.zeros(n_groups)
-    for group in range(n_groups):
-        if nan[group] or (posinf[group] and neginf[group]):
-            totals[group] = math.nan
-            continue
-        if posinf[group]:
-            totals[group] = math.inf
-            continue
-        if neginf[group]:
-            totals[group] = -math.inf
-            continue
-        chunks: list[float] = []
-        for part in parts:
-            offsets = part["offsets"]
-            chunks.extend(part["partials"][offsets[group] : offsets[group + 1]].tolist())
-        totals[group] = _exactish_sum(chunks)
-    return totals
-
-
-def grouped_shard_partial(
-    name: str, values: np.ndarray, group_ids: np.ndarray, n_groups: int
-) -> dict[str, np.ndarray]:
-    """Phase-1 shard state of one aggregate over one row-range shard.
-
-    The payload is a flat mapping of numeric arrays (npz-serializable, so a
-    worker process can hand it back through the artifact cache).  Mergeable
-    aggregates finalize with :func:`merge_grouped_shards`; the centered
-    moments (``VAR``/``STD``/``SKEW``) share the ``SUM`` partial here and
-    continue with :func:`moment_power_partial` once the exact means are known.
-    """
-    name = name.upper()
-    if name not in SHARDABLE_AGGREGATES:
-        raise AggregateError(
-            f"unknown aggregate {name!r}; expected one of {sorted(SHARDABLE_AGGREGATES)}"
-        )
-    values = np.asarray(values, dtype=float).ravel()
-    group_ids = np.asarray(group_ids, dtype=np.intp).ravel()
-    if len(values) != len(group_ids):
-        raise AggregateError("values and group_ids must have the same length")
-
-    if name == "COUNT":
-        return {"count": np.bincount(group_ids, minlength=n_groups).astype(np.int64)}
-    if name in ("ANY", "ALL"):
-        return {
-            "count": np.bincount(group_ids, minlength=n_groups).astype(np.int64),
-            "truthy": np.bincount(
-                group_ids[values != 0], minlength=n_groups
-            ).astype(np.int64),
-        }
-    if name in ("MIN", "MAX"):
-        payload = _flag_counts(values, group_ids, n_groups)
-        payload["extreme"] = _group_extremes(values, group_ids, n_groups, name)
-        return payload
-    if name == "MEDIAN":
-        payload = _flag_counts(values, group_ids, n_groups)
-        csr_values, offsets = _csr_groups(values, group_ids, n_groups)
-        payload["values"] = csr_values
-        payload["value_offsets"] = offsets
-        return payload
-    # SUM / AVG / MEAN / VAR / STD / SKEW all start from the exact sum state;
-    # AVG additionally records the clamp envelope of agg_avg.
-    payload = _exact_sum_partial(values, group_ids, n_groups)
-    if name in ("AVG", "MEAN"):
-        payload["lower"] = _group_extremes(values, group_ids, n_groups, "MIN")
-        payload["upper"] = _group_extremes(values, group_ids, n_groups, "MAX")
-    return payload
-
-
-def merge_grouped_shards(
-    name: str, parts: Sequence[Mapping[str, np.ndarray]], n_groups: int
-) -> np.ndarray:
-    """Merge shard partials of a mergeable aggregate into the final per-group
-    values, bit-identically to applying the scalar aggregate to each group."""
-    name = name.upper()
-    if name not in MERGEABLE_AGGREGATES:
-        raise AggregateError(
-            f"aggregate {name!r} does not merge in one pass; expected one of "
-            f"{sorted(MERGEABLE_AGGREGATES)}"
-        )
-    if not parts:
-        raise AggregateError("cannot merge zero shard partials")
-
-    if name == "COUNT":
-        return _merged_flags(parts, "count", n_groups)
-    counts = _merged_flags(parts, "count", n_groups)
-    if name in ("ANY", "ALL"):
-        truthy = _merged_flags(parts, "truthy", n_groups)
-        return truthy > 0 if name == "ANY" else truthy == counts
-    if name in ("MIN", "MAX"):
-        if np.any(counts == 0):
-            raise AggregateError(f"{name} of empty input is undefined")
-        nan = _merged_flags(parts, "nan", n_groups)
-        stacked = np.stack([np.asarray(part["extreme"], dtype=float) for part in parts])
-        merged = stacked.min(axis=0) if name == "MIN" else stacked.max(axis=0)
-        merged[nan > 0] = math.nan
-        return merged
-    if name == "MEDIAN":
-        nan = _merged_flags(parts, "nan", n_groups)
-        result = np.zeros(n_groups)
-        for group in range(n_groups):
-            if nan[group]:
-                result[group] = math.nan
-                continue
-            if not counts[group]:
-                continue  # 0.0, matching agg_median on empty input
-            merged = np.concatenate(
-                [
-                    part["values"][part["value_offsets"][group] : part["value_offsets"][group + 1]]
-                    for part in parts
-                ]
-            )
-            merged.sort()
-            middle = len(merged) // 2
-            if len(merged) % 2:
-                result[group] = merged[middle]
-            else:
-                result[group] = (merged[middle - 1] + merged[middle]) / 2.0
-        return result
-
-    totals = _merge_exact_sums(parts, n_groups)
-    if name == "SUM":
-        return totals
-    # AVG / MEAN: fsum mean clamped into the group's [min, max] envelope
-    # (agg_avg semantics); empty groups are 0.0.
-    nonempty = counts > 0
-    means = np.zeros(n_groups)
-    np.divide(totals, counts, out=means, where=nonempty)
-    defined = nonempty & ~np.isnan(means)
-    if np.any(defined):
-        lower = np.stack([np.asarray(part["lower"], dtype=float) for part in parts]).min(axis=0)
-        upper = np.stack([np.asarray(part["upper"], dtype=float) for part in parts]).max(axis=0)
-        means[defined] = np.clip(means[defined], lower[defined], upper[defined])
-    means[nonempty & np.isnan(totals)] = math.nan
-    return means
-
-
-def merge_moment_means(
-    parts: Sequence[Mapping[str, np.ndarray]], n_groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-1 merge of a moment aggregate: per-group ``(counts, exact means)``.
-
-    The means carry ``agg_var``'s semantics (fsum sum over count, NaN/inf
-    propagating); groups with fewer than two values get mean 0.0 — their
-    moments are defined to be 0.0 and phase 2 ignores them.
-    """
-    counts = _merged_flags(parts, "count", n_groups)
-    totals = _merge_exact_sums(parts, n_groups)
-    means = np.zeros(n_groups)
-    np.divide(totals, counts, out=means, where=counts >= 2)
-    return counts, means
-
-
-def moment_power_partial(
-    values: np.ndarray,
-    group_ids: np.ndarray,
-    n_groups: int,
-    means: np.ndarray,
-    power: int,
-) -> dict[str, np.ndarray]:
-    """Phase-2 shard state: exact partials of ``(value - mean[group]) ** power``.
-
-    Centering happens elementwise against the *global* exact means, so the
-    deviations — and therefore the merged central moments — are independent
-    of the shard split and identical to the scalar two-pass formulas.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    group_ids = np.asarray(group_ids, dtype=np.intp).ravel()
-    with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN propagate by design
-        # float_power routes through libm pow like CPython's ``**`` (plain
-        # numpy ``** 2``/``** 3`` short-circuits to repeated multiplication,
-        # which rounds differently in the last bit), keeping every deviation
-        # bit-identical to the scalar two-pass formulas.
-        deviations = np.float_power(
-            values - np.asarray(means, dtype=float)[group_ids], power
-        )
-    return _exact_sum_partial(deviations, group_ids, n_groups)
-
-
-def merge_moment_powers(
-    parts: Sequence[Mapping[str, np.ndarray]], n_groups: int
-) -> np.ndarray:
-    """Phase-2 merge: per-group exact sums of the centered powers."""
-    return _merge_exact_sums(parts, n_groups)
-
-
-def _finalize_moment(
-    name: str, counts: np.ndarray, squares: np.ndarray, cubes: np.ndarray | None
-) -> np.ndarray:
-    """Scalar-family moment formulas over merged central-power sums."""
-    defined = counts >= 2
-    variances = np.zeros(len(counts))
-    np.divide(squares, counts, out=variances, where=defined)
-    if name == "VAR":
-        return variances
-    if name == "STD":
-        return np.sqrt(variances)
-    assert cubes is not None
-    third_moments = np.zeros(len(counts))
-    np.divide(cubes, counts, out=third_moments, where=defined)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denominator = np.float_power(variances, 1.5)  # libm pow, like scalar ``** 1.5``
-        raw = third_moments / denominator
-    # agg_skew: 0.0 for <2 values or non-positive/underflowed variance; NaN
-    # variances keep the raw NaN (they fail ``variance <= 0``).
-    result = np.where(defined & ~(variances <= 0.0) & (denominator != 0.0), raw, 0.0)
-    return result
-
-
-def sharded_grouped_aggregate(
-    name: str,
-    values: np.ndarray,
-    group_ids: np.ndarray,
-    n_groups: int,
-    shards: int = 1,
-    ranges: Sequence[tuple[int, int]] | None = None,
-) -> np.ndarray:
-    """Grouped aggregate executed as row-range shard partials plus a merge.
-
-    ``ranges`` (contiguous, in row order, covering the input) overrides the
-    balanced :func:`shard_ranges` split.  The result is independent of the
-    split and bit-identical to applying the scalar aggregate family
-    (``agg_*``) to each group — see the module notes on the exact-merge
-    contract.  Raises like the grouped kernels (e.g. MIN/MAX of an empty
-    group is an error).
-    """
-    name = name.upper()
-    if name not in SHARDABLE_AGGREGATES:
-        raise AggregateError(
-            f"unknown aggregate {name!r}; expected one of {sorted(SHARDABLE_AGGREGATES)}"
-        )
-    values = np.asarray(values, dtype=float).ravel()
-    group_ids = np.asarray(group_ids, dtype=np.intp).ravel()
-    if len(values) != len(group_ids):
-        raise AggregateError("values and group_ids must have the same length")
-    if ranges is None:
-        ranges = shard_ranges(len(values), shards)
-
-    if name in MERGEABLE_AGGREGATES:
-        parts = [
-            grouped_shard_partial(name, values[a:b], group_ids[a:b], n_groups)
-            for a, b in ranges
-        ]
-        return merge_grouped_shards(name, parts, n_groups)
-
-    sum_parts = [
-        grouped_shard_partial("SUM", values[a:b], group_ids[a:b], n_groups)
-        for a, b in ranges
-    ]
-    counts, means = merge_moment_means(sum_parts, n_groups)
-    squares = merge_moment_powers(
-        [moment_power_partial(values[a:b], group_ids[a:b], n_groups, means, 2) for a, b in ranges],
-        n_groups,
-    )
-    cubes = None
-    if name == "SKEW":
-        cubes = merge_moment_powers(
-            [
-                moment_power_partial(values[a:b], group_ids[a:b], n_groups, means, 3)
-                for a, b in ranges
-            ],
-            n_groups,
-        )
-    return _finalize_moment(name, counts, squares, cubes)

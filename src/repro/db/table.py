@@ -23,7 +23,6 @@ from repro.db.aggregates import (
     aggregate as apply_aggregate,
     as_numeric_array,
     grouped_aggregate,
-    sharded_grouped_aggregate,
 )
 from repro.db.schema import ColumnSchema, SchemaError, TableSchema
 
@@ -374,7 +373,6 @@ class Table:
         self,
         keys: Sequence[str],
         aggregations: dict[str, tuple[str, str | Callable[[list[Any]], Any]]],
-        shards: int | None = None,
     ) -> "Table":
         """Group rows by ``keys`` and aggregate (vectorized where possible).
 
@@ -384,15 +382,6 @@ class Table:
         registered scalar functions themselves — are always invoked per
         group, so an explicitly chosen aggregation algorithm is never
         silently substituted.
-
-        ``shards`` (any positive integer) routes named aggregations over
-        numeric columns through the sharded execution layer instead: the
-        table's rows are split into ``shards`` contiguous ranges, each range
-        contributes a partial, and the partials are merged exactly
-        (:func:`repro.db.aggregates.sharded_grouped_aggregate`).  Sharded
-        results are bit-identical across shard counts and match the *scalar*
-        aggregate semantics (the fsum family) rather than the single-pass
-        numpy kernels' rounding.
         """
         n_rows = len(self)
         key_columns = [self._column_list(key) for key in keys]
@@ -417,12 +406,7 @@ class Table:
             aggregate_name = fn.upper() if isinstance(fn, str) else None
             numeric = as_numeric_array(values) if aggregate_name is not None else None
             if numeric is not None and aggregate_name is not None:
-                if shards is not None:
-                    results = sharded_grouped_aggregate(
-                        aggregate_name, numeric, group_ids, n_groups, shards=shards
-                    )
-                else:
-                    results = grouped_aggregate(aggregate_name, numeric, group_ids, n_groups)
+                results = grouped_aggregate(aggregate_name, numeric, group_ids, n_groups)
                 data.append(results.tolist())
             else:
                 grouped_values: list[list[Any]] = [[] for _ in range(n_groups)]
@@ -451,21 +435,6 @@ class Table:
             {name: self._data[p][position] for p, name in enumerate(columns)}
             for position in positions
         ]
-
-    def row_slice(self, start: int, stop: int) -> "Table":
-        """Contiguous row-range shard ``[start, stop)`` as a new table.
-
-        The natural sharding primitive of column storage: columns are plain
-        per-column lists, so a slice is one list slice per
-        column — no per-row work, no schema change.  Primary-key uniqueness
-        is preserved by construction (a subset of unique keys stays unique).
-        """
-        n_rows = len(self)
-        start = max(0, min(start, n_rows))
-        stop = max(start, min(stop, n_rows))
-        return Table._from_columns(
-            self.schema, [column[start:stop] for column in self._data]
-        )
 
     # ------------------------------------------------------------------
     # internals

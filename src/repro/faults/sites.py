@@ -62,6 +62,12 @@ FAULT_SITES: dict[str, FaultSite] = {
             default_delay=0.25,
         ),
         FaultSite(
+            "worker.error",
+            "worker raises a non-CaRL exception at task start — a transient "
+            "task failure the scheduler retries on another worker",
+            worker_only=True,
+        ),
+        FaultSite(
             "worker.result_stall",
             "worker computes the task but stalls (default 0.05s) before "
             "putting the outcome on the result queue",

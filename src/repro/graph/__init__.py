@@ -1,15 +1,12 @@
 """Directed-acyclic-graph substrate used by the CaRL engine.
 
 The grounded relational causal graph of the paper (Section 3.2.3) is a DAG
-over grounded attributes.  This package provides the generic graph machinery
-the engine relies on: a :class:`DAG` container with ancestor/descendant
-queries and topological ordering, :class:`CSRGraph` — the arrays-first
-adjacency the grounded graph compiles its walks onto — and d-separation
-(used by covariate detection, Theorem 5.2).
+over grounded attributes.  :class:`CSRGraph` is its arrays-first adjacency:
+ancestor/descendant closures, topological order and Bayes-ball
+d-separation (used by covariate detection, Theorem 5.2) all run as
+vectorized sweeps over it.
 """
 
-from repro.graph.csr import CSRGraph
-from repro.graph.dag import CycleError, DAG
-from repro.graph.dseparation import d_separated, find_minimal_separator
+from repro.graph.csr import CSRGraph, CycleError
 
-__all__ = ["DAG", "CSRGraph", "CycleError", "d_separated", "find_minimal_separator"]
+__all__ = ["CSRGraph", "CycleError"]

@@ -1,11 +1,10 @@
 """Compressed-sparse-row adjacency for grounded causal graphs.
 
-The grounded graph ``G(Phi_Delta)`` can hold hundreds of thousands of nodes,
-and the dict-of-sets :class:`~repro.graph.dag.DAG` representation has two
-costs at that scale: every walk pays a Python frame per visited node, and
-every ``set`` iterates in ``PYTHONHASHSEED``-dependent order — which is how
-hash-order nondeterminism leaked into adjacency iteration before this module
-existed.
+The grounded graph ``G(Phi_Delta)`` can hold hundreds of thousands of nodes.
+A dict-of-sets adjacency has two costs at that scale: every walk pays a
+Python frame per visited node, and every ``set`` iterates in
+``PYTHONHASHSEED``-dependent order.  (``tests/graph_oracle.py`` keeps such a
+graph as the reference the walks here are tested against.)
 
 :class:`CSRGraph` stores both adjacency directions as classic CSR arrays
 (``indptr``/``indices``), with neighbour lists sorted by node id.  Every
@@ -27,7 +26,10 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.graph.dag import CycleError
+
+class CycleError(ValueError):
+    """Raised when an operation requires acyclicity and the graph has a cycle."""
+
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -184,10 +186,9 @@ class CSRGraph:
     def dconnected_mask(self, sources: Iterable[int], given: Iterable[int]) -> np.ndarray:
         """Nodes d-connected to any of ``sources`` conditioned on ``given``.
 
-        Mask formulation of the classic Bayes-ball traversal
-        (:mod:`repro.graph.dseparation`): states are (node, direction) pairs
-        tracked as two boolean arrays, and each round expands every frontier
-        state at once with vectorized gathers.
+        Mask formulation of the classic Bayes-ball traversal: states are
+        (node, direction) pairs tracked as two boolean arrays, and each round
+        expands every frontier state at once with vectorized gathers.
         """
         given_mask = np.zeros(self.n, dtype=bool)
         given_ids = np.asarray(list(given), dtype=np.int64)

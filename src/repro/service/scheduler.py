@@ -82,12 +82,12 @@ from repro.carl.shard import (
     _worker_init,
     register_inheritable_engine,
     shard_partial_key,
+    shard_ranges,
     unregister_inheritable_engine,
 )
 from repro.cache.store import ArtifactCache, CacheKey
 from repro.carl.ast import CausalQuery
 from repro.carl.queries import QueryAnswer
-from repro.db.aggregates import shard_ranges
 from repro.faults.injection import fault_point, set_role
 from repro.observability.flight import dump_flight_recording
 from repro.observability.merge import merge_worker_batch
@@ -349,12 +349,15 @@ def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: 
             os._exit(23)
         hang = fault_point("worker.hang", key=f"task-{task_id}")
         slow = fault_point("worker.slow", key=f"task-{task_id}")
+        failure = fault_point("worker.error", key=f"task-{task_id}")
         beat_state["started"] = time.monotonic()
         try:
             if hang is not None:
                 time.sleep(hang.delay)
             if slow is not None:
                 time.sleep(slow.delay)
+            if failure is not None:
+                raise RuntimeError(f"injected worker fault (worker.error, task {task_id})")
             if isinstance(task_spec, ShardTask):
                 outcome: Any = _run_shard_task(task_spec)
             else:

@@ -18,6 +18,8 @@ from repro.datasets import (
     generate_synthetic_review_data,
     toy_review_database,
 )
+from repro.faults.injection import clear_plan, install_plan
+from repro.faults.plan import FaultPlan
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +63,13 @@ def nis_small():
 @pytest.fixture(scope="session")
 def review_small():
     return generate_review_data(n_authors=500, n_submissions=300, seed=11)
+
+
+@pytest.fixture
+def fault_plan():
+    """Install a fault plan built from the given rules for one test.
+
+    Worker processes inherit the plan; it is cleared when the test ends.
+    """
+    yield lambda *rules: install_plan(FaultPlan(rules=rules))
+    clear_plan()

@@ -1,15 +1,19 @@
-"""A small, dependency-free directed acyclic graph implementation.
+"""Dict-of-dicts DAG and Bayes-ball d-separation: the graph-walk oracle.
 
-The grounded causal graphs produced by CaRL can contain one node per grounded
-attribute (one per author, per submission, per patient, ...), so the
-implementation favours flat adjacency maps and iterative traversals over
-anything recursive.
+The program walks grounded causal graphs on one representation:
+:class:`repro.graph.csr.CSRGraph`, wrapped by
+:class:`repro.carl.causal_graph.GroundedCausalGraph`.  This module keeps the
+straight transcriptions that representation replaced, for tests only:
 
-Adjacency is stored as dict-of-dicts rather than dict-of-sets: Python dicts
-preserve insertion order, so every iteration (``edges``,
-``topological_order``, traversals) is deterministic and independent of
-``PYTHONHASHSEED``.  Set iteration order is hash-seed-dependent, which made
-the old representation nondeterministic across processes.
+* :class:`DAG` — insertion-ordered dict-of-dicts adjacency with
+  ancestor/descendant queries, Kahn topological order and the do-operator;
+* :func:`d_separated` — the classic Bayes-ball traversal over
+  ``(node, direction)`` states, one Python frame per visited state.
+
+``tests/test_csr_graph.py`` builds random graphs both ways and holds the CSR
+walks to this oracle; ``tests/test_dag.py`` pins the oracle itself.  Never
+"fix" a parity failure by changing this module unless the specification
+itself is wrong.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from collections import deque
 from collections.abc import Hashable, Iterable, Iterator
 from typing import Any
 
-
-class CycleError(ValueError):
-    """Raised when an operation requires acyclicity and the graph has a cycle."""
+from repro.graph import CycleError
 
 
 class DAG:
@@ -249,3 +251,87 @@ class DAG:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DAG(nodes={len(self)}, edges={self.number_of_edges()})"
+
+
+def _reachable(graph: DAG, sources: set[Hashable], given: set[Hashable]) -> set[Hashable]:
+    """Nodes d-connected to any node in ``sources`` conditioned on ``given``."""
+    # Ancestors of the conditioning set: a collider is "active" iff it or one
+    # of its descendants is observed, i.e. iff the collider is an ancestor of
+    # (or in) the conditioning set.
+    conditioning_ancestors = graph.ancestors_of_set(given)
+
+    # States are (node, direction) where direction 'up' means we arrived at
+    # the node travelling against an edge (from a child), and 'down' means we
+    # arrived travelling along an edge (from a parent).
+    # Order-insensitive: the BFS returns a membership set, so the frontier's
+    # seeding order cannot leak into any caller-visible ordering.
+    frontier: deque[tuple[Hashable, str]] = deque((s, "up") for s in sources)
+    visited: set[tuple[Hashable, str]] = set()
+    reachable: set[Hashable] = set()
+
+    while frontier:
+        node, direction = frontier.popleft()
+        if (node, direction) in visited:
+            continue
+        visited.add((node, direction))
+
+        if node not in given:
+            reachable.add(node)
+
+        if direction == "up" and node not in given:
+            # Arrived from a child; can continue to parents (chain) and to
+            # children (fork at this node).
+            for parent in graph.parents(node):
+                frontier.append((parent, "up"))
+            for child in graph.children(node):
+                frontier.append((child, "down"))
+        elif direction == "down":
+            if node not in given:
+                # Chain: keep moving to children.
+                for child in graph.children(node):
+                    frontier.append((child, "down"))
+            if node in conditioning_ancestors:
+                # Collider (or ancestor of the conditioning set): the path
+                # through this node's parents is active.
+                for parent in graph.parents(node):
+                    frontier.append((parent, "up"))
+    return reachable
+
+
+def d_separated(
+    graph: DAG,
+    x: Iterable[Hashable] | Hashable,
+    y: Iterable[Hashable] | Hashable,
+    given: Iterable[Hashable] = (),
+) -> bool:
+    """Return True when ``x`` and ``y`` are d-separated by ``given`` in ``graph``.
+
+    ``x`` and ``y`` may be single nodes or iterables of nodes; the statement
+    holds when *every* node of ``x`` is d-separated from *every* node of
+    ``y``.  Nodes in the conditioning set are excluded from both sides.
+    """
+    x_set = _as_set(graph, x)
+    y_set = _as_set(graph, y)
+    given_set = _as_set(graph, given)
+    x_set -= given_set
+    y_set -= given_set
+    if not x_set or not y_set:
+        return True
+    if x_set & y_set:
+        return False
+    reachable = _reachable(graph, x_set, given_set)
+    return not (reachable & y_set)
+
+
+def _as_set(graph: DAG, nodes: Iterable[Hashable] | Hashable) -> set[Hashable]:
+    # A single node may itself be iterable (e.g. a grounded attribute is a
+    # NamedTuple); if the argument is a graph node, treat it as one node.
+    if isinstance(nodes, Hashable):
+        try:
+            if nodes in graph:
+                return {nodes}
+        except TypeError:  # unhashable despite the isinstance check
+            pass
+    if isinstance(nodes, (str, bytes)) or not isinstance(nodes, Iterable):
+        return set()
+    return {node for node in nodes if node in graph}

@@ -7,7 +7,11 @@ import pytest
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import QueryError
 from repro.carl.queries import ATEResult, EffectsResult
-from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
+from repro.datasets import (
+    TOY_REVIEW_PROGRAM,
+    generate_synthetic_review_data,
+    toy_review_database,
+)
 
 
 class TestGrounding:
@@ -83,6 +87,17 @@ class TestATEQueries:
         interval = answer.result.confidence_interval
         assert interval is not None
         assert interval[0] <= interval[1]
+
+    def test_regression_bootstrap_resamples_the_point_estimate(self):
+        """The default estimator reports the overall effect (own and peer
+        treatment all on against all off, Eq. 23); its bootstrap interval
+        resamples that same statistic, so it brackets ``ate``."""
+        data = generate_synthetic_review_data(n_authors=300, seed=1)
+        engine = CaRLEngine(data.database, data.program)
+        for name in ("ate_single", "ate_double"):
+            result = engine.answer(data.queries[name], bootstrap=50, seed=1).result
+            lower, upper = result.confidence_interval
+            assert lower <= result.ate <= upper, (name, result.ate, lower, upper)
 
 
 class TestEffectsQueries:

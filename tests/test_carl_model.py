@@ -108,11 +108,11 @@ class TestDerivedAttributes:
 
 class TestDependencyGraph:
     def test_attribute_dependency_graph(self, toy_model):
-        graph = toy_model.attribute_dependency_graph()
-        assert graph.has_edge("Qualification", "Prestige")
-        assert graph.has_edge("Quality", "Score")
-        assert graph.has_edge("Score", "AVG_Score")
-        assert graph.is_acyclic()
+        edges = toy_model.attribute_dependency_edges()
+        assert ("Qualification", "Prestige") in edges
+        assert ("Quality", "Score") in edges
+        assert ("Score", "AVG_Score") in edges
+        assert len(edges) == len(set(edges))
 
     def test_rules_with_head(self, toy_model):
         score_rules = toy_model.rules_with_head("Score")

@@ -1,12 +1,13 @@
 """Equivalence and round-trip tests for the CSR-backed grounded graph.
 
-The dict-of-sets representation the grounded graph used to have is kept here
-as an *in-test oracle*: Hypothesis builds random DAGs both ways and checks
-that nodes, edges, parents/children, ancestor/descendant closures,
-topological order and d-separation all agree between the oracle and the CSR
-arrays.  A second group pins the CSR grounding payload round trip: stored
-arrays come back identical (empty graphs, isolated nodes and aggregate nodes
-included), and a loaded graph stays mutable.
+The dict-of-dicts DAG the grounded graph used to be is kept in
+``tests/graph_oracle.py`` as the oracle: Hypothesis builds random DAGs both
+ways and checks that nodes, edges, parents/children, ancestor/descendant
+closures, topological order, the do-operator and d-separation all agree
+between the oracle and the CSR arrays.  A second group pins the CSR
+grounding payload round trip: stored arrays come back identical (empty
+graphs, isolated nodes and aggregate nodes included), and a loaded graph
+stays mutable.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache, CacheKey, grounding_payload, load_grounding
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
-from repro.graph.csr import CSRGraph
-from repro.graph.dag import DAG, CycleError
-from repro.graph.dseparation import d_separated as dag_d_separated
+from graph_oracle import DAG, d_separated as dag_d_separated
+from repro.graph import CSRGraph, CycleError
 
 ATTRIBUTES = ("T", "Y", "Z")
 
@@ -94,6 +94,23 @@ class TestOracleEquivalence:
         for parent, child in oracle.edges:
             assert position[parent] < position[child]
         assert graph.topological_order() == order  # stable across calls
+
+    @settings(max_examples=100)
+    @given(graphs=random_dags(), data=st.data())
+    def test_do_matches_oracle(self, graphs, data):
+        graph, oracle = graphs
+        nodes = oracle.nodes
+        targets = data.draw(st.lists(st.sampled_from(nodes), max_size=3)) if nodes else []
+        edges_before = graph.edges
+        mutilated = graph.do(targets)
+        expected = oracle.do(targets)
+        assert mutilated.nodes == graph.nodes  # same node ids
+        assert set(mutilated.edges) == set(expected.edges)
+        for item in oracle.nodes:
+            assert mutilated.parent_nodes(item) == sorted(
+                expected.parents(item), key=graph.index_of
+            )
+        assert graph.edges == edges_before  # the source graph is untouched
 
     @settings(max_examples=60)
     @given(graphs=random_dags(), data=st.data())

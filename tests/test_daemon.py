@@ -35,6 +35,7 @@ from repro.carl.engine import CaRLEngine
 from repro.carl.errors import QueryError
 from repro.carl.queries import QueryAnswer
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
+from repro.faults.plan import FaultRule
 from repro.observability.telemetry import get_registry, reset_registry
 from repro.service import (
     AdmissionError,
@@ -224,8 +225,8 @@ def test_rate_limited_tenant_gets_structured_rejection():
     assert counters["daemon.admit"] == 1
 
 
-def test_inflight_bound_rejects_before_rate(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY", "0.3")
+def test_inflight_bound_rejects_before_rate(fault_plan):
+    fault_plan(FaultRule("worker.slow", p=1.0, delay=0.3))
     engine = fresh_engine()
     with QueryDaemon(engine, jobs=1, shards=1) as daemon:
         with daemon.open_session(tenant="t", max_inflight=1) as session:

@@ -1,10 +1,11 @@
-"""Unit tests for the DAG substrate (repro.graph.dag)."""
+"""Unit tests for the dict-of-dicts DAG test oracle (tests/graph_oracle.py)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.graph.dag import DAG, CycleError
+from graph_oracle import DAG
+from repro.graph import CycleError
 
 
 def chain(*nodes: str) -> DAG:

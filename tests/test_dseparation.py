@@ -1,16 +1,40 @@
-"""Unit tests for d-separation (repro.graph.dseparation)."""
+"""Textbook d-separation cases on the production grounded graph.
+
+Each case builds a :class:`GroundedCausalGraph` over key-less nodes
+(``GroundedAttribute("x", ())``) and checks
+:meth:`GroundedCausalGraph.d_separated` and the covariate module's minimal
+separator against the known answer.
+"""
 
 from __future__ import annotations
 
-from repro.graph.dag import DAG
-from repro.graph.dseparation import d_separated, find_minimal_separator
+from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
+from repro.carl.covariates import _minimal_separator
 
 
-def build(edges: list[tuple[str, str]]) -> DAG:
-    graph = DAG()
+def node(name: str) -> GroundedAttribute:
+    return GroundedAttribute(name, ())
+
+
+def as_nodes(names: str | list[str]) -> GroundedAttribute | list[GroundedAttribute]:
+    """One name is one node; a list of names is a node set."""
+    return node(names) if isinstance(names, str) else [node(name) for name in names]
+
+
+def build(edges: list[tuple[str, str]]) -> GroundedCausalGraph:
+    graph = GroundedCausalGraph()
     for parent, child in edges:
-        graph.add_edge(parent, child)
+        graph.add_edge(node(parent), node(child))
     return graph
+
+
+def d_separated(graph, x, y, given=()) -> bool:
+    return graph.d_separated(as_nodes(x), as_nodes(y), as_nodes(list(given)))
+
+
+def find_minimal_separator(graph, x, y, candidate) -> list[str] | None:
+    result = _minimal_separator(graph, as_nodes(x), as_nodes(y), as_nodes(list(candidate)))
+    return None if result is None else [item.attribute for item in result]
 
 
 class TestCanonicalStructures:

@@ -129,6 +129,7 @@ def test_fault_site_catalogue_is_frozen():
         "worker.crash": True,
         "worker.hang": True,
         "worker.slow": True,
+        "worker.error": True,
         "worker.result_stall": True,
         "store.corrupt_read": False,
         "store.enospc": False,

@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for the core data structures.
 
-These check structural invariants of the DAG, d-separation, the embedding
-functions and the aggregate functions over randomly generated inputs.
+These check structural invariants of the grounded causal graph (its CSR
+walks, the do-operator and d-separation), the embedding functions and the
+aggregate functions over randomly generated inputs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from repro.carl.embeddings import (
     MomentsEmbedding,
     PaddingEmbedding,
 )
-from repro.graph.dag import DAG
-from repro.graph.dseparation import d_separated
+from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 
 # ----------------------------------------------------------------------
 # strategies
@@ -29,17 +29,21 @@ float_lists = st.lists(finite_floats, max_size=30)
 nonempty_float_lists = st.lists(finite_floats, min_size=1, max_size=30)
 
 
+def vertex(index: int) -> GroundedAttribute:
+    return GroundedAttribute("v", (index,))
+
+
 @st.composite
-def random_dags(draw) -> DAG:
+def random_dags(draw) -> GroundedCausalGraph:
     """Random DAGs built by only adding edges from lower to higher node ids."""
     n_nodes = draw(st.integers(min_value=2, max_value=12))
-    graph = DAG()
-    for node in range(n_nodes):
-        graph.add_node(node)
+    graph = GroundedCausalGraph()
+    for index in range(n_nodes):
+        graph.add_node(vertex(index))
     possible_edges = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
     edges = draw(st.lists(st.sampled_from(possible_edges), max_size=2 * n_nodes, unique=True))
     for parent, child in edges:
-        graph.add_edge(parent, child)
+        graph.add_edge(vertex(parent), vertex(child))
     return graph
 
 
@@ -48,7 +52,7 @@ def random_dags(draw) -> DAG:
 # ----------------------------------------------------------------------
 @given(random_dags())
 @settings(max_examples=60, deadline=None)
-def test_dag_construction_is_acyclic_and_topologically_consistent(graph: DAG):
+def test_dag_construction_is_acyclic_and_topologically_consistent(graph: GroundedCausalGraph):
     order = graph.topological_order()
     assert sorted(order) == sorted(graph.nodes)
     position = {node: index for index, node in enumerate(order)}
@@ -58,7 +62,7 @@ def test_dag_construction_is_acyclic_and_topologically_consistent(graph: DAG):
 
 @given(random_dags())
 @settings(max_examples=60, deadline=None)
-def test_dag_ancestor_descendant_duality(graph: DAG):
+def test_dag_ancestor_descendant_duality(graph: GroundedCausalGraph):
     for node in graph.nodes:
         for ancestor in graph.ancestors(node):
             assert node in graph.descendants(ancestor)
@@ -66,30 +70,30 @@ def test_dag_ancestor_descendant_duality(graph: DAG):
 
 @given(random_dags())
 @settings(max_examples=40, deadline=None)
-def test_do_operator_removes_exactly_incoming_edges(graph: DAG):
-    targets = [node for node in graph.nodes if node % 2 == 0]
+def test_do_operator_removes_exactly_incoming_edges(graph: GroundedCausalGraph):
+    targets = [node for node in graph.nodes if node.key[0] % 2 == 0]
     mutilated = graph.do(targets)
     for parent, child in graph.edges:
         if child in targets:
             assert not mutilated.has_edge(parent, child)
         else:
             assert mutilated.has_edge(parent, child)
-    assert len(mutilated) == len(graph)
+    assert mutilated.nodes == graph.nodes
 
 
 @given(random_dags(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_d_separation_is_symmetric(graph: DAG, data):
+def test_d_separation_is_symmetric(graph: GroundedCausalGraph, data):
     nodes = graph.nodes
     x = data.draw(st.sampled_from(nodes))
     y = data.draw(st.sampled_from(nodes))
     given_set = data.draw(st.lists(st.sampled_from(nodes), max_size=4, unique=True))
-    assert d_separated(graph, x, y, given_set) == d_separated(graph, y, x, given_set)
+    assert graph.d_separated(x, y, given_set) == graph.d_separated(y, x, given_set)
 
 
 @given(random_dags(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_parents_block_all_paths_to_nondescendants(graph: DAG, data):
+def test_parents_block_all_paths_to_nondescendants(graph: GroundedCausalGraph, data):
     """The local Markov property: a node is d-separated from its non-descendants
     given its parents — the graphical fact Theorem 5.2's sufficiency rests on."""
     node = data.draw(st.sampled_from(graph.nodes))
@@ -98,7 +102,7 @@ def test_parents_block_all_paths_to_nondescendants(graph: DAG, data):
     )
     if not non_descendants:
         return
-    assert d_separated(graph, node, non_descendants, graph.parents(node))
+    assert graph.d_separated(node, non_descendants, graph.parents(node))
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,8 @@ from repro.carl.engine import CaRLEngine
 from repro.carl.errors import EstimationError, GroundingError, ParseError, QueryError
 from repro.carl.queries import QueryAnswer
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
+from repro.faults.injection import clear_plan, install_plan
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.observability import reset_registry
 from repro.service import QuerySession
 
@@ -212,12 +214,12 @@ def test_result_unknown_index_and_timeout():
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
-def test_cancelled_query_never_yields(executor, monkeypatch):
+def test_cancelled_query_never_yields(executor, fault_plan):
     """jobs=1 and slowed tasks: the second query is still queued when it is
     cancelled, so it must never produce an event — and the first query's
     answer must be unaffected."""
     if executor == "process":
-        monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY", "0.2")
+        fault_plan(FaultRule("worker.slow", p=1.0, delay=0.2))
         engine = fresh_engine()
         session = engine.open_session(jobs=1, executor="process", shards=1)
     else:
@@ -245,8 +247,8 @@ def test_cancelled_query_never_yields(executor, monkeypatch):
         assert session.outstanding() == 0
 
 
-def test_process_timeout_yields_query_error_and_neighbours_survive(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY", "0.3")
+def test_process_timeout_yields_query_error_and_neighbours_survive(fault_plan):
+    fault_plan(FaultRule("worker.slow", p=1.0, delay=0.3))
     engine = fresh_engine()
     with engine.open_session(jobs=2, executor="process", shards=1) as session:
         doomed = session.submit(QUERIES["ate"], timeout=0.05)
@@ -327,10 +329,10 @@ def test_cancel_after_timeout_withdraws_the_timeout_event():
             session.result(doomed)
 
 
-def test_cancel_racing_scheduler_planning_never_emits(monkeypatch):
+def test_cancel_racing_scheduler_planning_never_emits(fault_plan):
     """Cancel issued while the dispatcher is inside the (unlocked) planning
     call must not be clobbered by the plan completing."""
-    monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY", "0.05")
+    fault_plan(FaultRule("worker.slow", p=1.0, delay=0.05))
     engine = fresh_engine()
     with engine.open_session(jobs=2, executor="process", shards=2) as session:
         keep = session.submit(QUERIES["ate"])
@@ -345,11 +347,11 @@ def test_cancel_racing_scheduler_planning_never_emits(monkeypatch):
 # retry-and-requeue scheduling under injected faults
 # ----------------------------------------------------------------------
 def test_faulting_worker_is_excluded_and_all_queries_succeed(
-    monkeypatch, serial_answers
+    fault_plan, serial_answers
 ):
     """Worker 0 raises on every task: each of its tasks is requeued onto the
     other worker and every query still answers, bit-identically."""
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "raise@0")
+    fault_plan(FaultRule("worker.error", p=1.0, workers=(0,)))
     engine = fresh_engine()
     with engine.open_session(jobs=2, executor="process", shards=2) as session:
         for query in QUERIES.values():
@@ -366,10 +368,10 @@ def test_faulting_worker_is_excluded_and_all_queries_succeed(
         )
 
 
-def test_dead_worker_is_replaced_and_task_requeued(monkeypatch, serial_answers):
+def test_dead_worker_is_replaced_and_task_requeued(fault_plan, serial_answers):
     """Worker 0 exits abruptly: the scheduler spawns a replacement, requeues
     the orphaned task, and the whole sweep completes."""
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "exit@0")
+    fault_plan(FaultRule("worker.crash", p=1.0, workers=(0,)))
     engine = fresh_engine()
     with engine.open_session(jobs=2, executor="process", shards=2) as session:
         for query in QUERIES.values():
@@ -386,10 +388,10 @@ def test_dead_worker_is_replaced_and_task_requeued(monkeypatch, serial_answers):
         )
 
 
-def test_budget_exhaustion_fails_only_that_query(monkeypatch):
+def test_budget_exhaustion_fails_only_that_query(fault_plan):
     """Every worker faults on every task: each query fails with its own
     QueryError after the budget, the session never hangs or raises."""
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "raise")
+    fault_plan(FaultRule("worker.error", p=1.0))
     engine = fresh_engine()
     with engine.open_session(jobs=2, executor="process", shards=2, retries=1) as session:
         for query in QUERIES.values():
@@ -402,7 +404,7 @@ def test_budget_exhaustion_fails_only_that_query(monkeypatch):
 
 
 def test_answer_all_process_survives_untargeted_faults(
-    monkeypatch, tmp_path, serial_answers
+    monkeypatch, tmp_path, serial_answers, fault_plan
 ):
     """answer_all runs on the scheduler, so a worker fault does not abort
     the batch.  When every worker dies on every task, the dead workers are
@@ -411,7 +413,7 @@ def test_answer_all_process_survives_untargeted_faults(
     serially in-process, bit-identical.  When every worker raises, each
     task is retried until its budget is spent, and the error says so."""
     monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "exit")
+    fault_plan(FaultRule("worker.crash", p=1.0))
     registry = reset_registry()
     try:
         got = fresh_engine().answer_all(QUERIES, jobs=2, executor="process", shards=2)
@@ -425,7 +427,7 @@ def test_answer_all_process_survives_untargeted_faults(
     for name, answer in got.items():
         assert answer_fingerprint(answer) == answer_fingerprint(serial_answers[name])
 
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "raise")
+    fault_plan(FaultRule("worker.error", p=1.0))
     with pytest.raises(QueryError, match=r"shard worker .* retry budget 2\)"):
         fresh_engine().answer_all(QUERIES, jobs=2, executor="process", shards=2)
 
@@ -434,17 +436,16 @@ def test_answer_all_process_survives_untargeted_faults(
 @given(
     jobs=st.integers(min_value=1, max_value=3),
     shards=st.integers(min_value=1, max_value=3),
-    fault=st.sampled_from([None, "raise@0"]),
+    fault=st.sampled_from([None, "error@0"]),
 )
 def test_process_streaming_parity_under_fault_grid(jobs, shards, fault, serial_answers):
     """Hypothesis sweep over (jobs, shards, fault injection): completed
-    answers stay a bit-identical permutation of the serial ones."""
-    import os
-
+    answers stay a bit-identical permutation of the serial ones.  ``error@0``
+    makes worker 0 raise on every task."""
     if fault is None:
-        os.environ.pop("REPRO_SHARD_WORKER_FAULT", None)
+        clear_plan()
     else:
-        os.environ["REPRO_SHARD_WORKER_FAULT"] = fault
+        install_plan(FaultPlan(rules=(FaultRule("worker.error", p=1.0, workers=(0,)),)))
     try:
         engine = fresh_engine()
         got = dict(
@@ -454,7 +455,7 @@ def test_process_streaming_parity_under_fault_grid(jobs, shards, fault, serial_a
         )
         assert sorted(got) == list(range(len(QUERY_LIST)))
         names = list(QUERIES)
-        if fault == "raise@0" and jobs == 1:
+        if fault == "error@0" and jobs == 1:
             # The only worker is the faulting one: exclusion cannot help, so
             # each query fails alone once the budget is spent — but every
             # query still yields its own event.
@@ -466,7 +467,7 @@ def test_process_streaming_parity_under_fault_grid(jobs, shards, fault, serial_a
                 serial_answers[names[index]]
             )
     finally:
-        os.environ.pop("REPRO_SHARD_WORKER_FAULT", None)
+        clear_plan()
 
 
 # ----------------------------------------------------------------------

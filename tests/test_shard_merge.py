@@ -1,13 +1,8 @@
 """Shard-merge parity suite (see ``docs/sharding.md``).
 
-Three layers of the sharded execution stack are held to differential
+Two layers of the sharded execution stack are held to differential
 contracts against their serial references:
 
-* **grouped aggregates** — ``sharded_grouped_aggregate`` must match the
-  scalar aggregate family (``agg_*``) bit-for-bit per group (NaNs compare as
-  NaNs: the merge canonicalizes NaN payloads, scalar inf arithmetic does
-  not), and must be bit-*identical* — payload bits included — across shard
-  counts 1/2/7;
 * **unit-table collection** — collecting consecutive unit ranges and merging
   must reproduce the unsharded collection exactly (bit-identical
   materialized unit tables);
@@ -16,6 +11,9 @@ contracts against their serial references:
   batch whose workers keep dying is answered serially once the scheduler's
   circuit breaker opens, and one whose workers keep raising fails with a
   clean :class:`QueryError` once the retry budget is spent, never a hang.
+
+It also pins the grouped aggregate kernels against the scalar family on
+signed infinities.
 """
 
 from __future__ import annotations
@@ -24,29 +22,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.cache.serialization import (
     load_unit_inputs,
     unit_inputs_payload,
 )
-from repro.cache.store import ArtifactCache, CacheKey
+from repro.cache.store import ArtifactCache
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import QueryError
+from repro.carl.shard import shard_ranges
 from repro.carl.unit_table import materialize_unit_table, merge_unit_table_inputs
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
-from repro.db.aggregates import (
-    AGGREGATES,
-    SHARDABLE_AGGREGATES,
-    AggregateError,
-    grouped_shard_partial,
-    merge_grouped_shards,
-    shard_ranges,
-    sharded_grouped_aggregate,
-)
-from repro.db.table import Table
+from repro.db.aggregates import AGGREGATES, GROUPED_AGGREGATES, grouped_aggregate
+from repro.faults.plan import FaultRule
 from repro.observability import reset_registry
-from row_oracle import RowTable
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -91,33 +80,8 @@ def result_key(answer):
 
 
 # ----------------------------------------------------------------------
-# sharded grouped aggregates vs the scalar family
+# grouped aggregate kernels vs the scalar family on infinities
 # ----------------------------------------------------------------------
-@st.composite
-def grouped_data(draw):
-    """A flat value array with group assignments; NaNs included, some groups
-    possibly empty, sizes down to zero rows and one row."""
-    n_groups = draw(st.integers(min_value=1, max_value=5))
-    values = draw(
-        st.lists(
-            st.one_of(
-                st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
-                st.just(math.nan),
-            ),
-            min_size=0,
-            max_size=40,
-        )
-    )
-    group_ids = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=n_groups - 1),
-            min_size=len(values),
-            max_size=len(values),
-        )
-    )
-    return np.asarray(values, dtype=float), np.asarray(group_ids, dtype=np.intp), n_groups
-
-
 def assert_matches_scalar(name, out, reference):
     """Bitwise equality, with NaN==NaN (payload bits aside)."""
     out = np.asarray(out, dtype=float)
@@ -125,80 +89,21 @@ def assert_matches_scalar(name, out, reference):
     both_nan = np.isnan(out) & np.isnan(reference)
     assert np.array_equal(
         np.where(both_nan, 0.0, out), np.where(both_nan, 0.0, reference)
-    ), f"{name}: sharded {out!r} != scalar {reference!r}"
+    ), f"{name}: grouped {out!r} != scalar {reference!r}"
 
 
-@pytest.mark.parametrize("name", SHARDABLE_AGGREGATES)
-@given(data=grouped_data())
-def test_sharded_aggregate_matches_scalar_per_group(name, data):
-    values, group_ids, n_groups = data
-    try:
-        reference = [
-            AGGREGATES[name](values[group_ids == group].tolist())
-            for group in range(n_groups)
-        ]
-    except AggregateError:
-        # MIN/MAX of an empty group: every shard count must raise too.
-        for shards in SHARD_COUNTS:
-            with pytest.raises(AggregateError):
-                sharded_grouped_aggregate(name, values, group_ids, n_groups, shards=shards)
-        return
-    outputs = []
-    for shards in SHARD_COUNTS:
-        out = np.asarray(
-            sharded_grouped_aggregate(name, values, group_ids, n_groups, shards=shards),
-            dtype=float,
-        )
-        assert_matches_scalar(name, out, reference)
-        outputs.append(out.tobytes())
-    # Across shard counts the result is bit-identical, NaN payloads included.
-    assert len(set(outputs)) == 1, f"{name}: result depends on the shard count"
-
-
-@pytest.mark.parametrize("name", SHARDABLE_AGGREGATES)
+@pytest.mark.parametrize("name", tuple(GROUPED_AGGREGATES))
 def test_sharded_aggregate_infinity_edges(name):
-    """Signed infinities follow the scalar family's IEEE-fallback semantics."""
+    """Signed infinities follow the scalar family's IEEE-fallback semantics
+    in every grouped kernel (the only test feeding +-inf to all twelve)."""
     values = np.asarray([math.inf, 1.0, -math.inf, 2.0, math.inf, -1.0])
     group_ids = np.asarray([0, 0, 0, 1, 1, 2])
     reference = [AGGREGATES[name](values[group_ids == g].tolist()) for g in range(3)]
-    for shards in SHARD_COUNTS:
-        out = sharded_grouped_aggregate(name, values, group_ids, 3, shards=shards)
-        assert_matches_scalar(name, out, reference)
-
-
-def test_sharded_aggregate_same_sign_overflow_matches_scalar():
-    """A running sum that overflows the double range degrades to the scalar
-    family's IEEE fallback (inf), never to a manufactured NaN, and stays
-    shard-count independent."""
-    values = np.asarray([1e308, 1e308, 1e308, -1.0])
-    group_ids = np.zeros(4, dtype=np.intp)
-    assert AGGREGATES["SUM"](values.tolist()) == math.inf
-    for name in ("SUM", "AVG"):
-        reference = AGGREGATES[name](values.tolist())
-        for shards in (1, 2, 4):
-            out = sharded_grouped_aggregate(name, values, group_ids, 1, shards=shards)
-            assert float(out[0]) == reference, (name, shards, out)
-
-
-def test_sharded_aggregate_single_row_and_empty():
-    one = np.asarray([5.0])
-    zero_groups = np.asarray([0])
-    for shards in SHARD_COUNTS:
-        assert sharded_grouped_aggregate("AVG", one, zero_groups, 1, shards=shards)[0] == 5.0
-        assert sharded_grouped_aggregate("VAR", one, zero_groups, 1, shards=shards)[0] == 0.0
-        # Groups beyond the data are empty: COUNT 0, AVG 0.0 (agg_avg on []).
-        counts = sharded_grouped_aggregate("COUNT", one, zero_groups, 3, shards=shards)
-        assert counts.tolist() == [1, 0, 0]
-        means = sharded_grouped_aggregate("AVG", one, zero_groups, 3, shards=shards)
-        assert means.tolist() == [5.0, 0.0, 0.0]
-        empty = sharded_grouped_aggregate(
-            "SUM", np.empty(0), np.empty(0, dtype=np.intp), 2, shards=shards
-        )
-        assert empty.tolist() == [0.0, 0.0]
+    assert_matches_scalar(name, grouped_aggregate(name, values, group_ids, 3), reference)
 
 
 def test_shard_ranges_cover_and_balance():
-    with pytest.raises(AggregateError):
+    with pytest.raises(QueryError):
         shard_ranges(10, 0)
     for n_rows, shards in [(0, 3), (1, 7), (10, 3), (10, 1), (100, 7)]:
         ranges = shard_ranges(n_rows, shards)
@@ -208,65 +113,6 @@ def test_shard_ranges_cover_and_balance():
             assert stop == start  # contiguous, in order
         sizes = [stop - start for start, stop in ranges]
         assert max(sizes) - min(sizes) <= 1
-
-
-def test_shard_partials_round_trip_through_artifact_store(tmp_path):
-    """Partials are numeric npz payloads: storing and loading them through the
-    artifact cache (the process boundary) must not change the merged result."""
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=200) * 1e6
-    group_ids = rng.integers(0, 6, size=200)
-    cache = ArtifactCache(tmp_path)
-    for name in ("SUM", "AVG", "MEDIAN", "MIN", "COUNT"):
-        direct = sharded_grouped_aggregate(name, values, group_ids, 6, shards=3)
-        parts = []
-        for index, (start, stop) in enumerate(shard_ranges(len(values), 3)):
-            partial = grouped_shard_partial(
-                name, values[start:stop], group_ids[start:stop], 6
-            )
-            key = CacheKey(
-                database="ab" * 32, program="cd" * 32, kind="unit_inputs",
-                detail=f"{index:02x}" * 8,
-            )
-            cache.store(key, partial)
-            parts.append(cache.load(key))
-        merged = merge_grouped_shards(name, parts, 6)
-        assert np.asarray(merged, dtype=float).tobytes() == np.asarray(
-            direct, dtype=float
-        ).tobytes()
-
-
-# ----------------------------------------------------------------------
-# sharded Table.group_by vs the row oracle
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", SHARDABLE_AGGREGATES)
-def test_sharded_group_by_matches_row_backend_bitwise(name):
-    """With shards set, the group-by adopts the scalar (fsum) family and
-    therefore matches the row oracle *bit for bit*, at any shard count."""
-    rng = np.random.default_rng(11)
-    rows = [
-        {"k": int(i % 4), "v": float(v)}
-        for i, v in enumerate(rng.normal(size=150) * 10.0 ** rng.integers(-3, 7, size=150).astype(float))
-    ]
-    table = Table.from_rows("t", rows)
-    reference = RowTable(table.schema, rows).group_by(["k"], {"out": ("v", name)}).to_list()
-    for shards in SHARD_COUNTS:
-        sharded = table.group_by(["k"], {"out": ("v", name)}, shards=shards).to_list()
-        assert sharded == reference
-
-
-def test_row_slice_shards_reassemble():
-    rng = np.random.default_rng(5)
-    table = Table.from_columns(
-        "t",
-        {"a": rng.normal(size=23).tolist(), "b": [f"s{i}" for i in range(23)]},
-        dtypes={"a": "float", "b": "str"},
-    )
-    pieces = [table.row_slice(start, stop) for start, stop in shard_ranges(len(table), 5)]
-    reassembled = [row for piece in pieces for row in piece.to_list()]
-    assert reassembled == table.to_list()
-    assert len(table.row_slice(50, 99)) == 0  # clamped, not an error
-    assert table.row_slice(-5, 4).to_list() == table.to_list()[:4]
 
 
 # ----------------------------------------------------------------------
@@ -449,13 +295,13 @@ def test_threshold_sweep_shares_collections_within_one_batch(tmp_path):
         assert repr(result_key(answers[name])) == repr(result_key(serial[name]))
 
 
-def test_process_executor_worker_death_answers_serially(monkeypatch, tmp_path):
+def test_process_executor_worker_death_answers_serially(monkeypatch, tmp_path, fault_plan):
     """Every worker dies on every task: the scheduler replaces them until
     its circuit breaker opens, then answers the batch serially in-process,
     bit-identical to the serial loop."""
     serial = fresh_engine().answer_all({"ate": QUERIES["ate"]}, jobs=1)
     monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "exit")
+    fault_plan(FaultRule("worker.crash", p=1.0))
     registry = reset_registry()
     try:
         answers = fresh_engine().answer_all(
@@ -470,10 +316,10 @@ def test_process_executor_worker_death_answers_serially(monkeypatch, tmp_path):
     assert counters["scheduler.serial_fallback"] == 1
 
 
-def test_process_executor_worker_exception_raises_cleanly(monkeypatch):
+def test_process_executor_worker_exception_raises_cleanly(fault_plan):
     """A worker that raises on every attempt fails the query once its retry
     budget is spent; the error names the fault and the budget."""
-    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULT", "raise")
+    fault_plan(FaultRule("worker.error", p=1.0))
     with pytest.raises(QueryError, match=r"shard worker .* retry budget 2\)"):
         fresh_engine().answer_all(
             {"ate": QUERIES["ate"]}, jobs=2, executor="process", shards=2
