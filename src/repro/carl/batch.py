@@ -11,9 +11,11 @@ three distinct attribute pairs walks the grounded graph three times instead
 of eight.
 
 The scratch is deliberately batch-scoped rather than engine-scoped: its
-entries hold references into the current grounding and can be arbitrarily
-large, so they are dropped as soon as the session closes instead of
-accumulating on a long-lived engine.
+entries can be arbitrarily large, so they are dropped as soon as the
+session closes instead of accumulating on a long-lived engine.  Entries
+belong to the database version token of the grounding snapshot they were
+collected from; the first lookup under a new token (the database mutated
+and the engine re-ground) drops them all.
 """
 
 from __future__ import annotations
@@ -28,25 +30,30 @@ class BatchScratch:
     """Memo of shareable per-(treatment, response) intermediates of a batch.
 
     Thread-safe: worker threads of one batch race to populate entries, and
-    :meth:`get_or_build` guarantees each key is built at most once (losers
-    block until the winner's value is ready).  The engine additionally holds
-    its own state lock while building, so builder callbacks may freely read
-    engine state; the per-entry events exist so a future caller that builds
-    outside that lock stays correct.
+    :meth:`get_or_build` guarantees each key is built at most once per token
+    (losers block until the winner's value is ready).  Builders run outside
+    every lock: they walk an immutable grounding snapshot.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._token: Any = None  # guarded-by: _lock
         #: key -> [threading.Event, value, exception]
-        self._entries: dict[Any, list[Any]] = {}
+        self._entries: dict[Any, list[Any]] = {}  # guarded-by: _lock
 
-    def get_or_build(self, key: Any, build: Callable[[], T]) -> T:
+    def get_or_build(self, token: Any, key: Any, build: Callable[[], T]) -> T:
         """Return the memoized value for ``key``, building it on first use.
 
-        A ``build`` that raises is not cached — the exception propagates to
+        ``token`` is the database version token of the snapshot ``build``
+        reads; a token other than the last one seen drops every entry
+        first, which keeps a long-lived session's memory bounded.  A
+        ``build`` that raises is not cached — the exception propagates to
         every thread waiting on the entry, and the next caller retries.
         """
         with self._lock:
+            if token != self._token:
+                self._entries = {}
+                self._token = token
             entry = self._entries.get(key)
             if entry is None:
                 entry = [threading.Event(), None, None]
@@ -60,7 +67,8 @@ class BatchScratch:
             except BaseException as error:
                 entry[2] = error
                 with self._lock:
-                    self._entries.pop(key, None)
+                    if self._entries.get(key) is entry:
+                        del self._entries[key]
                 raise
             finally:
                 entry[0].set()
@@ -69,20 +77,6 @@ class BatchScratch:
         if entry[2] is not None:
             raise entry[2]
         return entry[1]
-
-    def clear(self) -> None:
-        """Drop every memoized entry.
-
-        A long-lived :class:`~repro.service.session.QuerySession` reuses one
-        scratch across many submissions; entries are keyed by grounding
-        epoch, so after a database mutation re-grounds the engine the stale
-        epoch's entries become unreachable garbage — the session clears the
-        scratch at the epoch boundary to keep its memory bounded.  Entries
-        still being built are abandoned to their builders (the per-entry
-        events keep waiters correct); only the map is reset.
-        """
-        with self._lock:
-            self._entries = {}
 
     def __len__(self) -> int:
         with self._lock:

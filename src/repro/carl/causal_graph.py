@@ -15,10 +15,11 @@ iteration order is a pure function of node ids: nothing here depends on
 ``PYTHONHASHSEED``, so warm-cache loads in spawn workers iterate exactly
 like the grounding process did.
 
-Mutation stays cheap: ``add_node``/``add_grounded_rule`` append to plain
-Python buffers and the CSR snapshot is recompiled lazily on the next
-adjacency query (the engine splices dynamically-registered aggregate rules
-into a loaded graph, so post-load mutability is required).
+Construction stays cheap: ``add_node``/``add_grounded_rule`` append to
+plain Python buffers and the CSR is compiled on the next adjacency query.
+The engine compiles a graph before it publishes it in a grounding snapshot
+and never mutates it after, so ``csr()`` on a published graph is a pure
+read; a newly registered aggregate rule is added to a :meth:`copy`.
 """
 
 from __future__ import annotations
@@ -163,7 +164,6 @@ class GroundedCausalGraph:
         wires them in directly instead of re-interning node by node.  The
         ``_by_attribute`` index is installed separately by the loader (it is
         derived from the payload's attribute-id array in one vectorized pass).
-        :meth:`do` uses it the same way for the mutilated graph.
         """
         self._nodes = nodes
         self._node_index = dict(zip(nodes, range(len(nodes))))
@@ -333,6 +333,11 @@ class GroundedCausalGraph:
     def validate_acyclic(self) -> None:
         self.csr().topological_order()
 
+    def copy(self) -> "GroundedCausalGraph":
+        """An independent graph with the same node ids, aggregate marks and
+        edges; adding to the copy leaves this graph untouched."""
+        return self._with_csr(self.csr())
+
     def do(self, nodes: Iterable[GroundedAttribute]) -> "GroundedCausalGraph":
         """Mutilated graph for an intervention on ``nodes``: the same node ids
         and aggregate marks, with every edge into an intervened node removed."""
@@ -341,13 +346,18 @@ class GroundedCausalGraph:
         intervened[sorted(self._as_ids(nodes))] = True
         parents, children = csr.edge_arrays()
         keep = ~intervened[children]
-        mutilated = GroundedCausalGraph()
-        mutilated._adopt_arrays(
-            list(self._nodes), CSRGraph.from_edges(csr.n, parents[keep], children[keep])
-        )
-        mutilated._by_attribute = {name: list(ids) for name, ids in self._by_attribute.items()}
-        mutilated._aggregates = dict(self._aggregates)
-        return mutilated
+        return self._with_csr(CSRGraph.from_edges(csr.n, parents[keep], children[keep]))
+
+    def _with_csr(self, csr: CSRGraph) -> "GroundedCausalGraph":
+        """A graph over this graph's nodes and aggregate marks with ``csr``
+        as its (compiled, immutable) adjacency."""
+        graph = GroundedCausalGraph()
+        graph._nodes = list(self._nodes)
+        graph._node_index = dict(self._node_index)
+        graph._by_attribute = {name: list(ids) for name, ids in self._by_attribute.items()}
+        graph._aggregates = dict(self._aggregates)
+        graph._csr = csr
+        return graph
 
     def _as_ids(
         self, nodes: Iterable[GroundedAttribute] | GroundedAttribute

@@ -40,7 +40,7 @@ from repro.carl.ast import CausalQuery, PeerCondition, Program, Variable
 from repro.carl.batch import BatchScratch
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.carl.errors import CaRLError, QueryError
-from repro.carl.grounding import Grounder
+from repro.carl.grounding import Grounder, Grounding
 from repro.carl.model import RelationalCausalModel
 from repro.carl.parser import parse_program, parse_query
 from repro.carl.peers import build_unifying_aggregate_rule, compute_peers
@@ -66,10 +66,11 @@ class CaRLEngine:
     """End-to-end CaRL engine over a database and a CaRL program.
 
     Query answering (:meth:`answer`, :meth:`answer_all`, :meth:`unit_table`,
-    :meth:`diagnostics`, :meth:`conditional_effects`) is thread-safe: shared
-    mutable state is guarded by an internal lock, while the numpy-dominated
-    phases run outside it.  Mutating the underlying database concurrently
-    with query answering is not supported (see ``docs/batching.md``).
+    :meth:`diagnostics`, :meth:`conditional_effects`) is thread-safe: a query
+    takes the current immutable :class:`~repro.carl.grounding.Grounding`
+    snapshot under an internal lock and walks it outside the lock.  Mutating
+    the underlying database concurrently with query answering is not
+    supported (see ``docs/batching.md``).
     """
 
     def __init__(
@@ -104,29 +105,16 @@ class CaRLEngine:
         #: hits do not count; staleness re-grounds do).
         self.grounding_runs = 0
 
-        self._graph: GroundedCausalGraph | None = None  # guarded-by: _state_lock
-        self._values: dict[GroundedAttribute, Any] | None = None  # guarded-by: _state_lock
-        self._db_token: tuple[Any, ...] | None = None  # guarded-by: _state_lock
-        #: Unifying aggregate rules registered by response resolution whose
-        #: groundings have not been spliced into the graph yet (deferred so a
-        #: unit-table cache hit never has to touch the graph).
-        self._pending_aggregates: list[Any] = []  # guarded-by: _state_lock
-        #: Wall-clock seconds of the engine's most recent grounding (or cache
-        #: load of one).  Per-answer attribution lives on
-        #: :attr:`QueryAnswer.grounding_seconds` instead: an answer is only
-        #: charged for grounding work its own call actually performed.
-        self.grounding_seconds: float = 0.0
-        self._grounding_epoch = 0
-        #: Reentrant lock guarding every read or write of shared mutable
-        #: state: the grounded graph and its values, the model's rule lists,
-        #: pending aggregate splices, and the bound instance's lazy indexes.
-        #: Graph walks hold it; numpy-dominated phases (embedding,
-        #: binarization, estimation, artifact I/O) run outside it so
-        #: concurrent ``answer`` calls overlap where the GIL allows.
+        #: The published grounding snapshot (None until first use).  It may
+        #: lag the model's aggregate rules: a rule registered by response
+        #: resolution is ground into a new snapshot only when a query needs
+        #: the graph, so a unit-table cache hit never touches it.
+        self._grounding: Grounding | None = None  # guarded-by: _state_lock
+        #: Reentrant lock guarding snapshot publication, the model's rule
+        #: lists and the bound instance's lazy indexes.  Graph walks read an
+        #: immutable snapshot and run outside it, as do the numpy-dominated
+        #: phases (embedding, binarization, estimation, artifact I/O).
         self._state_lock = threading.RLock()
-        #: Per-thread accumulator of grounding seconds charged to the answer
-        #: currently executing on that thread (see :meth:`answer`).
-        self._grounding_charge = threading.local()
 
     # ------------------------------------------------------------------
     # grounding (lazy, cached)
@@ -136,85 +124,89 @@ class CaRLEngine:
         """The grounded relational causal graph ``G(Phi_Delta)``.
 
         Built lazily; loaded from the artifact cache when one is configured
-        and holds a grounding for the current (database fingerprint, model
+        and holds a grounding for the current (database fingerprint, program
         fingerprint).  If the database has mutated since the last grounding —
-        detected via its version token — the stale graph is dropped and the
-        program is re-grounded automatically.
-
-        Thread-safe: concurrent accessors serialize on the engine's state
-        lock, so at most one thread grounds (and that thread alone is charged
-        the grounding time); the others observe the finished graph.
+        detected via its version token — the program is re-ground
+        automatically.  The graph covers every aggregate rule registered so
+        far, and a graph once returned never changes: registering another
+        unifying aggregate publishes a new graph instead of growing this one.
         """
-        with self._state_lock:
-            if self._graph is not None and self.database.version_token() != self._db_token:
-                self.invalidate()
-            if self._graph is None:
-                self._db_token = self.database.version_token()
-                started = time.perf_counter()
-                ground_span = get_registry().start_span("engine.ground")
-                loaded = False
-                key = self._grounding_key()
-                if key is not None:
-                    payload = self.cache.load(key)
-                    if payload is not None:
-                        try:
-                            self._graph, self._values = load_grounding(payload)
-                            loaded = True
-                        except SerializationError:
-                            loaded = False
-                if not loaded:
-                    self._graph = self.grounder.ground()
-                    self._values = self.grounder.grounded_attribute_values(self._graph)
-                    self.grounding_runs += 1
-                    if key is not None:
-                        self.cache.store(key, grounding_payload(self._graph, self._values))
-                get_registry().finish_span(ground_span, cached=loaded)
-                elapsed = time.perf_counter() - started
-                self.grounding_seconds = elapsed
-                self._grounding_epoch += 1
-                self._charge_grounding(elapsed)
-            return self._graph
+        return self._current_grounding()[0].graph
 
     @property
     def values(self) -> dict[GroundedAttribute, Any]:
-        """Observed + aggregated values of every grounded attribute node."""
-        self.graph  # noqa: B018 - force grounding
-        with self._state_lock:
-            assert self._values is not None
-            return self._values
+        """Observed + aggregated values of every grounded attribute node
+        (the current snapshot's; read-only, like :attr:`graph`)."""
+        return self._current_grounding()[0].values
 
     def invalidate(self) -> None:
-        """Drop the cached grounded graph and rebind to the database.
+        """Drop the grounding snapshot and rebind to the database.
 
         Called automatically when the database's version token moves (every
         insert and table addition bumps it), so a mutated database can never
         silently answer queries from a stale grounding.  Rebinding also
         rebuilds the bound instance, whose per-attribute value indexes and
-        unit lists are caches over the same data.
+        unit lists are caches over the same data.  Queries already walking
+        the old snapshot finish on it.
         """
         with self._state_lock:
-            self._graph = None
-            self._values = None
-            self._db_token = None
+            self._grounding = None
             self.instance = self.schema.bind(self.database)
             self.grounder = Grounder(self.model, self.instance)
 
-    # ------------------------------------------------------------------
-    # per-answer grounding attribution
-    # ------------------------------------------------------------------
-    def _charge_grounding(self, seconds: float) -> None:
-        """Charge grounding seconds to the answer running on this thread."""
-        charge = self._grounding_charge
-        charge.seconds = getattr(charge, "seconds", 0.0) + seconds
+    def _current_grounding(self) -> tuple[Grounding, float]:
+        """The current snapshot (see :attr:`graph`) and the seconds this call
+        spent producing it.
 
-    def _reset_grounding_charge(self) -> float:
-        """Zero this thread's grounding charge, returning the previous value."""
-        previous = getattr(self._grounding_charge, "seconds", 0.0)
-        self._grounding_charge.seconds = 0.0
-        return previous
+        A snapshot of an older database version token is dropped and the
+        program re-ground (or cache-loaded), and aggregate rules registered
+        after the snapshot was taken are spliced into a new one.  The
+        seconds are 0.0 unless this call grounded, loaded or extended:
+        concurrent callers serialize on the state lock, so only the thread
+        that did the work reports it.
+        """
+        with self._state_lock:
+            started = time.perf_counter()
+            grounding = self._grounding
+            if grounding is not None and grounding.db_token != self.database.version_token():
+                self.invalidate()
+                grounding = None
+            if grounding is None:
+                grounding = self._load_or_ground()
+            if grounding.aggregate_rules < len(self.model.aggregate_rules):
+                grounding = self.grounder.extend(grounding)
+            if grounding is self._grounding:
+                return grounding, 0.0
+            self._grounding = grounding
+            return grounding, time.perf_counter() - started
 
-    def _grounding_charged(self) -> float:
-        return getattr(self._grounding_charge, "seconds", 0.0)
+    def _load_or_ground(self) -> Grounding:  # guarded-by: _state_lock
+        """A fresh snapshot of the current database: cache load, else ground."""
+        db_token = self.database.version_token()
+        ground_span = get_registry().start_span("engine.ground")
+        key = self._grounding_key()
+        loaded = None
+        if key is not None:
+            payload = self.cache.load(key)
+            if payload is not None:
+                try:
+                    loaded = load_grounding(payload)
+                except SerializationError:
+                    pass
+        if loaded is not None:
+            graph, values = loaded
+            # The artifact is keyed by the program as written, so it covers
+            # the declared aggregate rules; the caller splices in the rest.
+            covered = len(self.program.aggregate_rules)
+        else:
+            graph = self.grounder.ground()
+            values = self.grounder.grounded_attribute_values(graph)
+            covered = len(self.model.aggregate_rules)
+            self.grounding_runs += 1
+            if key is not None:
+                self.cache.store(key, grounding_payload(graph, values))
+        get_registry().finish_span(ground_span, cached=loaded is not None)
+        return Grounding(graph, values, db_token, covered)
 
     # ------------------------------------------------------------------
     # artifact-cache plumbing
@@ -226,8 +218,8 @@ class CaRLEngine:
         unifying aggregate rules registered before the grounding ran; those
         extra nodes are pure leaves (aggregate heads only receive edges), so
         they are harmless to sessions that never ask for them, and
-        :meth:`_apply_pending_aggregates` splices any rule a session *does*
-        need on top of whatever was loaded (idempotently).
+        :meth:`Grounder.extend` splices any rule a session *does* need on
+        top of whatever was loaded (idempotently).
         """
         if self.cache is None:
             return None
@@ -274,8 +266,9 @@ class CaRLEngine:
 
         The reported ``grounding_seconds`` is the grounding work this call
         actually performed: 0.0 when the grounded graph already existed (or
-        the answer came straight from a cached unit table), the full
-        grounding (or cache-load) time when this call triggered it.
+        the answer came straight from a cached unit table), else the time
+        this call spent grounding, loading the grounding from the cache, or
+        splicing in a unifying aggregate it registered.
 
         Safe to call concurrently from multiple threads; ``_scratch`` is the
         batch memo a thread-mode query session threads through its workers.
@@ -285,21 +278,22 @@ class CaRLEngine:
         estimator = estimator or self.default_estimator
         embedding = embedding or self.default_embedding
 
-        self._reset_grounding_charge()
+        grounding_seconds = 0.0
         if self.cache is None:
-            # Force grounding so its time is not charged to the unit table.
+            # Ground first so its time is not charged to the unit table.
             # With a cache configured, grounding stays lazy: a unit-table
             # cache hit answers the query without touching the graph at all.
-            self.graph  # noqa: B018
-        charged_before_build = self._grounding_charged()
+            _, grounding_seconds = self._current_grounding()
         started = time.perf_counter()
-        unit_table, peers = self._build_unit_table(query, embedding, scratch=_scratch)
-        unit_table_seconds = time.perf_counter() - started
-        charged_during_build = self._grounding_charged() - charged_before_build
-        if charged_during_build > 0.0:
-            # Grounding (or a cache load of it) ran lazily inside the build;
-            # keep the reported timings disjoint.
-            unit_table_seconds = max(0.0, unit_table_seconds - charged_during_build)
+        unit_table, build_grounding_seconds = self._build_unit_table(
+            query, embedding, scratch=_scratch
+        )
+        # Grounding work that ran inside the build is reported apart, so the
+        # timings stay disjoint.
+        unit_table_seconds = max(
+            0.0, time.perf_counter() - started - build_grounding_seconds
+        )
+        grounding_seconds += build_grounding_seconds
 
         started = time.perf_counter()
         result = self._estimate_result(query, unit_table, estimator, bootstrap, seed)
@@ -311,7 +305,7 @@ class CaRLEngine:
             unit_table_summary=unit_table.summary(),
             unit_table_seconds=unit_table_seconds,
             estimation_seconds=estimation_seconds,
-            grounding_seconds=self._grounding_charged(),
+            grounding_seconds=grounding_seconds,
         )
 
     def unit_table(self, query: str | CausalQuery, embedding: str | None = None) -> UnitTable:
@@ -543,7 +537,8 @@ class CaRLEngine:
         query: CausalQuery,
         embedding: str,
         scratch: BatchScratch | None = None,
-    ) -> tuple[UnitTable, dict[tuple[Any, ...], list[tuple[Any, ...]]]]:
+    ) -> tuple[UnitTable, float]:
+        """A query's unit table and the seconds spent grounding for it."""
         treatment_attribute, treatment_subject = self._validated_treatment(query)
 
         # Response resolution may register a unifying aggregate rule on the
@@ -562,7 +557,7 @@ class CaRLEngine:
             payload = self.cache.load(table_key)
             if payload is not None:
                 try:
-                    return load_unit_table(payload), {}
+                    return load_unit_table(payload), 0.0
                 except SerializationError:
                     pass
 
@@ -575,52 +570,40 @@ class CaRLEngine:
             binarize = lambda value: 1.0 if threshold.evaluate(value) else 0.0  # noqa: E731
 
         with self._state_lock:
-            self.graph  # noqa: B018 - ground before any epoch-keyed memo lookup
-            self._apply_pending_aggregates()
-            # A batch can share the graph-walk phase between queries over the
-            # same (treatment, response) pair when the WHERE clause is trivial
-            # (the collected inputs are then independent of the query's
-            # threshold, embedding and estimator).
-            if scratch is not None and query.condition.is_trivial:
-                memo_key = (
-                    "unit-table-inputs",
-                    treatment_attribute,
-                    response_attribute,
-                    self._grounding_epoch,
-                )
-                peers, inputs = scratch.get_or_build(
-                    memo_key,
-                    lambda: self._collect_inputs(
-                        query, treatment_attribute, response_attribute
-                    ),
-                )
-            else:
-                peers, inputs = self._collect_inputs(
-                    query, treatment_attribute, response_attribute
-                )
-        # The numpy-dominated phase (binarization, embeddings, assembly) runs
-        # outside the state lock so concurrent builds overlap.
+            grounding, grounding_seconds = self._current_grounding()
+            values, units = self._restricted_units(
+                grounding, query, treatment_attribute, response_attribute
+            )
+
+        # The graph walks read only the immutable snapshot and run outside
+        # the state lock.  A batch shares them between queries over the
+        # same (treatment, response) pair when the WHERE clause is trivial
+        # (the collected inputs are then independent of the query's
+        # threshold, embedding and estimator).
+        def collect() -> UnitTableInputs:
+            peers = compute_peers(grounding.graph, treatment_attribute, response_attribute, units)
+            return collect_unit_table_inputs(
+                grounding.graph,
+                values,
+                treatment_attribute,
+                response_attribute,
+                units,
+                peers,
+                self.model.is_observed,
+            )
+
+        if scratch is not None and query.condition.is_trivial:
+            inputs = scratch.get_or_build(
+                grounding.db_token,
+                ("unit-table-inputs", treatment_attribute, response_attribute),
+                collect,
+            )
+        else:
+            inputs = collect()
         table = materialize_unit_table(inputs, embedding=embedding, binarize=binarize)
         if table_key is not None:
             self.cache.store(table_key, unit_table_payload(table))
-        return table, peers
-
-    def _collect_inputs(
-        self, query: CausalQuery, treatment_attribute: str, response_attribute: str
-    ) -> tuple[dict[tuple[Any, ...], list[tuple[Any, ...]]], UnitTableInputs]:
-        """Graph-walk phase of the unit-table build (state lock must be held)."""
-        values, units = self._restricted_units(query, treatment_attribute, response_attribute)
-        peers = compute_peers(self.graph, treatment_attribute, response_attribute, units)
-        inputs = collect_unit_table_inputs(
-            self.graph,
-            values,
-            treatment_attribute,
-            response_attribute,
-            units,
-            peers,
-            self.model.is_observed,
-        )
-        return peers, inputs
+        return table, grounding_seconds
 
     def _validated_treatment(self, query: CausalQuery) -> tuple[str, str]:
         """The query's treatment attribute and its subject predicate, validated."""
@@ -663,52 +646,47 @@ class CaRLEngine:
         treatment_attribute, treatment_subject = self._validated_treatment(query)
         with self._state_lock:
             response_attribute = self._resolve_response(query, treatment_subject)
-            self.graph  # noqa: B018 - ground (or cache-load) before walking
-            self._apply_pending_aggregates()
-            # snapshot=False: a shard worker is single-threaded, so the
-            # collection can read the engine's values mapping in place
-            # instead of copying ~the whole grounding per task.
+            grounding, _ = self._current_grounding()
             values, units = self._restricted_units(
-                query, treatment_attribute, response_attribute, snapshot=False
+                grounding, query, treatment_attribute, response_attribute
             )
-            if expected_units is not None and len(units) != expected_units:
-                raise QueryError(
-                    f"shard worker derived {len(units)} units for {query!s} but the "
-                    f"dispatcher saw {expected_units}; the shared grounding and "
-                    "database state are out of sync"
-                )
-            selected = units[start:stop]
-            peers = compute_peers(
-                self.graph, treatment_attribute, response_attribute, selected, within=units
+        if expected_units is not None and len(units) != expected_units:
+            raise QueryError(
+                f"shard worker derived {len(units)} units for {query!s} but the "
+                f"dispatcher saw {expected_units}; the shared grounding and "
+                "database state are out of sync"
             )
-            return collect_unit_table_inputs(
-                self.graph,
-                values,
-                treatment_attribute,
-                response_attribute,
-                selected,
-                peers,
-                self.model.is_observed,
-                allow_empty=True,
-            )
+        selected = units[start:stop]
+        peers = compute_peers(
+            grounding.graph, treatment_attribute, response_attribute, selected, within=units
+        )
+        return collect_unit_table_inputs(
+            grounding.graph,
+            values,
+            treatment_attribute,
+            response_attribute,
+            selected,
+            peers,
+            self.model.is_observed,
+            allow_empty=True,
+        )
 
     def _restricted_units(
         self,
+        grounding: Grounding,
         query: CausalQuery,
         treatment_attribute: str,
         response_attribute: str,
-        snapshot: bool = True,
     ) -> tuple[dict[GroundedAttribute, Any], list[tuple[Any, ...]]]:
-        """Values snapshot and restricted unit list for one query (state lock
-        must be held).  Deterministic in (database, program, query), which is
-        what lets shard workers re-derive the same unit list positionally.
+        """Value map and restricted unit list for one query over ``grounding``
+        (state lock must be held: the bound instance's indexes are lazy).
+        Deterministic in (database, program, query), which is what lets
+        shard workers re-derive the same unit list positionally.
 
-        ``snapshot=False`` returns the engine's live values mapping instead
-        of a copy — only safe for single-threaded callers (shard workers):
-        the thread executor needs the copy because a concurrent query's
-        aggregate splice mutates the shared mapping in place.
+        The value map is the snapshot's own unless the WHERE clause restricts
+        an aggregated response, which recomputes it into a per-query copy.
         """
-        values = dict(self.values) if snapshot else self.values
+        values = grounding.values
 
         # Subject of the *base* response attribute: restrictions on that entity
         # (e.g. "only submissions at single-blind venues") are applied inside
@@ -728,7 +706,7 @@ class CaRLEngine:
         units = list(self.instance.units(treatment_attribute))
         if allowed_response is not None and self.model.is_derived(response_attribute):
             values = self._restrict_aggregated_response(
-                response_attribute, values, allowed_response
+                grounding, response_attribute, allowed_response
             )
         elif allowed_response is not None:
             units = [unit for unit in units if unit in allowed_response]
@@ -772,7 +750,12 @@ class CaRLEngine:
     def _ensure_unifying_aggregate(  # guarded-by: _state_lock
         self, base_attribute: str, treatment_subject: str, aggregate: str
     ) -> str:
-        """Register (once) the aggregate rule that unifies response and treated units."""
+        """Register (once) the aggregate rule that unifies response and treated units.
+
+        Only the model learns the rule here; it is ground into a new
+        snapshot when a query next needs the graph, so a unit-table cache
+        hit never touches it.
+        """
         if not self.schema.is_observed(base_attribute):
             raise QueryError(f"response attribute {base_attribute!r} is latent")
         if self.schema.subject_of(base_attribute) == treatment_subject:
@@ -798,44 +781,8 @@ class CaRLEngine:
                 body=rule.body,
                 condition=rule.condition,
             )
-        registered = self.model.add_aggregate_rule(rule)
-        self._pending_aggregates.append(registered)
+        self.model.add_aggregate_rule(rule)
         return desired
-
-    def _apply_pending_aggregates(self) -> None:  # guarded-by: _state_lock
-        """Ground rules registered by response unification and splice them in.
-
-        Deferred from :meth:`_ensure_unifying_aggregate` so a unit-table
-        cache hit answers without grounding anything.  The extension is
-        applied unconditionally: a graph loaded from the (program-keyed)
-        cache may or may not already contain these groundings, and splicing
-        them again is idempotent — node/edge insertion is set-based and the
-        aggregate values recompute to the same result.
-
-        Callers must hold the state lock: splicing mutates the shared graph
-        and values in place.
-        """
-        if not self._pending_aggregates:
-            return
-        pending, self._pending_aggregates = self._pending_aggregates, []
-        self.graph  # noqa: B018 - load or ground before splicing
-        for rule in pending:
-            self._extend_graph_with_aggregate(rule)
-
-    def _extend_graph_with_aggregate(self, rule: Any) -> None:
-        """Ground one new aggregate rule and splice it into the cached graph."""
-        graph = self.graph
-        values = self.values
-        for grounded_rule in self.grounder.ground_aggregate_rule(rule):
-            graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
-            parent_values = [
-                values[parent]
-                for parent in graph.parent_nodes(grounded_rule.head)
-                if parent in values
-            ]
-            values[grounded_rule.head] = (
-                apply_aggregate(rule.aggregate, parent_values) if parent_values else None
-            )
 
     # ------------------------------------------------------------------
     # query conditions (unit restrictions)
@@ -884,8 +831,8 @@ class CaRLEngine:
 
     def _restrict_aggregated_response(
         self,
+        grounding: Grounding,
         response_attribute: str,
-        values: dict[GroundedAttribute, Any],
         allowed_response: set[tuple[Any, ...]],
     ) -> dict[GroundedAttribute, Any]:
         """Recompute aggregated responses using only allowed base-response units.
@@ -895,10 +842,10 @@ class CaRLEngine:
         single-blind venues may contribute to each author's average.
         """
         if not self.model.is_derived(response_attribute):
-            return values
+            return grounding.values
         derived = self.model.derived_attributes[response_attribute]
-        graph = self.graph
-        updated = dict(values)
+        graph = grounding.graph
+        updated = dict(grounding.values)
         for node in graph.nodes_of(response_attribute):
             parents = [
                 parent

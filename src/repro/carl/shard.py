@@ -379,18 +379,15 @@ def _publish_engine_state(
     can release exactly its own pins on exit.
     """
     with engine._state_lock:  # noqa: SLF001 - dispatcher-side engine internals
-        engine.graph  # noqa: B018 - ground (or cache-load) once, up front
-        engine._apply_pending_aggregates()  # noqa: SLF001
+        # Ground (or cache-load) once, up front.
+        grounding, _ = engine._current_grounding()  # noqa: SLF001
         db_fp = database_fingerprint(engine.database)
         program_fp = engine._program_fingerprint  # noqa: SLF001
         table_keys: list[tuple[str, CacheKey]] = []
         if not inherit:
             grounding_key = CacheKey(database=db_fp, program=program_fp, kind="grounding")
             if not cache.contains(grounding_key):
-                cache.store(
-                    grounding_key,
-                    grounding_payload(engine._graph, engine._values),  # noqa: SLF001
-                )
+                cache.store(grounding_key, grounding_payload(grounding.graph, grounding.values))
             else:
                 _touch(cache.path_for(grounding_key))
             cache.pin(grounding_key)
@@ -441,9 +438,9 @@ def _plan_query(
             engine.model.derived_attributes.get(response_attribute),
             query.condition,
         )
-        engine._apply_pending_aggregates()  # noqa: SLF001
+        grounding, _ = engine._current_grounding()  # noqa: SLF001
         _, units = engine._restricted_units(  # noqa: SLF001
-            query, treatment_attribute, response_attribute
+            grounding, query, treatment_attribute, response_attribute
         )
     return _QueryPlan(
         table_key, cached=False, n_units=len(units), signature=signature

@@ -123,12 +123,11 @@ _WARM_KEYS_CAP = 4096
 _HEARTBEAT_SECONDS = 0.25
 
 #: Exponential-backoff schedule between retry requeues: attempt ``k`` waits
-#: ``base * 2**(k-1)`` seconds (capped), scaled by a deterministic seeded
-#: jitter factor in [0.5, 1.0) — sha256 of (seed, task, attempt), never
-#: ``random`` — so retries of simultaneously-faulted tasks spread out
-#: instead of stampeding the replacement worker, and a replayed chaos run
-#: waits the exact same delays.  ``base=0`` disables backoff (immediate
-#: requeue, the pre-PR-9 behavior).
+#: ``base * 2**(k-1)`` seconds (capped), scaled by a deterministic jitter
+#: factor in [0.5, 1.0) — sha256 of (task, attempt), never ``random`` — so
+#: retries of simultaneously-faulted tasks spread out instead of stampeding
+#: the replacement worker, and a replayed chaos run waits the exact same
+#: delays.
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
 
@@ -404,35 +403,20 @@ class ShardScheduler:
         retries: int,
         *,
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
-        backoff_seed: int = 0,
-        circuit_threshold: int | None = None,
     ) -> None:
         if retries < 0:
             raise QueryError(f"retries must be >= 0, got {retries!r}")
         if hang_timeout is not None and hang_timeout <= 0:
             raise QueryError(f"hang_timeout must be positive or None, got {hang_timeout!r}")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise QueryError("backoff_base and backoff_cap must be >= 0")
-        if circuit_threshold is not None and circuit_threshold < 1:
-            raise QueryError(
-                f"circuit_threshold must be a positive integer, got {circuit_threshold!r}"
-            )
         self._engine = engine
         self._jobs = jobs
         self._shards = shards
         self._retries = retries
         self._hang_timeout = hang_timeout
-        self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
-        self._backoff_seed = backoff_seed
         #: Consecutive unexpected worker failures (deaths or hangs, without
         #: an intervening task success) that open the circuit: the pool is
         #: abandoned and every query answers serially in-process.
-        self._circuit_threshold = (
-            circuit_threshold if circuit_threshold is not None else max(3, jobs + 2)
-        )
+        self._circuit_threshold = max(3, jobs + 2)
 
         self.events: "queue.Queue[tuple[int, QueryAnswer | QueryError]]" = queue.Queue()
         self._lock = threading.RLock()
@@ -1166,14 +1150,13 @@ class ShardScheduler:
                 self._emit_queue_depth_locked()
 
     def _backoff_seconds(self, task: _Task) -> float:
-        """The seeded-jitter exponential backoff before retry ``task.attempts``."""
-        if self._backoff_base <= 0.0:
-            return 0.0
+        """The jittered exponential backoff before retry ``task.attempts``."""
         exponential = min(
-            self._backoff_cap, self._backoff_base * 2 ** max(0, task.attempts - 1)
+            DEFAULT_BACKOFF_CAP, DEFAULT_BACKOFF_BASE * 2 ** max(0, task.attempts - 1)
         )
+        # The leading 0 is the jitter seed every replay of a plan shares.
         digest = hashlib.sha256(
-            f"{self._backoff_seed}:{task.kind}:{task.id}:{task.attempts}".encode()
+            f"0:{task.kind}:{task.id}:{task.attempts}".encode()
         ).digest()
         jitter = 0.5 + int.from_bytes(digest[:8], "big") / 2**65
         return exponential * jitter
@@ -1362,19 +1345,13 @@ class ShardScheduler:
                 # (a replacement for a dead one has a fresh id and is
                 # eligible).  attempts counts executions, so a task is run
                 # at most 1 + retries times.  The requeue waits out an
-                # exponential backoff with deterministic seeded jitter —
+                # exponential backoff with deterministic jitter —
                 # simultaneous faults fan out instead of stampeding the
                 # replacement worker, and a replay waits identical delays.
                 task.state = TaskState.PENDING
                 self._stats.retries += 1
                 backoff = self._backoff_seconds(task)
-                if backoff > 0.0:
-                    heapq.heappush(
-                        self._delayed, (time.monotonic() + backoff, task.id)
-                    )
-                else:
-                    self._enqueue_ready_locked(task)
-                    self._emit_queue_depth_locked()
+                heapq.heappush(self._delayed, (time.monotonic() + backoff, task.id))
                 get_registry().count(
                     "scheduler.retry",
                     kind=task.kind,

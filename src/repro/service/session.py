@@ -199,7 +199,6 @@ class QuerySession:
                 max_workers=jobs, thread_name_prefix="carl-session"
             )
             self._scratch = BatchScratch()
-            self._scratch_epoch = engine._grounding_epoch  # noqa: SLF001  # guarded-by: _lock
             self._events: "queue.Queue[tuple[int, Any]]" = queue.Queue()
             self._futures: dict[int, Future] = {}  # guarded-by: _lock
             self._deadlines: dict[int, float] = {}  # guarded-by: _lock
@@ -296,13 +295,6 @@ class QuerySession:
         with self._lock:
             if index in self._suppressed:
                 return  # cancelled before it started
-            # A database mutation re-grounds the engine; scratch entries are
-            # epoch-keyed, so stale ones are unreachable — drop them to keep
-            # a long-lived session's memory bounded.
-            epoch = self._engine._grounding_epoch  # noqa: SLF001
-            if epoch != self._scratch_epoch:
-                self._scratch.clear()
-                self._scratch_epoch = epoch
         span = get_registry().start_span("query", index=index, executor="thread")
         try:
             outcome: Any = self._engine.answer(query, _scratch=self._scratch, **options)

@@ -421,10 +421,11 @@ def test_engine_unit_table_matches_oracle(text):
     treatment, subject = engine._validated_treatment(query)
     with engine._state_lock:
         response = engine._resolve_response(query, subject)
-        values, units = engine._restricted_units(query, treatment, response)
-    peers = compute_peers(engine.graph, treatment, response, units)
+        grounding, _ = engine._current_grounding()
+        values, units = engine._restricted_units(grounding, query, treatment, response)
+    peers = compute_peers(grounding.graph, treatment, response, units)
     expected = row_oracle.build_unit_table(
-        engine.graph, values, treatment, response, units, peers, engine.model.is_observed
+        grounding.graph, values, treatment, response, units, peers, engine.model.is_observed
     )
     assert_same_unit_table(expected, actual)
 

@@ -318,7 +318,6 @@ class TestEngineCache:
         # the grounding counters may show no activity at all — only misses
         # would indicate grounding work.
         assert warm_engine.grounding_runs == 0
-        assert warm_engine.grounder.ground_count == 0
         stats = warm_engine.cache_stats()
         assert stats.get("grounding", {}).get("misses", 0) == 0
         assert stats["unit_table"]["hits"] == len(QUICKSTART_QUERIES)
@@ -387,7 +386,7 @@ class TestEngineCache:
 
         warm = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
         warm_answer = warm.answer(query)
-        assert warm.grounder.ground_count == 0 and warm.grounding_runs == 0
+        assert warm.grounding_runs == 0
         assert warm.cache_stats().get("grounding", {}).get("misses", 0) == 0
         assert warm_answer.result.ate == cold_answer.result.ate
 
@@ -396,7 +395,7 @@ class TestEngineCache:
         ArtifactCache(root).clear(kind="unit_table")
         warmish = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
         warmish_answer = warmish.answer(query)
-        assert warmish.grounder.ground_count == 0 and warmish.grounding_runs == 0
+        assert warmish.grounding_runs == 0
         assert warmish.cache_stats()["grounding"]["hits"] == 1
         assert warmish_answer.result.ate == cold_answer.result.ate
 
@@ -413,7 +412,7 @@ class TestEngineCache:
 
         session_b = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
         answer_b = session_b.answer(QUICKSTART_QUERIES[0])
-        assert session_b.grounder.ground_count == 0 and session_b.grounding_runs == 0
+        assert session_b.grounding_runs == 0
         assert session_b.cache_stats()["unit_table"] == {"hits": 1, "misses": 0, "stores": 0}
         assert answer_b.result.ate == plain.result.ate
 

@@ -331,12 +331,6 @@ def test_backoff_is_deterministic_across_schedulers_and_disablable():
     a = ShardScheduler(None, jobs=1, shards=1, retries=2)
     b = ShardScheduler(None, jobs=1, shards=1, retries=2)
     assert a._backoff_seconds(backoff_task(2)) == b._backoff_seconds(backoff_task(2))
-    seeded = ShardScheduler(None, jobs=1, shards=1, retries=2, backoff_seed=1)
-    assert a._backoff_seconds(backoff_task(2)) != seeded._backoff_seconds(
-        backoff_task(2)
-    )
-    disabled = ShardScheduler(None, jobs=1, shards=1, retries=2, backoff_base=0.0)
-    assert disabled._backoff_seconds(backoff_task(5)) == 0.0
 
 
 # ----------------------------------------------------------------------

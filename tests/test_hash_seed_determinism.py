@@ -49,7 +49,7 @@ for query in queries:
             if isinstance(value, float)
         }
     )
-print(json.dumps({"grounded": engine.grounder.ground_count, "answers": answers}))
+print(json.dumps({"grounded": engine.grounding_runs, "answers": answers}))
 """
 
 

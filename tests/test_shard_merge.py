@@ -129,9 +129,8 @@ def collect_via_shards(engine, query, shards):
     with engine._state_lock:  # noqa: SLF001 - test reaches into the engine
         t_attr, t_subject = engine._validated_treatment(parsed)  # noqa: SLF001
         response = engine._resolve_response(parsed, t_subject)  # noqa: SLF001
-        engine.graph
-        engine._apply_pending_aggregates()  # noqa: SLF001
-        _, units = engine._restricted_units(parsed, t_attr, response)  # noqa: SLF001
+        grounding, _ = engine._current_grounding()  # noqa: SLF001
+        _, units = engine._restricted_units(grounding, parsed, t_attr, response)  # noqa: SLF001
         n_units = len(units)
     parts = [
         engine.collect_shard_inputs(parsed, start, stop, expected_units=n_units)
