@@ -2,9 +2,9 @@
 
 Builds a synthetic grounded graph at cache-relevant scale (>=100k nodes,
 ~3 parents per node), stores it through a real on-disk :class:`ArtifactCache`
-twice — once in the current CSR layout (format v2) and once in an in-benchmark
-emulation of the retired v1 edge-list layout — and asserts two regression
-gates:
+twice — once in the current CSR layout (since format v2) and once in an
+in-benchmark emulation of the retired v1 edge-list layout — and asserts two
+regression gates:
 
 1. a warm ``load_grounding`` of the CSR artifact is at least ``MIN_SPEEDUP``x
    faster than rebuilding the old dict-of-sets adjacency from the v1 edge

@@ -47,8 +47,10 @@ PREFIX = 16
 #: artifacts store CSR adjacency arrays instead of edge lists (and all
 #: ordered graph queries became node-id-ordered), so v1 artifacts — grounded
 #: under hash-order-dependent iteration — are invalidated wholesale and
-#: re-grounded on first use.
-FORMAT_VERSION = 2
+#: re-grounded on first use.  v3: an aggregate head none of whose parents
+#: carries a value has no value (v2 stored ``AGG([])``, e.g. AVG's 0.0), so
+#: a v2 grounding, or a unit table built on one, is rebuilt once.
+FORMAT_VERSION = 3
 
 #: Artifact kinds the engine stores (other kinds are allowed; these are known).
 KNOWN_KINDS = ("grounding", "unit_table", "table", "unit_inputs")

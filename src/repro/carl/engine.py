@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -36,11 +37,11 @@ from repro.cache.serialization import (
     unit_table_payload,
 )
 from repro.cache.store import ArtifactCache, CacheKey
-from repro.carl.ast import CausalQuery, PeerCondition, Program, Variable
+from repro.carl.ast import CausalQuery, PeerCondition, Program
 from repro.carl.batch import BatchScratch
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.carl.errors import CaRLError, QueryError
-from repro.carl.grounding import Grounder, Grounding
+from repro.carl.grounding import Grounder, Grounding, aggregate_head_value
 from repro.carl.model import RelationalCausalModel
 from repro.carl.parser import parse_program, parse_query
 from repro.carl.peers import build_unifying_aggregate_rule, compute_peers
@@ -53,7 +54,7 @@ from repro.carl.unit_table import (
     collect_unit_table_inputs,
     materialize_unit_table,
 )
-from repro.db.aggregates import AGGREGATES, aggregate as apply_aggregate
+from repro.db.aggregates import AGGREGATES
 from repro.db.database import Database
 from repro.inference.bootstrap import bootstrap_statistic
 from repro.observability.telemetry import get_registry
@@ -278,22 +279,13 @@ class CaRLEngine:
         estimator = estimator or self.default_estimator
         embedding = embedding or self.default_embedding
 
-        grounding_seconds = 0.0
-        if self.cache is None:
-            # Ground first so its time is not charged to the unit table.
-            # With a cache configured, grounding stays lazy: a unit-table
-            # cache hit answers the query without touching the graph at all.
-            _, grounding_seconds = self._current_grounding()
         started = time.perf_counter()
-        unit_table, build_grounding_seconds = self._build_unit_table(
+        unit_table, grounding_seconds = self._build_unit_table(
             query, embedding, scratch=_scratch
         )
         # Grounding work that ran inside the build is reported apart, so the
         # timings stay disjoint.
-        unit_table_seconds = max(
-            0.0, time.perf_counter() - started - build_grounding_seconds
-        )
-        grounding_seconds += build_grounding_seconds
+        unit_table_seconds = max(0.0, time.perf_counter() - started - grounding_seconds)
 
         started = time.perf_counter()
         result = self._estimate_result(query, unit_table, estimator, bootstrap, seed)
@@ -542,9 +534,11 @@ class CaRLEngine:
         treatment_attribute, treatment_subject = self._validated_treatment(query)
 
         # Response resolution may register a unifying aggregate rule on the
-        # shared model, so it runs under the state lock.
+        # shared model, so it runs under the state lock.  The WHERE clause is
+        # checked against the schema before any cache probe or grounding.
         with self._state_lock:
             response_attribute = self._resolve_response(query, treatment_subject)
+            self._restriction_variables(query, treatment_attribute, response_attribute)
             table_key = self._unit_table_key(query, embedding, response_attribute)
 
         # Probe the artifact cache after response resolution: the resolved
@@ -571,7 +565,7 @@ class CaRLEngine:
 
         with self._state_lock:
             grounding, grounding_seconds = self._current_grounding()
-            values, units = self._restricted_units(
+            units, outcome = self._restricted_units(
                 grounding, query, treatment_attribute, response_attribute
             )
 
@@ -584,7 +578,8 @@ class CaRLEngine:
             peers = compute_peers(grounding.graph, treatment_attribute, response_attribute, units)
             return collect_unit_table_inputs(
                 grounding.graph,
-                values,
+                grounding.values,
+                outcome,
                 treatment_attribute,
                 response_attribute,
                 units,
@@ -647,7 +642,7 @@ class CaRLEngine:
         with self._state_lock:
             response_attribute = self._resolve_response(query, treatment_subject)
             grounding, _ = self._current_grounding()
-            values, units = self._restricted_units(
+            units, outcome = self._restricted_units(
                 grounding, query, treatment_attribute, response_attribute
             )
         if expected_units is not None and len(units) != expected_units:
@@ -662,7 +657,8 @@ class CaRLEngine:
         )
         return collect_unit_table_inputs(
             grounding.graph,
-            values,
+            grounding.values,
+            outcome,
             treatment_attribute,
             response_attribute,
             selected,
@@ -677,44 +673,37 @@ class CaRLEngine:
         query: CausalQuery,
         treatment_attribute: str,
         response_attribute: str,
-    ) -> tuple[dict[GroundedAttribute, Any], list[tuple[Any, ...]]]:
-        """Value map and restricted unit list for one query over ``grounding``
-        (state lock must be held: the bound instance's indexes are lazy).
-        Deterministic in (database, program, query), which is what lets
-        shard workers re-derive the same unit list positionally.
+    ) -> tuple[list[tuple[Any, ...]], Callable[[GroundedAttribute], Any]]:
+        """Restricted unit list for one query over ``grounding``, and the
+        reader collection takes each unit's outcome with (state lock must be
+        held: the bound instance's indexes are lazy).  Deterministic in
+        (database, program, query), which is what lets shard workers
+        re-derive the same unit list positionally.
 
-        The value map is the snapshot's own unless the WHERE clause restricts
-        an aggregated response, which recomputes it into a per-query copy.
+        The reader is the snapshot's ``values.get`` unless the WHERE clause
+        restricts the base response (e.g. only single-blind submissions count
+        towards an author's average score): then it is
+        :func:`aggregate_head_value` bound to the allowed base-response keys,
+        which aggregates a head only when a walk reads it.
         """
-        values = grounding.values
-
-        # Subject of the *base* response attribute: restrictions on that entity
-        # (e.g. "only submissions at single-blind venues") are applied inside
-        # the aggregation; restrictions on the treated entity restrict units.
-        if self.model.is_derived(response_attribute):
-            base_response_subject = self.schema.subject_of(
-                self.model.derived_attributes[response_attribute].base
-            )
-        else:
-            base_response_subject = self.schema.subject_of(response_attribute)
-
-        treatment_subject = self.schema.subject_of(treatment_attribute)
-        allowed_response, allowed_units = self._query_restrictions(
-            query, treatment_subject, base_response_subject
+        unit_variable, response_variable = self._restriction_variables(
+            query, treatment_attribute, response_attribute
         )
-
         units = list(self.instance.units(treatment_attribute))
-        if allowed_response is not None and self.model.is_derived(response_attribute):
-            values = self._restrict_aggregated_response(
-                grounding, response_attribute, allowed_response
-            )
-        elif allowed_response is not None:
-            units = [unit for unit in units if unit in allowed_response]
-        if allowed_units is not None:
-            units = [unit for unit in units if unit in allowed_units]
+        outcome: Callable[[GroundedAttribute], Any] = grounding.values.get
+        if unit_variable is not None or response_variable is not None:
+            bindings = self.grounder.condition_bindings(query.condition)
+            if unit_variable is not None:
+                allowed_units = {(binding[unit_variable],) for binding in bindings}
+                units = [unit for unit in units if unit in allowed_units]
+            if response_variable is not None:
+                allowed = {(binding[response_variable],) for binding in bindings}
+                outcome = partial(
+                    aggregate_head_value, grounding.graph, grounding.values, allowed=allowed
+                )
         if not units:
             raise QueryError("the query condition excludes every unit")
-        return values, units
+        return units, outcome
 
     def _resolve_response(self, query: CausalQuery, treatment_subject: str) -> str:
         """Resolve (and if needed create) the response attribute over the treated units.
@@ -785,78 +774,41 @@ class CaRLEngine:
         return desired
 
     # ------------------------------------------------------------------
-    # query conditions (unit restrictions)
+    # query conditions (unit and response restrictions)
     # ------------------------------------------------------------------
-    def _query_restrictions(
-        self,
-        query: CausalQuery,
-        treatment_subject: str,
-        base_response_subject: str,
-    ) -> tuple[set[tuple[Any, ...]] | None, set[tuple[Any, ...]] | None]:
-        """Unit restrictions implied by the query's WHERE clause.
-
-        Returns ``(allowed base-response keys, allowed treated-unit keys)``.
-        A condition variable restricts the base response (e.g. only
-        submissions to single-blind venues count towards an author's average
-        score) when it is bound to the base response entity, and restricts
-        the treated units when it is bound to the treatment entity.
+    def _restriction_variables(
+        self, query: CausalQuery, treatment_attribute: str, response_attribute: str
+    ) -> tuple[str | None, str | None]:
+        """The WHERE-clause variables that restrict a query, found from the
+        schema alone (so before any grounding): ``(variable over the treated
+        entity, variable over the base response's entity)``.  The first
+        restricts the units, the second the parents an aggregated response
+        is computed from (None when the response lives on the treated
+        entity).  A non-trivial clause with neither restricts nothing and
+        raises :class:`QueryError`.
         """
         if query.condition.is_trivial:
             return None, None
-        bindings = self.grounder.condition_bindings(query.condition)
+        derived = self.model.derived_attributes.get(response_attribute)
+        base = derived.base if derived is not None else response_attribute
+        treatment_subject = self.schema.subject_of(treatment_attribute)
+        response_subject = self.model.subject_of(base)
+        entities = self.schema.variable_entities(query.condition.atoms)
 
-        variable_entities: dict[str, set[str]] = {}
-        for atom in query.condition.atoms:
-            info = self.schema.predicate(atom.predicate)
-            for position, term in enumerate(atom.terms):
-                if not isinstance(term, Variable):
-                    continue
-                entity = info.name if info.is_entity else info.referenced_entities[position]
-                variable_entities.setdefault(term.name, set()).add(entity)
+        def variable_over(subject: str) -> str | None:
+            return next((name for name, over in entities.items() if subject in over), None)
 
-        def allowed_keys(subject: str) -> set[tuple[Any, ...]] | None:
-            names = [name for name, entities in variable_entities.items() if subject in entities]
-            if not names:
-                return None
-            name = names[0]
-            return {(binding[name],) for binding in bindings}
-
-        allowed_response = (
-            allowed_keys(base_response_subject)
-            if base_response_subject != treatment_subject
-            else None
+        unit_variable = variable_over(treatment_subject)
+        response_variable = (
+            variable_over(response_subject) if response_subject != treatment_subject else None
         )
-        allowed_units = allowed_keys(treatment_subject)
-        return allowed_response, allowed_units
-
-    def _restrict_aggregated_response(
-        self,
-        grounding: Grounding,
-        response_attribute: str,
-        allowed_response: set[tuple[Any, ...]],
-    ) -> dict[GroundedAttribute, Any]:
-        """Recompute aggregated responses using only allowed base-response units.
-
-        Example: ``Score[S] <= Prestige[A] ? WHERE Submitted(S, C), Blind[C] = "single"``
-        unifies Score onto authors via AVG, but only submissions to
-        single-blind venues may contribute to each author's average.
-        """
-        if not self.model.is_derived(response_attribute):
-            return grounding.values
-        derived = self.model.derived_attributes[response_attribute]
-        graph = grounding.graph
-        updated = dict(grounding.values)
-        for node in graph.nodes_of(response_attribute):
-            parents = [
-                parent
-                for parent in graph.parent_nodes(node)
-                if parent.attribute == derived.base and parent.key in allowed_response
-            ]
-            parent_values = [updated[parent] for parent in parents if parent in updated]
-            updated[node] = (
-                apply_aggregate(derived.aggregate, parent_values) if parent_values else None
+        if unit_variable is None and response_variable is None:
+            raise QueryError(
+                f"WHERE {query.condition} restricts nothing: none of its variables ranges "
+                f"over the treated entity {treatment_subject!r} or the response entity "
+                f"{response_subject!r}"
             )
-        return updated
+        return unit_variable, response_variable
 
     # ------------------------------------------------------------------
     # estimation

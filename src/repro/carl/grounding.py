@@ -10,6 +10,7 @@ grounded causal graph.
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -56,6 +57,30 @@ class Grounding:
     values: dict[GroundedAttribute, Any]
     db_token: tuple[Any, ...]
     aggregate_rules: int
+
+
+def aggregate_head_value(
+    graph: GroundedCausalGraph,
+    values: Mapping[GroundedAttribute, Any],
+    head: GroundedAttribute,
+    allowed: Container[tuple[Any, ...]] | None = None,
+) -> Any:
+    """The value of aggregate node ``head``: its aggregate over the parents
+    that carry a value (not None), or None when none does.
+
+    ``allowed``, when given, admits only the parents whose key it contains
+    (a query's WHERE clause on the aggregated attribute's entity).  Heads
+    ground with the program, heads spliced by :meth:`Grounder.extend` and
+    heads a query restricts all take their value from this one function.
+    """
+    parent_values = [
+        values[parent]
+        for parent in graph.parent_nodes(head)
+        if values.get(parent) is not None and (allowed is None or parent.key in allowed)
+    ]
+    if not parent_values:
+        return None
+    return apply_aggregate(graph.aggregate_of(head), parent_values)
 
 
 class Grounder:
@@ -201,13 +226,8 @@ class Grounder:
 
         # Aggregates in topological order so nested aggregates (if any) resolve.
         for node in graph.topological_order():
-            aggregate_name = graph.aggregate_of(node)
-            if aggregate_name is None:
-                continue
-            parent_values = [
-                values[parent] for parent in graph.parent_nodes(node) if parent in values
-            ]
-            values[node] = apply_aggregate(aggregate_name, parent_values)
+            if graph.is_aggregate(node):
+                values[node] = aggregate_head_value(graph, values, node)
         return values
 
     def extend(self, grounding: Grounding) -> Grounding:
@@ -218,25 +238,19 @@ class Grounder:
         new heads.  A graph loaded from the (program-keyed) artifact cache
         may already hold some of these groundings; adding them again is
         idempotent (node interning and the CSR compile deduplicate) and
-        their values recompute to the same result.  A head whose parents
-        carry no value gets ``None``.
+        their values recompute to the same result.
         """
         rules = self.model.aggregate_rules[grounding.aggregate_rules :]
         graph = grounding.graph.copy()
-        heads: list[tuple[GroundedAttribute, str]] = []
+        heads: list[GroundedAttribute] = []
         for rule in rules:
             for grounded_rule in self.ground_aggregate_rule(rule):
                 graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
-                heads.append((grounded_rule.head, rule.aggregate))
+                heads.append(grounded_rule.head)
         graph.csr()
         values = dict(grounding.values)
-        for head, aggregate_name in heads:
-            parent_values = [
-                values[parent] for parent in graph.parent_nodes(head) if parent in values
-            ]
-            values[head] = (
-                apply_aggregate(aggregate_name, parent_values) if parent_values else None
-            )
+        for head in heads:
+            values[head] = aggregate_head_value(graph, values, head)
         return Grounding(
             graph, values, grounding.db_token, grounding.aggregate_rules + len(rules)
         )

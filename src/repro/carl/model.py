@@ -237,16 +237,7 @@ class RelationalCausalModel:
         term = head.terms[0]
         if not isinstance(term, Variable):
             raise ModelError(f"aggregate rule head {head} must use a variable, not a constant")
-        candidates: list[str] = []
-        for atom in condition.atoms:
-            info = self.schema.predicate(atom.predicate)
-            for position, atom_term in enumerate(atom.terms):
-                if isinstance(atom_term, Variable) and atom_term.name == term.name:
-                    if info.is_entity:
-                        candidates.append(info.name)
-                    else:
-                        candidates.append(info.referenced_entities[position])
-        unique = list(dict.fromkeys(candidates))
+        unique = self.schema.variable_entities(condition.atoms).get(term.name, [])
         if not unique:
             raise ModelError(
                 f"cannot infer the subject of aggregated attribute {head.name!r}: variable "

@@ -9,14 +9,17 @@ the observed values of the attribute functions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.carl.ast import (
     AttributeDeclaration,
     EntityDeclaration,
+    PredicateAtom,
     Program,
     RelationshipDeclaration,
+    Variable,
 )
 from repro.carl.errors import SchemaBindingError
 from repro.db.database import Database
@@ -144,6 +147,31 @@ class RelationalCausalSchema:
             f"unknown predicate {name!r}; declared predicates: "
             f"{sorted(self._entities) + sorted(self._relationships)}"
         )
+
+    def variable_entities(self, atoms: Iterable[PredicateAtom]) -> dict[str, list[str]]:
+        """The entities each variable of ``atoms`` ranges over, in first-seen
+        order: an entity atom's variable ranges over that entity, and a
+        relationship atom's over the entity its key position references.
+
+        Raises :class:`SchemaBindingError` for an unknown predicate or an
+        atom whose arity is not its predicate's.
+        """
+        entities: dict[str, list[str]] = {}
+        for atom in atoms:
+            info = self.predicate(atom.predicate)
+            if len(atom.terms) != len(info.keys):
+                raise SchemaBindingError(
+                    f"atom {atom} has arity {len(atom.terms)} but predicate "
+                    f"{atom.predicate!r} has {len(info.keys)} key(s)"
+                )
+            for position, term in enumerate(atom.terms):
+                if not isinstance(term, Variable):
+                    continue
+                entity = info.name if info.is_entity else info.referenced_entities[position]
+                ranges = entities.setdefault(term.name, [])
+                if entity not in ranges:
+                    ranges.append(entity)
+        return entities
 
     def _resolve_reference(
         self, reference: str | None, key: str, relationship_name: str

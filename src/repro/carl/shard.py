@@ -429,6 +429,7 @@ def _plan_query(
     with engine._state_lock:  # noqa: SLF001
         treatment_attribute, treatment_subject = engine._validated_treatment(query)  # noqa: SLF001
         response_attribute = engine._resolve_response(query, treatment_subject)  # noqa: SLF001
+        engine._restriction_variables(query, treatment_attribute, response_attribute)  # noqa: SLF001
         table_key = engine._unit_table_key(query, embedding, response_attribute)  # noqa: SLF001
         if table_key is not None and cache.contains(table_key):
             return _QueryPlan(table_key, cached=True)
@@ -439,7 +440,7 @@ def _plan_query(
             query.condition,
         )
         grounding, _ = engine._current_grounding()  # noqa: SLF001
-        _, units = engine._restricted_units(  # noqa: SLF001
+        units, _ = engine._restricted_units(  # noqa: SLF001
             grounding, query, treatment_attribute, response_attribute
         )
     return _QueryPlan(

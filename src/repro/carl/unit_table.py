@@ -189,10 +189,11 @@ class UnitTableInputs:
     Everything :func:`collect_unit_table_inputs` gathers from the grounded
     graph — kept units, raw treatment/outcome/peer values, and flat covariate
     ``(value, unit-row)`` buckets — depends only on ``(graph, values,
-    treatment attribute, response attribute, units, peers)``.  Queries that
-    differ only in treatment threshold or embedding can therefore share one
-    collection and diverge at :func:`materialize_unit_table`, which is how
-    a batched :meth:`CaRLEngine.answer_all` amortizes graph walks.
+    outcome reader, treatment attribute, response attribute, units,
+    peers)``.  Queries that differ only in treatment threshold or embedding
+    can therefore share one collection and diverge at
+    :func:`materialize_unit_table`, which is how a batched
+    :meth:`CaRLEngine.answer_all` amortizes graph walks.
 
     Instances are treated as immutable after collection: materialization only
     reads them, so one collection may back any number of concurrent
@@ -240,7 +241,8 @@ def build_unit_table(
     separately to share collections across queries.
     """
     inputs = collect_unit_table_inputs(
-        graph, values, treatment_attribute, response_attribute, units, peers, is_observed
+        graph, values, values.get, treatment_attribute, response_attribute, units, peers,
+        is_observed,
     )
     return materialize_unit_table(
         inputs, embedding=embedding, peer_embedding=peer_embedding, binarize=binarize
@@ -250,6 +252,7 @@ def build_unit_table(
 def collect_unit_table_inputs(
     graph: GroundedCausalGraph,
     values: dict[GroundedAttribute, Any],
+    outcome: Callable[[GroundedAttribute], Any],
     treatment_attribute: str,
     response_attribute: str,
     units: Sequence[tuple[Any, ...]],
@@ -263,6 +266,10 @@ def collect_unit_table_inputs(
     treatments, and the Theorem 5.2 adjustment-set values as flat covariate
     buckets.  The result is independent of the embedding and of treatment
     binarization (both are applied by :func:`materialize_unit_table`).
+
+    ``outcome`` reads each unit's response node (``values.get``, or a reader
+    that aggregates a restricted response's head as it is read); every other
+    value comes from ``values``.
 
     ``allow_empty`` suppresses the no-units error: a shard worker collecting
     one unit *range* of a larger table may legitimately keep zero units (the
@@ -329,7 +336,7 @@ def collect_unit_table_inputs(
             treatment_node = treatment_nodes[unit] = GroundedAttribute(
                 treatment_attribute, unit
             )
-        outcome_value = values_get(response_node)
+        outcome_value = outcome(response_node)
         if outcome_value is None:
             continue
         treatment_value = values_get(treatment_node)

@@ -414,7 +414,8 @@ def test_custom_embedding_subclass_overrides_are_honoured():
 )
 def test_engine_unit_table_matches_oracle(text):
     """The engine's unit table equals the oracle's Algorithm 1 run on the
-    engine's own graph, values, units and peers."""
+    engine's own graph, values, units and peers, with each unit's outcome
+    as the engine's (restricted) outcome reader gives it."""
     engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
     actual = engine.unit_table(text)
     query = parse_query(text)
@@ -422,7 +423,10 @@ def test_engine_unit_table_matches_oracle(text):
     with engine._state_lock:
         response = engine._resolve_response(query, subject)
         grounding, _ = engine._current_grounding()
-        values, units = engine._restricted_units(grounding, query, treatment, response)
+        units, outcome = engine._restricted_units(grounding, query, treatment, response)
+    values = dict(grounding.values)
+    for unit in units:
+        values[GroundedAttribute(response, unit)] = outcome(GroundedAttribute(response, unit))
     peers = compute_peers(grounding.graph, treatment, response, units)
     expected = row_oracle.build_unit_table(
         grounding.graph, values, treatment, response, units, peers, engine.model.is_observed

@@ -4,14 +4,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.store import ArtifactCache
+from repro.carl.causal_graph import GroundedAttribute
 from repro.carl.engine import CaRLEngine
-from repro.carl.errors import QueryError
+from repro.carl.errors import CaRLError, QueryError, SchemaBindingError
+from repro.carl.parser import parse_query
 from repro.carl.queries import ATEResult, EffectsResult
+from repro.carl.shard import _plan_query
 from repro.datasets import (
     TOY_REVIEW_PROGRAM,
     generate_synthetic_review_data,
     toy_review_database,
 )
+
+
+def toy_with_unscored_author():
+    """The toy database plus author Dan, whose one submission s9 has no
+    ``Submission`` row, so no parent of ``AVG_Score[Dan]`` carries a value."""
+    database = toy_review_database()
+    database.table("Person").insert({"person": "Dan", "prestige": 0, "qualification": 10})
+    database.table("Author").insert({"person": "Dan", "sub": "s9"})
+    return database
 
 
 class TestGrounding:
@@ -26,11 +39,30 @@ class TestGrounding:
         assert engine.graph is not first
 
     def test_values_include_observed_and_aggregates(self, toy_engine):
-        from repro.carl.causal_graph import GroundedAttribute
-
         values = toy_engine.values
         assert values[GroundedAttribute("Score", ("s1",))] == pytest.approx(0.75)
         assert values[GroundedAttribute("AVG_Score", ("Bob",))] == pytest.approx(0.75)
+
+
+class TestAggregateHeadWithoutValuedParent:
+    def test_declared_and_spliced_heads_have_no_value(self):
+        dan_max = GroundedAttribute("MAX_Score", ("Dan",))
+        query = "MAX_Score[A] <= Prestige[A] ?"
+
+        engine = CaRLEngine(toy_with_unscored_author(), TOY_REVIEW_PROGRAM)
+        assert engine.values.get(GroundedAttribute("AVG_Score", ("Dan",))) is None
+        table = engine.unit_table("AVG_Score[A] <= Prestige[A] ?")
+        assert table.unit_keys == [("Bob",), ("Carlos",), ("Eva",)]
+        # Registered after grounding: the head is spliced into a new snapshot.
+        spliced = engine.unit_table(query)
+        assert engine.values.get(dan_max) is None
+
+        # A fresh engine's first query: the head is ground with the program.
+        fresh = CaRLEngine(toy_with_unscored_author(), TOY_REVIEW_PROGRAM)
+        declared = fresh.unit_table(query)
+        assert fresh.values.get(dan_max) is None
+        assert declared.equals(spliced)
+        assert len(declared) == 3
 
 
 class TestATEQueries:
@@ -153,6 +185,44 @@ class TestErrors:
     def test_condition_excluding_every_unit(self, toy_engine):
         with pytest.raises(QueryError, match="excludes every unit"):
             toy_engine.answer('AVG_Score[A] <= Prestige[A] ? WHERE Author(A, S), S = "zzz"')
+
+    @pytest.mark.parametrize(
+        ("clause", "error", "match"),
+        [
+            (
+                'WHERE Conference(C), Blind[C] = "none"',
+                QueryError,
+                "restricts nothing.*'Person'.*'Submission'",
+            ),
+            ("WHERE Submitted(S)", SchemaBindingError, "arity 1"),
+            ("WHERE Author(A, S, X)", SchemaBindingError, "arity 3"),
+            ("WHERE Nope(S)", SchemaBindingError, "unknown predicate 'Nope'"),
+        ],
+        ids=["restricts-nothing", "under-arity", "over-arity", "unknown-predicate"],
+    )
+    def test_bad_where_clause_raises_before_grounding(self, clause, error, match, tmp_path):
+        query = f"Score[S] <= Prestige[A] ? {clause}"
+        engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
+        with pytest.raises(error, match=match):
+            engine.answer(query)
+        with pytest.raises(error, match=match):
+            _plan_query(engine, ArtifactCache(tmp_path), parse_query(query), "mean")
+        assert engine.grounding_runs == 0
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "AVG_Score[X] <= Score[S] WHERE Author(A, S, X);",
+            "AVG_Score[A] <= Score[S] WHERE Author(A, S, X);",
+        ],
+    )
+    def test_aggregate_rule_arity_checked_at_construction(self, rule):
+        program = TOY_REVIEW_PROGRAM.replace(
+            "AVG_Score[A] <= Score[S] WHERE Author(A, S);", rule
+        )
+        assert rule in program
+        with pytest.raises(CaRLError, match="arity"):
+            CaRLEngine(toy_review_database(), program)
 
     def test_unit_table_helper(self, toy_engine):
         table = toy_engine.unit_table("AVG_Score[A] <= Prestige[A] ?")

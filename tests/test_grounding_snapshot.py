@@ -9,7 +9,9 @@ splicing into the old one, so
 - the peer walk and the covariate collection run without the state lock;
 - queries that register aggregates concurrently answer exactly as they do
   alone on a fresh engine;
-- splicing compiles the graph once, not once per new aggregate head.
+- splicing compiles the graph once, not once per new aggregate head;
+- a response a WHERE clause restricts is aggregated only where a walk
+  reads it, so a cold sharded query aggregates each head once.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import numpy as np
 import pytest
 
 import repro.carl.engine as engine_module
+from repro.cache.store import ArtifactCache
 from repro.carl.batch import BatchScratch
 from repro.carl.engine import CaRLEngine
 from repro.carl.parser import parse_query
 from repro.carl.queries import QueryAnswer
-from repro.carl.shard import shard_ranges
+from repro.carl.shard import _plan_query, shard_ranges
 from repro.datasets import generate_synthetic_review_data
+from repro.db.aggregates import AGGREGATES
 from repro.graph.csr import CSRGraph
 
 #: Responses the synthetic program does not declare: answering each
@@ -175,3 +179,24 @@ def test_scratch_drops_entries_of_an_older_token():
     assert builds == ["first", "second"]
     assert len(scratch) == 1
 
+
+def test_cold_sharded_restricted_query_aggregates_each_head_once(
+    synthetic_300, monkeypatch, tmp_path
+):
+    engine = fresh_engine(synthetic_300)
+    engine.graph  # noqa: B018 - grounded before the count starts
+    query = parse_query(synthetic_300.queries["ate_single"])
+    average = AGGREGATES["AVG"]
+    calls = [0]
+
+    def counting(values):
+        calls[0] += 1
+        return average(values)
+
+    # The registry entry is what the grounding module's head function calls.
+    monkeypatch.setitem(AGGREGATES, "AVG", counting)
+    plan = _plan_query(engine, ArtifactCache(tmp_path), query, "mean")
+    assert calls[0] == 0  # the dispatcher only counts units
+    for start, stop in shard_ranges(plan.n_units, 3):
+        engine.collect_shard_inputs(query, start, stop, expected_units=plan.n_units)
+    assert calls[0] == 236

@@ -130,7 +130,7 @@ def collect_via_shards(engine, query, shards):
         t_attr, t_subject = engine._validated_treatment(parsed)  # noqa: SLF001
         response = engine._resolve_response(parsed, t_subject)  # noqa: SLF001
         grounding, _ = engine._current_grounding()  # noqa: SLF001
-        _, units = engine._restricted_units(grounding, parsed, t_attr, response)  # noqa: SLF001
+        units, _ = engine._restricted_units(grounding, parsed, t_attr, response)  # noqa: SLF001
         n_units = len(units)
     parts = [
         engine.collect_shard_inputs(parsed, start, stop, expected_units=n_units)
