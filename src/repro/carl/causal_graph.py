@@ -15,6 +15,13 @@ iteration order is a pure function of node ids: nothing here depends on
 ``PYTHONHASHSEED``, so warm-cache loads in spawn workers iterate exactly
 like the grounding process did.
 
+Peers and adjustment sets need, for many response nodes at once, the
+groundings of one attribute that reach each of them.
+:meth:`GroundedCausalGraph.attribute_ancestor_pairs` answers that for a
+whole block of sources in one walk over ``(source position, node)`` codes,
+one attribute layer at a time, using the attribute DAG the graph's own edges
+induce (:meth:`GroundedCausalGraph.attribute_layers`).
+
 Construction stays cheap: ``add_node``/``add_grounded_rule`` append to
 plain Python buffers and the CSR is compiled on the next adjacency query.
 The engine compiles a graph before it publishes it in a grounding snapshot
@@ -24,12 +31,13 @@ read; a newly registered aggregate rule is added to a :meth:`copy`.
 
 from __future__ import annotations
 
+import graphlib
 from collections.abc import Hashable, Iterable
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, CycleError
 
 
 class GroundedAttribute(NamedTuple):
@@ -71,6 +79,45 @@ def node_sort_key(node: GroundedAttribute) -> tuple[Any, ...]:
     )
 
 
+#: Sources per batched walk in the callers of
+#: :meth:`GroundedCausalGraph.attribute_ancestor_pairs` (peers and
+#: unit-table collection walk their units in blocks of this size).  It
+#: bounds the pair arrays of one walk, and so the walk's peak memory;
+#: collections over consecutive blocks concatenate exactly.
+WALK_BLOCK = 512
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+class AttributeLayers(NamedTuple):
+    """The attribute-level view of one compiled grounded graph.
+
+    Attribute ``A`` has child ``B`` (over attribute codes) whenever some
+    grounding of ``A`` is a parent of some grounding of ``B``, so every
+    grounded path maps onto a path of this attribute DAG.  Codes number the
+    attributes in first-intern order; ``order`` lists them children before
+    parents (a reverse topological order).
+    """
+
+    csr: CSRGraph
+    names: list[str]
+    code_of: dict[str, int]
+    node_code: np.ndarray
+    children: list[list[int]]
+    order: list[int]
+
+    def downstream(self, code: int) -> np.ndarray:
+        """Mask over attribute codes: ``code`` and its descendants."""
+        mask = np.zeros(len(self.names), dtype=bool)
+        stack = [code]
+        while stack:
+            current = stack.pop()
+            if not mask[current]:
+                mask[current] = True
+                stack.extend(self.children[current])
+        return mask
+
+
 class GroundedRule(NamedTuple):
     """A grounded rule: head node, body nodes, and the originating rule index."""
 
@@ -82,7 +129,7 @@ class GroundedCausalGraph:
     """Interned-node DAG over grounded attributes with attribute-aware queries.
 
     Node ids are insertion-order ints; all ordered query results
-    (``nodes_of``, ``parents_by_attribute``, ``ancestor_nodes_of_attribute``,
+    (``nodes_of``, ``parents_by_attribute``, ``attribute_ancestor_pairs``,
     ``edges``, ``topological_order``) are ordered by node id, which makes
     them deterministic and — for the common integer/string key tuples —
     matches the order the grounder discovered the units in.
@@ -93,12 +140,13 @@ class GroundedCausalGraph:
         self._node_index: dict[GroundedAttribute, int] = {}
         #: attribute name -> node ids (ascending: appended in intern order).
         self._by_attribute: dict[str, list[int]] = {}
-        self._by_attribute_arrays: dict[str, np.ndarray] = {}
         self._aggregates: dict[GroundedAttribute, str] = {}
         #: edges appended since the last CSR compile, as id pairs.
         self._pending_parents: list[int] = []
         self._pending_children: list[int] = []
         self._csr: CSRGraph | None = None
+        #: derived from one compiled CSR; stale once ``csr()`` recompiles.
+        self._layers: AttributeLayers | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -110,7 +158,6 @@ class GroundedCausalGraph:
             self._node_index[node] = index
             self._nodes.append(node)
             self._by_attribute.setdefault(node.attribute, []).append(index)
-            self._by_attribute_arrays.pop(node.attribute, None)
         return index
 
     def add_node(self, node: GroundedAttribute, aggregate: str | None = None) -> None:
@@ -189,6 +236,11 @@ class GroundedCausalGraph:
     def index_of(self, node: GroundedAttribute) -> int | None:
         """Interned id of ``node`` (None for unknown nodes)."""
         return self._node_index.get(node)
+
+    def node_ids(self, nodes: Iterable[GroundedAttribute]) -> np.ndarray:
+        """Interned ids of ``nodes`` as an int64 array, -1 for unknown nodes."""
+        index_get = self._node_index.get
+        return np.fromiter((index_get(node, -1) for node in nodes), dtype=np.int64)
 
     @property
     def edges(self) -> list[tuple[GroundedAttribute, GroundedAttribute]]:
@@ -301,25 +353,101 @@ class GroundedCausalGraph:
             return False
         return self.csr().has_directed_path(source_id, target_id)
 
-    def _attribute_ids(self, attribute: str) -> np.ndarray:
-        array = self._by_attribute_arrays.get(attribute)
-        if array is None:
-            array = np.asarray(self._by_attribute.get(attribute, ()), dtype=np.int64)
-            self._by_attribute_arrays[attribute] = array
-        return array
+    def attribute_layers(self) -> AttributeLayers:
+        """The attribute DAG of the compiled graph, computed once per compile.
 
-    def ancestor_nodes_of_attribute(
-        self, node: GroundedAttribute, attribute: str
-    ) -> list[GroundedAttribute]:
-        """Ancestors of ``node`` restricted to groundings of ``attribute``,
-        in ascending node-id order."""
-        index = self._node_index.get(node)
-        if index is None:
-            return []
-        mask = self.csr().ancestor_mask((index,))
-        candidates = self._attribute_ids(attribute)
-        nodes = self._nodes
-        return [nodes[match] for match in candidates[mask[candidates]].tolist()]
+        A published graph is never mutated, so its layers are computed on
+        the first batched walk and shared by every later one.  Raises
+        :class:`~repro.graph.csr.CycleError` when some groundings of one
+        attribute reach each other (through any number of attributes): a
+        program whose attribute dependencies are acyclic (the model rejects
+        recursive rules) never grounds such a graph.
+        """
+        csr = self.csr()
+        layers = self._layers
+        if layers is not None and layers.csr is csr:
+            return layers
+        names = list(self._by_attribute)
+        node_code = np.empty(csr.n, dtype=np.int64)
+        for code, ids in enumerate(self._by_attribute.values()):
+            node_code[ids] = code
+        parents, children = csr.edge_arrays()
+        count = len(names)
+        attribute_children: list[list[int]] = [[] for _ in names]
+        for edge in np.unique(node_code[parents] * count + node_code[children]).tolist():
+            attribute_children[edge // count].append(edge % count)
+        # Children come first when each code's children are its predecessors.
+        # A stdlib sort rather than a CSRGraph compile: the DAG has a handful
+        # of nodes, and a splice compiles only the grounded graph and the
+        # model's recursion check.
+        sorter = graphlib.TopologicalSorter(dict(enumerate(attribute_children)))
+        try:
+            order = list(sorter.static_order())
+        except graphlib.CycleError:
+            raise CycleError(
+                "the attribute graph of this grounding has a cycle (a grounding of "
+                "some attribute reaches another grounding of the same attribute); "
+                "batched attribute walks need acyclic attribute dependencies"
+            ) from None
+        layers = AttributeLayers(
+            csr,
+            names,
+            {name: code for code, name in enumerate(names)},
+            node_code,
+            attribute_children,
+            order,
+        )
+        self._layers = layers
+        return layers
+
+    def attribute_ancestor_pairs(
+        self, sources: np.ndarray, attribute: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched ancestors of one attribute: ``(positions, ancestors)``
+        holds one pair per grounding ``ancestors[i]`` of ``attribute`` with a
+        directed path to node ``sources[positions[i]]``, sorted by (position,
+        node id).  A source id of -1 (an absent node) has no ancestors.
+
+        One walk serves every source.  It runs over int64 ``position * n +
+        node`` codes, one attribute at a time, in the reverse topological
+        order of :meth:`attribute_layers`: every child attribute of a layer is
+        walked before it, so each layer is complete, and deduplicated once,
+        when its turn comes.  Only attributes downstream of ``attribute`` are
+        walked, since no other node lies on a path from one of its
+        groundings.  Same precondition as :meth:`attribute_layers`.
+        """
+        layers = self.attribute_layers()
+        target = layers.code_of.get(attribute)
+        if target is None:
+            return _EMPTY, _EMPTY
+        downstream = layers.downstream(target)
+        node_code = layers.node_code
+        n = np.int64(layers.csr.n)
+        pending: dict[int, list[np.ndarray]] = {}
+
+        def push(positions: np.ndarray, nodes: np.ndarray) -> None:
+            codes = node_code[nodes]
+            for code in np.unique(codes[downstream[codes]]).tolist():
+                chosen = codes == code
+                pending.setdefault(code, []).append(positions[chosen] * n + nodes[chosen])
+
+        sources = np.asarray(sources, dtype=np.int64)
+        positions = np.flatnonzero(sources >= 0)
+        seeds = sources[positions]
+        # A node is not its own ancestor, and no grounding of ``attribute``
+        # reaches another one: a seed of the target layer contributes nothing.
+        proper = node_code[seeds] != target
+        push(positions[proper], seeds[proper])
+        for code in layers.order:
+            chunks = pending.pop(code, None)
+            if chunks is None:
+                continue
+            positions, nodes = np.divmod(np.unique(np.concatenate(chunks)), n)
+            if code == target:
+                return positions, nodes
+            owner, parents = layers.csr.parent_pairs(nodes)
+            push(positions[owner], parents)
+        return _EMPTY, _EMPTY
 
     # ------------------------------------------------------------------
     # causal-graph operations

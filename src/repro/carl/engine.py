@@ -785,7 +785,8 @@ class CaRLEngine:
         restricts the units, the second the parents an aggregated response
         is computed from (None when the response lives on the treated
         entity).  A non-trivial clause with neither restricts nothing and
-        raises :class:`QueryError`.
+        raises :class:`QueryError`; an unknown predicate or attribute, or an
+        atom of the wrong arity, raises :class:`SchemaBindingError`.
         """
         if query.condition.is_trivial:
             return None, None
@@ -793,7 +794,7 @@ class CaRLEngine:
         base = derived.base if derived is not None else response_attribute
         treatment_subject = self.schema.subject_of(treatment_attribute)
         response_subject = self.model.subject_of(base)
-        entities = self.schema.variable_entities(query.condition.atoms)
+        entities = self.schema.variable_entities(query.condition)
 
         def variable_over(subject: str) -> str | None:
             return next((name for name, over in entities.items() if subject in over), None)

@@ -84,6 +84,7 @@ class RelationalCausalModel:
         self._validate_atom(rule.head, allow_derived=False)
         for atom in rule.body:
             self._validate_atom(atom, allow_derived=True)
+        self.schema.variable_entities(rule.condition)
         self._validate_safety(rule)
         self.rules.append(rule)
         self._check_non_recursive()
@@ -237,7 +238,7 @@ class RelationalCausalModel:
         term = head.terms[0]
         if not isinstance(term, Variable):
             raise ModelError(f"aggregate rule head {head} must use a variable, not a constant")
-        unique = self.schema.variable_entities(condition.atoms).get(term.name, [])
+        unique = self.schema.variable_entities(condition).get(term.name, [])
         if not unique:
             raise ModelError(
                 f"cannot infer the subject of aggregated attribute {head.name!r}: variable "

@@ -14,8 +14,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
+import numpy as np
+
 from repro.carl.ast import AggregateRule, AttributeAtom, Condition, PredicateAtom, Variable
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
+from repro.carl.causal_graph import WALK_BLOCK, GroundedAttribute, GroundedCausalGraph
 from repro.carl.errors import QueryError
 from repro.carl.schema import RelationalCausalSchema
 
@@ -187,7 +189,9 @@ def compute_peers(
 
     ``units`` are the unified treatment/response unit keys.  A unit ``p`` is
     a peer of ``x`` when there is a directed path from ``T[p]`` to ``Y[x]``
-    in the grounded graph, with ``p != x``.
+    in the grounded graph, with ``p != x``; each unit's peers come in
+    ascending node-id order of their treatment nodes, and a unit without a
+    response node has none.
 
     ``within`` restricts peer *membership* independently of which units are
     walked: a shard worker computes peers for its unit-range slice only, but
@@ -195,33 +199,28 @@ def compute_peers(
     the shard passes its slice as ``units`` and the full list as ``within``.
     Defaults to ``units`` (peer membership = walked units), the serial
     behavior.
+
+    The units are walked in blocks of :data:`WALK_BLOCK`, each block in one
+    batched walk (:meth:`GroundedCausalGraph.attribute_ancestor_pairs`).
     """
-    unit_set = set(units if within is None else within)
+    member = np.zeros(len(graph), dtype=bool)
+    member_ids = graph.node_ids(
+        GroundedAttribute(treatment_attribute, unit)
+        for unit in (units if within is None else within)
+    )
+    member[member_ids[member_ids >= 0]] = True
+    node_at = graph.node_at
     peers: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
-    for unit in units:
-        response_node = GroundedAttribute(response_attribute, unit)
-        if response_node not in graph:
-            peers[unit] = []
-            continue
-        treated_ancestors = graph.ancestor_nodes_of_attribute(response_node, treatment_attribute)
-        peers[unit] = [
-            ancestor.key
-            for ancestor in treated_ancestors
-            if ancestor.key != unit and ancestor.key in unit_set
-        ]
+    for start in range(0, len(units), WALK_BLOCK):
+        block = units[start : start + WALK_BLOCK]
+        positions, ancestors = graph.attribute_ancestor_pairs(
+            graph.node_ids(GroundedAttribute(response_attribute, unit) for unit in block),
+            treatment_attribute,
+        )
+        own = graph.node_ids(GroundedAttribute(treatment_attribute, unit) for unit in block)
+        keep = member[ancestors] & (ancestors != own[positions])
+        keys = [node_at(ancestor).key for ancestor in ancestors[keep].tolist()]
+        bounds = np.searchsorted(positions[keep], np.arange(len(block) + 1)).tolist()
+        for position, unit in enumerate(block):
+            peers[unit] = keys[bounds[position] : bounds[position + 1]]
     return peers
-
-
-def influencing_treated_units(
-    graph: GroundedCausalGraph,
-    treatment_attribute: str,
-    response_node: GroundedAttribute,
-) -> list[tuple[Any, ...]]:
-    """Keys of treated units with a directed path to ``response_node`` (the set
-    ``S'`` of Theorem 5.2)."""
-    if response_node not in graph:
-        return []
-    return [
-        ancestor.key
-        for ancestor in graph.ancestor_nodes_of_attribute(response_node, treatment_attribute)
-    ]

@@ -9,14 +9,14 @@ the observed values of the attribute functions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.carl.ast import (
+    AttributeAtom,
     AttributeDeclaration,
+    Condition,
     EntityDeclaration,
-    PredicateAtom,
     Program,
     RelationshipDeclaration,
     Variable,
@@ -148,16 +148,29 @@ class RelationalCausalSchema:
             f"{sorted(self._entities) + sorted(self._relationships)}"
         )
 
-    def variable_entities(self, atoms: Iterable[PredicateAtom]) -> dict[str, list[str]]:
-        """The entities each variable of ``atoms`` ranges over, in first-seen
-        order: an entity atom's variable ranges over that entity, and a
-        relationship atom's over the entity its key position references.
+    def variable_entities(self, condition: Condition) -> dict[str, list[str]]:
+        """The entities each variable of ``condition``'s predicate atoms
+        ranges over, in first-seen order: an entity atom's variable ranges
+        over that entity, and a relationship atom's over the entity its key
+        position references.
 
-        Raises :class:`SchemaBindingError` for an unknown predicate or an
-        atom whose arity is not its predicate's.
+        Raises :class:`SchemaBindingError` for an unknown predicate or
+        attribute, for a predicate atom whose arity is not its predicate's,
+        and for a compared attribute atom without one term per key of its
+        attribute's subject.
         """
+        for comparison in condition.comparisons:
+            atom = comparison.left
+            if not isinstance(atom, AttributeAtom):
+                continue
+            subject = self.predicate(self.subject_of(atom.name))
+            if len(atom.terms) != len(subject.keys):
+                raise SchemaBindingError(
+                    f"attribute atom {atom} has arity {len(atom.terms)} but its subject "
+                    f"{subject.name!r} has {len(subject.keys)} key(s)"
+                )
         entities: dict[str, list[str]] = {}
-        for atom in atoms:
+        for atom in condition.atoms:
             info = self.predicate(atom.predicate)
             if len(atom.terms) != len(info.keys):
                 raise SchemaBindingError(

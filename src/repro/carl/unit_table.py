@@ -7,11 +7,12 @@ confounding covariates detected by Theorem 5.2.  Once built, any standard
 single-table causal estimator can be applied to it (Section 5.2.1).
 
 The build runs in two phases: :func:`collect_unit_table_inputs` walks the
-grounded graph once and gathers flat ``(value, unit-row)`` covariate
-buckets, and :func:`materialize_unit_table` binarizes, embeds and assembles
-them with vectorized numpy passes.  ``tests/row_oracle.py`` keeps the
-unit-by-unit transcription of Algorithm 1 that the parity tests hold this
-build to.
+grounded graph once per block of units and gathers flat ``(value,
+unit-row)`` covariate buckets, and :func:`materialize_unit_table`
+binarizes, embeds and assembles them with vectorized numpy passes.
+``tests/row_oracle.py`` keeps the unit-by-unit transcriptions of
+Algorithm 1 and of the collect phase that the parity tests hold this build
+to.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
+from repro.carl.causal_graph import WALK_BLOCK, GroundedAttribute, GroundedCausalGraph
 from repro.carl.embeddings import Embedding, MeanEmbedding, get_embedding
 from repro.carl.errors import EstimationError
 from repro.db.aggregates import as_numeric_array
@@ -235,9 +236,9 @@ def build_unit_table(
     attribute functions, the unified units and their relational peers, and
     the embedding functions used to collapse variable-size vectors.
 
-    Implemented as :func:`collect_unit_table_inputs` (graph walks, pure
-    Python) followed by :func:`materialize_unit_table` (binarization,
-    embedding and assembly, numpy); batch callers invoke the two phases
+    Implemented as :func:`collect_unit_table_inputs` (batched graph walks
+    and gathers) followed by :func:`materialize_unit_table` (binarization,
+    embedding and assembly); batch callers invoke the two phases
     separately to share collections across queries.
     """
     inputs = collect_unit_table_inputs(
@@ -260,16 +261,30 @@ def collect_unit_table_inputs(
     is_observed: Callable[[str], bool],
     allow_empty: bool = False,
 ) -> UnitTableInputs:
-    """Phase 1 of the build: walk the grounded graph once.
+    """Phase 1 of the build: gather everything the table needs from the graph.
 
     Collects, per kept unit, the raw outcome/treatment values, the raw peer
     treatments, and the Theorem 5.2 adjustment-set values as flat covariate
     buckets.  The result is independent of the embedding and of treatment
     binarization (both are applied by :func:`materialize_unit_table`).
 
+    A unit is kept when its outcome and its treatment are not None.  Its
+    own covariates are the observed, non-treatment parents of ``T[u]``, in
+    id order, when ``T[u]`` reaches ``Y[u]`` (or is it); its peer
+    covariates are those of each peer whose treatment reaches ``Y[u]``, in
+    peer order, keeping a node's first occurrence in the row and dropping
+    the unit's own covariate nodes.  Only nodes ``values`` holds (even as
+    None) are gathered.  Columns are ordered by their first gathered value.
+
     ``outcome`` reads each unit's response node (``values.get``, or a reader
     that aggregates a restricted response's head as it is read); every other
-    value comes from ``values``.
+    value comes from ``values``, whose keys are nodes of ``graph``.
+
+    The outcome and treatment reads are per unit; the rest is per block of
+    :data:`WALK_BLOCK` units: one batched walk
+    (:meth:`GroundedCausalGraph.attribute_ancestor_pairs`) decides which
+    treatments reach which responses, and covariates are CSR parent gathers
+    over ``(row, node)`` arrays.
 
     ``allow_empty`` suppresses the no-units error: a shard worker collecting
     one unit *range* of a larger table may legitimately keep zero units (the
@@ -285,158 +300,110 @@ def collect_unit_table_inputs(
     #: column name -> (flat values, flat unit-row ids)
     buckets: dict[str, tuple[list[Any], list[int]]] = {}
 
-    # Hot-loop locals: interned node ids for membership tests, binary-search
-    # edge probes and ancestor masks over the compiled CSR adjacency.
-    # Iteration uses the id-ordered ``parent_nodes``, which fixes the
-    # covariate discovery order (and so the covariate column order).
-    node_id = graph.index_of
-    csr = graph.csr()
-    csr_has_edge = csr.has_edge
-    csr_ancestor_mask = csr.ancestor_mask
-    graph_parents = graph.parent_nodes
+    layers = graph.attribute_layers()
+    n = np.int64(layers.csr.n)
+    node_code = layers.node_code
+    names = layers.names
+    node_at = graph.node_at
     values_get = values.get
     peers_get = peers.get
-    observed_cache: dict[str, bool] = {}
-    observed_get = observed_cache.get
+    # Attribute code -> whether its groundings are adjustment covariates:
+    # the observed parent attributes of the treatment.  Only those are asked,
+    # since a loaded grounding may hold groundings (another session's
+    # unifying aggregates) that this session's model cannot classify.
+    covariate = np.zeros(len(names), dtype=bool)
+    treatment_code = layers.code_of.get(treatment_attribute)
+    for code, below in enumerate(layers.children):
+        if treatment_code in below:
+            covariate[code] = is_observed(names[code])
 
-    # Per-node cache of the observed, non-treatment parents.  A node is
-    # visited once per unit it is a peer (or the own treatment) of; the
-    # filtered list is identical every time, so computing it once per node is
-    # pure reuse.  Entries are mutable 5-slots
-    # ``[parent, own_name, peer_name, own_bucket, peer_bucket]`` so the
-    # bucket resolved on first use is cached for the ~peer-count later visits.
-    parent_info: dict[GroundedAttribute, list[list[Any]]] = {}
-    parent_info_get = parent_info.get
+    def covariate_parents(rows: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, parent)`` for every covariate parent of ``nodes[i]``
+        (a node of row ``rows[i]``), in ``nodes`` order, parents by id."""
+        owner, parents = layers.csr.parent_pairs(nodes)
+        chosen = covariate[node_code[parents]]
+        return rows[owner][chosen], parents[chosen]
 
-    def build_parent_info(node: GroundedAttribute) -> list[list[Any]]:
-        entries: list[list[Any]] = []
-        for parent in graph_parents(node):
-            attribute = parent.attribute
-            if attribute == treatment_attribute:
+    for start in range(0, len(units), WALK_BLOCK):
+        response_nodes: list[GroundedAttribute] = []
+        treatment_nodes: list[GroundedAttribute] = []
+        block_peers: list[tuple[Any, ...]] = []
+        block_peer_counts: list[int] = []
+        for unit in units[start : start + WALK_BLOCK]:
+            response_node = GroundedAttribute(response_attribute, unit)
+            outcome_value = outcome(response_node)
+            if outcome_value is None:
                 continue
-            flag = observed_get(attribute)
-            if flag is None:
-                flag = observed_cache[attribute] = bool(is_observed(attribute))
-            if not flag:
+            treatment_node = GroundedAttribute(treatment_attribute, unit)
+            treatment_value = values_get(treatment_node)
+            if treatment_value is None:
                 continue
-            entries.append([parent, f"own_{attribute}", f"peer_{attribute}", None, None])
-        parent_info[node] = entries
-        return entries
+            unit_peers = peers_get(unit) or []
+            block_peers.extend(unit_peers)
+            block_peer_counts.append(len(unit_peers))
+            response_nodes.append(response_node)
+            treatment_nodes.append(treatment_node)
+            kept_units.append(unit)
+            outcomes_raw.append(outcome_value)
+            treatments_raw.append(treatment_value)
+        if not response_nodes:
+            continue
+        peer_counts.extend(block_peer_counts)
+        # One int object per row, shared by every entry that row gathers.
+        first_row = len(kept_units) - len(response_nodes)
+        row_ids = np.arange(first_row, len(kept_units)).astype(object)
+        rows = np.arange(len(response_nodes), dtype=np.int64)
+        response_ids = graph.node_ids(response_nodes)
+        treatment_ids = graph.node_ids(treatment_nodes)
+        peer_rows = np.repeat(rows, block_peer_counts)
+        peer_ids = graph.node_ids(
+            GroundedAttribute(treatment_attribute, peer) for peer in block_peers
+        )
 
-    # Treatment nodes recur: a unit's own node is also referenced as a peer
-    # node by each of its neighbors, so intern them once per unit key.
-    treatment_nodes: dict[tuple[Any, ...], GroundedAttribute] = {}
-    treatment_node_get = treatment_nodes.get
+        present, found = _node_values(values_get, node_at, peer_ids)
+        peer_values_raw.extend(found[present].tolist())
+        peer_group_ids.extend(row_ids[peer_rows[present]].tolist())
 
-    row = 0
-    for unit in units:
-        response_node = GroundedAttribute(response_attribute, unit)
-        treatment_node = treatment_node_get(unit)
-        if treatment_node is None:
-            treatment_node = treatment_nodes[unit] = GroundedAttribute(
-                treatment_attribute, unit
+        # Theorem 5.2 adjustment sets: T[x] counts for row u when it is
+        # Y[u] or one of Y[u]'s treatment ancestors.
+        positions, ancestors = graph.attribute_ancestor_pairs(response_ids, treatment_attribute)
+        reached = positions * n + ancestors
+
+        def reaches(owners: np.ndarray, ids: np.ndarray) -> np.ndarray:
+            return (ids >= 0) & (
+                (ids == response_ids[owners]) | np.isin(owners * n + ids, reached)
             )
-        outcome_value = outcome(response_node)
-        if outcome_value is None:
-            continue
-        treatment_value = values_get(treatment_node)
-        if treatment_value is None:
-            continue
 
-        unit_peers = peers_get(unit) or []
-        peer_nodes = []
-        for peer in unit_peers:
-            peer_node = treatment_node_get(peer)
-            if peer_node is None:
-                peer_node = treatment_nodes[peer] = GroundedAttribute(
-                    treatment_attribute, peer
-                )
-            peer_nodes.append(peer_node)
-        for peer_node in peer_nodes:
-            peer_value = values_get(peer_node, _MISSING)
-            if peer_value is not _MISSING:
-                peer_values_raw.append(peer_value)
-                peer_group_ids.append(row)
+        own = np.flatnonzero(reaches(rows, treatment_ids))
+        own_rows, own_nodes = covariate_parents(own, treatment_ids[own])
+        walked = np.flatnonzero(reaches(peer_rows, peer_ids))
+        peer_cov_rows, peer_cov_nodes = covariate_parents(peer_rows[walked], peer_ids[walked])
+        # A node's first occurrence in a row wins; the row's own covariate
+        # nodes (valued or not) never enter its peer side.
+        codes = peer_cov_rows * n + peer_cov_nodes
+        first = np.zeros(codes.size, dtype=bool)
+        first[np.unique(codes, return_index=True)[1]] = True
+        first &= ~np.isin(codes, own_rows * n + own_nodes)
 
-        # Theorem 5.2 adjustment sets.  ``has_directed_path(T[x], Y[u])`` is
-        # equivalent to ``T[x] in ancestors(Y[u])`` (or equality).  Direct
-        # parenthood — by far the common case — is a binary-search edge
-        # probe; only indirect paths trigger the (lazily computed, per-unit)
-        # ancestor mask, which is then shared by the unit and all of its peers.
-        response_id = node_id(response_node)
-        treatment_id = node_id(treatment_node)
-        response_ancestors: np.ndarray | None = None
-        own_nodes: set[GroundedAttribute] = set()
-        if treatment_id is not None:
-            if treatment_node == response_node:
-                reachable = True
-            elif response_id is not None and csr_has_edge(treatment_id, response_id):
-                reachable = True
-            else:
-                if response_ancestors is None and response_id is not None:
-                    response_ancestors = csr_ancestor_mask((response_id,))
-                reachable = response_ancestors is not None and bool(
-                    response_ancestors[treatment_id]
-                )
-            if reachable:
-                info = parent_info_get(treatment_node)
-                if info is None:
-                    info = build_parent_info(treatment_node)
-                for entry in info:
-                    parent = entry[0]
-                    own_nodes.add(parent)
-                    value = values_get(parent, _MISSING)
-                    if value is not _MISSING:
-                        bucket = entry[3]
-                        if bucket is None:
-                            own_name = entry[1]
-                            bucket = buckets.get(own_name)
-                            if bucket is None:
-                                covariate_order.append(own_name)
-                                bucket = buckets[own_name] = ([], [])
-                            entry[3] = bucket
-                        bucket[0].append(value)
-                        bucket[1].append(row)
-        seen_peer_parents: set[GroundedAttribute] = set()
-        for peer_node in peer_nodes:
-            peer_id = node_id(peer_node)
-            if peer_id is None:
-                continue
-            if peer_node != response_node and not (
-                response_id is not None and csr_has_edge(peer_id, response_id)
-            ):
-                if response_ancestors is None and response_id is not None:
-                    response_ancestors = csr_ancestor_mask((response_id,))
-                if response_ancestors is None or not response_ancestors[peer_id]:
-                    continue
-            info = parent_info_get(peer_node)
-            if info is None:
-                info = build_parent_info(peer_node)
-            for entry in info:
-                parent = entry[0]
-                if parent in seen_peer_parents:
-                    continue
-                seen_peer_parents.add(parent)
-                if parent in own_nodes:
-                    continue
-                value = values_get(parent, _MISSING)
-                if value is not _MISSING:
-                    bucket = entry[4]
-                    if bucket is None:
-                        peer_name = entry[2]
-                        bucket = buckets.get(peer_name)
-                        if bucket is None:
-                            covariate_order.append(peer_name)
-                            bucket = buckets[peer_name] = ([], [])
-                        entry[4] = bucket
-                    bucket[0].append(value)
-                    bucket[1].append(row)
-
-        kept_units.append(unit)
-        outcomes_raw.append(outcome_value)
-        treatments_raw.append(treatment_value)
-        peer_counts.append(len(unit_peers))
-        row += 1
+        # Entries in (row, own before peer, position) order, valued only.
+        entry_rows = np.concatenate((own_rows, peer_cov_rows[first]))
+        entry_nodes = np.concatenate((own_nodes, peer_cov_nodes[first]))
+        is_peer = np.repeat(np.array([0, 1], dtype=np.int64), (own_rows.size, int(first.sum())))
+        order = np.argsort(entry_rows * 2 + is_peer, kind="stable")
+        entry_rows, entry_nodes, is_peer = entry_rows[order], entry_nodes[order], is_peer[order]
+        present, found = _node_values(values_get, node_at, entry_nodes)
+        entry_rows, found = entry_rows[present], found[present]
+        columns = (node_code[entry_nodes] * 2 + is_peer)[present]
+        seen_columns, first_seen = np.unique(columns, return_index=True)
+        for column in seen_columns[np.argsort(first_seen)].tolist():
+            name = ("peer_" if column % 2 else "own_") + names[column // 2]
+            bucket = buckets.get(name)
+            if bucket is None:
+                covariate_order.append(name)
+                bucket = buckets[name] = ([], [])
+            chosen = columns == column
+            bucket[0].extend(found[chosen].tolist())
+            bucket[1].extend(row_ids[entry_rows[chosen]].tolist())
 
     if not kept_units and not allow_empty:
         raise EstimationError(
@@ -456,6 +423,26 @@ def collect_unit_table_inputs(
         covariate_order=covariate_order,
         buckets=buckets,
     )
+
+
+def _node_values(
+    values_get: Callable[..., Any],
+    node_at: Callable[[int], GroundedAttribute],
+    ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(present, found)`` for the graph nodes ``ids``: whether ``values``
+    holds each node (-1 never), and its value as an object array.  Each
+    distinct node is looked up once."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    found = np.fromiter(
+        (values_get(node_at(i), _MISSING) if i >= 0 else _MISSING for i in unique.tolist()),
+        dtype=object,
+        count=unique.size,
+    )
+    present = np.fromiter(
+        (value is not _MISSING for value in found), dtype=bool, count=unique.size
+    )
+    return present[inverse], found[inverse]
 
 
 def merge_unit_table_inputs(parts: Sequence[UnitTableInputs]) -> UnitTableInputs:

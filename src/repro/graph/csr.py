@@ -10,7 +10,9 @@ graph as the reference the walks here are tested against.)
 (``indptr``/``indices``), with neighbour lists sorted by node id.  Every
 query is an array sweep: ancestor/descendant closures and Bayes-ball
 d-separation run as boolean-mask frontier expansions, topological order is a
-level-synchronous Kahn, and edge membership is a binary search.  Iteration
+level-synchronous Kahn, edge membership is a binary search, and
+:meth:`CSRGraph.parent_pairs` gathers the parents of a whole node array at
+once (the step of the grounded graph's batched attribute walks).  Iteration
 order is a pure function of node ids, so results are identical in every
 process regardless of hash seed.
 
@@ -112,6 +114,16 @@ class CSRGraph:
     def children_of(self, index: int) -> np.ndarray:
         """Child ids of ``index``, ascending."""
         return self.child_indices[self.child_indptr[index] : self.child_indptr[index + 1]]
+
+    def parent_pairs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every parent of every node in ``nodes``, as ``(owner, parent)``
+        int64 arrays: ``parent[i]`` is a parent of ``nodes[owner[i]]``.  Pairs
+        follow the order of ``nodes``, each node's parents ascending by id."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        counts = self.parent_indptr[nodes + 1].astype(np.int64) - self.parent_indptr[nodes]
+        owner = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
+        parents = _gather(self.parent_indptr, self.parent_indices, nodes)
+        return owner, parents.astype(np.int64, copy=False)
 
     def has_edge(self, parent: int, child: int) -> bool:
         """Binary-search the (sorted) parent list of ``child``."""

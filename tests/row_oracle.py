@@ -12,7 +12,10 @@ transcriptions those replaced, for tests and benchmarks only:
   dict bindings extended atom by atom through hash-index lookups;
 * :func:`build_unit_table` — Algorithm 1 as written: per-unit dicts, one
   ``parent_adjustment_set`` walk per unit and per peer, and per-group
-  embedding.
+  embedding;
+* :func:`compute_peers` and :func:`collect_unit_table_inputs` — Definition
+  4.3's peers and the collect phase one unit at a time, with one ancestor
+  walk per response node (production walks a block of units at once).
 
 Why keep it?  It is the executable specification.  Each function here is a
 direct transcription of the paper's definitions; the production path is an
@@ -39,6 +42,7 @@ from repro.carl.errors import EstimationError
 from repro.carl.unit_table import (
     MAX_CATEGORIES,
     UnitTable,
+    UnitTableInputs,
     _category_label,
     _is_numeric_attribute,
     _to_number,
@@ -310,6 +314,141 @@ def _match(
         elif term != value:
             return None
     return extended
+
+
+# ----------------------------------------------------------------------
+# peers and the collect phase, one unit at a time
+# ----------------------------------------------------------------------
+_MISSING = object()
+
+
+def compute_peers(
+    graph: GroundedCausalGraph,
+    treatment_attribute: str,
+    response_attribute: str,
+    units: list[tuple[Any, ...]],
+    within: list[tuple[Any, ...]] | None = None,
+) -> dict[tuple[Any, ...], list[tuple[Any, ...]]]:
+    """Definition 4.3 per unit: the treatment ancestors of each unit's
+    response node, in node-id order, that are in ``within`` (default
+    ``units``) and are not the unit itself."""
+    unit_set = set(units if within is None else within)
+    peers: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
+    for unit in units:
+        response_node = GroundedAttribute(response_attribute, unit)
+        treated = sorted(
+            (
+                node
+                for node in graph.ancestors(response_node)
+                if node.attribute == treatment_attribute
+            ),
+            key=graph.index_of,
+        )
+        peers[unit] = [node.key for node in treated if node.key != unit and node.key in unit_set]
+    return peers
+
+
+def collect_unit_table_inputs(
+    graph: GroundedCausalGraph,
+    values: dict[GroundedAttribute, Any],
+    outcome: Callable[[GroundedAttribute], Any],
+    treatment_attribute: str,
+    response_attribute: str,
+    units: Sequence[tuple[Any, ...]],
+    peers: dict[tuple[Any, ...], list[tuple[Any, ...]]],
+    is_observed: Callable[[str], bool],
+    allow_empty: bool = False,
+) -> UnitTableInputs:
+    """The collect phase unit by unit, with the production signature and
+    result: one ancestor walk per unit, covariate values appended as found."""
+    kept_units: list[tuple[Any, ...]] = []
+    outcomes_raw: list[Any] = []
+    treatments_raw: list[Any] = []
+    peer_counts: list[int] = []
+    peer_values_raw: list[Any] = []
+    peer_group_ids: list[int] = []
+    covariate_order: list[str] = []
+    buckets: dict[str, tuple[list[Any], list[int]]] = {}
+
+    def covariate_parents(node: GroundedAttribute) -> list[GroundedAttribute]:
+        return [
+            parent
+            for parent in graph.parent_nodes(node)
+            if parent.attribute != treatment_attribute and is_observed(parent.attribute)
+        ]
+
+    def gather(name: str, node: GroundedAttribute, row: int) -> None:
+        value = values.get(node, _MISSING)
+        if value is _MISSING:
+            return
+        if name not in buckets:
+            covariate_order.append(name)
+            buckets[name] = ([], [])
+        buckets[name][0].append(value)
+        buckets[name][1].append(row)
+
+    for unit in units:
+        response_node = GroundedAttribute(response_attribute, unit)
+        treatment_node = GroundedAttribute(treatment_attribute, unit)
+        outcome_value = outcome(response_node)
+        if outcome_value is None:
+            continue
+        treatment_value = values.get(treatment_node)
+        if treatment_value is None:
+            continue
+        row = len(kept_units)
+        unit_peers = peers.get(unit) or []
+        peer_nodes = [GroundedAttribute(treatment_attribute, peer) for peer in unit_peers]
+        for peer_node in peer_nodes:
+            peer_value = values.get(peer_node, _MISSING)
+            if peer_value is not _MISSING:
+                peer_values_raw.append(peer_value)
+                peer_group_ids.append(row)
+
+        # Theorem 5.2: T[x] counts for this row when it is Y[u] or reaches it.
+        ancestors = graph.ancestors(response_node)
+
+        def reaches(node: GroundedAttribute) -> bool:
+            return node in graph and (node == response_node or node in ancestors)
+
+        own_nodes: set[GroundedAttribute] = set()
+        if reaches(treatment_node):
+            own_nodes.update(covariate_parents(treatment_node))
+            for parent in covariate_parents(treatment_node):
+                gather(f"own_{parent.attribute}", parent, row)
+        seen: set[GroundedAttribute] = set()
+        for peer_node in peer_nodes:
+            if not reaches(peer_node):
+                continue
+            for parent in covariate_parents(peer_node):
+                if parent in seen:
+                    continue
+                seen.add(parent)
+                if parent not in own_nodes:
+                    gather(f"peer_{parent.attribute}", parent, row)
+
+        kept_units.append(unit)
+        outcomes_raw.append(outcome_value)
+        treatments_raw.append(treatment_value)
+        peer_counts.append(len(unit_peers))
+
+    if not kept_units and not allow_empty:
+        raise EstimationError(
+            f"no units with observed treatment {treatment_attribute!r} and response "
+            f"{response_attribute!r}; cannot build a unit table"
+        )
+    return UnitTableInputs(
+        treatment_attribute=treatment_attribute,
+        response_attribute=response_attribute,
+        unit_keys=kept_units,
+        outcomes_raw=outcomes_raw,
+        treatments_raw=treatments_raw,
+        peer_counts=peer_counts,
+        peer_values_raw=peer_values_raw,
+        peer_group_ids=peer_group_ids,
+        covariate_order=covariate_order,
+        buckets=buckets,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -281,8 +281,10 @@ def grounded_setups(draw):
     """A random grounded causal graph + values for T/Y/C attributes.
 
     Units get their own treatment/outcome/covariate nodes, random
-    covariate->treatment/outcome edges, random treatment->outcome edges and
-    random peer edges T[p] -> Y[u]; treatments and outcomes can be missing.
+    covariate->treatment/outcome edges, random treatment->outcome edges,
+    random peer edges T[p] -> Y[u], and random paths T[p] -> M[m] -> Y[u]
+    through an intermediate attribute (so a treatment may reach an outcome
+    only indirectly); treatments and outcomes can be missing.
     """
     n_units = draw(st.integers(min_value=1, max_value=7))
     graph = GroundedCausalGraph()
@@ -320,6 +322,14 @@ def grounded_setups(draw):
                         body=(GroundedAttribute("T", source),),
                     )
                 )
+    # Random indirect paths through intermediate nodes M[m].
+    for middle in range(draw(st.integers(min_value=0, max_value=3))):
+        intermediate = GroundedAttribute("M", (middle,))
+        for unit in units:
+            if draw(st.booleans()):
+                graph.add_edge(GroundedAttribute("T", unit), intermediate)
+            if draw(st.booleans()):
+                graph.add_edge(intermediate, GroundedAttribute("Y", unit))
     return graph, values, units
 
 

@@ -416,6 +416,24 @@ class TestEngineCache:
         assert session_b.cache_stats()["unit_table"] == {"hits": 1, "misses": 0, "stores": 0}
         assert answer_b.result.ate == plain.result.ate
 
+    def test_collects_on_a_grounding_holding_another_sessions_aggregate(self, tmp_path):
+        # Session A registers a unifying MAX rule before it grounds, so the
+        # grounding it stores under the program's key holds MAX_Score nodes.
+        # Session B loads that grounding without the MAX rule in its model
+        # and must still collect a query that misses the unit-table cache.
+        root = tmp_path / "cache"
+        session_a = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+        session_a.answer("MAX_Score[A] <= Prestige[A] ?")
+        assert session_a.grounding_runs == 1
+
+        query = "Score[S] <= Prestige[A] ?"
+        session_b = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+        answer_b = session_b.answer(query)
+        assert session_b.grounding_runs == 0
+        assert session_b.cache_stats()["unit_table"]["misses"] == 1
+        fresh = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM).answer(query)
+        assert answer_b.result.ate == fresh.result.ate
+
     def test_unit_table_cache_used_by_unit_table_api(self, tmp_path):
         root = tmp_path / "cache"
         cold = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)

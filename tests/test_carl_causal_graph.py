@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
+from repro.graph import CycleError
 
 
 def node(attribute: str, *key: object) -> GroundedAttribute:
@@ -68,9 +70,42 @@ class TestReachabilityAndSeparation:
         assert node("Qual", "a1") in small_graph.ancestors(node("AVG_Score", "a1"))
         assert node("AVG_Score", "a1") in small_graph.descendants(node("Qual", "a1"))
 
-    def test_ancestor_nodes_of_attribute(self, small_graph):
-        ancestors = small_graph.ancestor_nodes_of_attribute(node("AVG_Score", "a1"), "Prestige")
-        assert ancestors == [node("Prestige", "a1"), node("Prestige", "a2")]
+    def test_attribute_ancestor_pairs(self, small_graph):
+        source = small_graph.index_of(node("AVG_Score", "a1"))
+        positions, ancestors = small_graph.attribute_ancestor_pairs(np.array([source]), "Prestige")
+        assert positions.tolist() == [0, 0]
+        assert [small_graph.node_at(index) for index in ancestors.tolist()] == [
+            node("Prestige", "a1"),
+            node("Prestige", "a2"),
+        ]
+
+    def test_attribute_ancestor_pairs_over_many_sources(self, small_graph):
+        sources = small_graph.node_ids(
+            [
+                node("Score", "s2"),
+                node("Missing", "x"),
+                node("Prestige", "a1"),
+                node("AVG_Score", "a1"),
+            ]
+        )
+        assert sources[1] == -1
+        positions, ancestors = small_graph.attribute_ancestor_pairs(sources, "Prestige")
+        # A node is not its own ancestor, and an absent source has none.
+        assert list(zip(positions.tolist(), map(small_graph.node_at, ancestors.tolist()))) == [
+            (0, node("Prestige", "a2")),
+            (3, node("Prestige", "a1")),
+            (3, node("Prestige", "a2")),
+        ]
+        positions, ancestors = small_graph.attribute_ancestor_pairs(sources, "Qual")
+        assert positions.tolist() == [2, 3]
+        assert small_graph.attribute_ancestor_pairs(sources, "Missing")[0].size == 0
+
+    def test_attribute_walk_requires_acyclic_attribute_graph(self):
+        graph = GroundedCausalGraph()
+        graph.add_edge(node("A", 1), node("B", 1))
+        graph.add_edge(node("B", 1), node("A", 2))
+        with pytest.raises(CycleError, match="attribute graph"):
+            graph.attribute_ancestor_pairs(graph.node_ids([node("A", 2)]), "A")
 
     def test_directed_path(self, small_graph):
         assert small_graph.has_directed_path(node("Prestige", "a2"), node("AVG_Score", "a1"))
@@ -124,6 +159,9 @@ class TestNodeIdOrdering:
             (index,) for index in range(1, 13)
         ]
 
-    def test_ancestor_nodes_of_attribute_numeric_order(self, numeric_graph):
-        ancestors = numeric_graph.ancestor_nodes_of_attribute(node("Score", 0), "Prestige")
-        assert [item.key for item in ancestors] == [(index,) for index in range(1, 13)]
+    def test_attribute_ancestor_pairs_numeric_order(self, numeric_graph):
+        sources = numeric_graph.node_ids([node("Score", 0)])
+        _, ancestors = numeric_graph.attribute_ancestor_pairs(sources, "Prestige")
+        assert [numeric_graph.node_at(index).key for index in ancestors.tolist()] == [
+            (index,) for index in range(1, 13)
+        ]

@@ -197,8 +197,21 @@ class TestErrors:
             ("WHERE Submitted(S)", SchemaBindingError, "arity 1"),
             ("WHERE Author(A, S, X)", SchemaBindingError, "arity 3"),
             ("WHERE Nope(S)", SchemaBindingError, "unknown predicate 'Nope'"),
+            (
+                'WHERE Submitted(S, C), Nope[C] = "double"',
+                SchemaBindingError,
+                "unknown attribute 'Nope'",
+            ),
+            ('WHERE Submitted(S, C), Blind[C, S] = "double"', SchemaBindingError, "arity 2"),
         ],
-        ids=["restricts-nothing", "under-arity", "over-arity", "unknown-predicate"],
+        ids=[
+            "restricts-nothing",
+            "under-arity",
+            "over-arity",
+            "unknown-predicate",
+            "unknown-compared-attribute",
+            "compared-attribute-arity",
+        ],
     )
     def test_bad_where_clause_raises_before_grounding(self, clause, error, match, tmp_path):
         query = f"Score[S] <= Prestige[A] ? {clause}"
@@ -222,6 +235,20 @@ class TestErrors:
         )
         assert rule in program
         with pytest.raises(CaRLError, match="arity"):
+            CaRLEngine(toy_review_database(), program)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "Score[S] <= Prestige[A] WHERE Author(A, S, X);",
+            'Score[S] <= Prestige[A] WHERE Author(A, S), Blind[S, A] = "double";',
+        ],
+        ids=["atom-arity", "compared-attribute-arity"],
+    )
+    def test_causal_rule_condition_checked_at_construction(self, rule):
+        program = TOY_REVIEW_PROGRAM.replace("Score[S] <= Prestige[A] WHERE Author(A, S);", rule)
+        assert rule in program
+        with pytest.raises(SchemaBindingError, match="arity"):
             CaRLEngine(toy_review_database(), program)
 
     def test_unit_table_helper(self, toy_engine):

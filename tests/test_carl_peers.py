@@ -13,7 +13,6 @@ from repro.carl.peers import (
     build_unifying_aggregate_rule,
     compute_peers,
     find_relational_path,
-    influencing_treated_units,
 )
 from repro.carl.schema import RelationalCausalSchema
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
@@ -92,8 +91,16 @@ class TestPeers:
         # Carlos is not in the unit set, so Eva's peers shrink to Bob.
         assert set(peers[("Eva",)]) == {("Bob",)}
 
-    def test_influencing_treated_units(self, toy_graph):
-        response = GroundedAttribute("Score", ("s1",))
-        influencing = influencing_treated_units(toy_graph, "Prestige", response)
-        assert set(influencing) == {("Bob",), ("Eva",)}
-        assert influencing_treated_units(toy_graph, "Prestige", GroundedAttribute("Score", ("zzz",))) == []
+    def test_treated_units_reaching_a_response(self, toy_graph):
+        """The set ``S'`` of Theorem 5.2 for one response node, read off the
+        batched walk: every treated unit with a path to it, the unit itself
+        included (peers exclude it)."""
+        sources = toy_graph.node_ids(
+            [GroundedAttribute("Score", ("s1",)), GroundedAttribute("Score", ("zzz",))]
+        )
+        positions, ancestors = toy_graph.attribute_ancestor_pairs(sources, "Prestige")
+        assert positions.tolist() == [0, 0]
+        assert {toy_graph.node_at(index).key for index in ancestors.tolist()} == {
+            ("Bob",),
+            ("Eva",),
+        }
