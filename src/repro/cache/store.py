@@ -76,6 +76,22 @@ _NO_SPACE_ERRNOS = frozenset(
     if code is not None
 )
 
+#: Serializes numpy's ``.npy`` header parsing.  numpy parses each header with
+#: ``ast.literal_eval``, which on CPython 3.11 can raise ``SystemError: AST
+#: constructor recursion depth mismatch`` when threads parse at once.
+_NPY_HEADER_LOCK = threading.Lock()
+
+
+def _renew_npy_header_lock() -> None:
+    """A forked child gets a fresh lock: one another parent thread held at
+    fork time would never be released there."""
+    global _NPY_HEADER_LOCK
+    _NPY_HEADER_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes never fork
+    os.register_at_fork(after_in_child=_renew_npy_header_lock)
+
 
 class CacheError(ValueError):
     """Raised on malformed cache keys or unusable cache roots."""
@@ -681,7 +697,9 @@ def _read_key(path: Path) -> CacheKey | None:
     """The CacheKey recorded inside an artifact file (None when unreadable)."""
     try:
         with zipfile.ZipFile(path) as archive, archive.open("cache_key.npy") as member:
-            record = json.loads(str(npy_format.read_array(member, allow_pickle=False)[()]))
+            with _NPY_HEADER_LOCK:
+                array = npy_format.read_array(member, allow_pickle=False)
+            record = json.loads(str(array[()]))
         return CacheKey(**record)
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile):
         return None
@@ -715,7 +733,7 @@ def _read_npz(path: Path, mmap: bool) -> dict[str, np.ndarray]:
             if mmap and info.compress_type == zipfile.ZIP_STORED:
                 array = _mmap_member(handle, info)
             if array is None:
-                with archive.open(info) as member:
+                with archive.open(info) as member, _NPY_HEADER_LOCK:
                     array = npy_format.read_array(member, allow_pickle=True)
             arrays[name] = array
     return arrays
@@ -740,12 +758,13 @@ def _mmap_member(handle: Any, info: zipfile.ZipInfo) -> np.ndarray | None:
         extra_length = int.from_bytes(local_header[28:30], "little")
         handle.seek(info.header_offset + 30 + name_length + extra_length)
         version = npy_format.read_magic(handle)
-        if version == (1, 0):
-            shape, fortran_order, dtype = npy_format.read_array_header_1_0(handle)
-        elif version == (2, 0):
-            shape, fortran_order, dtype = npy_format.read_array_header_2_0(handle)
-        else:
-            return None
+        with _NPY_HEADER_LOCK:
+            if version == (1, 0):
+                shape, fortran_order, dtype = npy_format.read_array_header_1_0(handle)
+            elif version == (2, 0):
+                shape, fortran_order, dtype = npy_format.read_array_header_2_0(handle)
+            else:
+                return None
         if dtype.hasobject or fortran_order or not shape or 0 in shape:
             return None
         offset = handle.tell()

@@ -2,13 +2,13 @@
 
 A batch of causal queries over one grounded graph repeats a lot of work: the
 relational peers and the covariate collection of the unit-table build
-depend only on the ``(treatment attribute, response attribute)`` pair,
-not on the treatment threshold, embedding or estimator a specific query
-uses.  :class:`BatchScratch` memoizes those per-pair intermediates for the
-lifetime of one :class:`~repro.service.session.QuerySession` (one
-``answer_all(jobs>1)`` or ``answer_iter`` call), so an 8-query workload with
-three distinct attribute pairs walks the grounded graph three times instead
-of eight.
+depend only on the query plan's collection fingerprint (treatment, resolved
+response, WHERE clause), not on the treatment threshold, embedding or
+estimator a specific query uses.  :class:`BatchScratch` memoizes those
+collections for the lifetime of one
+:class:`~repro.service.session.QuerySession` (one ``answer_all(jobs>1)`` or
+``answer_iter`` call), so an 8-query workload with three distinct
+fingerprints walks the grounded graph three times instead of eight.
 
 The scratch is deliberately batch-scoped rather than engine-scoped: its
 entries can be arbitrarily large, so they are dropped as soon as the
@@ -27,7 +27,7 @@ T = TypeVar("T")
 
 
 class BatchScratch:
-    """Memo of shareable per-(treatment, response) intermediates of a batch.
+    """Memo of a batch's shareable collections, keyed by collection fingerprint.
 
     Thread-safe: worker threads of one batch race to populate entries, and
     :meth:`get_or_build` guarantees each key is built at most once per token

@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -25,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.cache.fingerprint import (
+    collect_fingerprint,
     database_fingerprint,
     model_fingerprint,
     query_fingerprint,
@@ -61,6 +63,28 @@ from repro.observability.telemetry import get_registry
 from repro.inference.correlation import naive_difference, pearson_correlation
 from repro.inference.estimators import estimate_ate
 from repro.inference.outcome import OutcomeModel
+
+
+@dataclass(frozen=True)
+class QueryPlan:
+    """A causal query resolved against the engine's model, before any
+    grounding (:meth:`CaRLEngine._plan`).  The serial build, the thread
+    scratch, the shard dispatcher and the shard workers all read a query
+    through its plan."""
+
+    query: CausalQuery
+    treatment: str
+    #: The query's response, or the unifying aggregate that carries it onto
+    #: the treated units (Section 4.3).
+    response: str
+    #: WHERE-clause variables over the treated entity (restricting the units)
+    #: and over the base response's entity (restricting its aggregation).
+    unit_variable: str | None
+    response_variable: str | None
+    table_key: CacheKey | None  #: unit-table artifact key (None when uncached)
+    #: Collection fingerprint (:func:`collect_fingerprint`), equal for every
+    #: query that collects the same inputs (each step of a threshold sweep).
+    fingerprint: str
 
 
 class CaRLEngine:
@@ -230,22 +254,6 @@ class CaRLEngine:
             kind="grounding",
         )
 
-    def _unit_table_key(
-        self, query: CausalQuery, embedding: Any, response_attribute: str
-    ) -> CacheKey | None:
-        if self.cache is None:
-            return None
-        resolution: list[Any] = [response_attribute]
-        derived = self.model.derived_attributes.get(response_attribute)
-        if derived is not None:
-            resolution.append(derived)
-        return CacheKey(
-            database=database_fingerprint(self.database),
-            program=self._program_fingerprint,
-            kind="unit_table",
-            detail=query_fingerprint(query, embedding, resolution),
-        )
-
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Per-kind hit/miss/store counters of the configured cache (empty
         mapping when the engine runs uncached)."""
@@ -338,9 +346,8 @@ class CaRLEngine:
           is charged for it; lazily (or not at all, when every query hits a
           cached unit table) with an artifact cache — and a session-scoped
           scratch shares the graph-walk intermediates (relational peers,
-          covariate collection) between queries over the same (treatment,
-          response) attribute pair, which beats the serial loop even on one
-          core.
+          covariate collection) between queries with the same collection
+          fingerprint, which beats the serial loop even on one core.
         * ``executor="process"`` runs the shard scheduler
           (``docs/sharding.md``): worker processes share the grounded engine
           (fork-inherited, or memory-mapped from artifacts published through
@@ -531,86 +538,29 @@ class CaRLEngine:
         scratch: BatchScratch | None = None,
     ) -> tuple[UnitTable, float]:
         """A query's unit table and the seconds spent grounding for it."""
-        treatment_attribute, treatment_subject = self._validated_treatment(query)
+        plan = self._plan(query, embedding)
 
-        # Response resolution may register a unifying aggregate rule on the
-        # shared model, so it runs under the state lock.  The WHERE clause is
-        # checked against the schema before any cache probe or grounding.
-        with self._state_lock:
-            response_attribute = self._resolve_response(query, treatment_subject)
-            self._restriction_variables(query, treatment_attribute, response_attribute)
-            table_key = self._unit_table_key(query, embedding, response_attribute)
-
-        # Probe the artifact cache after response resolution: the resolved
-        # response (and its derived-attribute definition, if unification
-        # introduced one) is part of the key, so differently-unified
-        # requests never alias — while identical requests key identically
-        # regardless of what else the session answered before.  The probe
-        # itself is lock-free: artifact reads are atomic snapshots.
-        if table_key is not None:
-            payload = self.cache.load(table_key)
+        # The probe itself is lock-free: artifact reads are atomic snapshots.
+        if plan.table_key is not None:
+            payload = self.cache.load(plan.table_key)
             if payload is not None:
                 try:
                     return load_unit_table(payload), 0.0
                 except SerializationError:
                     pass
 
-        # binarize=None lets the builder fall back to the default binarizer
-        # itself — and take the vectorized bulk-binarization path instead of
-        # a per-value callable.
-        binarize = None
-        if query.treatment_threshold is not None:
-            threshold = query.treatment_threshold
-            binarize = lambda value: 1.0 if threshold.evaluate(value) else 0.0  # noqa: E731
-
-        with self._state_lock:
-            grounding, grounding_seconds = self._current_grounding()
-            units, outcome = self._restricted_units(
-                grounding, query, treatment_attribute, response_attribute
-            )
-
-        # The graph walks read only the immutable snapshot and run outside
-        # the state lock.  A batch shares them between queries over the
-        # same (treatment, response) pair when the WHERE clause is trivial
-        # (the collected inputs are then independent of the query's
-        # threshold, embedding and estimator).
-        def collect() -> UnitTableInputs:
-            peers = compute_peers(grounding.graph, treatment_attribute, response_attribute, units)
-            return collect_unit_table_inputs(
-                grounding.graph,
-                grounding.values,
-                outcome,
-                treatment_attribute,
-                response_attribute,
-                units,
-                peers,
-                self.model.is_observed,
-            )
-
-        if scratch is not None and query.condition.is_trivial:
-            inputs = scratch.get_or_build(
-                grounding.db_token,
-                ("unit-table-inputs", treatment_attribute, response_attribute),
-                collect,
-            )
+        grounding, grounding_seconds, units, outcome = self._units(plan)
+        # The graph walks run outside the state lock.  A batch shares them
+        # between queries with the same collection fingerprint.
+        collect = partial(self._collect, plan, 0, len(units), grounding, units, outcome)
+        if scratch is not None:
+            inputs = scratch.get_or_build(grounding.db_token, plan.fingerprint, collect)
         else:
             inputs = collect()
-        table = materialize_unit_table(inputs, embedding=embedding, binarize=binarize)
-        if table_key is not None:
-            self.cache.store(table_key, unit_table_payload(table))
+        table = self._materialize(query, inputs, embedding)
+        if plan.table_key is not None:
+            self.cache.store(plan.table_key, unit_table_payload(table))
         return table, grounding_seconds
-
-    def _validated_treatment(self, query: CausalQuery) -> tuple[str, str]:
-        """The query's treatment attribute and its subject predicate, validated."""
-        treatment_attribute = query.treatment.name
-        if not self.schema.has_attribute(treatment_attribute):
-            raise QueryError(f"unknown treatment attribute {treatment_attribute!r}")
-        if not self.schema.is_observed(treatment_attribute):
-            raise QueryError(
-                f"treatment attribute {treatment_attribute!r} is latent; it cannot be used "
-                "as a treatment"
-            )
-        return treatment_attribute, self.schema.subject_of(treatment_attribute)
 
     def collect_shard_inputs(
         self,
@@ -638,72 +588,125 @@ class CaRLEngine:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        treatment_attribute, treatment_subject = self._validated_treatment(query)
-        with self._state_lock:
-            response_attribute = self._resolve_response(query, treatment_subject)
-            grounding, _ = self._current_grounding()
-            units, outcome = self._restricted_units(
-                grounding, query, treatment_attribute, response_attribute
-            )
+        plan = self._plan(query, self.default_embedding)
+        grounding, _, units, outcome = self._units(plan)
         if expected_units is not None and len(units) != expected_units:
             raise QueryError(
                 f"shard worker derived {len(units)} units for {query!s} but the "
                 f"dispatcher saw {expected_units}; the shared grounding and "
                 "database state are out of sync"
             )
+        return self._collect(plan, start, stop, grounding, units, outcome, allow_empty=True)
+
+    # ------------------------------------------------------------------
+    # the query plan: resolve, restrict, collect, materialize
+    # ------------------------------------------------------------------
+    def _plan(self, query: CausalQuery, embedding: str) -> QueryPlan:
+        """Resolve ``query`` against the model, without grounding.
+
+        Runs under the state lock: response resolution may register a
+        unifying aggregate rule on the shared model.  A bad treatment,
+        response or WHERE clause raises here, before any cache probe or
+        grounding.  The unit-table key covers the resolved response and its
+        definition, so differently-unified requests never alias, while
+        identical requests key identically whatever the session answered
+        before.
+        """
+        treatment = query.treatment.name
+        if not self.schema.has_attribute(treatment):
+            raise QueryError(f"unknown treatment attribute {treatment!r}")
+        if not self.schema.is_observed(treatment):
+            raise QueryError(
+                f"treatment attribute {treatment!r} is latent; it cannot be used as a treatment"
+            )
+        with self._state_lock:
+            response = self._resolve_response(query, self.schema.subject_of(treatment))
+            derived = self.model.derived_attributes.get(response)
+            restriction = self._restriction_variables(query, treatment, response)
+            table_key = None
+            if self.cache is not None:
+                resolution = [response] if derived is None else [response, derived]
+                table_key = CacheKey(
+                    database=database_fingerprint(self.database),
+                    program=self._program_fingerprint,
+                    kind="unit_table",
+                    detail=query_fingerprint(query, embedding, resolution),
+                )
+        fingerprint = collect_fingerprint(treatment, response, derived, query.condition)
+        return QueryPlan(query, treatment, response, *restriction, table_key, fingerprint)
+
+    def _units(
+        self, plan: QueryPlan
+    ) -> tuple[Grounding, float, list[tuple[Any, ...]], Callable[[GroundedAttribute], Any]]:
+        """The grounding snapshot a planned query walks, the seconds spent
+        producing it (:meth:`_current_grounding`), the restricted unit list,
+        and the reader collection takes each unit's outcome with.
+
+        Runs under the state lock (the bound instance's indexes are lazy).
+        Deterministic in (database, program, query), which is what lets
+        shard workers re-derive the same unit list positionally.  The reader
+        is the snapshot's ``values.get`` unless the WHERE clause restricts
+        the base response (e.g. only single-blind submissions count towards
+        an author's average score): then it is :func:`aggregate_head_value`
+        bound to the allowed base-response keys, which aggregates a head
+        only when a walk reads it.
+        """
+        with self._state_lock:
+            grounding, seconds = self._current_grounding()
+            units = list(self.instance.units(plan.treatment))
+            outcome: Callable[[GroundedAttribute], Any] = grounding.values.get
+            if plan.unit_variable is not None or plan.response_variable is not None:
+                bindings = self.grounder.condition_bindings(plan.query.condition)
+                if plan.unit_variable is not None:
+                    allowed_units = {(binding[plan.unit_variable],) for binding in bindings}
+                    units = [unit for unit in units if unit in allowed_units]
+                if plan.response_variable is not None:
+                    allowed = {(binding[plan.response_variable],) for binding in bindings}
+                    outcome = partial(
+                        aggregate_head_value, grounding.graph, grounding.values, allowed=allowed
+                    )
+        if not units:
+            raise QueryError("the query condition excludes every unit")
+        return grounding, seconds, units, outcome
+
+    def _collect(
+        self,
+        plan: QueryPlan,
+        start: int,
+        stop: int,
+        grounding: Grounding,
+        units: list[tuple[Any, ...]],
+        outcome: Callable[[GroundedAttribute], Any],
+        allow_empty: bool = False,
+    ) -> UnitTableInputs:
+        """Peers and Theorem 5.2 adjustment sets of ``units[start:stop]``,
+        with peers drawn from all of ``units`` (see :meth:`_units`).  Reads
+        only the snapshot, so callers run it outside the state lock."""
         selected = units[start:stop]
-        peers = compute_peers(
-            grounding.graph, treatment_attribute, response_attribute, selected, within=units
-        )
+        graph = grounding.graph
+        peers = compute_peers(graph, plan.treatment, plan.response, selected, within=units)
         return collect_unit_table_inputs(
-            grounding.graph,
+            graph,
             grounding.values,
             outcome,
-            treatment_attribute,
-            response_attribute,
+            plan.treatment,
+            plan.response,
             selected,
             peers,
             self.model.is_observed,
-            allow_empty=True,
+            allow_empty=allow_empty,
         )
 
-    def _restricted_units(
-        self,
-        grounding: Grounding,
-        query: CausalQuery,
-        treatment_attribute: str,
-        response_attribute: str,
-    ) -> tuple[list[tuple[Any, ...]], Callable[[GroundedAttribute], Any]]:
-        """Restricted unit list for one query over ``grounding``, and the
-        reader collection takes each unit's outcome with (state lock must be
-        held: the bound instance's indexes are lazy).  Deterministic in
-        (database, program, query), which is what lets shard workers
-        re-derive the same unit list positionally.
-
-        The reader is the snapshot's ``values.get`` unless the WHERE clause
-        restricts the base response (e.g. only single-blind submissions count
-        towards an author's average score): then it is
-        :func:`aggregate_head_value` bound to the allowed base-response keys,
-        which aggregates a head only when a walk reads it.
-        """
-        unit_variable, response_variable = self._restriction_variables(
-            query, treatment_attribute, response_attribute
-        )
-        units = list(self.instance.units(treatment_attribute))
-        outcome: Callable[[GroundedAttribute], Any] = grounding.values.get
-        if unit_variable is not None or response_variable is not None:
-            bindings = self.grounder.condition_bindings(query.condition)
-            if unit_variable is not None:
-                allowed_units = {(binding[unit_variable],) for binding in bindings}
-                units = [unit for unit in units if unit in allowed_units]
-            if response_variable is not None:
-                allowed = {(binding[response_variable],) for binding in bindings}
-                outcome = partial(
-                    aggregate_head_value, grounding.graph, grounding.values, allowed=allowed
-                )
-        if not units:
-            raise QueryError("the query condition excludes every unit")
-        return units, outcome
+    @staticmethod
+    def _materialize(query: CausalQuery, inputs: UnitTableInputs, embedding: str) -> UnitTable:
+        """Embed collected inputs and binarize the treatment at the query's
+        threshold; the caller stores the table (a shard worker through its
+        own cache handle)."""
+        binarize = None  # the builder's own vectorized default
+        if query.treatment_threshold is not None:
+            threshold = query.treatment_threshold
+            binarize = lambda value: 1.0 if threshold.evaluate(value) else 0.0  # noqa: E731
+        return materialize_unit_table(inputs, embedding=embedding, binarize=binarize)
 
     def _resolve_response(self, query: CausalQuery, treatment_subject: str) -> str:
         """Resolve (and if needed create) the response attribute over the treated units.

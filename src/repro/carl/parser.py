@@ -63,9 +63,6 @@ class _Parser:
         index = self._position + offset
         return self._tokens[index] if index < len(self._tokens) else None
 
-    def _at_end(self) -> bool:
-        return self._position >= len(self._tokens)
-
     def _advance(self) -> Token:
         token = self._peek()
         if token is None:

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache.fingerprint import collect_fingerprint, database_fingerprint
+from repro.cache.fingerprint import database_fingerprint
 from repro.cache.serialization import (
     SerializationError,
     columnar_table_payload,
@@ -56,12 +56,12 @@ from repro.cache.store import ArtifactCache, CacheDegradedError, CacheKey
 from repro.carl.ast import CausalQuery, Program
 from repro.carl.errors import QueryError
 from repro.carl.queries import QueryAnswer
-from repro.carl.unit_table import materialize_unit_table, merge_unit_table_inputs
+from repro.carl.unit_table import merge_unit_table_inputs
 from repro.db.database import Database
 from repro.observability.telemetry import get_registry, set_role, trace_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us lazily)
-    from repro.carl.engine import CaRLEngine
+    from repro.carl.engine import CaRLEngine, QueryPlan
 
 #: Set (to any non-empty value) to disable the fork fast path and force
 #: workers to rebuild their engine from the published artifacts even on
@@ -145,19 +145,6 @@ class FinishTask:
     seed: int
     trace: str | None = None  #: originating trace id (cross-process stitch)
     parent: str | None = None  #: originating ``query.finish`` span id
-
-
-@dataclass
-class _QueryPlan:
-    """Dispatcher-side resolution of one query: warm, or how to shard it."""
-
-    table_key: CacheKey | None
-    cached: bool
-    n_units: int = 0
-    #: Collection fingerprint (:func:`collect_fingerprint`): identical for
-    #: every query that collects the same inputs — a threshold sweep shares
-    #: one signature, so its shard partials alias shard-for-shard.
-    signature: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -332,14 +319,8 @@ def _finish_task_body(task: FinishTask) -> QueryAnswer:
             parts.append(load_unit_inputs(payload))
         inputs = merge_unit_table_inputs(parts)
 
-    binarize = None
-    if task.query.treatment_threshold is not None:
-        threshold = task.query.treatment_threshold
-        binarize = lambda value: 1.0 if threshold.evaluate(value) else 0.0  # noqa: E731
     with registry.span("worker.materialize"):
-        unit_table = materialize_unit_table(
-            inputs, embedding=task.embedding, binarize=binarize
-        )
+        unit_table = engine._materialize(task.query, inputs, task.embedding)  # noqa: SLF001
         if task.table_key is not None:
             cache.store(task.table_key, unit_table_payload(unit_table))
     # Per-answer attribution: the unit-table time of a sharded answer is the
@@ -424,28 +405,14 @@ def _plan_query(
     cache: ArtifactCache,
     query: CausalQuery,
     embedding: str,
-) -> _QueryPlan:
-    """Resolve one query far enough to split it into shard tasks."""
-    with engine._state_lock:  # noqa: SLF001
-        treatment_attribute, treatment_subject = engine._validated_treatment(query)  # noqa: SLF001
-        response_attribute = engine._resolve_response(query, treatment_subject)  # noqa: SLF001
-        engine._restriction_variables(query, treatment_attribute, response_attribute)  # noqa: SLF001
-        table_key = engine._unit_table_key(query, embedding, response_attribute)  # noqa: SLF001
-        if table_key is not None and cache.contains(table_key):
-            return _QueryPlan(table_key, cached=True)
-        signature = collect_fingerprint(
-            treatment_attribute,
-            response_attribute,
-            engine.model.derived_attributes.get(response_attribute),
-            query.condition,
-        )
-        grounding, _ = engine._current_grounding()  # noqa: SLF001
-        units, _ = engine._restricted_units(  # noqa: SLF001
-            grounding, query, treatment_attribute, response_attribute
-        )
-    return _QueryPlan(
-        table_key, cached=False, n_units=len(units), signature=signature
-    )
+) -> tuple["QueryPlan", int | None]:
+    """The engine's plan of one query and its unit count, which sizes its
+    shard tasks; no count (and no grounding) when the unit table is cached."""
+    plan = engine._plan(query, embedding)  # noqa: SLF001
+    if plan.table_key is not None and cache.contains(plan.table_key):
+        return plan, None
+    _, _, units, _ = engine._units(plan)  # noqa: SLF001
+    return plan, len(units)
 
 
 def shard_ranges(n_units: int, shards: int) -> list[tuple[int, int]]:

@@ -101,9 +101,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
 
-    def rules_for(self, site: str) -> tuple[FaultRule, ...]:
-        return tuple(rule for rule in self.rules if rule.site == site)
-
     def to_json(self) -> str:
         return json.dumps(
             {"seed": self.seed, "rules": [rule.as_dict() for rule in self.rules]},

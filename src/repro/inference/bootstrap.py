@@ -18,9 +18,6 @@ class BootstrapResult:
     upper: float
     samples: np.ndarray
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.estimate, self.lower, self.upper)
-
 
 def bootstrap_statistic(
     statistic: Callable[..., float],

@@ -122,11 +122,6 @@ def set_role(role: str, worker_id: int | None = None) -> None:
         _ID_PREFIX = f"w{worker_id}." if role == "worker" else ""
 
 
-def current_role() -> str:
-    with _ROLE_LOCK:
-        return _ROLE
-
-
 def _id_prefix() -> str:
     with _ROLE_LOCK:
         return _ID_PREFIX

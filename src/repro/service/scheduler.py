@@ -208,7 +208,7 @@ class _Task:
     kind: str  #: ``"collect"`` or ``"finish"``
     spec: ShardTask | FinishTask
     #: Indexes of the session queries depending on this task.  Collect
-    #: tasks are shared between queries with the same collection signature;
+    #: tasks are shared between queries with the same collection fingerprint;
     #: a finish task always belongs to exactly one query.
     queries: set[int]
     state: TaskState = TaskState.PENDING
@@ -757,15 +757,15 @@ class ShardScheduler:
             "query.ground", trace=record.trace, parent=record.span
         )
         try:
-            plan = _plan_query(
+            plan, n_units = _plan_query(
                 self._engine, self._cache, record.query, options["embedding"]
             )
         except Exception as error:  # noqa: BLE001 - a plan failure is per-query
             telemetry.finish_span(ground_span)
             self._finish_query(index, as_query_error(error))
             return
-        telemetry.finish_span(ground_span, cached=plan.cached)
-        if plan.cached:
+        telemetry.finish_span(ground_span, cached=n_units is None)
+        if n_units is None:
             # Warm unit table: the serial warm path (load + estimate)
             # answers without any scheduling — but `engine.answer` can be
             # slow (bootstrap), so it runs on a helper thread rather than
@@ -787,16 +787,16 @@ class ShardScheduler:
             record.state = QueryState.RUNNING
             record.mode = "cold"
             record.table_key = plan.table_key
-            for start, stop in shard_ranges(plan.n_units, self._shards):
+            for start, stop in shard_ranges(n_units, self._shards):
                 if start == stop:
                     continue
                 result_key = shard_partial_key(
                     self._spec.database_fingerprint,
                     self._spec.program_fingerprint,
-                    plan.signature,
+                    plan.fingerprint,
                     start,
                     stop,
-                    plan.n_units,
+                    n_units,
                 )
                 record.part_keys.append(result_key)
                 # One pin per referencing record, released when the record
@@ -807,7 +807,7 @@ class ShardScheduler:
                 existing_id = self._task_by_key.get(result_key)
                 if existing_id is not None:
                     # The range is already being collected for another live
-                    # query of this session (same collection signature):
+                    # query of this session (same collection fingerprint):
                     # share its in-flight work.
                     task = self._tasks[existing_id]
                     task.queries.add(index)
@@ -828,7 +828,7 @@ class ShardScheduler:
                     query=record.query,
                     start=start,
                     stop=stop,
-                    n_units=plan.n_units,
+                    n_units=n_units,
                     result_key=result_key,
                 )
                 if self._cache.load(result_key) is not None:

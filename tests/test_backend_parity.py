@@ -428,12 +428,9 @@ def test_engine_unit_table_matches_oracle(text):
     as the engine's (restricted) outcome reader gives it."""
     engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
     actual = engine.unit_table(text)
-    query = parse_query(text)
-    treatment, subject = engine._validated_treatment(query)
-    with engine._state_lock:
-        response = engine._resolve_response(query, subject)
-        grounding, _ = engine._current_grounding()
-        units, outcome = engine._restricted_units(grounding, query, treatment, response)
+    plan = engine._plan(parse_query(text), "mean")
+    treatment, response = plan.treatment, plan.response
+    grounding, _, units, outcome = engine._units(plan)
     values = dict(grounding.values)
     for unit in units:
         values[GroundedAttribute(response, unit)] = outcome(GroundedAttribute(response, unit))

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+import repro.carl.engine as engine_module
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import EstimationError, QueryError
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
@@ -134,6 +136,48 @@ class TestConcurrentExecutor:
                 ["AVG_Score[A] <= Qualification[A] ?", "Score[S] <= NoSuchAttr[A] ?"],
                 jobs=2,
             )
+
+
+def exact(value):
+    """``value`` with every float as ``float.hex``, compared bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return exact(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [exact(item) for item in value]
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()}
+    return repr(value)
+
+
+class TestCollectionSharing:
+    #: Three collection fingerprints: the threshold pair shares one, and so
+    #: do the WHERE-restricted query and its peer-effects twin.
+    QUERIES = [
+        "AVG_Score[A] <= Prestige[A] >= 1 ?",
+        "AVG_Score[A] <= Prestige[A] >= 0.5 ?",
+        'Score[S] <= Prestige[A] ? WHERE Submitted(S, C), Blind[C] = "double"',
+        "Score[S] <= Prestige[A] ? WHEN ALL PEERS TREATED "
+        'WHERE Submitted(S, C), Blind[C] = "double"',
+        'Score[S] <= Prestige[A] ? WHERE Submitted(S, C), Blind[C] = "single"',
+    ]
+
+    def test_thread_batch_collects_once_per_fingerprint(self, monkeypatch):
+        serial_engine = fresh_engine()
+        serial = [serial_engine.answer(query) for query in self.QUERIES]
+        collect = engine_module.collect_unit_table_inputs
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])  # the collected units
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "collect_unit_table_inputs", counting)
+        batch = fresh_engine().answer_all(self.QUERIES, jobs=2)
+        assert len(calls) == 3, calls
+        for index, answer in enumerate(serial):
+            assert exact(vars(batch[str(index)].result)) == exact(vars(answer.result))
 
 
 class TestGroundingAttribution:

@@ -187,12 +187,9 @@ def test_gathered_covariates_are_a_valid_adjustment_set(dataset, query):
     else:
         data = generate_mimic_data(n_patients=400, seed=1)
     engine = CaRLEngine(data.database, data.program)
-    parsed = parse_query(query)
-    treatment, subject = engine._validated_treatment(parsed)
-    with engine._state_lock:
-        response = engine._resolve_response(parsed, subject)
-        grounding, _ = engine._current_grounding()
-        units, outcome = engine._restricted_units(grounding, parsed, treatment, response)
+    plan = engine._plan(parse_query(query), "mean")
+    treatment, response = plan.treatment, plan.response
+    grounding, _, units, outcome = engine._units(plan)
     graph, values, is_observed = grounding.graph, grounding.values, engine.model.is_observed
     peers = compute_peers(graph, treatment, response, units)
     inputs = collect_unit_table_inputs(

@@ -15,12 +15,17 @@ load-bearing and hammered here:
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
+import repro.cache.store as store_module
 from repro.cache.store import ArtifactCache, CacheKey
 from repro.carl.engine import CaRLEngine
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
@@ -87,6 +92,70 @@ class TestConcurrentStoreLoad:
         # Counter exactness: every load is accounted as exactly one hit or miss.
         stats = cache.stats
         assert stats.hit_count("table") + stats.miss_count("table") == loads
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_npy_headers_are_parsed_one_at_a_time(self, tmp_path, monkeypatch, mmap):
+        """numpy parses ``.npy`` headers with ``ast.literal_eval``, which
+        CPython 3.11 does not keep thread-safe, so concurrent loads must take
+        turns on it."""
+        cache = ArtifactCache(tmp_path, mmap=mmap)
+        cache.store(KEY, variant_payload(1))
+        lock = threading.Lock()
+        active, peak = [0], [0]
+
+        def counted(parse):
+            def wrapper(*args, **kwargs):
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                try:
+                    time.sleep(0.001)  # hold the parse open for any rival
+                    return parse(*args, **kwargs)
+                finally:
+                    with lock:
+                        active[0] -= 1
+
+            return wrapper
+
+        for name in ("read_array", "read_array_header_1_0", "read_array_header_2_0"):
+            monkeypatch.setattr(npy_format, name, counted(getattr(npy_format, name)))
+        start = threading.Barrier(8)
+
+        def load(_: int):
+            start.wait()
+            return cache.load(KEY)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            payloads = list(pool.map(load, range(8)))
+        assert all(payload is not None for payload in payloads)
+        assert cache.stats.hit_count("table") == 8
+        assert peak[0] == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_free_header_lock(self, tmp_path):
+        """A worker forked while another thread holds the header lock must
+        still be able to load artifacts."""
+        cache = ArtifactCache(tmp_path)
+        cache.store(KEY, variant_payload(1))
+        with store_module._NPY_HEADER_LOCK:
+            pid = os.fork()
+            if pid == 0:  # child: exit status 0 only if the load completes
+                code = 1
+                try:
+                    code = 0 if cache.load(KEY) is not None else 1
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child blocked on the inherited header lock")
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_store_counter_exact_under_parallel_stores(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -195,8 +195,8 @@ def test_cold_sharded_restricted_query_aggregates_each_head_once(
 
     # The registry entry is what the grounding module's head function calls.
     monkeypatch.setitem(AGGREGATES, "AVG", counting)
-    plan = _plan_query(engine, ArtifactCache(tmp_path), query, "mean")
+    _, n_units = _plan_query(engine, ArtifactCache(tmp_path), query, "mean")
     assert calls[0] == 0  # the dispatcher only counts units
-    for start, stop in shard_ranges(plan.n_units, 3):
-        engine.collect_shard_inputs(query, start, stop, expected_units=plan.n_units)
+    for start, stop in shard_ranges(n_units, 3):
+        engine.collect_shard_inputs(query, start, stop, expected_units=n_units)
     assert calls[0] == 236

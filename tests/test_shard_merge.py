@@ -119,19 +119,12 @@ def test_shard_ranges_cover_and_balance():
 # sharded unit-table collection
 # ----------------------------------------------------------------------
 def collect_via_shards(engine, query, shards):
-    n_units = None
-    # Derive the full unit count exactly as the dispatcher does.
-    parsed = query
     from repro.carl.parser import parse_query
 
-    if isinstance(parsed, str):
-        parsed = parse_query(parsed)
-    with engine._state_lock:  # noqa: SLF001 - test reaches into the engine
-        t_attr, t_subject = engine._validated_treatment(parsed)  # noqa: SLF001
-        response = engine._resolve_response(parsed, t_subject)  # noqa: SLF001
-        grounding, _ = engine._current_grounding()  # noqa: SLF001
-        units, _ = engine._restricted_units(grounding, parsed, t_attr, response)  # noqa: SLF001
-        n_units = len(units)
+    parsed = parse_query(query) if isinstance(query, str) else query
+    # Derive the full unit count exactly as the dispatcher does.
+    _, _, units, _ = engine._units(engine._plan(parsed, "mean"))  # noqa: SLF001
+    n_units = len(units)
     parts = [
         engine.collect_shard_inputs(parsed, start, stop, expected_units=n_units)
         for start, stop in shard_ranges(n_units, shards)
