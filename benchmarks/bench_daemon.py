@@ -329,7 +329,7 @@ def main() -> int:
         if mid_sched["live_records"] > inflight_bound or mid["inflight"] > inflight_bound:
             print(
                 f"FAIL: 25% checkpoint bookkeeping exceeds the in-flight bound "
-                f"({mid_sched['live_records']} records, {mid['inflight']} routes, "
+                f"({mid_sched['live_records']} records, {mid['inflight']} in flight, "
                 f"bound {inflight_bound}) — memory is growing with history",
                 file=sys.stderr,
             )
@@ -339,7 +339,7 @@ def main() -> int:
             print(
                 f"FAIL: bookkeeping not reaped at end of run: "
                 f"{end_sched['live_records']} records, {end_sched['live_tasks']} tasks, "
-                f"{end_stats['inflight']} routes still live",
+                f"{end_stats['inflight']} queries still in flight",
                 file=sys.stderr,
             )
             return 1
@@ -364,7 +364,7 @@ def main() -> int:
         print(
             f"bookkeeping 25% -> 100% : records {mid_sched['live_records']} -> "
             f"{end_sched['live_records']}, tasks {mid_sched['live_tasks']} -> "
-            f"{end_sched['live_tasks']}, routes {mid['inflight']} -> {end_stats['inflight']}"
+            f"{end_sched['live_tasks']}, in flight {mid['inflight']} -> {end_stats['inflight']}"
         )
         cores = os.cpu_count() or 1
         if cores < MIN_CORES:

@@ -280,7 +280,7 @@ class CaRLEngine:
         splicing in a unifying aggregate it registered.
 
         Safe to call concurrently from multiple threads; ``_scratch`` is the
-        batch memo a thread-mode query session threads through its workers.
+        batch memo a thread-mode session's scheduler passes to every answer.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -341,13 +341,14 @@ class CaRLEngine:
         multi-query path:
 
         * ``executor="thread"`` with ``jobs>1`` (or ``None`` for one job per
-          CPU) answers on the session's thread pool.  The program is grounded
-          at most once — up front when the engine is uncached, so no answer
-          is charged for it; lazily (or not at all, when every query hits a
-          cached unit table) with an artifact cache — and a session-scoped
-          scratch shares the graph-walk intermediates (relational peers,
-          covariate collection) between queries with the same collection
-          fingerprint, which beats the serial loop even on one core.
+          CPU) answers on the session scheduler's in-process pool, which
+          starts no worker process.  The program is grounded at most once —
+          up front when the engine is uncached, so no answer is charged for
+          it; lazily (or not at all, when every query hits a cached unit
+          table) with an artifact cache — and the scheduler's scratch shares
+          the graph-walk intermediates (relational peers, covariate
+          collection) between queries with the same collection fingerprint,
+          which beats the serial loop even on one core.
         * ``executor="process"`` runs the shard scheduler
           (``docs/sharding.md``): worker processes share the grounded engine
           (fork-inherited, or memory-mapped from artifacts published through
@@ -894,9 +895,11 @@ class CaRLEngine:
         )
 
         peer_counts = unit_table.peer_counts
+        # One scalar call per distinct peer count, gathered back per unit.
+        counts, per_unit = np.unique(peer_counts, return_inverse=True)
         treated_fraction = np.asarray(
-            [condition.treated_fraction(int(count)) for count in peer_counts], dtype=float
-        )
+            [condition.treated_fraction(int(count)) for count in counts], dtype=float
+        )[per_unit]
         control_fraction = np.zeros(len(unit_table))
 
         mu_1_treatedpeers = model.predict_intervention(

@@ -91,12 +91,6 @@ FAULT_SITES: dict[str, FaultSite] = {
             worker_only=True,
         ),
         FaultSite(
-            "daemon.route_stall",
-            "the daemon's router stalls (default 0.05s) before delivering "
-            "an event to its tenant backend",
-            default_delay=0.05,
-        ),
-        FaultSite(
             "session.deliver_stall",
             "the session's event pump stalls (default 0.05s) before "
             "resolving a delivered outcome",

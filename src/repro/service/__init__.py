@@ -7,11 +7,13 @@ multi-query entry point runs on — ``CaRLEngine.answer_all`` (beyond its
 * :class:`~repro.service.session.QuerySession` — a futures-style session
   with ``submit()`` / ``as_completed()`` / ``cancel()`` and per-query
   timeouts, streaming each answer the moment its query finishes;
-* :class:`~repro.service.scheduler.ShardScheduler` — the process-mode task
-  scheduler behind it: shard-level collect tasks plus a per-query finish
-  task, per-task state tracking, retry-and-requeue of failed tasks on
-  other workers (bounded budget), and shard-level cache reuse (a warm
-  re-sweep performs zero collection work);
+* :class:`~repro.service.scheduler.ShardScheduler` — the scheduler behind
+  every session, which delivers each outcome to the session's callback:
+  thread queries run on its in-process pool; process queries become
+  shard-level collect tasks plus a per-query finish task, with per-task
+  state tracking, retry-and-requeue of failed tasks on other workers
+  (bounded budget), and shard-level cache reuse (a warm re-sweep performs
+  zero collection work);
 * :meth:`repro.carl.engine.CaRLEngine.answer_iter` — the one-call wrapper:
   ``for key, outcome in engine.answer_iter(queries, ...):`` yields each
   ``(key, QueryAnswer | QueryError)`` in completion order;

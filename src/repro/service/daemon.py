@@ -19,10 +19,11 @@ concurrent :class:`~repro.service.session.QuerySession`\\ s over it:
   queries carry its tenant as the fairness group, and ready collect tasks
   drain round-robin across groups, so one tenant's deep backlog cannot
   starve another's interactive queries;
-* a **router thread** demultiplexes the shared scheduler's completion
-  events back to the owning session's queue.  Routing state is one dict
-  entry per in-flight query, deleted at delivery — the daemon's memory is
-  O(in-flight), not O(queries ever served);
+* the scheduler delivers each outcome straight to the owning session's
+  queue, through a callback the tenant's facade passes with the query.
+  Index translation is one dict entry per in-flight query, deleted at
+  delivery — the daemon's memory is O(in-flight), not O(queries ever
+  served);
 * :meth:`~QueryDaemon.drain` stops admission and waits for in-flight work;
   :meth:`~QueryDaemon.close` drains (best effort) and tears the pool down.
 
@@ -32,14 +33,12 @@ emits is bit-identical to the serial ``engine.answer`` of the same query.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.carl.ast import CausalQuery
 from repro.carl.errors import QueryError
-from repro.faults.injection import fault_point
 from repro.observability.telemetry import get_registry
 from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler
 from repro.service.session import QuerySession
@@ -47,7 +46,7 @@ from repro.service.session import QuerySession
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.carl.engine import CaRLEngine
 
-#: Seconds the router blocks on the scheduler's event queue per loop turn.
+#: Seconds :meth:`QueryDaemon.drain` sleeps between in-flight checks.
 _POLL_SECONDS = 0.02
 
 #: Default per-tenant bound on in-flight (admitted, undelivered) queries.
@@ -100,14 +99,15 @@ class TokenBucket:
 
 
 class _TenantBackend:
-    """Per-session scheduler facade: admission control + event routing.
+    """Per-session scheduler facade: admission control + index translation.
 
     Quacks like a :class:`~repro.service.scheduler.ShardScheduler` as far as
     :class:`~repro.service.session.QuerySession` is concerned (``submit`` /
-    ``cancel`` / ``stats`` / ``close`` plus an ``events`` queue), but routes
-    through the daemon's shared scheduler.  The session's *local* indexes
-    are translated to daemon-*global* ones on the way in and back on the way
-    out, so concurrent sessions never collide.
+    ``cancel`` / ``stats`` / ``close``), but submits to the daemon's shared
+    scheduler.  The session's *local* indexes become daemon-*global* ones
+    on the way in, so concurrent sessions never collide; the session's
+    ``deliver`` callback is wrapped so an outcome still goes to the session
+    that submitted it.
     """
 
     def __init__(self, daemon: "QueryDaemon", tenant: str, bucket: TokenBucket, max_inflight: int) -> None:
@@ -115,7 +115,6 @@ class _TenantBackend:
         self.tenant = tenant
         self._bucket = bucket
         self._max_inflight = max_inflight
-        self.events: "queue.Queue[tuple[int, Any]]" = queue.Queue()
         self._lock = threading.Lock()
         self._to_global: dict[int, int] = {}  # guarded-by: _lock  #: local → global, in-flight only
         self.admitted = 0  # guarded-by: _lock
@@ -129,6 +128,7 @@ class _TenantBackend:
         query: CausalQuery,
         options: dict[str, Any],
         timeout: float | None,
+        deliver: Callable[[Any], None],
     ) -> None:
         reason: str | None = None
         with self._lock:
@@ -154,17 +154,25 @@ class _TenantBackend:
                 reason=reason,
             )
         telemetry.count("daemon.admit", tenant=self.tenant)
-        global_index = self._daemon._route(self, index)  # noqa: SLF001
+        global_index = self._daemon._next_global_index()  # noqa: SLF001
         with self._lock:
             # Mapped before the scheduler sees the query: a fast completion
-            # may route back the instant submit returns.
+            # may be delivered before submit returns.
             self._to_global[index] = global_index
+
+        def deliver_to_session(outcome: Any) -> None:
+            with self._lock:
+                self._to_global.pop(index, None)
+                closed = self._closed
+            if not closed:
+                deliver(outcome)
+
         try:
             self._daemon._scheduler.submit(  # noqa: SLF001
-                global_index, query, options, timeout, group=self.tenant
+                global_index, query, options, timeout, deliver_to_session,
+                group=self.tenant,
             )
         except BaseException:
-            self._daemon._unroute(global_index)  # noqa: SLF001
             with self._lock:
                 self._to_global.pop(index, None)
             raise
@@ -176,7 +184,6 @@ class _TenantBackend:
             return False
         cancelled = self._daemon._scheduler.cancel(global_index)  # noqa: SLF001
         if cancelled:
-            self._daemon._unroute(global_index)  # noqa: SLF001
             with self._lock:
                 self._to_global.pop(index, None)
         return cancelled
@@ -202,20 +209,16 @@ class _TenantBackend:
             if self._closed:
                 return
             self._closed = True
-            inflight = list(self._to_global.items())
+            inflight = list(self._to_global.values())
             self._to_global.clear()
-        for _local, global_index in inflight:
+        for global_index in inflight:
             self._daemon._scheduler.cancel(global_index)  # noqa: SLF001
-            self._daemon._unroute(global_index)  # noqa: SLF001
         self._daemon._session_closed(self)  # noqa: SLF001
 
-    # -- the router-facing surface --------------------------------------
-    def _deliver(self, local_index: int, outcome: Any) -> None:
+    def inflight(self) -> int:
+        """Admitted queries whose outcomes have not been delivered yet."""
         with self._lock:
-            self._to_global.pop(local_index, None)
-            closed = self._closed
-        if not closed:
-            self.events.put((local_index, outcome))
+            return len(self._to_global)
 
 
 class QueryDaemon:
@@ -261,9 +264,6 @@ class QueryDaemon:
         self._scheduler.start()
         self._lock = threading.Lock()
         self._next_global = 0  # guarded-by: _lock
-        #: Global index → (facade, local index); one entry per in-flight
-        #: query, deleted when its event is routed (or it is cancelled).
-        self._routes: dict[int, tuple[_TenantBackend, int]] = {}  # guarded-by: _lock
         #: Live session backends, insertion-ordered (a dict-as-ordered-set:
         #: iterating a bare set here would put stats()/close() session order
         #: under PYTHONHASHSEED).
@@ -271,11 +271,6 @@ class QueryDaemon:
         self._next_anonymous = 0  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        self._stop = threading.Event()
-        self._router = threading.Thread(
-            target=self._run_router, name="carl-daemon-router", daemon=True
-        )
-        self._router.start()
 
     # ------------------------------------------------------------------
     # sessions
@@ -341,50 +336,26 @@ class QueryDaemon:
         get_registry().gauge("daemon.sessions", live)
 
     # ------------------------------------------------------------------
-    # routing
+    # facade hooks
     # ------------------------------------------------------------------
     def _refuses_admission(self) -> bool:
         with self._lock:
             return self._draining or self._closed
 
-    def _route(self, backend: _TenantBackend, local_index: int) -> int:
+    def _next_global_index(self) -> int:
         with self._lock:
-            global_index = self._next_global
+            index = self._next_global
             self._next_global += 1
-            self._routes[global_index] = (backend, local_index)
-            return global_index
-
-    def _unroute(self, global_index: int) -> None:
-        with self._lock:
-            self._routes.pop(global_index, None)
-
-    def _run_router(self) -> None:
-        while not self._stop.is_set():
-            try:
-                global_index, outcome = self._scheduler.events.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue.Empty:
-                continue
-            except (OSError, ValueError):  # pragma: no cover - queue closed
-                return
-            with self._lock:
-                route = self._routes.pop(global_index, None)
-            if route is None:
-                continue  # session closed (or query cancelled) before delivery
-            backend, local_index = route
-            stall = fault_point("daemon.route_stall", key=f"query-{global_index}")
-            if stall is not None:
-                time.sleep(stall.delay)
-            backend._deliver(local_index, outcome)  # noqa: SLF001 - daemon pair
+            return index
 
     # ------------------------------------------------------------------
     # lifecycle / inspection
     # ------------------------------------------------------------------
     def inflight(self) -> int:
-        """Admitted queries whose events have not been routed yet."""
+        """Admitted queries whose outcomes have not been delivered yet."""
         with self._lock:
-            return len(self._routes)
+            sessions = list(self._sessions)
+        return sum(backend.inflight() for backend in sessions)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Stop admitting queries and wait for in-flight ones to resolve.
@@ -410,7 +381,6 @@ class QueryDaemon:
             sessions = list(self._sessions)
             snapshot: dict[str, Any] = {
                 "sessions": len(sessions),
-                "inflight": len(self._routes),
                 "draining": self._draining,
                 "tenants": {},
             }
@@ -418,7 +388,7 @@ class QueryDaemon:
         # The pool circuit breaker tripped: queries still answer (serially,
         # bit-identical), but operators should know the daemon is limping.
         snapshot["degraded"] = bool(scheduler_stats.get("circuit_open"))
-        admitted = rejected = 0
+        admitted = rejected = inflight = 0
         for backend in sessions:
             with backend._lock:  # noqa: SLF001 - daemon pair
                 snapshot["tenants"][backend.tenant] = {
@@ -428,6 +398,8 @@ class QueryDaemon:
                 }
                 admitted += backend.admitted
                 rejected += backend.rejected
+                inflight += len(backend._to_global)  # noqa: SLF001
+        snapshot["inflight"] = inflight
         snapshot["admitted"] = admitted
         snapshot["rejected"] = rejected
         snapshot["scheduler"] = scheduler_stats
@@ -447,11 +419,8 @@ class QueryDaemon:
             self._draining = True
         if drain_timeout > 0:
             self.drain(timeout=drain_timeout)
-        self._stop.set()
-        self._router.join(timeout=5.0)
         self._scheduler.close()
         with self._lock:
-            self._routes.clear()
             live_sessions = list(self._sessions)
         for backend in live_sessions:
             backend.close()

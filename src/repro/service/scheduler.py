@@ -1,8 +1,12 @@
-"""The process-mode task scheduler behind every query session (``docs/service.md``).
+"""The scheduler behind every query session (``docs/service.md``).
 
-Every process-mode entry point — ``answer_all(executor="process")``,
+Every multi-query entry point — ``answer_all`` beyond its serial loop,
 ``answer_iter``, ``open_session`` and the ``QueryDaemon`` — runs its queries
-here, with explicit task-level bookkeeping:
+here, and each query's outcome goes to the ``deliver`` callback its
+submitter passed.  A thread-executor scheduler starts no worker process: it
+answers each query with one ``engine.answer`` call on its in-process pool,
+under the same records, deadlines, cancellation, stats and span tree.  A
+process-executor scheduler keeps explicit task-level bookkeeping:
 
 * each submitted query is decomposed into shard-level **collect tasks**
   (one per contiguous unit range, reusing :class:`~repro.carl.shard.ShardTask`)
@@ -24,17 +28,19 @@ here, with explicit task-level bookkeeping:
 
 Long-lived service hardening (PR 7):
 
-* **bounded bookkeeping** — a query's record is reaped the moment its event
-  is emitted and completed task rows are reaped as their results land; the
-  session-level dedup that DONE task rows used to provide moves to a bounded
-  LRU of warm partial keys (each holding one refcounted cache pin), so the
-  scheduler's memory is O(in-flight work), not O(session history);
+* **bounded bookkeeping** — a query's record is reaped the moment its
+  outcome is delivered and completed task rows are reaped as their results
+  land; the session-level dedup that DONE task rows used to provide moves
+  to a bounded LRU of warm partial keys (each holding one refcounted cache
+  pin), so the scheduler's memory is O(in-flight work), not O(session
+  history);
 * **fair scheduling across submitters** — :meth:`submit` takes an optional
   ``group`` label (the daemon passes one per tenant session) and ready
   collect tasks are drained round-robin across groups, while finish tasks
   keep absolute priority (they complete a query *now*);
 * **telemetry** — every query emits a span tree (``query`` root with
-  ``query.ground`` / ``query.collect`` / ``query.finish`` children) plus
+  ``query.ground`` / ``query.collect`` / ``query.finish`` children; a
+  thread-executor query has only the ``query.finish`` child) plus
   retry/timeout/queue-depth signals through
   :mod:`repro.observability.telemetry` (see ``docs/observability.md``).
 
@@ -50,13 +56,13 @@ local pipes.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
-import queue
 import shutil
 import tempfile
 import threading
@@ -65,9 +71,10 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.carl import errors as carl_errors
+from repro.carl.batch import BatchScratch
 from repro.carl.errors import CaRLError, QueryError
 from repro.carl.shard import (
     DEFAULT_HANG_TIMEOUT,
@@ -229,8 +236,8 @@ class _Task:
 class _QueryRecord:
     """Dispatcher-side bookkeeping for one submitted query.
 
-    Lives from :meth:`ShardScheduler.submit` until the query's event is
-    emitted (or it is detached by cancellation) — records are reaped at
+    Lives from :meth:`ShardScheduler.submit` until the query's outcome is
+    delivered (or it is detached by cancellation) — records are reaped at
     resolution, so the record table is O(in-flight queries).
     """
 
@@ -238,6 +245,8 @@ class _QueryRecord:
     query: CausalQuery
     options: dict[str, Any]  #: estimator/embedding/bootstrap/seed/...
     deadline: float | None  #: monotonic deadline, None = no timeout
+    #: Called once with the query's outcome, unless it is cancelled.
+    deliver: Callable[[QueryAnswer | QueryError], None]
     group: str | None = None  #: fairness group (daemon: one per tenant)
     state: QueryState = QueryState.PENDING
     table_key: CacheKey | None = None
@@ -249,7 +258,7 @@ class _QueryRecord:
     waiting_on: set[int] = field(default_factory=set)
     collect_seconds: float = 0.0
     finish_task: int | None = None
-    mode: str = ""  #: "warm" | "cold" once planned
+    mode: str = ""  #: "thread" | "warm" | "cold" | "serial" once running
     trace: str | None = None  #: telemetry trace id
     span: Span | None = None  #: open root ``query`` span
 
@@ -380,37 +389,53 @@ def _service_worker_main(worker_id: int, spec: WorkerSpec, tasks: Any, results: 
 
 
 class ShardScheduler:
-    """Process-mode backend of a :class:`~repro.service.session.QuerySession`.
+    """The backend of every :class:`~repro.service.session.QuerySession`.
 
     Public surface (all thread-safe; everything else runs on the internal
-    dispatcher thread):
+    dispatcher thread and the in-process pool):
 
-    * :meth:`start` / :meth:`close` — spawn and tear down workers;
+    * :meth:`start` / :meth:`close` — start and tear down the dispatcher
+      and, with ``executor="process"``, the workers;
     * :meth:`submit` — register one parsed query (with per-query options,
-      an optional timeout, and an optional fairness group) for scheduling;
+      an optional timeout, the ``deliver`` callback for its outcome, and an
+      optional fairness group);
     * :meth:`cancel` — drop a query before it completes;
-    * :attr:`events` — queue of ``(index, QueryAnswer | QueryError)`` in
-      completion order;
     * :meth:`stats` — a :class:`ServiceStats` snapshot plus live
       bookkeeping sizes (``live_records`` / ``live_tasks`` / ...).
+
+    With ``executor="thread"`` no worker process exists: each query is one
+    ``engine.answer`` call on the in-process pool (``jobs`` threads), and
+    the dispatcher only enforces deadlines and detaches cancelled queries.
+    With ``executor="process"`` the in-process pool has one thread, for
+    warm answers and serial fallbacks.
     """
 
     def __init__(
         self,
         engine: "CaRLEngine",
         jobs: int,
-        shards: int,
+        shards: int | None,
         retries: int,
         *,
+        executor: str = "process",
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
     ) -> None:
+        if executor not in ("thread", "process"):
+            raise QueryError(
+                f"unknown executor {executor!r}; expected 'thread' or 'process'"
+            )
+        if shards is not None and shards < 1:
+            raise QueryError(f"shards must be a positive integer, got {shards!r}")
+        if shards is not None and executor != "process":
+            raise QueryError("shards requires executor='process'")
         if retries < 0:
             raise QueryError(f"retries must be >= 0, got {retries!r}")
         if hang_timeout is not None and hang_timeout <= 0:
             raise QueryError(f"hang_timeout must be positive or None, got {hang_timeout!r}")
         self._engine = engine
+        self._executor = executor
         self._jobs = jobs
-        self._shards = shards
+        self._shards = shards or jobs  #: unit-range shards per cold query
         self._retries = retries
         self._hang_timeout = hang_timeout
         #: Consecutive unexpected worker failures (deaths or hangs, without
@@ -418,7 +443,6 @@ class ShardScheduler:
         #: abandoned and every query answers serially in-process.
         self._circuit_threshold = max(3, jobs + 2)
 
-        self.events: "queue.Queue[tuple[int, QueryAnswer | QueryError]]" = queue.Queue()
         self._lock = threading.RLock()
         self._stats = ServiceStats()  # guarded-by: _lock
         self._records: dict[int, _QueryRecord] = {}  # guarded-by: _lock
@@ -459,29 +483,46 @@ class ShardScheduler:
         self._inherit_token: str | None = None
         self._stop = threading.Event()
         self._dispatcher: threading.Thread | None = None
-        #: Lazily created single thread for warm unit-table answers: they
-        #: run `engine.answer` (merge + estimate + bootstrap), which must
-        #: not stall the dispatcher's scheduling loop.
-        self._warm_pool: ThreadPoolExecutor | None = None
-        #: Serializes worker forks against in-flight warm answers: a child
-        #: forked while the warm thread holds the engine's state lock (or a
+        #: In-process `engine.answer` calls, which must not stall the
+        #: dispatcher's scheduling loop: every query of a thread scheduler
+        #: (``jobs`` threads), and the warm answers and serial fallbacks of
+        #: a process scheduler (one thread).  Threads start on first use.
+        self._local_pool = ThreadPoolExecutor(
+            max_workers=jobs if executor == "thread" else 1,
+            thread_name_prefix="carl-service-local",
+        )
+        #: Shares graph-walk intermediates between a thread scheduler's
+        #: answers with the same collection fingerprint (``docs/batching.md``).
+        #: A process scheduler keeps none: its warm answers load a cached
+        #: table, and a daemon-lifetime scratch would keep one collection
+        #: per distinct query its serial fallbacks ever answered.
+        self._scratch = BatchScratch() if executor == "thread" else None
+        #: Serializes worker forks against in-flight local answers: a child
+        #: forked while a local thread holds the engine's state lock (or a
         #: cache stats lock) would inherit it mid-acquire and deadlock, so
-        #: spawns wait for the warm thread to go idle and vice versa.
+        #: spawns wait for the local thread to go idle and vice versa.
         #: Per-scheduler: concurrent sessions fork independently (the
-        #: engine hand-off is token-keyed, see repro.carl.shard).
-        self._fork_lock = threading.Lock()
+        #: engine hand-off is token-keyed, see repro.carl.shard).  A thread
+        #: scheduler never forks, so its answers need not take turns.
+        self._fork_lock: Any = (
+            contextlib.nullcontext() if executor == "thread" else threading.Lock()
+        )
         self._closed = False  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Publish the engine's shared state and spawn the worker pool.
+        """Publish the engine's shared state, spawn the worker pool and
+        start the dispatcher; a thread scheduler only starts the dispatcher.
 
         A failure (grounding, publishing, spawning) closes the scheduler
         before it propagates: pins, the inherit-registry slot, started
         workers and a private cache directory are released, not leaked.
         """
+        if self._executor == "thread":
+            self._start_dispatcher()
+            return
         cache = self._engine.cache
         if cache is None:
             # Uncached engine: shared state still crosses the process
@@ -514,13 +555,16 @@ class ShardScheduler:
             )
             for _ in range(self._jobs):
                 self._spawn_worker()
-            self._dispatcher = threading.Thread(
-                target=self._run_dispatcher, name="carl-service-dispatcher", daemon=True
-            )
-            self._dispatcher.start()
+            self._start_dispatcher()
         except BaseException:
             self.close()
             raise
+
+    def _start_dispatcher(self) -> None:
+        self._dispatcher = threading.Thread(
+            target=self._run_dispatcher, name="carl-service-dispatcher", daemon=True
+        )
+        self._dispatcher.start()
 
     def close(self) -> None:
         """Stop the dispatcher, shut workers down, release pins.
@@ -538,8 +582,8 @@ class ShardScheduler:
         self._stop.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=_DISPATCHER_JOIN)
-        if self._warm_pool is not None:
-            self._warm_pool.shutdown(wait=False)
+        # Queued answers never start; running ones are abandoned.
+        self._local_pool.shutdown(wait=False, cancel_futures=True)
         workers = list(self._workers.values())
         for worker in workers:
             try:
@@ -592,29 +636,42 @@ class ShardScheduler:
         query: CausalQuery,
         options: dict[str, Any],
         timeout: float | None,
+        deliver: Callable[[QueryAnswer | QueryError], None],
         group: str | None = None,
     ) -> None:
-        """Register one parsed query; planning happens on the dispatcher.
+        """Register one parsed query; ``deliver(outcome)`` is called once,
+        from a scheduler thread and outside the scheduler's lock, unless
+        the query is cancelled first.
 
+        A process query is planned on the dispatcher.  A thread query has
+        no task to plan: it is queued on the in-process pool here.
         ``group`` labels the query for fair scheduling: ready collect tasks
         are drained round-robin across groups, so one group's deep backlog
         cannot starve another's (the daemon passes one group per tenant).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        record = _QueryRecord(
+            index=index,
+            query=query,
+            options=dict(options),
+            deadline=deadline,
+            deliver=deliver,
+            group=group,
+        )
         with self._lock:
             if self._closed:
                 raise QueryError("the query session is closed")
-            self._records[index] = _QueryRecord(
-                index=index,
-                query=query,
-                options=dict(options),
-                deadline=deadline,
-                group=group,
-            )
-            self._control.append(("plan", index))
+            self._records[index] = record
+            if self._executor != "thread":
+                self._control.append(("plan", index))
+                return
+            self._open_query_span(record)
+            record.state = QueryState.RUNNING
+            record.mode = "thread"
+        self._local_pool.submit(self._answer_locally, record)
 
     def cancel(self, index: int) -> bool:
-        """Drop a query; True when it will never emit an event."""
+        """Drop a query; True when its outcome will never be delivered."""
         with self._lock:
             record = self._records.get(index)
             if record is None or record.state in (QueryState.DONE, QueryState.FAILED):
@@ -734,6 +791,14 @@ class ShardScheduler:
                 self._detach_query(index)
 
     # -- planning -------------------------------------------------------
+    def _open_query_span(self, record: _QueryRecord) -> None:
+        """Open the query's root ``query`` span."""
+        span_meta: dict[str, Any] = {"executor": self._executor}
+        if record.group is not None:
+            span_meta["tenant"] = record.group
+        record.span = get_registry().start_span("query", index=record.index, **span_meta)
+        record.trace = record.span.trace
+
     def _plan(self, index: int) -> None:
         with self._lock:
             record = self._records.get(index)
@@ -741,11 +806,7 @@ class ShardScheduler:
                 return
         options = record.options
         telemetry = get_registry()
-        span_meta: dict[str, Any] = {"executor": "process"}
-        if record.group is not None:
-            span_meta["tenant"] = record.group
-        record.span = telemetry.start_span("query", index=index, **span_meta)
-        record.trace = record.span.trace
+        self._open_query_span(record)
         with self._lock:
             circuit_open = self._circuit_open
         if circuit_open:
@@ -768,14 +829,14 @@ class ShardScheduler:
         if n_units is None:
             # Warm unit table: the serial warm path (load + estimate)
             # answers without any scheduling — but `engine.answer` can be
-            # slow (bootstrap), so it runs on a helper thread rather than
+            # slow (bootstrap), so it runs on the in-process pool rather than
             # stalling the dispatcher's deadline/death/assignment loop.
             with self._lock:
                 if record.state is not QueryState.PENDING:
                     return  # cancelled while planning
                 record.state = QueryState.RUNNING
                 record.mode = "warm"
-            self._submit_serial_answer(record, "warm")
+            self._local_pool.submit(self._answer_locally, record)
             return
 
         with self._lock:
@@ -890,45 +951,41 @@ class ShardScheduler:
         self._ready_count += 1
         record.finish_task = task.id
 
-    # -- serial in-process answering (warm path + fallback) -------------
-    def _submit_serial_answer(self, record: _QueryRecord, mode: str) -> None:
-        """Answer one query with serial ``engine.answer`` on the helper thread.
+    # -- in-process answering (thread queries, warm path, fallback) -----
+    def _answer_locally(self, record: _QueryRecord) -> None:
+        """Answer one RUNNING query with ``engine.answer`` (on the local pool).
 
-        Shared by the warm path (``mode="warm"``: the unit table is cached)
-        and the degraded paths (``mode="serial"``: pool circuit open, or the
+        Serves every query of a thread scheduler (``mode="thread"``), a
+        process query whose unit table is cached (``mode="warm"``) and the
+        degraded paths (``mode="serial"``: pool circuit open, or the
         artifact store out of space).  Either way the answer is the serial
         engine's own — bit-identity is by construction, so every fallback
         trades throughput, never correctness.
         """
-        options = record.options
-        index = record.index
         with self._lock:
-            if self._warm_pool is None:
-                self._warm_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="carl-service-warm"
+            if record.state is not QueryState.RUNNING:
+                return  # cancelled or timed out while queued: never answered
+            mode = record.mode
+        options = record.options
+        finish_span = get_registry().start_span(
+            "query.finish", trace=record.trace, parent=record.span, mode=mode
+        )
+        try:
+            with self._fork_lock:
+                answer = self._engine.answer(
+                    record.query,
+                    estimator=options["estimator"],
+                    embedding=options["embedding"],
+                    bootstrap=options["bootstrap"],
+                    seed=options["seed"],
+                    _scratch=self._scratch,
                 )
-
-        def _answer() -> None:
-            finish_span = get_registry().start_span(
-                "query.finish", trace=record.trace, parent=record.span, mode=mode
-            )
-            try:
-                with self._fork_lock:
-                    answer = self._engine.answer(
-                        record.query,
-                        estimator=options["estimator"],
-                        embedding=options["embedding"],
-                        bootstrap=options["bootstrap"],
-                        seed=options["seed"],
-                    )
-            except Exception as error:  # noqa: BLE001 - per-query failure
-                get_registry().finish_span(finish_span, outcome="error")
-                self._finish_query(index, as_query_error(error))
-            else:
-                get_registry().finish_span(finish_span, outcome="ok")
-                self._finish_query(index, answer)
-
-        self._warm_pool.submit(_answer)
+        except Exception as error:  # noqa: BLE001 - per-query failure
+            get_registry().finish_span(finish_span, outcome="error")
+            self._finish_query(record.index, as_query_error(error))
+        else:
+            get_registry().finish_span(finish_span, outcome="ok")
+            self._finish_query(record.index, answer)
 
     def _fallback_serial(self, record: _QueryRecord, reason: str) -> None:
         """Detach one query from the pool and answer it serially instead."""
@@ -950,7 +1007,7 @@ class ShardScheduler:
                     self._reap_task_locked(task)
             self._stats.serial_fallbacks += 1
         get_registry().count("scheduler.serial_fallback", reason=reason)
-        self._submit_serial_answer(record, "serial")
+        self._local_pool.submit(self._answer_locally, record)
 
     def _task_degraded(self, task_id: int, text: str) -> None:
         """A worker reported ``CacheDegradedError``: go serial, don't retry."""
@@ -1383,7 +1440,7 @@ class ShardScheduler:
         failed_task: int | None = None,
         kill_reason: str = "orphaned",
     ) -> None:
-        """Resolve one query, emit its event (unless cancelled), reap it."""
+        """Resolve one query, deliver its outcome (unless cancelled), reap it."""
         with self._lock:
             record = self._records.get(index)
             if record is None or record.state in (QueryState.DONE, QueryState.FAILED):
@@ -1396,7 +1453,7 @@ class ShardScheduler:
                 record.state = QueryState.CANCELLED
         self._release_query_tasks(index, keep=failed_task, kill_reason=kill_reason)
         if not cancelled:
-            self.events.put((index, outcome))
+            record.deliver(outcome)
         self._reap_record(index)
 
     def _detach_query(self, index: int) -> None:

@@ -7,15 +7,18 @@ come out the moment they are ready (:meth:`~QuerySession.as_completed`,
 failures — each failed query yields its own
 :class:`~repro.carl.errors.QueryError` event instead of killing the batch.
 
-Two executors back a session:
+Every session runs on a :class:`~repro.service.scheduler.ShardScheduler`,
+which delivers each outcome straight into the session's event queue and
+owns the records, deadlines, cancellation, stats and span tree of both
+executors:
 
 * ``executor="thread"`` — each query runs as one
-  :meth:`~repro.carl.engine.CaRLEngine.answer` call on a thread pool,
-  sharing graph-walk intermediates through a session-scoped
-  :class:`~repro.carl.batch.BatchScratch` (the PR 3 machinery);
+  :meth:`~repro.carl.engine.CaRLEngine.answer` call on the scheduler's
+  in-process pool, sharing graph-walk intermediates through the
+  scheduler's :class:`~repro.carl.batch.BatchScratch`; no worker process
+  starts;
 * ``executor="process"`` — queries are decomposed into shard-level collect
-  tasks plus a finish task and run by the
-  :class:`~repro.service.scheduler.ShardScheduler`'s managed worker
+  tasks plus a finish task and run by the scheduler's managed worker
   processes, with retry-and-requeue on worker faults and shard-level cache
   reuse.  A :class:`~repro.service.daemon.QueryDaemon` session is backed by
   the daemon's *shared* scheduler through a per-tenant admission facade
@@ -42,7 +45,7 @@ Guarantees (see ``docs/service.md`` for the fine print):
 * *timeouts*: a query past its deadline yields a ``QueryError``; its
   in-flight shard tasks are reaped — a worker still running one is killed
   and replaced (it must not occupy a pool slot for the rest of its task),
-  and late results are discarded;
+  and late results (a running thread answer's too) are discarded;
 * *isolation*: one query's failure, timeout or cancellation never affects
   another query's answer.
 """
@@ -54,22 +57,19 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.carl.ast import CausalQuery
-from repro.carl.batch import BatchScratch
-from repro.carl.errors import CaRLError, QueryError
+from repro.carl.errors import QueryError
 from repro.carl.parser import parse_query
 from repro.faults.injection import fault_point
 from repro.observability.telemetry import get_registry
-from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler, as_query_error
+from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.carl.engine import CaRLEngine
 
-#: Seconds the event loop blocks per poll while waiting for the next event
-#: (also the granularity of thread-mode deadline enforcement).
+#: Seconds the event loop blocks per poll while waiting for the next event.
 _POLL_SECONDS = 0.02
 
 #: Delivered outcomes kept for idempotent :meth:`QuerySession.result`
@@ -112,8 +112,9 @@ class QuerySession:
     ``submit_timeout`` seconds for capacity.
 
     ``_backend`` (internal) injects a scheduler-like backend — an object
-    with ``submit/cancel/stats/close`` and an ``events`` queue — in place of
-    a private :class:`~repro.service.scheduler.ShardScheduler`; the
+    with ``submit/cancel/stats/close`` whose ``submit`` takes a ``deliver``
+    callback — in place of a private
+    :class:`~repro.service.scheduler.ShardScheduler`; the
     :class:`~repro.service.daemon.QueryDaemon` uses it to multiplex many
     tenant sessions over one shared scheduler.
     """
@@ -134,18 +135,10 @@ class QuerySession:
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
         _backend: Any = None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise QueryError(
-                f"unknown executor {executor!r}; expected 'thread' or 'process'"
-            )
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise QueryError(f"jobs must be a positive integer, got {jobs!r}")
-        if shards is not None and shards < 1:
-            raise QueryError(f"shards must be a positive integer, got {shards!r}")
-        if shards is not None and executor != "process":
-            raise QueryError("shards requires executor='process'")
         if max_pending is not None and max_pending < 1:
             raise QueryError(f"max_pending must be a positive integer, got {max_pending!r}")
         if submit_timeout is not None and submit_timeout < 0:
@@ -171,37 +164,27 @@ class QuerySession:
         self._delivered: "OrderedDict[int, Any]" = OrderedDict()  # guarded-by: _lock
         self._delivered_count = 0  # guarded-by: _lock
         #: Indexes whose late backend events must be dropped (cancelled
-        #: queries, and thread-mode timeouts whose result is already in);
-        #: LRU-bounded like the delivered history.
+        #: queries and submits the backend rejected); LRU-bounded like the
+        #: delivered history.
         self._suppressed: "OrderedDict[int, None]" = OrderedDict()  # guarded-by: _lock
         self._cancelled_count = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
 
-        self._scheduler: Any = None
-        self._pool: ThreadPoolExecutor | None = None
-        if _backend is not None:
-            # Daemon-injected backend: quacks like a ShardScheduler but
-            # routes through shared workers with per-tenant admission.
-            self._scheduler = _backend
-            self._events = _backend.events
-        elif executor == "process":
-            self._scheduler = ShardScheduler(
+        #: Outcomes the backend delivered, not yet moved into ``_resolved``.
+        self._events: "queue.Queue[tuple[int, Any]]" = queue.Queue()
+        if _backend is None:
+            _backend = ShardScheduler(
                 engine,
                 jobs=jobs,
-                shards=shards or jobs,
+                shards=shards,
                 retries=retries,
+                executor=executor,
                 hang_timeout=hang_timeout,
             )
-            self._scheduler.start()
-            self._events = self._scheduler.events
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="carl-session"
-            )
-            self._scratch = BatchScratch()
-            self._events: "queue.Queue[tuple[int, Any]]" = queue.Queue()
-            self._futures: dict[int, Future] = {}  # guarded-by: _lock
-            self._deadlines: dict[int, float] = {}  # guarded-by: _lock
+            _backend.start()
+        # Daemon-injected backends quack like a ShardScheduler but route
+        # through shared workers with per-tenant admission.
+        self._scheduler: Any = _backend
 
     # ------------------------------------------------------------------
     # submission
@@ -243,24 +226,22 @@ class QuerySession:
             index = self._next_index
             self._next_index += 1
             self._live.add(index)
-        if self._scheduler is not None:
-            try:
-                self._scheduler.submit(index, query, options, timeout)
-            except BaseException:
-                # Admission rejected (or the backend failed): the index was
-                # never scheduled, so withdraw it — the error is the
-                # caller's, not a query event.
-                with self._lock:
-                    self._live.discard(index)
-                    self._remember_suppressed_locked(index)
-                raise
-        else:
+        try:
+            self._scheduler.submit(
+                index,
+                query,
+                options,
+                timeout,
+                lambda outcome: self._events.put((index, outcome)),
+            )
+        except BaseException:
+            # Admission rejected (or the backend failed): the index was
+            # never scheduled, so withdraw it — the error is the caller's,
+            # not a query event.
             with self._lock:
-                if timeout is not None:
-                    self._deadlines[index] = time.monotonic() + timeout
-                self._futures[index] = self._pool.submit(
-                    self._answer_one, index, query, options
-                )
+                self._live.discard(index)
+                self._remember_suppressed_locked(index)
+            raise
         return index
 
     def _wait_for_capacity(self) -> None:
@@ -289,23 +270,6 @@ class QuerySession:
             # this degrades to a bounded poll.
             remaining = deadline - time.monotonic()
             self._pump(max(0.0, min(remaining, _POLL_SECONDS)))
-
-    def _answer_one(self, index: int, query: CausalQuery, options: dict[str, Any]) -> None:
-        """Thread-mode worker body: answer one query and emit its event."""
-        with self._lock:
-            if index in self._suppressed:
-                return  # cancelled before it started
-        span = get_registry().start_span("query", index=index, executor="thread")
-        try:
-            outcome: Any = self._engine.answer(query, _scratch=self._scratch, **options)
-        except CaRLError as error:
-            outcome = as_query_error(error)
-        except Exception as error:  # noqa: BLE001 - a worker must emit, not die
-            outcome = as_query_error(error, f"query {index} failed unexpectedly: {error}")
-        get_registry().finish_span(
-            span, outcome="error" if isinstance(outcome, QueryError) else "ok"
-        )
-        self._events.put((index, outcome))
 
     # ------------------------------------------------------------------
     # consumption
@@ -393,13 +357,7 @@ class QuerySession:
             self._suppressed.popitem(last=False)
 
     def _pump(self, timeout: float | None) -> None:
-        """Move one event (if any) from the backend into ``_resolved``.
-
-        Also enforces thread-mode deadlines: the scheduler expires process-
-        mode deadlines itself, but thread futures cannot be interrupted, so
-        their deadlines are checked here, at every event-loop turn.
-        """
-        self._expire_thread_deadlines()
+        """Move one event (if any) from the backend into ``_resolved``."""
         wait = _POLL_SECONDS if timeout is None else max(0.0, min(timeout, _POLL_SECONDS))
         try:
             index, outcome = self._events.get(timeout=wait)
@@ -409,36 +367,10 @@ class QuerySession:
         if stall is not None:
             time.sleep(stall.delay)
         with self._lock:
-            if self._pool is not None:
-                # Thread-mode bookkeeping for this index is settled either
-                # way — drop it so a long-lived session stays flat.
-                self._futures.pop(index, None)
-                self._deadlines.pop(index, None)
             if index in self._suppressed or index not in self._live:
-                return  # cancelled or already expired: reaped, never yielded
+                return  # cancelled before delivery: never yielded
             self._live.discard(index)
             self._resolved[index] = outcome
-
-    def _expire_thread_deadlines(self) -> None:
-        if self._pool is None:
-            return
-        now = time.monotonic()
-        with self._lock:
-            expired = [
-                index
-                for index, deadline in self._deadlines.items()
-                if index in self._live and now >= deadline
-            ]
-            for index in expired:
-                del self._deadlines[index]
-                future = self._futures.pop(index, None)
-                if future is not None:
-                    future.cancel()
-                self._live.discard(index)
-                self._remember_suppressed_locked(index)  # reap a late in-flight result
-                self._resolved[index] = QueryError(
-                    f"query {index} timed out before completing"
-                )
 
     # ------------------------------------------------------------------
     # cancellation / bookkeeping
@@ -455,10 +387,7 @@ class QuerySession:
             if index in self._delivered or index not in range(self._next_index):
                 return False
             if index in self._suppressed:
-                # Already cancelled — or timed out with its error event not
-                # yet consumed: cancelling now withdraws that event too.
-                self._resolved.pop(index, None)
-                return True
+                return True  # already cancelled
             was_live = index in self._live
             resolved_undelivered = index in self._resolved
             if not was_live and not resolved_undelivered:
@@ -467,13 +396,7 @@ class QuerySession:
             self._remember_suppressed_locked(index)
             self._live.discard(index)
             self._resolved.pop(index, None)
-            if self._pool is not None:
-                future = self._futures.pop(index, None)
-                if future is not None:
-                    future.cancel()
-                self._deadlines.pop(index, None)
-        if self._scheduler is not None:
-            self._scheduler.cancel(index)
+        self._scheduler.cancel(index)
         return True
 
     def outstanding(self) -> int:
@@ -492,8 +415,7 @@ class QuerySession:
                 "outstanding": len(self._live),
                 "max_pending": self._max_pending,
             }
-        if self._scheduler is not None:
-            base["scheduler"] = self._scheduler.stats()
+        base["scheduler"] = self._scheduler.stats()
         return base
 
     # ------------------------------------------------------------------
@@ -506,14 +428,7 @@ class QuerySession:
             if self._closed:
                 return
             self._closed = True
-        if self._scheduler is not None:
-            self._scheduler.close()
-        if self._pool is not None:
-            with self._lock:
-                pending = list(self._futures.values())
-            for future in pending:
-                future.cancel()
-            self._pool.shutdown(wait=False)
+        self._scheduler.close()
 
     def __enter__(self) -> "QuerySession":
         return self

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cache.store import ArtifactCache
+from repro.carl.ast import PEER_CONDITION_KINDS, PeerCondition
 from repro.carl.causal_graph import GroundedAttribute
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import CaRLError, QueryError, SchemaBindingError
@@ -16,6 +18,7 @@ from repro.datasets import (
     generate_synthetic_review_data,
     toy_review_database,
 )
+from repro.inference.outcome import OutcomeModel
 
 
 def toy_with_unscored_author():
@@ -157,6 +160,56 @@ class TestEffectsQueries:
         result = toy_engine.answer("Score[S] <= Prestige[A] ? WHEN NONE PEERS TREATED").result
         assert result.are == pytest.approx(0.0, abs=1e-12)
         assert result.aoe == pytest.approx(result.aie, abs=1e-12)
+
+    def test_treated_fraction_is_computed_once_per_distinct_peer_count(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm answer reads a memory-mapped unit table: the peer condition
+        runs once per distinct peer count, not once per unit, and every
+        kind's effects equal the per-unit loop's exactly."""
+        query = "Score[S] <= Prestige[A] ? WHEN ALL PEERS TREATED"
+        CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=tmp_path).answer(query)
+        engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=tmp_path)
+        table = engine.unit_table(query)
+        assert isinstance(table.peer_counts, np.memmap)
+        distinct = len(np.unique(table.peer_counts))
+        assert distinct < len(table)
+
+        calls = []
+        original = PeerCondition.treated_fraction
+
+        def counted(condition, peer_count):
+            calls.append(peer_count)
+            return original(condition, peer_count)
+
+        monkeypatch.setattr(PeerCondition, "treated_fraction", counted)
+        engine.answer(query)
+        assert 0 < len(calls) <= distinct
+
+        model = OutcomeModel().fit(
+            table.outcome, table.treatment, table.peer_treatment, table.covariates
+        )
+
+        def predict(treated, peers_treated):
+            return model.predict_intervention(
+                treated, peers_treated, table.peer_treatment, table.peer_counts,
+                table.covariates,
+            )
+
+        values = {"MORE_THAN_PERCENT": 40, "LESS_THAN_PERCENT": 60}
+        for kind in PEER_CONDITION_KINDS:
+            value = None if kind in ("ALL", "NONE") else values.get(kind, 2)
+            condition = PeerCondition(kind=kind, value=value)
+            result = engine._estimate_effects(condition, table, "ols")
+            fraction = np.asarray(
+                [original(condition, int(count)) for count in table.peer_counts]
+            )
+            treated_peers_1 = predict(1.0, fraction)
+            treated_peers_0 = predict(0.0, fraction)
+            control_peers_0 = predict(0.0, np.zeros(len(table)))
+            assert result.aie == float(np.mean(treated_peers_1 - treated_peers_0)), kind
+            assert result.are == float(np.mean(treated_peers_0 - control_peers_0)), kind
+            assert result.aoe == float(np.mean(treated_peers_1 - control_peers_0)), kind
 
 
 class TestConditionalEffects:

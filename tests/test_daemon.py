@@ -268,6 +268,10 @@ def test_closing_one_session_leaves_the_daemon_usable(serial_answers):
         first = daemon.open_session(tenant="first")
         first.submit(QUERIES["ate"])
         first.close()  # closes the facade, cancels in-flight — not the pool
+        assert daemon.inflight() == 0
+        with pytest.raises(TimeoutError):
+            for _ in first.as_completed(timeout=0.5):
+                pytest.fail("a closed session's query must not yield")
         with daemon.open_session(tenant="second") as session:
             session.submit(QUERIES["ate"])
             outcome = session.result(0, timeout=60.0)
@@ -286,14 +290,13 @@ def test_thousand_submits_keep_session_bookkeeping_flat():
         delivered = dict(session.as_completed())
         assert len(delivered) == 1000
         # O(in-flight), not O(history): live maps are empty, history LRUs
-        # are capped, per-future bookkeeping is dropped at delivery.
+        # are capped, scheduler records are reaped at delivery.
         assert session.outstanding() == 0
         assert len(session._live) == 0
         assert len(session._resolved) == 0
         assert len(session._delivered) <= DELIVERED_KEEP
         assert len(session._suppressed) <= SUPPRESSED_KEEP
-        assert len(session._futures) == 0
-        assert len(session._deadlines) == 0
+        assert session.stats()["scheduler"]["live_records"] == 0
         assert session.stats()["delivered"] == 1000
 
 

@@ -134,7 +134,6 @@ def test_fault_site_catalogue_is_frozen():
         "store.corrupt_read": False,
         "store.enospc": False,
         "store.torn_write": True,
-        "daemon.route_stall": False,
         "session.deliver_stall": False,
     }
     for site in FAULT_SITES.values():

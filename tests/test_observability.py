@@ -466,10 +466,17 @@ def test_thread_sessions_emit_one_query_span_per_answer():
             session.submit(query)
         got = dict(session.as_completed())
     assert len(got) == len(QUERIES)
-    roots = registry.spans("query")
+    roots, children = _tree(registry, "thread")
     assert len(roots) == len(QUERIES)
-    assert sorted(span["meta"]["index"] for span in roots) == [0, 1, 2, 3]
-    assert all(span["meta"]["outcome"] == "ok" for span in roots)
+    assert sorted(span["meta"]["index"] for span in roots.values()) == [0, 1, 2, 3]
+    for span_id, root in roots.items():
+        assert root["meta"]["outcome"] == "ok"
+        assert root["meta"]["mode"] == "thread"
+        tree = children[span_id]
+        assert tree["query.collect"] == []
+        (finish,) = tree["query.finish"]
+        assert finish["trace"] == root["trace"]
+        assert root["t0"] <= finish["t0"] <= finish["t1"] <= root["t1"]
 
 
 def test_failed_query_root_span_reports_error(tmp_path):

@@ -226,8 +226,10 @@ def test_cancelled_query_never_yields(executor, fault_plan):
         engine = fresh_engine()
         release = threading.Event()
         original = engine.answer
+        answered = []
 
         def gated(query, *args, **kwargs):
+            answered.append(query)
             release.wait(timeout=10.0)
             return original(query, *args, **kwargs)
 
@@ -245,6 +247,10 @@ def test_cancelled_query_never_yields(executor, fault_plan):
         assert isinstance(got[first], QueryAnswer)
         assert session.stats()["cancelled"] == 1
         assert session.outstanding() == 0
+    if executor == "thread":
+        # The queued query was cancelled before it started: it never
+        # reached the engine.
+        assert len(answered) == 1
 
 
 def test_process_timeout_yields_query_error_and_neighbours_survive(fault_plan):
@@ -281,6 +287,7 @@ def test_thread_timeout_reaps_late_result(monkeypatch):
         # The late in-flight result is reaped, never delivered.
         assert session.outstanding() == 0
         assert dict(session.as_completed()) == {}
+        assert session.stats()["scheduler"]["timeouts"] == 1
 
 
 def test_as_completed_timeout_raises_and_session_stays_usable():
