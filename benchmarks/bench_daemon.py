@@ -20,7 +20,11 @@ having:
 4. **the run never hangs** — every tenant thread completes within
    :data:`DEADLINE_SECONDS`;
 5. **bit-identity** — every delivered answer equals the serial
-   ``engine.answer`` of the same query, field for field.
+   ``engine.answer`` of the same query, field for field;
+6. **closing mid-flight** — a tenant closed right after submitting cold
+   queries ends them: its ``as_completed`` finishes instead of timing
+   out, nothing stays in flight, and the shared scheduler's records and
+   tasks are back at 0 within :data:`REAP_SECONDS`.
 
 Run directly::
 
@@ -99,6 +103,17 @@ QUERIES = {
     "income_age_85": "Income[P] <= Age[P] >= 85 ?",
 }
 QUERY_LIST = list(QUERIES.values())
+
+#: Shapes the sustained load never asks, so their unit tables are not
+#: cached when the closed-mid-flight tenant submits them.
+COLD_QUERIES = (
+    "Outcome[P] <= Income[P] >= 100 ?",
+    "Treatment[P] <= Age[P] >= 50 ?",
+    "Treatment[P] <= Income[P] >= 100 ?",
+)
+
+#: Seconds the shared scheduler gets to reap a closed tenant's records.
+REAP_SECONDS = 1.0
 
 
 def build_database(seed: int = 11) -> Database:
@@ -217,6 +232,33 @@ class Checkpoint:
             self.mid_stats = self._daemon.stats()
 
 
+def close_tenant_mid_flight(daemon: QueryDaemon) -> str | None:
+    """Submit cold queries on a fresh tenant, close it at once, and return
+    what went wrong (None when every check of gate 6 holds)."""
+    session = daemon.open_session(tenant="closed-mid-flight")
+    for text in COLD_QUERIES:
+        session.submit(text)
+    session.close()
+    try:
+        for _ in session.as_completed(timeout=5.0):
+            pass
+    except TimeoutError:
+        return "a closed tenant's as_completed timed out on its abandoned queries"
+    if daemon.inflight() != 0:
+        return f"{daemon.inflight()} queries still in flight after the tenant closed"
+    deadline = time.monotonic() + REAP_SECONDS
+    while True:
+        scheduler = daemon.stats()["scheduler"]
+        if scheduler["live_records"] == 0 and scheduler["live_tasks"] == 0:
+            return None
+        if time.monotonic() >= deadline:
+            return (
+                f"the closed tenant left {scheduler['live_records']} records and "
+                f"{scheduler['live_tasks']} tasks after {REAP_SECONDS}s"
+            )
+        time.sleep(0.01)
+
+
 def main() -> int:
     database = build_database()
     print(f"database: {database.total_rows():,} rows across {len(database.table_names)} tables")
@@ -292,7 +334,17 @@ def main() -> int:
                     return 1
 
             end_stats = daemon.stats()
-        wall = time.perf_counter() - started
+
+            # ----------------------------------------------------------
+            # gate 6: a tenant closed mid-flight ends its queries.
+            # ----------------------------------------------------------
+            arm_started = time.perf_counter()
+            failure = close_tenant_mid_flight(daemon)
+            if failure is not None:
+                print(f"FAIL: {failure}", file=sys.stderr)
+                return 1
+            arm_seconds = time.perf_counter() - arm_started
+        wall = time.perf_counter() - started - arm_seconds
 
         # --------------------------------------------------------------
         # gate 5: every delivered answer is bit-identical to serial.
@@ -380,9 +432,13 @@ def main() -> int:
             )
             return 1
         print(
+            f"closed mid-flight       : {len(COLD_QUERIES)} cold queries ended, "
+            f"records and tasks reaped in {arm_seconds:.2f}s"
+        )
+        print(
             f"\nOK: {total} mixed hot/cold queries across {TENANTS} tenants; "
             "admission rejections structured; bookkeeping flat; answers "
-            "bit-identical throughout"
+            "bit-identical throughout; a tenant closed mid-flight hangs nothing"
         )
         return 0
     finally:

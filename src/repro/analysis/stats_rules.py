@@ -56,9 +56,7 @@ SNAPSHOT_KEYS: dict[tuple[str, str], frozenset[str]] = {
             "pinned_keys",
         }
     ),
-    ("_TenantBackend", "stats"): frozenset(
-        {"tenant", "admitted", "rejected", "inflight"}
-    ),
+    ("_TenantSession", "counters"): frozenset({"admitted", "rejected", "inflight"}),
     ("QueryDaemon", "stats"): frozenset(
         {
             "sessions",

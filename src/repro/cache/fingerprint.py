@@ -1,17 +1,22 @@
 """Content fingerprinting for the persistent artifact cache.
 
-Cached artifacts are pure functions of (database contents, relational causal
-model, query); this module turns each of those inputs into a stable hex
-digest so the store can be content-addressed:
+Cached artifacts are meant to be pure functions of (database contents,
+relational causal model, query) — the grounding falls short, see the model
+fingerprint below; this module turns each of those inputs into a stable
+hex digest so the store can be content-addressed:
 
 * the *database* fingerprint delegates to
   :meth:`repro.db.database.Database.fingerprint` (schema + per-column
   digests, incrementally maintained via the tables' mutation counters);
 * the *model* fingerprint hashes the canonical AST serialization of the
-  schema declarations plus the model's current rule set — including
-  aggregate rules the engine registered dynamically while unifying
-  treatment and response units, so a grounding extended by earlier queries
-  never aliases the pure program's grounding;
+  schema declarations plus the rule set the model holds when it is called.
+  The engine calls it once, at construction, before any query registers a
+  unifying aggregate rule, so its cache keys name the program as written.
+  The grounding stored under that key is whatever the engine had ground
+  when it first stored one — with the leaf nodes of any aggregate rule an
+  earlier query registered, or without them — so one key can name two
+  different artifacts, depending on query order (``CaRLEngine._grounding_key``).
+  Per-rule grounding artifacts would make the key exact;
 * the *query* fingerprint hashes the canonical query AST together with the
   embedding it was materialized with.
 """

@@ -432,22 +432,38 @@ class CaRLEngine:
         (incremental submission, cancellation, per-query options) use
         :meth:`open_session` directly.
         """
-        from repro.service.session import answer_iter as _answer_iter
-
-        return _answer_iter(
-            self,
-            queries,
-            estimator=estimator,
-            embedding=embedding,
-            bootstrap=bootstrap,
-            seed=seed,
+        if isinstance(queries, dict):
+            items = list(queries.items())
+        else:
+            items = list(enumerate(queries))
+        # Parse up front so a syntax error raises immediately (and once),
+        # before any worker spawns — the answer_all contract.
+        parsed = [
+            (key, parse_query(query) if isinstance(query, str) else query)
+            for key, query in items
+        ]
+        with self.open_session(
             jobs=jobs,
             executor=executor,
             shards=shards,
             retries=retries,
-            timeout=timeout,
+            estimator=estimator,
+            embedding=embedding,
+            bootstrap=bootstrap,
+            seed=seed,
             hang_timeout=hang_timeout,
-        )
+        ) as session:
+            if executor == "thread" and self.cache is None and parsed:
+                # The process scheduler grounds while publishing engine
+                # state; threads ground here, up front.  With a cache,
+                # grounding stays lazy: a sweep of cached unit tables never
+                # touches the graph.
+                self.graph  # noqa: B018
+            keys = {
+                session.submit(query, timeout=timeout): key for key, query in parsed
+            }
+            for index, outcome in session.as_completed():
+                yield keys[index], outcome
 
     def open_session(
         self,

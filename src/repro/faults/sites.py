@@ -92,8 +92,8 @@ FAULT_SITES: dict[str, FaultSite] = {
         ),
         FaultSite(
             "session.deliver_stall",
-            "the session's event pump stalls (default 0.05s) before "
-            "resolving a delivered outcome",
+            "the session stalls (default 0.05s) before handing a resolved "
+            "outcome to the caller",
             default_delay=0.05,
         ),
     )

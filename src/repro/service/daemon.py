@@ -6,26 +6,28 @@ engine (``docs/service.md``).  It owns **one**
 artifact cache, one published engine state — and multiplexes any number of
 concurrent :class:`~repro.service.session.QuerySession`\\ s over it:
 
-* :meth:`~QueryDaemon.open_session` returns an ordinary ``QuerySession``
-  whose backend is a per-tenant **admission facade** instead of a private
-  scheduler — same ``submit`` / ``as_completed`` / ``result`` surface, no
+* :meth:`~QueryDaemon.open_session` returns a tenant session: a
+  ``QuerySession`` that runs on the shared scheduler instead of a private
+  one — same ``submit`` / ``as_completed`` / ``result`` surface, no
   per-session worker spawn;
-* admission control is per tenant: a **token bucket** (``rate`` tokens per
-  second, ``burst`` capacity) plus a bound on in-flight queries; a rejected
-  submit raises :class:`AdmissionError` in the submitting caller — a
-  structured error, never a hang — and is counted in telemetry
-  (``daemon.reject``);
+* admission control is per tenant, inside the session's own ``submit``: a
+  **token bucket** (``rate`` tokens per second, ``burst`` capacity) plus a
+  bound on in-flight queries; a rejected submit raises
+  :class:`AdmissionError` in the submitting caller — a structured error,
+  never a hang — and is counted in telemetry (``daemon.reject``);
 * the scheduler schedules **fairly across tenants**: every session's
   queries carry its tenant as the fairness group, and ready collect tasks
   drain round-robin across groups, so one tenant's deep backlog cannot
   starve another's interactive queries;
-* the scheduler delivers each outcome straight to the owning session's
-  queue, through a callback the tenant's facade passes with the query.
-  Index translation is one dict entry per in-flight query, deleted at
-  delivery — the daemon's memory is O(in-flight), not O(queries ever
-  served);
-* :meth:`~QueryDaemon.drain` stops admission and waits for in-flight work;
-  :meth:`~QueryDaemon.close` drains (best effort) and tears the pool down.
+* the scheduler hands each outcome straight to the session that submitted
+  it, and draws every query's index from one sequence, so tenants never
+  collide; a session's bookkeeping is one entry per in-flight query,
+  deleted at delivery — the daemon's memory is O(in-flight), not
+  O(queries ever served);
+* closing a tenant session abandons its outstanding queries and cancels
+  them on the shared scheduler; :meth:`~QueryDaemon.drain` stops admission
+  and waits for in-flight work; :meth:`~QueryDaemon.close` drains (best
+  effort), closes every tenant session and tears the pool down.
 
 Answers keep the engine's core guarantee: every event a daemon session
 emits is bit-identical to the serial ``engine.answer`` of the same query.
@@ -35,9 +37,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
-from repro.carl.ast import CausalQuery
 from repro.carl.errors import QueryError
 from repro.observability.telemetry import get_registry
 from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler
@@ -56,13 +57,13 @@ DEFAULT_MAX_INFLIGHT = 64
 class AdmissionError(QueryError):
     """Raised by ``submit`` on a daemon session the daemon refuses to admit:
     the tenant is over its token-bucket rate, over its in-flight bound, or
-    the daemon is draining/closed.  Subclasses :class:`QueryError`, so
-    generic error handling keeps working; catch it specifically to back off.
+    the daemon is draining.  Subclasses :class:`QueryError`, so generic
+    error handling keeps working; catch it specifically to back off.
     """
 
     def __init__(self, message: str, reason: str) -> None:
         super().__init__(message)
-        self.reason = reason  #: ``"rate" | "inflight" | "draining" | "closed"``
+        self.reason = reason  #: ``"rate" | "inflight" | "draining"``
 
 
 class TokenBucket:
@@ -98,127 +99,76 @@ class TokenBucket:
             return False
 
 
-class _TenantBackend:
-    """Per-session scheduler facade: admission control + index translation.
+class _TenantSession(QuerySession):
+    """One tenant's session on the daemon's shared scheduler.
 
-    Quacks like a :class:`~repro.service.scheduler.ShardScheduler` as far as
-    :class:`~repro.service.session.QuerySession` is concerned (``submit`` /
-    ``cancel`` / ``stats`` / ``close``), but submits to the daemon's shared
-    scheduler.  The session's *local* indexes become daemon-*global* ones
-    on the way in, so concurrent sessions never collide; the session's
-    ``deliver`` callback is wrapped so an outcome still goes to the session
-    that submitted it.
+    A :class:`~repro.service.session.QuerySession` whose queries carry the
+    tenant as their fairness group and whose every submit passes the
+    tenant's admission control first.  Closing it abandons its outstanding
+    queries and cancels them on the shared scheduler, which stays up — it
+    belongs to the daemon.
     """
 
-    def __init__(self, daemon: "QueryDaemon", tenant: str, bucket: TokenBucket, max_inflight: int) -> None:
+    def __init__(
+        self,
+        daemon: "QueryDaemon",
+        tenant: str,
+        bucket: TokenBucket,
+        max_inflight: int,
+        **options: Any,
+    ) -> None:
+        super().__init__(
+            daemon._engine,  # noqa: SLF001 - daemon pair
+            executor="process",
+            _scheduler=daemon._scheduler,  # noqa: SLF001
+            **options,
+        )
         self._daemon = daemon
         self.tenant = tenant
+        self._group = tenant
         self._bucket = bucket
         self._max_inflight = max_inflight
-        self._lock = threading.Lock()
-        self._to_global: dict[int, int] = {}  # guarded-by: _lock  #: local → global, in-flight only
-        self.admitted = 0  # guarded-by: _lock
-        self.rejected = 0  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
+        self._admitted = 0  # guarded-by: _lock
+        self._rejected = 0  # guarded-by: _lock
 
-    # -- the QuerySession-facing surface --------------------------------
-    def submit(
-        self,
-        index: int,
-        query: CausalQuery,
-        options: dict[str, Any],
-        timeout: float | None,
-        deliver: Callable[[Any], None],
-    ) -> None:
+    def _admit_locked(self) -> None:
         reason: str | None = None
-        with self._lock:
-            if self._closed:
-                reason = "closed"
-            elif self._daemon._refuses_admission():  # noqa: SLF001 - daemon pair
-                reason = "draining"
-            elif len(self._to_global) >= self._max_inflight:
-                reason = "inflight"
-            elif not self._bucket.try_acquire():
-                reason = "rate"
-            if reason is not None:
-                self.rejected += 1
-            else:
-                self.admitted += 1
+        if self._daemon._refuses_admission():  # noqa: SLF001
+            reason = "draining"
+        elif len(self._live) >= self._max_inflight:
+            reason = "inflight"
+        elif not self._bucket.try_acquire():
+            reason = "rate"
         telemetry = get_registry()
-        if reason is not None:
-            telemetry.count("daemon.reject", tenant=self.tenant, reason=reason)
-            raise AdmissionError(
-                f"tenant {self.tenant!r}: query not admitted ({reason}); "
-                "back off and retry, consume pending events, or raise the "
-                "tenant's quota",
-                reason=reason,
-            )
-        telemetry.count("daemon.admit", tenant=self.tenant)
-        global_index = self._daemon._next_global_index()  # noqa: SLF001
+        if reason is None:
+            self._admitted += 1
+            telemetry.count("daemon.admit", tenant=self.tenant)
+            return
+        self._rejected += 1
+        telemetry.count("daemon.reject", tenant=self.tenant, reason=reason)
+        raise AdmissionError(
+            f"tenant {self.tenant!r}: query not admitted ({reason}); "
+            "back off and retry, consume pending events, or raise the "
+            "tenant's quota",
+            reason=reason,
+        )
+
+    def counters(self) -> dict[str, int]:
+        """This tenant's admitted, rejected and in-flight query counts."""
         with self._lock:
-            # Mapped before the scheduler sees the query: a fast completion
-            # may be delivered before submit returns.
-            self._to_global[index] = global_index
-
-        def deliver_to_session(outcome: Any) -> None:
-            with self._lock:
-                self._to_global.pop(index, None)
-                closed = self._closed
-            if not closed:
-                deliver(outcome)
-
-        try:
-            self._daemon._scheduler.submit(  # noqa: SLF001
-                global_index, query, options, timeout, deliver_to_session,
-                group=self.tenant,
-            )
-        except BaseException:
-            with self._lock:
-                self._to_global.pop(index, None)
-            raise
-
-    def cancel(self, index: int) -> bool:
-        with self._lock:
-            global_index = self._to_global.get(index)
-        if global_index is None:
-            return False
-        cancelled = self._daemon._scheduler.cancel(global_index)  # noqa: SLF001
-        if cancelled:
-            with self._lock:
-                self._to_global.pop(index, None)
-        return cancelled
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            tenant_stats = {
-                "tenant": self.tenant,
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "inflight": len(self._to_global),
+            return {
+                "admitted": self._admitted,
+                "rejected": self._rejected,
+                "inflight": len(self._live),
             }
-        stats = self._daemon._scheduler.stats()  # noqa: SLF001
-        stats.update(tenant_stats)
-        return stats
 
     def close(self) -> None:
-        """Close this tenant's session: cancel its in-flight queries.
-
-        The shared scheduler stays up — it belongs to the daemon.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            inflight = list(self._to_global.values())
-            self._to_global.clear()
-        for global_index in inflight:
-            self._daemon._scheduler.cancel(global_index)  # noqa: SLF001
+        abandoned = self._abandon_live()
+        if abandoned is None:
+            return
+        for scheduled in abandoned:
+            self._scheduler.cancel(scheduled)
         self._daemon._session_closed(self)  # noqa: SLF001
-
-    def inflight(self) -> int:
-        """Admitted queries whose outcomes have not been delivered yet."""
-        with self._lock:
-            return len(self._to_global)
 
 
 class QueryDaemon:
@@ -263,11 +213,10 @@ class QueryDaemon:
         )
         self._scheduler.start()
         self._lock = threading.Lock()
-        self._next_global = 0  # guarded-by: _lock
-        #: Live session backends, insertion-ordered (a dict-as-ordered-set:
+        #: Open tenant sessions, insertion-ordered (a dict-as-ordered-set:
         #: iterating a bare set here would put stats()/close() session order
         #: under PYTHONHASHSEED).
-        self._sessions: dict[_TenantBackend, None] = {}  # guarded-by: _lock
+        self._sessions: dict[_TenantSession, None] = {}  # guarded-by: _lock
         self._next_anonymous = 0  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
@@ -296,12 +245,14 @@ class QueryDaemon:
         :class:`AdmissionError` at ``submit``.  ``max_pending`` /
         ``submit_timeout`` add session-side backpressure on top (see
         :class:`~repro.service.session.QuerySession`).  Closing the session
-        cancels its in-flight queries; the daemon's workers live on.
+        abandons its outstanding queries and cancels them on the shared
+        scheduler; the daemon's workers live on.
         """
         if max_inflight < 1:
             raise QueryError(
                 f"max_inflight must be a positive integer, got {max_inflight!r}"
             )
+        bucket = TokenBucket(rate, burst)
         with self._lock:
             if self._closed:
                 raise QueryError("the query daemon is closed")
@@ -310,43 +261,32 @@ class QueryDaemon:
             if tenant is None:
                 tenant = f"tenant-{self._next_anonymous}"
                 self._next_anonymous += 1
-        backend = _TenantBackend(
-            self, tenant, TokenBucket(rate, burst), max_inflight
-        )
-        with self._lock:
-            self._sessions[backend] = None
+            session = _TenantSession(
+                self,
+                tenant,
+                bucket,
+                max_inflight,
+                estimator=estimator,
+                embedding=embedding,
+                bootstrap=bootstrap,
+                seed=seed,
+                max_pending=max_pending,
+                submit_timeout=submit_timeout,
+            )
+            self._sessions[session] = None
             live = len(self._sessions)
         get_registry().gauge("daemon.sessions", live)
-        return QuerySession(
-            self._engine,
-            executor="process",
-            estimator=estimator,
-            embedding=embedding,
-            bootstrap=bootstrap,
-            seed=seed,
-            max_pending=max_pending,
-            submit_timeout=submit_timeout,
-            _backend=backend,
-        )
+        return session
 
-    def _session_closed(self, backend: _TenantBackend) -> None:
+    def _session_closed(self, session: _TenantSession) -> None:
         with self._lock:
-            self._sessions.pop(backend, None)
+            self._sessions.pop(session, None)
             live = len(self._sessions)
         get_registry().gauge("daemon.sessions", live)
 
-    # ------------------------------------------------------------------
-    # facade hooks
-    # ------------------------------------------------------------------
     def _refuses_admission(self) -> bool:
         with self._lock:
             return self._draining or self._closed
-
-    def _next_global_index(self) -> int:
-        with self._lock:
-            index = self._next_global
-            self._next_global += 1
-            return index
 
     # ------------------------------------------------------------------
     # lifecycle / inspection
@@ -355,7 +295,7 @@ class QueryDaemon:
         """Admitted queries whose outcomes have not been delivered yet."""
         with self._lock:
             sessions = list(self._sessions)
-        return sum(backend.inflight() for backend in sessions)
+        return sum(session.counters()["inflight"] for session in sessions)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Stop admitting queries and wait for in-flight ones to resolve.
@@ -389,16 +329,12 @@ class QueryDaemon:
         # bit-identical), but operators should know the daemon is limping.
         snapshot["degraded"] = bool(scheduler_stats.get("circuit_open"))
         admitted = rejected = inflight = 0
-        for backend in sessions:
-            with backend._lock:  # noqa: SLF001 - daemon pair
-                snapshot["tenants"][backend.tenant] = {
-                    "admitted": backend.admitted,
-                    "rejected": backend.rejected,
-                    "inflight": len(backend._to_global),  # noqa: SLF001
-                }
-                admitted += backend.admitted
-                rejected += backend.rejected
-                inflight += len(backend._to_global)  # noqa: SLF001
+        for session in sessions:
+            counters = session.counters()
+            snapshot["tenants"][session.tenant] = counters
+            admitted += counters["admitted"]
+            rejected += counters["rejected"]
+            inflight += counters["inflight"]
         snapshot["inflight"] = inflight
         snapshot["admitted"] = admitted
         snapshot["rejected"] = rejected
@@ -409,8 +345,8 @@ class QueryDaemon:
         """Tear the daemon down; idempotent.
 
         With ``drain_timeout > 0`` the daemon first waits (bounded) for
-        in-flight queries; any still unresolved are abandoned with the
-        scheduler's workers.
+        in-flight queries.  Then the scheduler's workers stop and every
+        tenant session closes: any query still unresolved is abandoned.
         """
         with self._lock:
             if self._closed:
@@ -421,9 +357,9 @@ class QueryDaemon:
             self.drain(timeout=drain_timeout)
         self._scheduler.close()
         with self._lock:
-            live_sessions = list(self._sessions)
-        for backend in live_sessions:
-            backend.close()
+            sessions = list(self._sessions)
+        for session in sessions:
+            session.close()
 
     def __enter__(self) -> "QueryDaemon":
         return self

@@ -60,6 +60,7 @@ import contextlib
 import enum
 import hashlib
 import heapq
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -396,8 +397,9 @@ class ShardScheduler:
 
     * :meth:`start` / :meth:`close` — start and tear down the dispatcher
       and, with ``executor="process"``, the workers;
-    * :meth:`submit` — register one parsed query (with per-query options,
-      an optional timeout, the ``deliver`` callback for its outcome, and an
+    * :meth:`next_index` / :meth:`submit` — draw a query index, and
+      register one parsed query under it (with per-query options, an
+      optional timeout, the ``deliver`` callback for its outcome, and an
       optional fairness group);
     * :meth:`cancel` — drop a query before it completes;
     * :meth:`stats` — a :class:`ServiceStats` snapshot plus live
@@ -446,6 +448,9 @@ class ShardScheduler:
         self._lock = threading.RLock()
         self._stats = ServiceStats()  # guarded-by: _lock
         self._records: dict[int, _QueryRecord] = {}  # guarded-by: _lock
+        #: Query indexes, one sequence for every session on this scheduler,
+        #: so a daemon's tenants never collide.
+        self._indexes = itertools.count()
         self._tasks: dict[int, _Task] = {}  # guarded-by: _lock
         #: In-flight (PENDING/RUNNING) collect tasks by partial key — the
         #: within-session dedup that lets a threshold sweep share ranges.
@@ -569,7 +574,8 @@ class ShardScheduler:
     def close(self) -> None:
         """Stop the dispatcher, shut workers down, release pins.
 
-        Idempotent.  In-flight work is abandoned: running tasks are left to
+        Idempotent.  In-flight work is abandoned: its records are dropped
+        (no outcome is delivered after close), running tasks are left to
         their workers until the grace period expires, then the processes are
         terminated.  Partials already stored stay in a persistent cache
         (that is the shard-level reuse); the private cache of an uncached
@@ -612,24 +618,28 @@ class ShardScheduler:
             worker.results.close()
         unregister_inheritable_engine(self._inherit_token)
         self._inherit_token = None
-        if self._cache is not None:
-            with self._lock:
+        with self._lock:
+            if self._cache is not None:
                 for record in self._records.values():
                     for key in record.pins:
                         self._cache.unpin(key)
-                    record.pins.clear()
                 for key in self._warm_keys:
                     self._cache.unpin(key)
                 self._warm_keys.clear()
                 for key in self._pinned:
                     self._cache.unpin(key)
                 self._pinned.clear()
+            self._records.clear()
         if self._cleanup_root is not None:
             shutil.rmtree(self._cleanup_root, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # public API (user threads)
     # ------------------------------------------------------------------
+    def next_index(self) -> int:
+        """A query index no earlier call returned, for :meth:`submit`."""
+        return next(self._indexes)
+
     def submit(
         self,
         index: int,

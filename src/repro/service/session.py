@@ -8,9 +8,9 @@ failures — each failed query yields its own
 :class:`~repro.carl.errors.QueryError` event instead of killing the batch.
 
 Every session runs on a :class:`~repro.service.scheduler.ShardScheduler`,
-which delivers each outcome straight into the session's event queue and
-owns the records, deadlines, cancellation, stats and span tree of both
-executors:
+which hands each outcome straight to the session — filed under the
+session's lock, waking any waiting consumer — and owns the records,
+deadlines, cancellation, stats and span tree of both executors:
 
 * ``executor="thread"`` — each query runs as one
   :meth:`~repro.carl.engine.CaRLEngine.answer` call on the scheduler's
@@ -20,9 +20,9 @@ executors:
 * ``executor="process"`` — queries are decomposed into shard-level collect
   tasks plus a finish task and run by the scheduler's managed worker
   processes, with retry-and-requeue on worker faults and shard-level cache
-  reuse.  A :class:`~repro.service.daemon.QueryDaemon` session is backed by
-  the daemon's *shared* scheduler through a per-tenant admission facade
-  instead of a private one.
+  reuse.  A :class:`~repro.service.daemon.QueryDaemon` tenant is a
+  session of this kind that runs on the daemon's *shared* scheduler and
+  admits or refuses each of its submits itself.
 
 Either way, every completed answer is **bit-identical** to the serial
 ``engine.answer`` of the same query with the same options.
@@ -46,6 +46,9 @@ Guarantees (see ``docs/service.md`` for the fine print):
   in-flight shard tasks are reaped — a worker still running one is killed
   and replaced (it must not occupy a pool slot for the rest of its task),
   and late results (a running thread answer's too) are discarded;
+* *close*: closing a session abandons every query still outstanding — it
+  never yields and ``result`` on it raises — so no consumer waits on it;
+  outcomes that resolved before the close stay readable;
 * *isolation*: one query's failure, timeout or cancellation never affects
   another query's answer.
 """
@@ -53,10 +56,10 @@ Guarantees (see ``docs/service.md`` for the fine print):
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.carl.ast import CausalQuery
@@ -69,17 +72,20 @@ from repro.service.scheduler import DEFAULT_HANG_TIMEOUT, ShardScheduler
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.carl.engine import CaRLEngine
 
-#: Seconds the event loop blocks per poll while waiting for the next event.
-_POLL_SECONDS = 0.02
-
 #: Delivered outcomes kept for idempotent :meth:`QuerySession.result`
 #: re-reads.  Older delivered queries are reaped completely — that is what
 #: keeps a long-lived session's memory flat.
 DELIVERED_KEEP = 256
 
-#: Cancelled/suppressed indexes remembered (for idempotent re-cancel and
-#: the "was cancelled" error out of :meth:`QuerySession.result`).
+#: Suppressed indexes remembered (for idempotent re-cancel and the "was
+#: cancelled" / "was abandoned" errors out of :meth:`QuerySession.result`).
 SUPPRESSED_KEEP = 1024
+
+#: Why a suppressed index never yields, as :meth:`QuerySession.result`
+#: reports it.
+_CANCELLED = "was cancelled"
+_ABANDONED = "was abandoned: the session closed before it completed"
+_REFUSED = "was refused at submit"
 
 
 class QueueFullError(QueryError):
@@ -111,12 +117,10 @@ class QuerySession:
     :class:`QueueFullError` — immediately, or after blocking up to
     ``submit_timeout`` seconds for capacity.
 
-    ``_backend`` (internal) injects a scheduler-like backend — an object
-    with ``submit/cancel/stats/close`` whose ``submit`` takes a ``deliver``
-    callback — in place of a private
-    :class:`~repro.service.scheduler.ShardScheduler`; the
-    :class:`~repro.service.daemon.QueryDaemon` uses it to multiplex many
-    tenant sessions over one shared scheduler.
+    ``_scheduler`` (internal) runs the session on a started scheduler it
+    does not own, instead of a private one: the
+    :class:`~repro.service.daemon.QueryDaemon`'s tenant sessions share its
+    scheduler this way.
     """
 
     def __init__(
@@ -133,7 +137,7 @@ class QuerySession:
         max_pending: int | None = None,
         submit_timeout: float | None = None,
         hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
-        _backend: Any = None,
+        _scheduler: ShardScheduler | None = None,
     ) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -155,25 +159,28 @@ class QuerySession:
         self._max_pending = max_pending
         self._submit_timeout = submit_timeout
         self._lock = threading.RLock()
+        #: Notified whenever an outcome resolves or leaves the session
+        #: (delivered, cancelled, abandoned); every blocking wait waits on it.
+        self._changed = threading.Condition(self._lock)
         self._next_index = 0  # guarded-by: _lock
-        self._live: set[int] = set()  # guarded-by: _lock  #: submitted, no outcome delivered yet
+        #: Submitted, no outcome resolved yet: session index → the
+        #: scheduler's index for the same query.
+        self._live: dict[int, int] = {}  # guarded-by: _lock
         self._resolved: dict[int, Any] = {}  # guarded-by: _lock  #: outcomes ready for delivery
         #: Most recent delivered outcomes (index → outcome), LRU-bounded:
         #: keeps :meth:`result` idempotent for recent queries while the
         #: session's memory stays O(in-flight), not O(history).
         self._delivered: "OrderedDict[int, Any]" = OrderedDict()  # guarded-by: _lock
         self._delivered_count = 0  # guarded-by: _lock
-        #: Indexes whose late backend events must be dropped (cancelled
-        #: queries and submits the backend rejected); LRU-bounded like the
-        #: delivered history.
-        self._suppressed: "OrderedDict[int, None]" = OrderedDict()  # guarded-by: _lock
+        #: Indexes that never yield (cancelled, abandoned at close, refused
+        #: at submit) → why; LRU-bounded like the delivered history.
+        self._suppressed: "OrderedDict[int, str]" = OrderedDict()  # guarded-by: _lock
         self._cancelled_count = 0  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-
-        #: Outcomes the backend delivered, not yet moved into ``_resolved``.
-        self._events: "queue.Queue[tuple[int, Any]]" = queue.Queue()
-        if _backend is None:
-            _backend = ShardScheduler(
+        #: Fairness group passed with each query (a daemon tenant's name).
+        self._group: str | None = None
+        if _scheduler is None:
+            _scheduler = ShardScheduler(
                 engine,
                 jobs=jobs,
                 shards=shards,
@@ -181,10 +188,8 @@ class QuerySession:
                 executor=executor,
                 hang_timeout=hang_timeout,
             )
-            _backend.start()
-        # Daemon-injected backends quack like a ShardScheduler but route
-        # through shared workers with per-tenant admission.
-        self._scheduler: Any = _backend
+            _scheduler.start()
+        self._scheduler = _scheduler
 
     # ------------------------------------------------------------------
     # submission
@@ -219,61 +224,71 @@ class QuerySession:
             "bootstrap": self._defaults["bootstrap"] if bootstrap is None else bootstrap,
             "seed": self._defaults["seed"] if seed is None else seed,
         }
-        self._wait_for_capacity()
         with self._lock:
+            self._wait_for_capacity_locked()
             if self._closed:
                 raise QueryError("the query session is closed")
             index = self._next_index
             self._next_index += 1
-            self._live.add(index)
+            try:
+                self._admit_locked()
+            except BaseException:
+                self._remember_suppressed_locked(index, _REFUSED)
+                raise
+            scheduled = self._scheduler.next_index()
+            # Live before the scheduler sees the query: a fast completion
+            # may resolve before submit returns.
+            self._live[index] = scheduled
         try:
             self._scheduler.submit(
-                index,
+                scheduled,
                 query,
                 options,
                 timeout,
-                lambda outcome: self._events.put((index, outcome)),
+                partial(self._resolve, index),
+                group=self._group,
             )
         except BaseException:
-            # Admission rejected (or the backend failed): the index was
-            # never scheduled, so withdraw it — the error is the caller's,
-            # not a query event.
+            # The scheduler refused the query (it closed): withdraw the
+            # index — the error is the caller's, not a query event.
             with self._lock:
-                self._live.discard(index)
-                self._remember_suppressed_locked(index)
+                self._live.pop(index, None)
+                self._remember_suppressed_locked(index, _REFUSED)
+                self._changed.notify_all()
             raise
         return index
 
-    def _wait_for_capacity(self) -> None:
-        """Block (bounded) until the pending backlog is under ``max_pending``."""
+    def _admit_locked(self) -> None:
+        """Admission hook: raise to refuse the submit whose index was just
+        allocated (lock held).  A plain session admits every query."""
+
+    def _wait_for_capacity_locked(self) -> None:
+        """Wait (bounded) until the pending backlog is under ``max_pending``."""
         if self._max_pending is None:
             return
-        deadline = (
-            None
-            if self._submit_timeout is None
-            else time.monotonic() + self._submit_timeout
-        )
-        while True:
-            with self._lock:
-                pending = len(self._live) + len(self._resolved)
-                if pending < self._max_pending:
-                    return
-            if deadline is None or time.monotonic() >= deadline:
+        deadline = time.monotonic() + (self._submit_timeout or 0.0)
+        while not self._closed and len(self._live) + len(self._resolved) >= self._max_pending:
+            if not self._wait_locked(deadline):
                 get_registry().count("session.queue_full")
                 raise QueueFullError(
                     f"the session's pending backlog is at max_pending="
                     f"{self._max_pending}; consume events (as_completed/result) "
                     "or raise the bound"
                 )
-            # Draining our own event queue is what frees capacity when the
-            # consumer thread is this one; with a separate consumer thread
-            # this degrades to a bounded poll.
-            remaining = deadline - time.monotonic()
-            self._pump(max(0.0, min(remaining, _POLL_SECONDS)))
 
     # ------------------------------------------------------------------
-    # consumption
+    # delivery and consumption
     # ------------------------------------------------------------------
+    def _resolve(self, index: int, outcome: Any) -> None:
+        """File query ``index``'s outcome; the scheduler calls this once per
+        query, from one of its threads.  An index no longer live — cancelled,
+        or abandoned at close — is dropped, so it never yields."""
+        with self._lock:
+            if self._live.pop(index, None) is None:
+                return
+            self._resolved[index] = outcome
+            self._changed.notify_all()
+
     def as_completed(self, timeout: float | None = None) -> Iterator[tuple[int, Any]]:
         """Yield ``(index, QueryAnswer | QueryError)`` in completion order.
 
@@ -283,29 +298,20 @@ class QuerySession:
         yield); on expiry a :class:`TimeoutError` is raised — the session
         stays usable and iteration can be resumed.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
-                undelivered = sorted(self._resolved)
-                if not undelivered and not self._live:
+                deadline = None if timeout is None else time.monotonic() + timeout
+                while self._live and not self._resolved:
+                    if not self._wait_locked(deadline):
+                        raise TimeoutError(
+                            f"no query completed within {timeout} seconds"
+                        )
+                if not self._resolved:
                     return
-            if undelivered:
-                for index in undelivered:
-                    with self._lock:
-                        if index not in self._resolved:
-                            continue  # another consumer raced us to it
-                        outcome = self._resolved.pop(index)
-                        self._mark_delivered_locked(index, outcome)
-                    yield index, outcome
-                    deadline = (
-                        None if timeout is None else time.monotonic() + timeout
-                    )
-                continue
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"no query completed within {timeout} seconds"
-                )
-            self._pump(timeout)
+                index = min(self._resolved)
+                outcome = self._hand_out_locked(index)
+            _stall_hand_out(index)
+            yield index, outcome
 
     def result(self, index: int, timeout: float | None = None) -> Any:
         """Block until query ``index`` resolves; return its outcome.
@@ -313,64 +319,56 @@ class QuerySession:
         Returns the :class:`QueryAnswer` or :class:`QueryError` (never
         raises it); raises :class:`TimeoutError` if the outcome does not
         arrive in ``timeout`` seconds and :class:`QueryError` for an index
-        that was never submitted or was cancelled.  Re-reads are idempotent
-        for the most recent :data:`DELIVERED_KEEP` delivered queries; older
-        records are reaped, and re-reading one raises :class:`QueryError`.
+        that was never submitted, was cancelled, or was abandoned by
+        :meth:`close`.  Re-reads are idempotent for the most recent
+        :data:`DELIVERED_KEEP` delivered queries; older records are reaped,
+        and re-reading one raises :class:`QueryError`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if index in self._resolved:
-                    outcome = self._resolved.pop(index)
-                    self._mark_delivered_locked(index, outcome)
-                    return outcome
-                if index in self._delivered:
-                    self._delivered.move_to_end(index)
-                    return self._delivered[index]
-                if index in self._suppressed:
-                    raise QueryError(f"query {index} was cancelled")
-                if index not in self._live:
-                    if 0 <= index < self._next_index:
-                        raise QueryError(
-                            f"query {index} was already delivered and its "
-                            "record reaped (see DELIVERED_KEEP)"
-                        )
-                    raise QueryError(f"unknown query index {index}")
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise TimeoutError(f"query {index} did not complete in time")
-            self._pump(remaining)
+        with self._lock:
+            while index in self._live:
+                if not self._wait_locked(deadline):
+                    raise TimeoutError(f"query {index} did not complete in time")
+            if index in self._delivered:
+                self._delivered.move_to_end(index)
+                return self._delivered[index]
+            if index in self._suppressed:
+                raise QueryError(f"query {index} {self._suppressed[index]}")
+            if index not in self._resolved:
+                if 0 <= index < self._next_index:
+                    raise QueryError(
+                        f"query {index} was already delivered and its "
+                        "record reaped (see DELIVERED_KEEP)"
+                    )
+                raise QueryError(f"unknown query index {index}")
+            outcome = self._hand_out_locked(index)
+        _stall_hand_out(index)
+        return outcome
 
-    def _mark_delivered_locked(self, index: int, outcome: Any) -> None:
-        """Move one outcome into the bounded delivered history (lock held)."""
+    def _wait_locked(self, deadline: float | None) -> bool:
+        """Wait for the next change (lock held); False once ``deadline`` passed."""
+        remaining = None if deadline is None else deadline - time.monotonic()
+        if remaining is not None and remaining <= 0:
+            return False
+        self._changed.wait(remaining)
+        return True
+
+    def _hand_out_locked(self, index: int) -> Any:
+        """Move one resolved outcome into the bounded delivered history."""
+        outcome = self._resolved.pop(index)
         self._delivered[index] = outcome
-        self._delivered.move_to_end(index)
         self._delivered_count += 1
         while len(self._delivered) > DELIVERED_KEEP:
             self._delivered.popitem(last=False)
+        self._changed.notify_all()  # frees max_pending capacity
+        return outcome
 
-    def _remember_suppressed_locked(self, index: int) -> None:
+    def _remember_suppressed_locked(self, index: int, reason: str) -> None:
         """Track a suppressed index in the bounded LRU (lock held)."""
-        self._suppressed[index] = None
+        self._suppressed[index] = reason
         self._suppressed.move_to_end(index)
         while len(self._suppressed) > SUPPRESSED_KEEP:
             self._suppressed.popitem(last=False)
-
-    def _pump(self, timeout: float | None) -> None:
-        """Move one event (if any) from the backend into ``_resolved``."""
-        wait = _POLL_SECONDS if timeout is None else max(0.0, min(timeout, _POLL_SECONDS))
-        try:
-            index, outcome = self._events.get(timeout=wait)
-        except queue.Empty:
-            return
-        stall = fault_point("session.deliver_stall", key=f"query-{index}")
-        if stall is not None:
-            time.sleep(stall.delay)
-        with self._lock:
-            if index in self._suppressed or index not in self._live:
-                return  # cancelled before delivery: never yielded
-            self._live.discard(index)
-            self._resolved[index] = outcome
 
     # ------------------------------------------------------------------
     # cancellation / bookkeeping
@@ -387,16 +385,16 @@ class QuerySession:
             if index in self._delivered or index not in range(self._next_index):
                 return False
             if index in self._suppressed:
-                return True  # already cancelled
-            was_live = index in self._live
-            resolved_undelivered = index in self._resolved
-            if not was_live and not resolved_undelivered:
+                return True  # already cancelled (or abandoned)
+            if index not in self._live and index not in self._resolved:
                 return False
-            self._cancelled_count += 1
-            self._remember_suppressed_locked(index)
-            self._live.discard(index)
+            scheduled = self._live.pop(index, None)
             self._resolved.pop(index, None)
-        self._scheduler.cancel(index)
+            self._cancelled_count += 1
+            self._remember_suppressed_locked(index, _CANCELLED)
+            self._changed.notify_all()
+        if scheduled is not None:
+            self._scheduler.cancel(scheduled)
         return True
 
     def outstanding(self) -> int:
@@ -422,13 +420,29 @@ class QuerySession:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear the session down; idempotent.  Outstanding queries are
-        abandoned (their workers are stopped or their results discarded)."""
+        """Tear the session down; idempotent.
+
+        Every query still outstanding is abandoned: it never yields, and
+        :meth:`result` on it raises :class:`QueryError`.  Outcomes that
+        resolved before the close stay readable.  The private scheduler
+        closes with the session (its workers stop, its records drop).
+        """
+        if self._abandon_live() is not None:
+            self._scheduler.close()
+
+    def _abandon_live(self) -> list[int] | None:
+        """Close the session and abandon its live queries; returns their
+        scheduler indexes, or None when the session was already closed."""
         with self._lock:
             if self._closed:
-                return
+                return None
             self._closed = True
-        self._scheduler.close()
+            for index in self._live:
+                self._remember_suppressed_locked(index, _ABANDONED)
+            abandoned = list(self._live.values())
+            self._live.clear()
+            self._changed.notify_all()
+        return abandoned
 
     def __enter__(self) -> "QuerySession":
         return self
@@ -437,58 +451,9 @@ class QuerySession:
         self.close()
 
 
-def answer_iter(
-    engine: "CaRLEngine",
-    queries: Any,
-    estimator: str | None = None,
-    embedding: str | None = None,
-    bootstrap: int = 0,
-    seed: int = 0,
-    jobs: int | None = 1,
-    executor: str = "thread",
-    shards: int | None = None,
-    retries: int = 2,
-    timeout: float | None = None,
-    hang_timeout: float | None = DEFAULT_HANG_TIMEOUT,
-) -> Iterator[tuple[Any, Any]]:
-    """Implementation of :meth:`repro.carl.engine.CaRLEngine.answer_iter`.
-
-    Yields ``(key, QueryAnswer | QueryError)`` in completion order, where
-    ``key`` is the query's dict name or its position in the list.  Closing
-    the iterator early tears the session down (workers stopped, outstanding
-    queries abandoned).  An uncached engine is grounded once before the
-    first query starts, on either executor, so no answer is charged for
-    the shared grounding.
-    """
-    if isinstance(queries, dict):
-        items = list(queries.items())
-    else:
-        items = [(position, query) for position, query in enumerate(queries)]
-    # Parse up front so a syntax error raises immediately (and once), before
-    # any worker spawns — the answer_all contract.
-    parsed = [
-        (key, parse_query(query) if isinstance(query, str) else query)
-        for key, query in items
-    ]
-    with QuerySession(
-        engine,
-        jobs=jobs,
-        executor=executor,
-        shards=shards,
-        retries=retries,
-        estimator=estimator,
-        embedding=embedding,
-        bootstrap=bootstrap,
-        seed=seed,
-        hang_timeout=hang_timeout,
-    ) as session:
-        if executor == "thread" and engine.cache is None and parsed:
-            # The process scheduler grounds while publishing engine state;
-            # threads ground here, up front.  With a cache, grounding stays
-            # lazy: a sweep of cached unit tables never touches the graph.
-            engine.graph  # noqa: B018
-        keys = {
-            session.submit(query, timeout=timeout): key for key, query in parsed
-        }
-        for index, outcome in session.as_completed():
-            yield keys[index], outcome
+def _stall_hand_out(index: int) -> None:
+    """The ``session.deliver_stall`` fault site: delay handing a resolved
+    outcome to the caller (outside the session lock)."""
+    stall = fault_point("session.deliver_stall", key=f"query-{index}")
+    if stall is not None:
+        time.sleep(stall.delay)

@@ -20,12 +20,17 @@ Contracts held here:
   another session's (possibly stalled) worker fork: the fork-inherited
   engine hand-off is token-keyed per scheduler, not a process-global slot;
 * **drain/close** — ``drain()`` stops admission and waits for in-flight
-  work; ``close()`` is idempotent and leaves no worker processes behind.
+  work; ``close()`` is idempotent and leaves no worker processes behind;
+* **delivery contract** — each submitted index is delivered exactly once
+  or never (cancelled, or abandoned by ``close()``), under concurrent
+  submit, cancel and consume, on thread, process and tenant sessions; a
+  closed session never leaves a consumer waiting.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -266,16 +271,253 @@ def test_closing_one_session_leaves_the_daemon_usable(serial_answers):
     engine = fresh_engine()
     with QueryDaemon(engine, jobs=2, shards=2) as daemon:
         first = daemon.open_session(tenant="first")
-        first.submit(QUERIES["ate"])
-        first.close()  # closes the facade, cancels in-flight — not the pool
+        index = first.submit(QUERIES["ate"])
+        first.close()  # abandons and cancels its query — not the pool
         assert daemon.inflight() == 0
-        with pytest.raises(TimeoutError):
-            for _ in first.as_completed(timeout=0.5):
-                pytest.fail("a closed session's query must not yield")
+        for _ in first.as_completed(timeout=0.5):
+            pytest.fail("a closed session's query must not yield")
+        with pytest.raises(QueryError, match="abandoned"):
+            first.result(index)
         with daemon.open_session(tenant="second") as session:
             session.submit(QUERIES["ate"])
             outcome = session.result(0, timeout=60.0)
         assert answer_fingerprint(outcome) == answer_fingerprint(serial_answers["ate"])
+
+
+# ----------------------------------------------------------------------
+# delivery contract: exactly once, or never — close included
+# ----------------------------------------------------------------------
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.parametrize("kind", ["thread", "process", "daemon"])
+def test_close_ends_every_abandoned_query(kind, fault_plan):
+    """One query running and one queued, then ``close()``: neither ever
+    yields, iteration ends at once instead of waiting for them, ``result``
+    names each abandoned index, and no scheduler record survives."""
+    engine = fresh_engine()
+    daemon = None
+    release = threading.Event()
+    if kind == "thread":
+        started = threading.Event()
+        original = engine.answer
+
+        def gated(query, *args, **kwargs):
+            started.set()
+            release.wait(timeout=10.0)
+            return original(query, *args, **kwargs)
+
+        engine.answer = gated
+        session = engine.open_session(jobs=1)
+    else:
+        fault_plan(FaultRule("worker.slow", p=1.0, delay=0.5))
+        if kind == "process":
+            session = engine.open_session(jobs=1, executor="process", shards=1)
+        else:
+            daemon = QueryDaemon(engine, jobs=1, shards=1)
+            session = daemon.open_session(tenant="t")
+    try:
+        running = session.submit(QUERIES["ate"])
+        queued = session.submit(QUERIES["agg"])
+        if kind == "thread":
+            assert started.wait(timeout=10.0)
+        else:
+            # Both collect tasks planned, one of them on the only worker.
+            assert wait_until(
+                lambda: (
+                    session.stats()["scheduler"]["live_tasks"] == 2
+                    and session.stats()["scheduler"]["ready_tasks"] == 1
+                )
+            )
+        session.close()
+        release.set()
+        assert session.outstanding() == 0
+        assert list(session.as_completed(timeout=2.0)) == []
+        for index in (running, queued):
+            with pytest.raises(QueryError, match=f"query {index} was abandoned"):
+                session.result(index)
+        if daemon is None:
+            assert session.stats()["scheduler"]["live_records"] == 0
+        else:
+            assert daemon.inflight() == 0
+            # The shared scheduler detaches the cancelled records on its
+            # dispatcher's next turn.
+            assert wait_until(
+                lambda: daemon.stats()["scheduler"]["live_records"] == 0, timeout=1.0
+            )
+    finally:
+        release.set()
+        if daemon is not None:
+            daemon.close()
+        session.close()
+
+
+def test_outcome_delivered_while_cancelling_never_yields():
+    """``cancel`` withdraws the index before it tells the scheduler, so an
+    outcome the scheduler delivers in between is dropped, not yielded."""
+    engine = fresh_engine()
+    release = threading.Event()
+
+    def gated(query, **kwargs):
+        assert release.wait(timeout=10.0)
+        return object()
+
+    engine.answer = gated
+    with engine.open_session(jobs=1) as session:
+        index = session.submit(QUERIES["ate"])
+        scheduler = session._scheduler
+        scheduler_cancel = scheduler.cancel
+
+        def cancel_after_delivery(scheduled: int) -> bool:
+            release.set()  # the answer finishes and is delivered first
+            assert wait_until(lambda: scheduler.stats()["live_records"] == 0)
+            return scheduler_cancel(scheduled)
+
+        scheduler.cancel = cancel_after_delivery
+        assert session.cancel(index) is True
+        assert list(session.as_completed(timeout=1.0)) == []
+        with pytest.raises(QueryError, match="cancelled"):
+            session.result(index)
+
+
+def drive_concurrently(session, total: int) -> tuple[list[int], set[int]]:
+    """Submit ``total`` queries from one thread, cancel every 7th index from
+    another and consume ``as_completed`` on this one, all at once.
+
+    Returns the delivered indexes (in delivery order) and the indexes whose
+    ``cancel`` returned True.
+    """
+    submitted = threading.Semaphore(0)
+    done_submitting = threading.Event()
+    cancelled: set[int] = set()
+    errors: list[BaseException] = []
+
+    def submit_all() -> None:
+        try:
+            for _ in range(total):
+                session.submit(QUERIES["ate"])
+                submitted.release()
+        except BaseException as error:  # noqa: BLE001 - asserted below
+            errors.append(error)
+        finally:
+            done_submitting.set()
+
+    def cancel_every_seventh() -> None:
+        seen = 0
+        try:
+            for target in range(0, total, 7):
+                while seen <= target:
+                    if not submitted.acquire(timeout=5.0):
+                        raise TimeoutError(f"index {target} was never submitted")
+                    seen += 1
+                if session.cancel(target):
+                    cancelled.add(target)
+        except BaseException as error:  # noqa: BLE001 - asserted below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=submit_all),
+        threading.Thread(target=cancel_every_seventh),
+    ]
+    for thread in threads:
+        thread.start()
+    delivered: list[int] = []
+    deadline = time.monotonic() + 30.0
+    while not done_submitting.is_set() or session.outstanding():
+        assert time.monotonic() < deadline
+        before = len(delivered)
+        delivered += [index for index, _ in session.as_completed(timeout=5.0)]
+        if len(delivered) == before:
+            time.sleep(0.001)  # nothing live yet: let the submitter run
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert not errors, errors
+    return delivered, cancelled
+
+
+def assert_delivered_once_or_cancelled(total, delivered, cancelled) -> None:
+    assert len(delivered) == len(set(delivered)), "an index was delivered twice"
+    assert set(delivered).isdisjoint(cancelled)
+    assert set(delivered) | cancelled == set(range(total))
+
+
+def test_each_index_is_delivered_once_or_cancelled_under_contention():
+    """Submit, cancel and consume race on a thread session whose answers a
+    releaser thread lets through one query at a time; more threads than
+    cores, switching often."""
+    total = 60
+    gate = threading.Semaphore(0)
+    engine = fresh_engine()
+
+    def gated(query, **kwargs):
+        assert gate.acquire(timeout=10.0)
+        return object()
+
+    engine.answer = gated
+    stop = threading.Event()
+
+    def release_one_at_a_time() -> None:
+        while not stop.is_set():
+            gate.release()
+            time.sleep(0.001)
+
+    releaser = threading.Thread(target=release_one_at_a_time)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    releaser.start()
+    try:
+        with engine.open_session(jobs=2) as session:
+            delivered, cancelled = drive_concurrently(session, total)
+            assert_delivered_once_or_cancelled(total, delivered, cancelled)
+            assert session.outstanding() == 0
+            assert wait_until(
+                lambda: session.stats()["scheduler"]["live_records"] == 0, timeout=1.0
+            )
+    finally:
+        sys.setswitchinterval(switch_interval)
+        stop.set()
+        releaser.join(timeout=10.0)
+        assert not releaser.is_alive()
+
+
+def test_tenants_deliver_each_index_once_or_cancelled_under_contention(tmp_path):
+    """The same race on two tenant sessions of one daemon at once, over
+    warm answers from a cached engine."""
+    total = 30
+    engine = fresh_engine(cache=tmp_path / "cache")
+    engine.answer(QUERIES["ate"])  # caches the unit table: answers are warm
+    with QueryDaemon(engine, jobs=2, shards=2) as daemon:
+        sessions = [daemon.open_session(tenant=tenant) for tenant in ("a", "b")]
+        results: dict[int, tuple[list[int], set[int]]] = {}
+
+        def drive(position: int) -> None:
+            results[position] = drive_concurrently(sessions[position], total)
+
+        threads = [threading.Thread(target=drive, args=(p,)) for p in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert set(results) == {0, 1}
+        for delivered, cancelled in results.values():
+            assert_delivered_once_or_cancelled(total, delivered, cancelled)
+        assert all(session.outstanding() == 0 for session in sessions)
+        assert daemon.inflight() == 0
+        assert wait_until(
+            lambda: daemon.stats()["scheduler"]["live_records"] == 0
+            and daemon.stats()["scheduler"]["live_tasks"] == 0,
+            timeout=1.0,
+        )
+        for session in sessions:
+            session.close()
 
 
 # ----------------------------------------------------------------------
