@@ -1,10 +1,20 @@
-"""Grounding-artifact load benchmark: CSR arrays vs legacy dict rebuild.
+"""Grounding benchmarks: cold array-native grounding, and the warm CSR load.
 
-Builds a synthetic grounded graph at cache-relevant scale (>=100k nodes,
-~3 parents per node), stores it through a real on-disk :class:`ArtifactCache`
-twice — once in the current CSR layout (since format v2) and once in an
-in-benchmark emulation of the retired v1 edge-list layout — and asserts two
-regression gates:
+Two gates, each a regression check on one half of grounding's cost.
+
+**Cold grounding.**  At the North-star input,
+``generate_synthetic_review_data(n_authors=20000, seed=3)``, a cold
+:meth:`Grounder.ground` plus :meth:`Grounder.grounded_attribute_values`
+(each on a freshly bound instance) must be at least
+``MIN_GROUNDING_SPEEDUP``x faster than the per-binding grounder kept in
+``tests/grounding_oracle.py``, and its node list, CSR arrays, aggregate
+marks and values must equal the oracle's.
+
+**Warm load.**  A synthetic grounded graph at cache-relevant scale (>=100k
+nodes, ~3 parents per node) is stored through a real on-disk
+:class:`ArtifactCache` twice — once in the current CSR layout (since format
+v2) and once in an in-benchmark emulation of the retired v1 edge-list
+layout — and two gates hold:
 
 1. a warm ``load_grounding`` of the CSR artifact is at least ``MIN_SPEEDUP``x
    faster than rebuilding the old dict-of-sets adjacency from the v1 edge
@@ -18,8 +28,7 @@ The v1 layout is emulated here rather than imported because the v1
 reader/writer no longer exist: grounding payloads stored edges as parallel
 ``edge_parent``/``edge_child`` int64 arrays in grounding-process iteration
 order, and the loader replayed them into per-node parent/child sets.  See
-``docs/grounding.md`` for the layout change and why it also fixed
-hash-seed-dependent answer ordering.
+``docs/grounding.md`` for both layouts and for how a program is ground.
 
 Run directly::
 
@@ -28,6 +37,7 @@ Run directly::
 
 from __future__ import annotations
 
+import gc
 import shutil
 import sys
 import tempfile
@@ -36,17 +46,28 @@ from pathlib import Path
 
 import numpy as np
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+import grounding_oracle
 from repro.cache import ArtifactCache, CacheKey, grounding_payload, load_grounding
-from repro.cache.serialization import _meta_entry  # noqa: PLC2701 - bench-only
+from repro.cache.serialization import FORMAT_VERSION, _meta_entry  # noqa: PLC2701 - bench-only
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
+from repro.carl.grounding import Grounder
+from repro.carl.model import RelationalCausalModel
+from repro.carl.parser import parse_program
+from repro.datasets import generate_synthetic_review_data
 from repro.db.table import as_object_array
 
 #: Required v1-rebuild / CSR-load warm speedup (acceptance criterion).
 MIN_SPEEDUP = 2.0
+
+#: Required oracle / array-native cold grounding speedup at the North-star
+#: input (ground + values).
+MIN_GROUNDING_SPEEDUP = 5.0
+NORTH_STAR = {"n_authors": 20_000, "seed": 3}
 
 N_NODES = 120_000
 PARENTS_PER_NODE = 3  # beyond the first few roots
@@ -85,7 +106,7 @@ def v1_payload(graph: GroundedCausalGraph) -> dict[str, np.ndarray]:
     meta = {
         # The real v1 files recorded format 1; this emulation claims the
         # current version only so ArtifactCache.load hands it back for timing.
-        "format": 2,
+        "format": FORMAT_VERSION,
         "kind": "grounding_v1",
         "attributes": sorted(attribute_ids, key=attribute_ids.get),
         "nodes": len(nodes),
@@ -137,7 +158,57 @@ def best_of(repeats: int, action) -> float:
     return best
 
 
+def cold_grounding(grounder_class, model, database) -> tuple[float, GroundedCausalGraph, dict]:
+    """Seconds of one cold ground + values on a freshly bound instance."""
+    gc.collect()
+    started = time.perf_counter()
+    grounder = grounder_class(model, model.schema.bind(database))
+    graph = grounder.ground()
+    values = grounder.grounded_attribute_values(graph)
+    return time.perf_counter() - started, graph, values
+
+
+def grounding_gate() -> int:
+    """Gate the array-native grounder against the per-binding oracle."""
+    data = generate_synthetic_review_data(**NORTH_STAR)
+    model = RelationalCausalModel.from_program(parse_program(data.program))
+    oracle_seconds, oracle_graph, oracle_values = cold_grounding(
+        grounding_oracle.Grounder, model, data.database
+    )
+    runs = [cold_grounding(Grounder, model, data.database) for _ in range(2)]
+    seconds = min(run[0] for run in runs)
+    graph, values = runs[0][1], runs[0][2]
+    print(
+        f"cold grounding at n_authors={NORTH_STAR['n_authors']:,}: {len(graph):,} nodes, "
+        f"{graph.number_of_edges():,} edges; array-native {seconds:.2f}s (best of 2), "
+        f"per-binding oracle {oracle_seconds:.2f}s, speedup {oracle_seconds / seconds:.1f}x"
+    )
+    csr, oracle_csr = graph.csr(), oracle_graph.csr()
+    same = (
+        graph.nodes == oracle_graph.nodes
+        and all(
+            np.array_equal(getattr(csr, name), getattr(oracle_csr, name))
+            for name in ("parent_indptr", "parent_indices", "child_indptr", "child_indices")
+        )
+        and list(graph._aggregates.items()) == list(oracle_graph._aggregates.items())  # noqa: SLF001
+        and values == oracle_values
+    )
+    if not same:
+        print("FAIL: the grounding differs from the per-binding oracle", file=sys.stderr)
+        return 1
+    if oracle_seconds / seconds < MIN_GROUNDING_SPEEDUP:
+        print(
+            f"FAIL: cold grounding is below {MIN_GROUNDING_SPEEDUP}x the per-binding oracle",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"OK: cold grounding >= {MIN_GROUNDING_SPEEDUP}x the oracle, id for id equal\n")
+    return 0
+
+
 def main() -> int:
+    if grounding_gate():
+        return 1
     graph = build_graph()
     n_nodes, n_edges = len(graph), graph.number_of_edges()
     print(f"grounded graph: {n_nodes:,} nodes, {n_edges:,} edges")

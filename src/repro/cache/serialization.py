@@ -219,9 +219,25 @@ def load_grounding(
         )
     )
 
-    graph = GroundedCausalGraph()
-    graph._adopt_arrays(  # noqa: SLF001 - loader fast path
+    # The per-attribute id index, one vectorized pass per attribute name
+    # (attribute ids are assigned in first-appearance order, so insertion
+    # order of the dict matches the grounding process).
+    by_attribute = {
+        name: np.flatnonzero(node_attribute == attribute_id).tolist()
+        for attribute_id, name in enumerate(attributes)
+    }
+    node_at = nodes.__getitem__
+    aggregates = dict(
+        zip(
+            map(node_at, payload["aggregate_nodes"].tolist()),
+            payload["aggregate_names"].tolist(),
+        )
+    )
+    graph = GroundedCausalGraph._from_parts(  # noqa: SLF001 - loader fast path
         nodes,
+        dict(zip(nodes, range(len(nodes)))),
+        by_attribute,
+        aggregates,
         CSRGraph(
             len(nodes),
             payload["parent_indptr"],
@@ -229,20 +245,6 @@ def load_grounding(
             payload["child_indptr"],
             payload["child_indices"],
         ),
-    )
-    # The per-attribute id index, one vectorized pass per attribute name
-    # (attribute ids are assigned in first-appearance order, so insertion
-    # order of the dict matches the grounding process).
-    by_attribute = graph._by_attribute  # noqa: SLF001
-    for attribute_id, name in enumerate(attributes):
-        by_attribute[name] = np.flatnonzero(node_attribute == attribute_id).tolist()
-
-    node_at = nodes.__getitem__
-    graph._aggregates = dict(  # noqa: SLF001
-        zip(
-            map(node_at, payload["aggregate_nodes"].tolist()),
-            payload["aggregate_names"].tolist(),
-        )
     )
 
     values = dict(

@@ -22,17 +22,19 @@ whole block of sources in one walk over ``(source position, node)`` codes,
 one attribute layer at a time, using the attribute DAG the graph's own edges
 induce (:meth:`GroundedCausalGraph.attribute_layers`).
 
-Construction stays cheap: ``add_node``/``add_grounded_rule`` append to
-plain Python buffers and the CSR is compiled on the next adjacency query.
-The engine compiles a graph before it publishes it in a grounding snapshot
-and never mutates it after, so ``csr()`` on a published graph is a pure
-read; a newly registered aggregate rule is added to a :meth:`copy`.
+The grounder builds a graph in bulk: it hands over the whole node table and
+one compiled CSR (``_from_parts``).  Hand-built graphs use
+``add_node``/``add_grounded_rule``, which append to plain Python buffers,
+and the CSR is compiled on the next adjacency query.  The engine compiles a
+graph before it publishes it in a grounding snapshot and never mutates it
+after, so ``csr()`` on a published graph is a pure read.
 """
 
 from __future__ import annotations
 
 import graphlib
-from collections.abc import Hashable, Iterable
+import itertools
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -49,6 +51,16 @@ class GroundedAttribute(NamedTuple):
     def __str__(self) -> str:
         rendered = ", ".join(repr(part) for part in self.key)
         return f"{self.attribute}[{rendered}]"
+
+
+def grounded_attributes(
+    attribute: str, keys: Iterable[tuple[Any, ...]]
+) -> Iterator[GroundedAttribute]:
+    """``GroundedAttribute(attribute, key)`` for each of ``keys``, built at
+    C level: ``tuple.__new__`` skips the NamedTuple's Python constructor."""
+    return map(
+        tuple.__new__, itertools.repeat(GroundedAttribute), zip(itertools.repeat(attribute), keys)
+    )
 
 
 def _key_part_sort_key(part: Any) -> tuple[int, float, str]:
@@ -203,18 +215,29 @@ class GroundedCausalGraph:
         self._pending_children = []
         return self._csr
 
-    def _adopt_arrays(self, nodes: list[GroundedAttribute], csr: CSRGraph) -> None:
-        """Bulk-install an interned node list and a compiled CSR snapshot.
+    @classmethod
+    def _from_parts(
+        cls,
+        nodes: list[GroundedAttribute],
+        node_index: dict[GroundedAttribute, int],
+        by_attribute: dict[str, list[int]],
+        aggregates: dict[GroundedAttribute, str],
+        csr: CSRGraph,
+    ) -> "GroundedCausalGraph":
+        """A compiled graph over an interned node table, taken as given.
 
-        Used by :func:`repro.cache.serialization.load_grounding`: the payload
-        already holds the id table and both CSR directions, so a warm load
-        wires them in directly instead of re-interning node by node.  The
-        ``_by_attribute`` index is installed separately by the loader (it is
-        derived from the payload's attribute-id array in one vectorized pass).
+        The bulk path of the grounder (:class:`repro.carl.grounding.Grounder`)
+        and of :func:`repro.cache.serialization.load_grounding`, which hold
+        the id table and the edges as arrays already: nothing is interned
+        node by node, and the CSR is adopted as-is (possibly memory-mapped).
         """
-        self._nodes = nodes
-        self._node_index = dict(zip(nodes, range(len(nodes))))
-        self._csr = csr
+        graph = cls()
+        graph._nodes = nodes
+        graph._node_index = node_index
+        graph._by_attribute = by_attribute
+        graph._aggregates = aggregates
+        graph._csr = csr
+        return graph
 
     # ------------------------------------------------------------------
     # inspection
@@ -479,13 +502,13 @@ class GroundedCausalGraph:
     def _with_csr(self, csr: CSRGraph) -> "GroundedCausalGraph":
         """A graph over this graph's nodes and aggregate marks with ``csr``
         as its (compiled, immutable) adjacency."""
-        graph = GroundedCausalGraph()
-        graph._nodes = list(self._nodes)
-        graph._node_index = dict(self._node_index)
-        graph._by_attribute = {name: list(ids) for name, ids in self._by_attribute.items()}
-        graph._aggregates = dict(self._aggregates)
-        graph._csr = csr
-        return graph
+        return GroundedCausalGraph._from_parts(
+            list(self._nodes),
+            dict(self._node_index),
+            {name: list(ids) for name, ids in self._by_attribute.items()},
+            dict(self._aggregates),
+            csr,
+        )
 
     def _as_ids(
         self, nodes: Iterable[GroundedAttribute] | GroundedAttribute

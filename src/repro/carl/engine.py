@@ -15,6 +15,8 @@ Ties the whole pipeline of Section 5 together:
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 import time
 from collections.abc import Callable
@@ -135,6 +137,10 @@ class CaRLEngine:
         #: resolution is ground into a new snapshot only when a query needs
         #: the graph, so a unit-table cache hit never touches it.
         self._grounding: Grounding | None = None  # guarded-by: _state_lock
+        #: The snapshot of the program as written, which the published one
+        #: extends with registered aggregate rules; it alone is stored as
+        #: the program's grounding artifact.
+        self._program_grounding: Grounding | None = None  # guarded-by: _state_lock
         #: Reentrant lock guarding snapshot publication, the model's rule
         #: lists and the bound instance's lazy indexes.  Graph walks read an
         #: immutable snapshot and run outside it, as do the numpy-dominated
@@ -176,8 +182,11 @@ class CaRLEngine:
         """
         with self._state_lock:
             self._grounding = None
+            self._program_grounding = None
             self.instance = self.schema.bind(self.database)
-            self.grounder = Grounder(self.model, self.instance)
+            # Rebind rather than rebuild: the grounder keeps grounding the
+            # program as written, not the rules registered since.
+            self.grounder.instance = self.instance
 
     def _current_grounding(self) -> tuple[Grounding, float]:
         """The current snapshot (see :attr:`graph`) and the seconds this call
@@ -197,7 +206,7 @@ class CaRLEngine:
                 self.invalidate()
                 grounding = None
             if grounding is None:
-                grounding = self._load_or_ground()
+                grounding = self._program_grounding = self._load_or_ground()
             if grounding.aggregate_rules < len(self.model.aggregate_rules):
                 grounding = self.grounder.extend(grounding)
             if grounding is self._grounding:
@@ -206,7 +215,10 @@ class CaRLEngine:
             return grounding, time.perf_counter() - started
 
     def _load_or_ground(self) -> Grounding:  # guarded-by: _state_lock
-        """A fresh snapshot of the current database: cache load, else ground."""
+        """A fresh snapshot of the program as written over the current
+        database: cache load, else ground (and store).  Aggregate rules
+        registered since are the caller's to splice in, so the artifact is
+        the same whatever the session answered first."""
         db_token = self.database.version_token()
         ground_span = get_registry().start_span("engine.ground")
         key = self._grounding_key()
@@ -220,18 +232,14 @@ class CaRLEngine:
                     pass
         if loaded is not None:
             graph, values = loaded
-            # The artifact is keyed by the program as written, so it covers
-            # the declared aggregate rules; the caller splices in the rest.
-            covered = len(self.program.aggregate_rules)
         else:
             graph = self.grounder.ground()
             values = self.grounder.grounded_attribute_values(graph)
-            covered = len(self.model.aggregate_rules)
             self.grounding_runs += 1
             if key is not None:
                 self.cache.store(key, grounding_payload(graph, values))
         get_registry().finish_span(ground_span, cached=loaded is not None)
-        return Grounding(graph, values, db_token, covered)
+        return Grounding(graph, values, db_token, self.grounder.aggregate_rules)
 
     # ------------------------------------------------------------------
     # artifact-cache plumbing
@@ -239,12 +247,10 @@ class CaRLEngine:
     def _grounding_key(self) -> CacheKey | None:
         """Key of the grounding artifact: (database, program-as-written).
 
-        The artifact stored under this key may include groundings of
-        unifying aggregate rules registered before the grounding ran; those
-        extra nodes are pure leaves (aggregate heads only receive edges), so
-        they are harmless to sessions that never ask for them, and
-        :meth:`Grounder.extend` splices any rule a session *does* need on
-        top of whatever was loaded (idempotently).
+        The artifact stored under this key is the grounding of exactly the
+        program as written, whatever the session answered first: unifying
+        aggregate rules a session registers are spliced on top of it by
+        :meth:`Grounder.extend` and never stored under it.
         """
         if self.cache is None:
             return None
@@ -675,10 +681,15 @@ class CaRLEngine:
             if plan.unit_variable is not None or plan.response_variable is not None:
                 bindings = self.grounder.condition_bindings(plan.query.condition)
                 if plan.unit_variable is not None:
-                    allowed_units = {(binding[plan.unit_variable],) for binding in bindings}
-                    units = [unit for unit in units if unit in allowed_units]
+                    # The treated subject is an entity: one-key units.
+                    allowed_keys = set(bindings.column(plan.unit_variable))
+                    units = list(
+                        itertools.compress(
+                            units, map(allowed_keys.__contains__, map(operator.itemgetter(0), units))
+                        )
+                    )
                 if plan.response_variable is not None:
-                    allowed = {(binding[plan.response_variable],) for binding in bindings}
+                    allowed = set(zip(bindings.column(plan.response_variable)))
                     outcome = partial(
                         aggregate_head_value, grounding.graph, grounding.values, allowed=allowed
                     )

@@ -9,8 +9,11 @@ the observed values of the attribute functions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.carl.ast import (
     AttributeAtom,
@@ -256,7 +259,11 @@ class BoundInstance:
         self.schema = schema
         self.database = database
         self._attribute_values: dict[str, dict[tuple[Any, ...], Any]] = {}
-        self._units: dict[str, list[tuple[Any, ...]]] = {}
+        self._unit_values: dict[str, list[Any]] = {}
+        #: subject -> (units, unit index, unit position of every table row)
+        self._units: dict[
+            str, tuple[list[tuple[Any, ...]], dict[Any, int], np.ndarray | None]
+        ] = {}
         self._validate_mapping()
         self.skeleton = self._build_skeleton()
 
@@ -307,16 +314,67 @@ class BoundInstance:
     # units and attribute values
     # ------------------------------------------------------------------
     def units(self, attribute_name: str) -> list[tuple[Any, ...]]:
-        """All grounded key tuples of the attribute's subject predicate (``U_A``)."""
-        subject = self.schema.subject_of(attribute_name)
-        if subject not in self._units:
+        """All grounded key tuples of the attribute's subject predicate
+        (``U_A``), in first-occurrence order over the subject's table."""
+        return self._subject_units(self.schema.subject_of(attribute_name))[0]
+
+    def unit_index(self, subject: str) -> dict[Any, int]:
+        """Position in :meth:`units` of every unit key of ``subject``.
+
+        A one-key subject is indexed by the bare key value, a compound one by
+        its key tuple; either way lookups keep Python's key equality (``1``,
+        ``1.0`` and ``True`` are one key, a NaN object matches only itself).
+        """
+        return self._subject_units(subject)[1]
+
+    def unit_values(self, attribute_name: str) -> list[Any]:
+        """The observed value of every unit of :meth:`units`, in that order
+        (the last row wins for a duplicated key); all None when latent."""
+        values = self._unit_values.get(attribute_name)
+        if values is None:
+            units, _, row_units = self._subject_units(self.schema.subject_of(attribute_name))
+            declaration = self.schema.attribute(attribute_name)
+            if declaration.latent:
+                values = [None] * len(units)
+            else:
+                table = self.database.table(declaration.subject)
+                column = table._column_list(self.schema.attribute_column(attribute_name))  # noqa: SLF001
+                if row_units is None:
+                    values = list(column)  # every row is its own unit, in order
+                else:
+                    # The last row of each unit: first occurrences, reversed.
+                    _, reversed_rows = np.unique(row_units[::-1], return_index=True)
+                    last_rows = len(column) - 1 - reversed_rows
+                    values = list(map(column.__getitem__, last_rows.tolist()))
+            self._unit_values[attribute_name] = values
+        return values
+
+    def _subject_units(
+        self, subject: str
+    ) -> tuple[list[tuple[Any, ...]], dict[Any, int], np.ndarray | None]:
+        """``(units, unit index, unit position of each table row)`` of one
+        subject predicate, read from its key columns; the row positions are
+        None when no key repeats (row ``i`` is unit ``i``)."""
+        entry = self._units.get(subject)
+        if entry is None:
             info = self.schema.predicate(subject)
             table = self.database.table(subject)
-            seen: dict[tuple[Any, ...], None] = {}
-            for row in table.rows():
-                seen.setdefault(tuple(row[key] for key in info.keys), None)
-            self._units[subject] = list(seen)
-        return self._units[subject]
+            columns = [table._column_list(key) for key in info.keys]  # noqa: SLF001
+            keys: list[Any] = columns[0] if len(columns) == 1 else list(zip(*columns))
+            index: dict[Any, int] = {}
+            first_rows = np.fromiter(
+                map(index.setdefault, keys, itertools.count()), dtype=np.int64, count=len(keys)
+            )
+            row_units = None
+            if len(index) != len(keys):
+                # A repeated key: renumber the first occurrences 0, 1, ...
+                rank = np.cumsum(first_rows == np.arange(len(keys))) - 1
+                row_units = rank[first_rows]
+                index = dict(zip(index, range(len(index))))
+            units = list(index) if len(columns) > 1 else list(zip(index))
+            entry = (units, index, row_units)
+            self._units[subject] = entry
+        return entry
 
     def attribute_value(self, attribute_name: str, key: tuple[Any, ...]) -> Any:
         """Observed value of ``attribute_name[key]``; None for latent attributes."""
@@ -334,16 +392,11 @@ class BoundInstance:
         return dict(self._attribute_index(attribute_name))
 
     def _attribute_index(self, attribute_name: str) -> dict[tuple[Any, ...], Any]:
-        if attribute_name not in self._attribute_values:
-            declaration = self.schema.attribute(attribute_name)
-            info = self.schema.predicate(declaration.subject)
-            column = self.schema.attribute_column(attribute_name)
-            table = self.database.table(declaration.subject)
-            index: dict[tuple[Any, ...], Any] = {}
-            for row in table.rows():
-                index[tuple(row[key] for key in info.keys)] = row[column]
+        index = self._attribute_values.get(attribute_name)
+        if index is None:
+            index = dict(zip(self.units(attribute_name), self.unit_values(attribute_name)))
             self._attribute_values[attribute_name] = index
-        return self._attribute_values[attribute_name]
+        return index
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundInstance(schema={self.schema!r}, database={self.database.name!r})"

@@ -361,14 +361,18 @@ def _publish_engine_state(
     """
     with engine._state_lock:  # noqa: SLF001 - dispatcher-side engine internals
         # Ground (or cache-load) once, up front.
-        grounding, _ = engine._current_grounding()  # noqa: SLF001
+        engine._current_grounding()  # noqa: SLF001
+        # The artifact holds the program as written; a worker splices the
+        # aggregate rules its own queries register, as the dispatcher did.
+        program = engine._program_grounding  # noqa: SLF001
+        assert program is not None  # set by _current_grounding
         db_fp = database_fingerprint(engine.database)
         program_fp = engine._program_fingerprint  # noqa: SLF001
         table_keys: list[tuple[str, CacheKey]] = []
         if not inherit:
             grounding_key = CacheKey(database=db_fp, program=program_fp, kind="grounding")
             if not cache.contains(grounding_key):
-                cache.store(grounding_key, grounding_payload(grounding.graph, grounding.values))
+                cache.store(grounding_key, grounding_payload(program.graph, program.values))
             else:
                 _touch(cache.path_for(grounding_key))
             cache.pin(grounding_key)

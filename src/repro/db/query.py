@@ -10,7 +10,9 @@ Evaluation is vectorized: the binding set is stored column-major (one value
 list per variable) and each atom is joined as a numpy join — join keys are
 factorized to integer codes, matched with a sorted array intersection
 (``argsort`` + ``searchsorted``), and the result assembled by bulk gathers —
-so no per-row Python loop runs over the join output.
+so no per-row Python loop runs over the join output.  The result stays
+column-major too (:class:`Bindings`): grounding reads its columns, and a
+caller that thinks in rows iterates it as dicts.
 ``tests/row_oracle.py`` keeps the row-at-a-time transcription (dict
 bindings extended through hash-index lookups) that the parity tests hold
 this evaluator to: identical bindings in identical order.
@@ -18,8 +20,10 @@ this evaluator to: identical bindings in identical order.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -71,6 +75,68 @@ class QueryError(ValueError):
     """Raised when a conjunctive query references unknown tables or arities."""
 
 
+class Bindings(Sequence[Binding]):
+    """A column-major binding set: one value list per variable, each
+    ``len(self)`` long (:meth:`column`).
+
+    Indexing or iterating yields the ``{variable: value}`` dicts in binding
+    order, and a binding set compares equal to the list of those dicts, so a
+    caller that thinks in rows reads it as it would a list; grounding reads
+    the columns and never builds a dict per binding.
+    """
+
+    __slots__ = ("_columns", "_count")
+
+    def __init__(self, columns: dict[str, list[Any]], count: int) -> None:
+        self._columns = columns
+        self._count = count
+
+    @property
+    def names(self) -> list[str]:
+        """The bound variables, in first-occurrence order."""
+        return list(self._columns)
+
+    def column(self, name: str) -> list[Any]:
+        """The value of variable ``name`` in each binding (do not mutate)."""
+        return self._columns[name]
+
+    def take(self, rows: np.ndarray) -> "Bindings":
+        """The bindings at positions ``rows``, in that order."""
+        return Bindings(
+            {name: _gather_values(values, rows) for name, values in self._columns.items()},
+            len(rows),
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Binding]:
+        if not self._columns:
+            return (dict() for _ in range(self._count))
+        names = list(self._columns)
+        return (dict(zip(names, values)) for values in zip(*self._columns.values()))
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(self._count))]
+        position = operator.index(index)
+        if position < 0:
+            position += self._count
+        if not 0 <= position < self._count:
+            raise IndexError("binding index out of range")
+        return {name: values[position] for name, values in self._columns.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Bindings, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Bindings({list(self)!r})"
+
+
 class ConjunctiveQuery:
     """A conjunction of atoms, evaluated to a set of variable bindings."""
 
@@ -103,8 +169,8 @@ class ConjunctiveQuery:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def evaluate(self, database: Database) -> list[Binding]:
-        """Return all satisfying assignments as ``{variable name: value}`` dicts.
+    def evaluate(self, database: Database) -> Bindings:
+        """Return all satisfying assignments, as a column-major binding set.
 
         Duplicate bindings (arising from bag semantics of the underlying
         tables) are removed, keeping first occurrences: the result has set
@@ -112,8 +178,9 @@ class ConjunctiveQuery:
         paper.
         """
         self.validate(database)
+        names = [variable.name for variable in self.variables]
         if not self.atoms:
-            return [{}]
+            return Bindings({}, 1)
         # The binding set is one value list per variable, extended atom by
         # atom without materializing row dicts.
         columns: dict[str, list[Any]] = {}
@@ -121,19 +188,17 @@ class ConjunctiveQuery:
         for atom in self._ordered_atoms(database):
             columns, count = self._extend(database, atom, columns, count)
             if count == 0:
-                return []
-        names = [variable.name for variable in self.variables]
+                return Bindings({name: [] for name in names}, 0)
         if not names:
-            return [{}]
-        value_lists = [columns.get(name) for name in names]
+            return Bindings({}, 1)
+        value_lists = [columns[name] for name in names]
         positions = _distinct_positions(value_lists, count)
-        return [
-            {
-                name: values[position] if values is not None else None
-                for name, values in zip(names, value_lists)
-            }
-            for position in positions
-        ]
+        if len(positions) == count:
+            return Bindings(dict(zip(names, value_lists)), count)
+        return Bindings(
+            {name: _gather_values(values, positions) for name, values in zip(names, value_lists)},
+            len(positions),
+        )
 
     def _ordered_atoms(self, database: Database) -> list[Atom]:
         """Greedy join order: start from the smallest table, then prefer atoms
@@ -201,7 +266,7 @@ class ConjunctiveQuery:
             mask = term_mask if mask is None else mask & term_mask
         for position, first in duplicate_new:
             pair_mask = np.fromiter(
-                (a == b for a, b in zip(column_lists[position], column_lists[first])),
+                map(operator.eq, column_lists[position], column_lists[first]),
                 dtype=bool,
                 count=n_rows,
             )
@@ -214,30 +279,18 @@ class ConjunctiveQuery:
             # join (IEEE: NaN != NaN), but a Python dict would match them by
             # identity — route them to sentinel codes (-2 right / -1 left)
             # that never intersect.
-            key_lists = [column_lists[position] for position, _ in bound_positions]
+            key_lists = [
+                column_lists[position] if mask is None else _gather_values(column_lists[position], rows)
+                for position, _ in bound_positions
+            ]
             left_lists = [bindings[name] for _, name in bound_positions]
             if len(key_lists) == 1:
-                code_of: dict[Any, int] = {}
-                right_codes = np.empty(len(rows), dtype=np.intp)
-                right_values = key_lists[0]
-                for out, row in enumerate(rows.tolist()):
-                    key = right_values[row]
-                    right_codes[out] = (
-                        code_of.setdefault(key, len(code_of)) if key == key else -2
-                    )
-                left_codes = np.empty(count, dtype=np.intp)
-                lookup = code_of.get
-                left_values = left_lists[0]
-                for position in range(count):
-                    key = left_values[position]
-                    left_codes[position] = lookup(key, -1) if key == key else -1
+                right_codes, left_codes, _ = _join_codes(key_lists[0], left_lists[0])
             else:
                 # Multi-column keys: factorize per column and combine the
                 # per-column codes into one int64 key per row (mixed radix)
                 # instead of building a tuple per row.
-                right_codes, left_codes = _factorize_multi_keys(
-                    key_lists, rows, left_lists, count
-                )
+                right_codes, left_codes = _factorize_multi_keys(key_lists, left_lists)
 
             # Array intersection: stable sort by code, then one searchsorted
             # window per binding; within a window, rows keep table order.
@@ -268,14 +321,17 @@ class ConjunctiveQuery:
 
 
 def _gather_values(values: Sequence[Any], take: np.ndarray) -> list[Any]:
-    """``[values[i] for i in take]`` as a bulk object-array gather."""
+    """``[values[i] for i in take]`` as a bulk object-array gather (a plain
+    copy when ``take`` is every position in order)."""
     if not len(take):
         return []
+    if len(take) == len(values) and take[0] == 0 and (np.diff(take) == 1).all():
+        return list(values)
     return as_object_array(values)[take].tolist()
 
 
 # ----------------------------------------------------------------------
-# vectorized code factorization (projection dedup and multi-column joins)
+# vectorized code factorization (projection dedup and joins)
 # ----------------------------------------------------------------------
 #: Mixed-radix code combination stays in exact int64 territory as long as the
 #: product of the per-column cardinalities fits; beyond that the callers fall
@@ -305,94 +361,121 @@ def _combine_code_columns(
     return combined
 
 
-def _distinct_positions(value_lists: Sequence[list[Any] | None], count: int) -> list[int]:
+def _first_codes(values: Sequence[Any]) -> tuple[np.ndarray, dict[Any, int], np.ndarray]:
+    """Factorize ``values`` under Python ``dict`` equality, at C level.
+
+    Returns ``(codes, ordinal_of, rank)``: ``codes`` numbers the distinct
+    values ``0, 1, ...`` in first-seen order; ``ordinal_of`` maps each
+    distinct value to the position of its first occurrence, and
+    ``rank[ordinal]`` turns such a position back into its code.  So ``1``,
+    ``1.0`` and ``True`` share a code, and NaN objects key by identity.
+    """
+    ordinal_of: dict[Any, int] = {}
+    ordinals = np.fromiter(
+        map(ordinal_of.setdefault, values, itertools.count()), dtype=np.int64, count=len(values)
+    )
+    rank = np.cumsum(ordinals == np.arange(len(values), dtype=np.int64)) - 1
+    return rank[ordinals], ordinal_of, rank
+
+
+def first_positions(codes: np.ndarray) -> np.ndarray:
+    """For each entry of the int array ``codes``, the position of the first
+    entry equal to it (a stable sort; ``np.unique`` hashes, which is far
+    slower on int64)."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.ones(len(codes), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    firsts = np.empty(len(codes), dtype=np.int64)
+    firsts[order] = order[starts][np.cumsum(starts) - 1]
+    return firsts
+
+
+def _self_equal(values: Sequence[Any]) -> np.ndarray:
+    """Whether each value equals itself: False for NaN (IEEE), True otherwise."""
+    return np.fromiter(map(operator.eq, values, values), dtype=bool, count=len(values))
+
+
+def _join_codes(
+    right: Sequence[Any], left: Sequence[Any]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Join codes of one key column: ``(right codes, left codes, cardinality)``.
+
+    Right values are factorized with :func:`_first_codes` and left values
+    looked up in the same dict, so keys match under Python hash-index
+    equality.  A value not equal to itself (NaN) gets the sentinel -2 on the
+    right and -1 on the left, as does (on the left) a value absent on the
+    right, so a sentinel never matches.
+    """
+    right_codes, ordinal_of, rank = _first_codes(right)
+    # Self-equality is checked once per distinct value: a left value only
+    # finds a right one that is equal to it or is the same object, so it
+    # is NaN exactly when the value it finds is.
+    valid = _self_equal(list(ordinal_of))
+    if not valid.all():
+        right_codes[~valid[right_codes]] = -2
+    ordinals = np.fromiter(
+        map(ordinal_of.get, left, itertools.repeat(-1)), dtype=np.int64, count=len(left)
+    )
+    found = np.flatnonzero(ordinals >= 0)
+    codes = rank[ordinals[found]]
+    keep = valid[codes]
+    left_codes = np.full(len(left), -1, dtype=np.int64)
+    left_codes[found[keep]] = codes[keep]
+    return right_codes, left_codes, len(ordinal_of)
+
+
+def _distinct_positions(value_lists: Sequence[list[Any]], count: int) -> np.ndarray:
     """First-occurrence positions of the distinct rows of a column-major set.
 
     Each column is factorized to integer codes with Python ``dict`` equality
     (so ``1``/``1.0``/``True`` collapse and NaN objects key by identity,
-    exactly like the per-row tuple keys this replaces), the per-column codes
-    combine into a single int64 key array, and ``np.unique`` finds the first
-    occurrence of every distinct key; sorting those keeps first-seen order.
-    A ``None`` column (unbound variable) is a constant.
+    exactly like per-row tuple keys), the per-column codes combine into a
+    single int64 key array, and the rows that are the first occurrence of
+    their key are kept, in order.
     """
     code_columns = np.empty((len(value_lists), count), dtype=np.int64)
     cardinalities: list[int] = []
     for position, values in enumerate(value_lists):
-        if values is None:
-            code_columns[position] = 0
-            cardinalities.append(1)
-            continue
-        code_of: dict[Any, int] = {}
-        setdefault = code_of.setdefault
-        out = code_columns[position]
-        for row in range(count):
-            out[row] = setdefault(values[row], len(code_of))
-        cardinalities.append(len(code_of))
+        codes, ordinal_of, _ = _first_codes(values)
+        if len(ordinal_of) == count:  # one column already tells every row apart
+            return np.arange(count, dtype=np.intp)
+        code_columns[position] = codes
+        cardinalities.append(len(ordinal_of))
     combined = _combine_code_columns(code_columns, cardinalities)
     if combined is None:  # pragma: no cover - needs >= 2**62 combined keys
         unique: dict[tuple[Any, ...], int] = {}
-        for row in range(count):
-            key = tuple(
-                values[row] if values is not None else None for values in value_lists
-            )
+        for row, key in enumerate(zip(*value_lists)):
             unique.setdefault(key, row)
-        return list(unique.values())
-    _, first_seen = np.unique(combined, return_index=True)
-    first_seen.sort()
-    return first_seen.tolist()
+        return np.fromiter(unique.values(), dtype=np.intp, count=len(unique))
+    firsts = first_positions(combined)
+    return np.flatnonzero(firsts == np.arange(count))
 
 
 def _factorize_multi_keys(
-    key_lists: Sequence[list[Any]],
-    rows: np.ndarray,
-    left_lists: Sequence[list[Any]],
-    count: int,
+    key_lists: Sequence[Sequence[Any]], left_lists: Sequence[Sequence[Any]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factorize multi-column join keys per column and combine to int64.
 
-    Right-side codes come from per-column dicts over the surviving table
-    rows; left-side codes look the binding values up in the same dicts.
-    Rows with a NaN component (or, on the left, an unmatched component) get
-    the usual sentinel codes (-2 right / -1 left) *after* combination, so a
-    sentinel can never collide with a valid combined key.
+    Each column is coded with :func:`_join_codes`; a row with a sentinel in
+    any column gets the row-level sentinel (-2 right / -1 left) *after*
+    combination, so a sentinel can never collide with a valid combined key.
     """
-    n_columns = len(key_lists)
-    row_list = rows.tolist()
-    right_columns = np.empty((n_columns, len(row_list)), dtype=np.int64)
-    right_valid = np.ones(len(row_list), dtype=bool)
-    dictionaries: list[dict[Any, int]] = []
-    for position, values in enumerate(key_lists):
-        code_of: dict[Any, int] = {}
-        setdefault = code_of.setdefault
-        out = right_columns[position]
-        for index, row in enumerate(row_list):
-            key = values[row]
-            if key == key:
-                out[index] = setdefault(key, len(code_of))
-            else:
-                out[index] = 0
-                right_valid[index] = False
-        dictionaries.append(code_of)
-
-    left_columns = np.empty((n_columns, count), dtype=np.int64)
-    left_valid = np.ones(count, dtype=bool)
-    for position, values in enumerate(left_lists):
-        lookup = dictionaries[position].get
-        out = left_columns[position]
-        for index in range(count):
-            key = values[index]
-            code = lookup(key, -1) if key == key else -1
-            if code < 0:
-                out[index] = 0
-                left_valid[index] = False
-            else:
-                out[index] = code
-
-    cardinalities = [len(dictionary) for dictionary in dictionaries]
-    right_combined = _combine_code_columns(right_columns, cardinalities)
+    n_right, n_left = len(key_lists[0]), len(left_lists[0])
+    right_columns = np.empty((len(key_lists), n_right), dtype=np.int64)
+    left_columns = np.empty((len(key_lists), n_left), dtype=np.int64)
+    cardinalities: list[int] = []
+    for position, (right, left) in enumerate(zip(key_lists, left_lists)):
+        right_codes, left_codes, cardinality = _join_codes(right, left)
+        right_columns[position] = right_codes
+        left_columns[position] = left_codes
+        cardinalities.append(cardinality)
+    right_valid = (right_columns >= 0).all(axis=0)
+    left_valid = (left_columns >= 0).all(axis=0)
+    right_combined = _combine_code_columns(np.maximum(right_columns, 0), cardinalities)
     if right_combined is None:  # pragma: no cover - needs >= 2**62 combined keys
-        return _factorize_tuple_keys(key_lists, row_list, left_lists, count)
-    left_combined = _combine_code_columns(left_columns, cardinalities)
+        return _factorize_tuple_keys(key_lists, left_lists)
+    left_combined = _combine_code_columns(np.maximum(left_columns, 0), cardinalities)
     assert left_combined is not None  # same cardinalities as the right side
     right_combined[~right_valid] = -2
     left_combined[~left_valid] = -1
@@ -400,24 +483,21 @@ def _factorize_multi_keys(
 
 
 def _factorize_tuple_keys(
-    key_lists: Sequence[list[Any]],
-    row_list: list[int],
-    left_lists: Sequence[list[Any]],
-    count: int,
+    key_lists: Sequence[Sequence[Any]], left_lists: Sequence[Sequence[Any]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row tuple-key fallback for gigantic combined key spaces."""
     code_of: dict[Any, int] = {}
-    right_codes = np.empty(len(row_list), dtype=np.int64)
-    for out, row in enumerate(row_list):
-        parts = tuple(values[row] for values in key_lists)
+    right_keys = list(zip(*key_lists))
+    right_codes = np.empty(len(right_keys), dtype=np.int64)
+    for out, parts in enumerate(right_keys):
         if all(part == part for part in parts):
             right_codes[out] = code_of.setdefault(parts, len(code_of))
         else:
             right_codes[out] = -2
-    left_codes = np.empty(count, dtype=np.int64)
+    left_keys = list(zip(*left_lists))
+    left_codes = np.empty(len(left_keys), dtype=np.int64)
     lookup = code_of.get
-    for position in range(count):
-        parts = tuple(values[position] for values in left_lists)
+    for position, parts in enumerate(left_keys):
         if all(part == part for part in parts):
             left_codes[position] = lookup(parts, -1)
         else:

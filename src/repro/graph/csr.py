@@ -89,7 +89,10 @@ class CSRGraph:
         if parents.size:
             # Encoding as child*n + parent sorts by (child, parent): exactly
             # the parent-CSR layout.  n < 2**31 in practice, so no overflow.
-            codes = np.unique(children * np.int64(n) + parents)
+            # Sorted, then deduplicated (``np.unique`` hashes, which is far
+            # slower on int64 codes than a sort).
+            codes = np.sort(children * np.int64(n) + parents)
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
             edge_children, edge_parents = np.divmod(codes, np.int64(n))
         else:
             edge_children = edge_parents = _EMPTY

@@ -575,11 +575,12 @@ class ShardScheduler:
         """Stop the dispatcher, shut workers down, release pins.
 
         Idempotent.  In-flight work is abandoned: its records are dropped
-        (no outcome is delivered after close), running tasks are left to
-        their workers until the grace period expires, then the processes are
-        terminated.  Partials already stored stay in a persistent cache
-        (that is the shard-level reuse); the private cache of an uncached
-        engine is deleted with the session.
+        (no outcome is delivered after close, and each abandoned query's
+        ``query`` span ends with ``outcome="cancelled"``), running tasks are
+        left to their workers until the grace period expires, then the
+        processes are terminated.  Partials already stored stay in a
+        persistent cache (that is the shard-level reuse); the private cache
+        of an uncached engine is deleted with the session.
         """
         with self._lock:
             if self._closed:
@@ -629,7 +630,16 @@ class ShardScheduler:
                 for key in self._pinned:
                     self._cache.unpin(key)
                 self._pinned.clear()
+            # Taken under the lock, as _reap_record takes them: a thread
+            # answer that ends later finds no record and no span to finish.
+            abandoned = []
+            for record in self._records.values():
+                abandoned.append((record.span, record.mode))
+                record.span = None
             self._records.clear()
+        for span, mode in abandoned:
+            if span is not None:
+                _finish_query_span(span, "cancelled", mode)
         if self._cleanup_root is not None:
             shutil.rmtree(self._cleanup_root, ignore_errors=True)
 
@@ -1495,12 +1505,7 @@ class ShardScheduler:
             outcome = "cancelled" if record.state is QueryState.CANCELLED else (
                 "error" if record.state is QueryState.FAILED else "ok"
             )
-            meta: dict[str, Any] = {"outcome": outcome}
-            if record.mode:
-                meta["mode"] = record.mode
-            get_registry().finish_span(span, **meta)
-            if span.t1 is not None:
-                get_registry().histogram("query.duration", span.t1 - span.t0, **meta)
+            _finish_query_span(span, outcome, record.mode)
 
     def _release_query_tasks(
         self, index: int, keep: int | None, kill_reason: str = "orphaned"
@@ -1632,3 +1637,13 @@ def _rebuild_carl_error(type_name: str, text: str) -> CaRLError | None:
     if isinstance(error_type, type) and issubclass(error_type, CaRLError):
         return error_type(text)
     return None
+
+
+def _finish_query_span(span: Span, outcome: str, mode: str) -> None:
+    """End a query's root ``query`` span and record its ``query.duration``."""
+    meta: dict[str, Any] = {"outcome": outcome}
+    if mode:
+        meta["mode"] = mode
+    get_registry().finish_span(span, **meta)
+    if span.t1 is not None:
+        get_registry().histogram("query.duration", span.t1 - span.t0, **meta)

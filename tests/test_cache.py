@@ -443,6 +443,38 @@ class TestEngineCache:
         assert warm.cache_stats()["unit_table"]["hits"] == 1
         assert warm_table.equals(cold_table)  # bit-exact, via the loaded mmap
 
+    def test_grounding_artifact_holds_the_program_whatever_the_query_order(self, tmp_path):
+        """``MAX_Score`` is registered by a query, not declared: answered
+        first or second, it never enters the stored grounding, and a fresh
+        engine over either artifact answers it identically."""
+        from repro.cache.serialization import load_grounding
+
+        max_query = "MAX_Score[A] <= Prestige[A] ?"
+        payloads, answers = [], []
+        for name, order in (("first", [max_query]), ("second", ["Score[S] <= Prestige[A] ?", max_query])):
+            root = tmp_path / name
+            engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+            for query in order:
+                engine.answer(query)
+            key = engine._grounding_key()  # noqa: SLF001
+            payload = ArtifactCache(root).load(key)
+            graph, _ = load_grounding(payload)
+            assert "MAX_Score" not in graph.attribute_names()
+            assert len(graph) == 17
+            payloads.append(payload)
+            # A cache holding only the grounding: the answer walks it.
+            alone = tmp_path / f"{name}-grounding"
+            ArtifactCache(alone).store(key, payload)
+            fresh = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=alone)
+            answers.append(fresh.answer(max_query).result)
+            assert fresh.grounding_runs == 0
+        first, second = payloads
+        assert first.keys() == second.keys()
+        for member in first:
+            assert np.array_equal(first[member], second[member]), member
+        assert answers[0].ate.hex() == answers[1].ate.hex()
+        assert answers[0].correlation.hex() == answers[1].correlation.hex()
+
 
 # ----------------------------------------------------------------------
 # CLI

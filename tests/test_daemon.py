@@ -358,6 +358,48 @@ def test_close_ends_every_abandoned_query(kind, fault_plan):
         session.close()
 
 
+@pytest.mark.parametrize("kind", ["thread", "process"])
+def test_close_ends_the_span_tree_of_every_abandoned_query(kind, fault_plan):
+    """Two queries in flight, then ``close()``: each leaves one ``query``
+    span with outcome "cancelled" and one ``query.duration`` sample, and a
+    thread answer still running at close does not end its span again."""
+    reset_registry()
+    engine = fresh_engine()
+    release = threading.Event()
+    answered = threading.Event()
+    if kind == "thread":
+        original = engine.answer
+
+        def gated(query, *args, **kwargs):
+            try:
+                release.wait(timeout=10.0)
+                return original(query, *args, **kwargs)
+            finally:
+                answered.set()
+
+        engine.answer = gated
+        session = engine.open_session(jobs=1)
+    else:
+        fault_plan(FaultRule("worker.slow", p=1.0, delay=0.3))
+        session = engine.open_session(jobs=2, executor="process", shards=1)
+    try:
+        session.submit(QUERIES["ate"])
+        session.submit(QUERIES["agg"])
+        time.sleep(0.2)
+        session.close()
+        release.set()
+        if kind == "thread":
+            assert answered.wait(timeout=10.0)
+            time.sleep(0.1)  # the answer's own bookkeeping runs after it returns
+        registry = get_registry()
+        spans = [event for event in registry.events(name="query") if event["kind"] == "span"]
+        assert [span["meta"]["outcome"] for span in spans] == ["cancelled", "cancelled"]
+        assert sum(registry.histograms()["query.duration"].values()) == 2
+    finally:
+        release.set()
+        session.close()
+
+
 def test_outcome_delivered_while_cancelling_never_yields():
     """``cancel`` withdraws the index before it tells the scheduler, so an
     outcome the scheduler delivers in between is dropped, not yielded."""
