@@ -689,7 +689,8 @@ class CaRLEngine:
                         )
                     )
                 if plan.response_variable is not None:
-                    allowed = set(zip(bindings.column(plan.response_variable)))
+                    # The base response's subject is an entity: one-key parents.
+                    allowed = set(bindings.column(plan.response_variable))
                     outcome = partial(
                         aggregate_head_value, grounding.graph, grounding.values, allowed=allowed
                     )

@@ -25,7 +25,6 @@ the grounding tests hold this one to it id for id (``docs/grounding.md``).
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Callable, Container, Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -55,9 +54,9 @@ from repro.db.query import Atom as DbAtom
 from repro.db.query import (
     Bindings,
     ConjunctiveQuery,
-    _first_codes,
-    _gather_values,
+    first_codes,
     first_positions,
+    gather_values,
 )
 from repro.db.query import Variable as DbVariable
 from repro.db.table import as_object_array
@@ -88,22 +87,22 @@ def aggregate_head_value(
     graph: GroundedCausalGraph,
     values: Mapping[GroundedAttribute, Any],
     head: GroundedAttribute,
-    allowed: Container[tuple[Any, ...]] | None = None,
+    allowed: Container[Any] | None = None,
 ) -> Any:
     """The value of aggregate node ``head``: its aggregate over the parents
     that carry a value (not None), or None when none does.
 
-    ``allowed``, when given, admits only the parents whose key it contains
-    (a query's WHERE clause on the aggregated attribute's entity).  Heads
-    ground with the program, heads spliced by :meth:`Grounder.extend` and
-    heads a query restricts all take their value from this function (the
-    grounder gathers the parents of many heads at once, then aggregates each
-    head's list exactly as here).
+    ``allowed``, when given, admits only the parents whose one-component
+    key it contains (a query's WHERE clause on the aggregated attribute's
+    entity).  Heads ground with the program, heads spliced by
+    :meth:`Grounder.extend` and heads a query restricts all take their value
+    from this function (the grounder gathers the parents of many heads at
+    once, then aggregates each head's list exactly as here).
     """
     parent_values = [
         values[parent]
         for parent in graph.parent_nodes(head)
-        if values.get(parent) is not None and (allowed is None or parent.key in allowed)
+        if values.get(parent) is not None and (allowed is None or parent.key[0] in allowed)
     ]
     if not parent_values:
         return None
@@ -247,25 +246,18 @@ class Grounder:
                     raise GroundingError(
                         f"comparison {comparison} uses unbound variable {left.name!r}"
                     )
-                compared = _gather_values(bindings.column(left.name), rows)
-                codes, first_of, _ = _first_codes(compared)
+                codes, first_of, _ = first_codes(gather_values(bindings.column(left.name), rows))
                 distinct = list(first_of)
-                firsts = list(first_of.values())
             else:
                 # Attribute comparison, e.g. Blind[C] = "single": the key's
                 # unit position picks the observed value; a key no unit holds
                 # (or a latent attribute) compares as None.
-                positions = self._unit_positions(left, bindings, rows)
-                first_rows = first_positions(positions)
-                is_first = first_rows == np.arange(len(positions))
-                codes = (np.cumsum(is_first) - 1)[first_rows]
-                firsts = np.flatnonzero(is_first).tolist()
+                codes, first_of, _ = first_codes(self._unit_positions(left, bindings, rows).tolist())
                 unit_values = self.instance.unit_values(left.name)
-                distinct = [
-                    unit_values[key] if key >= 0 else None for key in positions[firsts].tolist()
-                ]
+                distinct = [unit_values[key] if key >= 0 else None for key in first_of]
         except GroundingError as error:
             return np.zeros(len(rows), dtype=bool), [(0, error)]
+        firsts = list(first_of.values())
         results = np.zeros(len(distinct), dtype=bool)
         raised: list[tuple[int, BaseException]] = []
         for code, value in enumerate(distinct):
@@ -291,7 +283,7 @@ class Grounder:
                 columns.append(itertools.repeat(term, count))
             elif term.name in names:
                 column = bindings.column(term.name)
-                columns.append(column if rows is None else _gather_values(column, rows))
+                columns.append(column if rows is None else gather_values(column, rows))
             elif count:
                 raise GroundingError(
                     f"variable {term.name!r} of atom {atom} is not bound by the condition"
@@ -375,12 +367,9 @@ class Grounder:
         other_head = head_ids < 0
         if other_head.any():
             # The first binding of each binding's head, by key equality.
-            first_of: dict[Any, int] = {}
             columns = self._key_columns(head, bindings)
-            keys = columns[0] if len(columns) == 1 else zip(*columns)
-            firsts = np.fromiter(
-                map(first_of.setdefault, keys, itertools.count()), dtype=np.int64, count=count
-            )
+            codes, first_of, _ = first_codes(list(zip(*columns) if len(columns) > 1 else columns[0]))
+            firsts = np.fromiter(first_of.values(), dtype=np.int64, count=len(first_of))[codes]
         else:
             firsts = first_positions(head_ids)
         # New body nodes per head, in (binding, atom) order.
@@ -506,53 +495,27 @@ class Grounder:
     ) -> dict[GroundedAttribute, Any]:
         """Observed values for every grounded node (aggregates are computed).
 
-        Latent attributes, and nodes no unit holds, are absent from the
-        mapping.  Each observed attribute's values are one column of the
-        bound instance; aggregate heads are valued attribute by attribute,
-        bases before the aggregates over them.
+        ``graph`` is this grounder's :meth:`ground`, so a declared node's id
+        is its attribute's base offset plus its unit position.  Latent
+        attributes, and nodes no unit holds, are absent from the mapping.
+        Each observed attribute's values are one column of the bound
+        instance; aggregate heads are valued attribute by attribute, bases
+        before the aggregates over them.
         """
         nodes = graph._nodes  # noqa: SLF001 - read-only bulk access
         by_id = np.empty(len(nodes), dtype=object)
         values: dict[GroundedAttribute, Any] = {}
+        bases = self._bases()
         for name in self.model.schema.observed_attribute_names:
-            ids = self._declared_range(graph, name)
             unit_values = self.instance.unit_values(name)
-            if ids is None:  # not this grounder's layout: look each node up
-                lookup = graph._node_index.get  # noqa: SLF001
-                found = np.fromiter(
-                    map(
-                        lookup,
-                        grounded_attributes(name, self.instance.units(name)),
-                        itertools.repeat(-1),
-                    ),
-                    dtype=np.int64,
-                    count=len(unit_values),
-                )
-                present = np.flatnonzero(found >= 0)
-                ids = found[present]
-                unit_values = list(map(unit_values.__getitem__, present.tolist()))
-            values.update(zip(map(nodes.__getitem__, ids.tolist()), unit_values))
+            ids = slice(bases[name], bases[name] + len(unit_values))
+            values.update(zip(nodes[ids], unit_values))
             by_id[ids] = as_object_array(unit_values)
         for heads in _aggregate_heads(graph):
             head_values = _head_values(graph, heads, lambda parents: by_id[parents].tolist())
             values.update(zip(map(nodes.__getitem__, heads.tolist()), head_values))
             by_id[heads] = as_object_array(head_values)
         return values
-
-    def _declared_range(self, graph: GroundedCausalGraph, name: str) -> np.ndarray | None:
-        """The ids of ``name``'s units when ``graph`` holds them as one run
-        in unit order (as :meth:`ground` lays them out), else None."""
-        units = self.instance.units(name)
-        ids = graph._by_attribute.get(name, [])  # noqa: SLF001
-        if len(ids) < len(units) or not units:
-            return None if units else np.empty(0, dtype=np.int64)
-        base = ids[0]
-        run = graph._nodes[base : base + len(units)]  # noqa: SLF001
-        if ids[len(units) - 1] != base + len(units) - 1 or list(
-            map(operator.itemgetter(1), run)
-        ) != units:
-            return None
-        return np.arange(base, base + len(units), dtype=np.int64)
 
     def extend(self, grounding: Grounding) -> Grounding:
         """``grounding`` plus the model's aggregate rules registered after it.

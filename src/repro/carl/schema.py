@@ -9,7 +9,6 @@ the observed values of the attribute functions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any
 
@@ -26,6 +25,7 @@ from repro.carl.ast import (
 )
 from repro.carl.errors import SchemaBindingError
 from repro.db.database import Database
+from repro.db.query import first_codes
 
 
 @dataclass(frozen=True)
@@ -252,13 +252,14 @@ class BoundInstance:
 
     Provides the two things grounding needs: the *relational skeleton* (a
     database of key-only views, one per predicate, used to evaluate rule
-    conditions) and observed attribute-function lookups ``A[x]``.
+    conditions) and the attribute functions ``A[x]`` as columns: the units
+    of each attribute (:meth:`units`, :meth:`unit_index`) and their observed
+    values (:meth:`unit_values`).
     """
 
     def __init__(self, schema: RelationalCausalSchema, database: Database) -> None:
         self.schema = schema
         self.database = database
-        self._attribute_values: dict[str, dict[tuple[Any, ...], Any]] = {}
         self._unit_values: dict[str, list[Any]] = {}
         #: subject -> (units, unit index, unit position of every table row)
         self._units: dict[
@@ -342,10 +343,9 @@ class BoundInstance:
                 if row_units is None:
                     values = list(column)  # every row is its own unit, in order
                 else:
-                    # The last row of each unit: first occurrences, reversed.
-                    _, reversed_rows = np.unique(row_units[::-1], return_index=True)
-                    last_rows = len(column) - 1 - reversed_rows
-                    values = list(map(column.__getitem__, last_rows.tolist()))
+                    # Units are numbered in first-occurrence order, so a dict
+                    # keyed by unit lists them in order; the last row wins.
+                    values = list(dict(zip(row_units.tolist(), column)).values())
             self._unit_values[attribute_name] = values
         return values
 
@@ -361,42 +361,14 @@ class BoundInstance:
             table = self.database.table(subject)
             columns = [table._column_list(key) for key in info.keys]  # noqa: SLF001
             keys: list[Any] = columns[0] if len(columns) == 1 else list(zip(*columns))
-            index: dict[Any, int] = {}
-            first_rows = np.fromiter(
-                map(index.setdefault, keys, itertools.count()), dtype=np.int64, count=len(keys)
-            )
-            row_units = None
-            if len(index) != len(keys):
-                # A repeated key: renumber the first occurrences 0, 1, ...
-                rank = np.cumsum(first_rows == np.arange(len(keys))) - 1
-                row_units = rank[first_rows]
-                index = dict(zip(index, range(len(index))))
-            units = list(index) if len(columns) > 1 else list(zip(index))
-            entry = (units, index, row_units)
+            row_units, first_row, _ = first_codes(keys)
+            units = list(first_row) if len(columns) > 1 else list(zip(first_row))
+            if len(first_row) == len(keys):
+                entry = (units, first_row, None)
+            else:
+                entry = (units, dict(zip(first_row, range(len(first_row)))), row_units)
             self._units[subject] = entry
         return entry
-
-    def attribute_value(self, attribute_name: str, key: tuple[Any, ...]) -> Any:
-        """Observed value of ``attribute_name[key]``; None for latent attributes."""
-        declaration = self.schema.attribute(attribute_name)
-        if declaration.latent:
-            return None
-        values = self._attribute_index(attribute_name)
-        return values.get(tuple(key))
-
-    def attribute_values(self, attribute_name: str) -> dict[tuple[Any, ...], Any]:
-        """Mapping from unit key to observed value for one attribute."""
-        declaration = self.schema.attribute(attribute_name)
-        if declaration.latent:
-            return {}
-        return dict(self._attribute_index(attribute_name))
-
-    def _attribute_index(self, attribute_name: str) -> dict[tuple[Any, ...], Any]:
-        index = self._attribute_values.get(attribute_name)
-        if index is None:
-            index = dict(zip(self.units(attribute_name), self.unit_values(attribute_name)))
-            self._attribute_values[attribute_name] = index
-        return index
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundInstance(schema={self.schema!r}, database={self.database.name!r})"

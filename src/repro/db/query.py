@@ -103,7 +103,7 @@ class Bindings(Sequence[Binding]):
     def take(self, rows: np.ndarray) -> "Bindings":
         """The bindings at positions ``rows``, in that order."""
         return Bindings(
-            {name: _gather_values(values, rows) for name, values in self._columns.items()},
+            {name: gather_values(values, rows) for name, values in self._columns.items()},
             len(rows),
         )
 
@@ -175,7 +175,9 @@ class ConjunctiveQuery:
         Duplicate bindings (arising from bag semantics of the underlying
         tables) are removed, keeping first occurrences: the result has set
         semantics over the query variables, matching Definition 3.5 of the
-        paper.
+        paper.  When every table is duplicate-free (a relational skeleton)
+        there is nothing to remove: an atom binds every column of its table,
+        so distinct rows can only yield distinct bindings.
         """
         self.validate(database)
         names = [variable.name for variable in self.variables]
@@ -192,11 +194,13 @@ class ConjunctiveQuery:
         if not names:
             return Bindings({}, 1)
         value_lists = [columns[name] for name in names]
+        if all(database.table(atom.predicate).rows_are_distinct() for atom in self.atoms):
+            return Bindings(dict(zip(names, value_lists)), count)
         positions = _distinct_positions(value_lists, count)
         if len(positions) == count:
             return Bindings(dict(zip(names, value_lists)), count)
         return Bindings(
-            {name: _gather_values(values, positions) for name, values in zip(names, value_lists)},
+            {name: gather_values(values, positions) for name, values in zip(names, value_lists)},
             len(positions),
         )
 
@@ -280,7 +284,7 @@ class ConjunctiveQuery:
             # identity — route them to sentinel codes (-2 right / -1 left)
             # that never intersect.
             key_lists = [
-                column_lists[position] if mask is None else _gather_values(column_lists[position], rows)
+                column_lists[position] if mask is None else gather_values(column_lists[position], rows)
                 for position, _ in bound_positions
             ]
             left_lists = [bindings[name] for _, name in bound_positions]
@@ -311,16 +315,16 @@ class ConjunctiveQuery:
 
         extended: dict[str, list[Any]] = {}
         for name, values in bindings.items():
-            extended[name] = _gather_values(values, left_take)
+            extended[name] = gather_values(values, left_take)
         for name, position in new_positions.items():
-            extended[name] = _gather_values(column_lists[position], right_take)
+            extended[name] = gather_values(column_lists[position], right_take)
         return extended, out_count
 
     def __repr__(self) -> str:
         return " AND ".join(repr(atom) for atom in self.atoms) or "TRUE"
 
 
-def _gather_values(values: Sequence[Any], take: np.ndarray) -> list[Any]:
+def gather_values(values: Sequence[Any], take: np.ndarray) -> list[Any]:
     """``[values[i] for i in take]`` as a bulk object-array gather (a plain
     copy when ``take`` is every position in order)."""
     if not len(take):
@@ -361,7 +365,7 @@ def _combine_code_columns(
     return combined
 
 
-def _first_codes(values: Sequence[Any]) -> tuple[np.ndarray, dict[Any, int], np.ndarray]:
+def first_codes(values: Sequence[Any]) -> tuple[np.ndarray, dict[Any, int], np.ndarray]:
     """Factorize ``values`` under Python ``dict`` equality, at C level.
 
     Returns ``(codes, ordinal_of, rank)``: ``codes`` numbers the distinct
@@ -401,13 +405,13 @@ def _join_codes(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Join codes of one key column: ``(right codes, left codes, cardinality)``.
 
-    Right values are factorized with :func:`_first_codes` and left values
+    Right values are factorized with :func:`first_codes` and left values
     looked up in the same dict, so keys match under Python hash-index
     equality.  A value not equal to itself (NaN) gets the sentinel -2 on the
     right and -1 on the left, as does (on the left) a value absent on the
     right, so a sentinel never matches.
     """
-    right_codes, ordinal_of, rank = _first_codes(right)
+    right_codes, ordinal_of, rank = first_codes(right)
     # Self-equality is checked once per distinct value: a left value only
     # finds a right one that is equal to it or is the same object, so it
     # is NaN exactly when the value it finds is.
@@ -437,7 +441,7 @@ def _distinct_positions(value_lists: Sequence[list[Any]], count: int) -> np.ndar
     code_columns = np.empty((len(value_lists), count), dtype=np.int64)
     cardinalities: list[int] = []
     for position, values in enumerate(value_lists):
-        codes, ordinal_of, _ = _first_codes(values)
+        codes, ordinal_of, _ = first_codes(values)
         if len(ordinal_of) == count:  # one column already tells every row apart
             return np.arange(count, dtype=np.intp)
         code_columns[position] = codes

@@ -90,6 +90,8 @@ class Table:
         self._indexes: dict[str, dict[Any, list[int]]] = {}
         self._version = 0
         self._digest_cache: tuple[int, str] | None = None
+        #: the version at which a distinct projection made this table
+        self._distinct_version: int | None = None
         self.insert_many(rows)
 
     # ------------------------------------------------------------------
@@ -242,6 +244,11 @@ class Table:
     def to_list(self) -> list[dict[str, Any]]:
         return list(self.rows())
 
+    def rows_are_distinct(self) -> bool:
+        """Whether no two rows are equal: the table has a primary key, or is
+        a distinct projection not modified since."""
+        return bool(self.schema.primary_key) or self._distinct_version == self._version
+
     def column(self, name: str) -> list[Any]:
         """All values of one column, in row order."""
         return list(self._data[self.schema.index_of(name)])
@@ -313,7 +320,10 @@ class Table:
                     seen.add(values)
                     keep.append(position)
             data = [[column[position] for position in keep] for column in data]
-        return Table._from_columns(schema, [list(column) for column in data])
+        table = Table._from_columns(schema, [list(column) for column in data])
+        if distinct:
+            table._distinct_version = table._version
+        return table
 
     def rename(self, mapping: dict[str, str], name: str | None = None) -> "Table":
         """Rename columns according to ``mapping``."""

@@ -96,10 +96,15 @@ class TestBoundInstance:
 
     def test_attribute_values(self, schema):
         bound = schema.bind(toy_review_database())
-        assert bound.attribute_value("Prestige", ("Bob",)) == 1
-        assert bound.attribute_value("Score", ("s2",)) == pytest.approx(0.4)
-        assert bound.attribute_value("Quality", ("s1",)) is None  # latent
-        assert bound.attribute_values("Blind")[("ConfDB",)] == "single"
+
+        def value(attribute, key):
+            position = bound.unit_index(schema.subject_of(attribute))[key]
+            return bound.unit_values(attribute)[position]
+
+        assert value("Prestige", "Bob") == 1
+        assert value("Score", "s2") == pytest.approx(0.4)
+        assert value("Quality", "s1") is None  # latent
+        assert value("Blind", "ConfDB") == "single"
 
     def test_missing_table_raises(self, schema):
         database = toy_review_database()

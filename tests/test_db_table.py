@@ -117,6 +117,11 @@ class TestOperators:
     def test_project_distinct(self, people):
         projected = people.project(["city"], distinct=True)
         assert len(projected) == 2
+        assert people.rows_are_distinct()  # keyed
+        assert projected.rows_are_distinct()
+        assert not people.project(["city"]).rows_are_distinct()
+        projected.insert({"city": "seattle"})
+        assert not projected.rows_are_distinct()
 
     def test_rename(self, people):
         renamed = people.rename({"name": "person"}, name="renamed")

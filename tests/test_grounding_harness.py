@@ -4,9 +4,11 @@ Hypothesis draws whole instances — a schema of 2-4 entities, 1-3
 relationships (one a self-relationship, like ``Collaborates``) and 3-7
 attributes with random latent flags; a non-recursive program of causal rules
 (1-3 condition atoms, constants, attribute and variable comparisons) and
-aggregate rules; a database with int, float, string and mixed keys,
-duplicate rows, NULL cells and relationship rows whose keys no entity holds;
-and queries with WHERE clauses — and checks, for each draw:
+aggregate rules, some nested (over an earlier aggregate); a database with
+int, float, string and mixed keys, duplicate rows, NULL cells and
+relationship rows whose keys no entity holds; and queries with WHERE
+clauses — and checks, for each draw (and for one fixed instance whose
+nested aggregates carry values, over a NULL parent too):
 
 * every rule and query condition's bindings equal, in order, those of the
   row-at-a-time evaluator (``tests/row_oracle.py``) filtered binding by
@@ -29,7 +31,7 @@ from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grounding_oracle
@@ -205,8 +207,14 @@ def instances(draw) -> Instance:
         body = tuple(atom(draw(st.sampled_from(order[:head_at]))) for _ in range(draw(st.integers(1, 2))))
         rules.append(CausalRule(atom(order[head_at]), body, condition))
     aggregate_rules = []
-    for index in range(draw(st.sampled_from([0, 1, 1, 2]))):
-        base = draw(st.sampled_from([name for name, _, _ in attributes]))
+    along: dict[str, RelationshipDeclaration] = {}  # G{i} -> its relationship
+    for index in range(draw(st.sampled_from([0, 1, 2, 2, 3]))):
+        # A nested aggregate reads an earlier G{i}: its values must follow
+        # those of its base.
+        if along and draw(st.integers(0, 3)):
+            base = draw(st.sampled_from(sorted(along)))
+        else:
+            base = draw(st.sampled_from([name for name, _, _ in attributes]))
         condition, bound = draw(
             _condition(predicates, arities, pools, attributes, allow_unbound, dirty)
         )
@@ -214,11 +222,21 @@ def instances(draw) -> Instance:
         base_terms = tuple(
             Variable(draw(st.sampled_from(bound))) for _ in range(arities[subject_of[base]])
         )
-        if draw(st.integers(0, 3)):
+        if base in along or draw(st.integers(0, 3)):
             # Aggregate along a relationship: H over one of its entities, the
-            # base keyed by the other end (or by the relationship itself).
-            rel = draw(st.sampled_from(relationships))
-            side = draw(st.integers(0, 1))
+            # base keyed by the other end (or by the relationship itself),
+            # mostly one that fits the base's subject; a nested aggregate
+            # mostly walks back along its base's relationship.
+            ends = [(rel, side) for rel in relationships for side in (0, 1)]
+            fitting = [
+                (rel, side)
+                for rel, side in ends
+                if subject_of[base] in (rel.name, rel.references[1 - side])
+            ]
+            fitting = [(rel, side) for rel, side in fitting if rel is along.get(base)] or fitting
+            rel, side = draw(st.sampled_from(fitting if fitting and draw(st.integers(0, 3)) else ends))
+            subject_of[f"G{index}"] = rel.references[side]
+            along[f"G{index}"] = rel
             ends = [Variable("H"), Variable("B")] if side == 0 else [Variable("B"), Variable("H")]
             atoms = (PredicateAtom(rel.name, tuple(ends)),)
             head_term = Variable("H")
@@ -279,6 +297,59 @@ def instances(draw) -> Instance:
             )
         )
     return Instance(database, program, queries)
+
+
+def nested_aggregate_instance() -> Instance:
+    """Aggregates over a self-relationship whose every head has valued
+    parents: G1 aggregates G0, so G0 must be valued first, and one parent
+    of each aggregate is NULL, which none may count."""
+    entities = [EntityDeclaration("E0", "k0"), EntityDeclaration("E1", "k1")]
+    follows = RelationshipDeclaration("R0", ("r0a", "r0b"), ("E0", "E0"))
+    database = Database("nested")
+    database.add_table(
+        _table(
+            "E0",
+            ["k0", "a0", "a2"],
+            [{"k0": k, "a0": k * 1.5 if k < 4 else None, "a2": k % 2} for k in (1, 2, 3, 4)],
+        )
+    )
+    database.add_table(_table("E1", ["k1", "a1"], [{"k1": "a", "a1": 1}, {"k1": "b", "a1": 0}]))
+    database.add_table(
+        _table(
+            "R0",
+            ["r0a", "r0b"],
+            [{"r0a": a, "r0b": b} for a, b in ((1, 2), (2, 3), (3, 1), (1, 3), (4, 1))],
+        )
+    )
+    one = (Variable("V0"),)
+    chain = Condition(
+        (PredicateAtom("R0", (Variable("B"), Variable("H"))), PredicateAtom("E0", (Variable("B"),)))
+    )
+    program = Program(
+        entities=entities,
+        relationships=[follows],
+        attributes=[
+            AttributeDeclaration("A0", "E0"),
+            AttributeDeclaration("A1", "E1"),
+            AttributeDeclaration("A2", "E0"),
+        ],
+        rules=[
+            CausalRule(
+                AttributeAtom("A2", one), (AttributeAtom("A0", one),), Condition((PredicateAtom("E0", one),))
+            )
+        ],
+        aggregate_rules=[
+            AggregateRule("AVG", AttributeAtom("G0", (Variable("H"),)), AttributeAtom("A0", (Variable("B"),)), chain),
+            AggregateRule("SUM", AttributeAtom("G1", (Variable("H"),)), AttributeAtom("G0", (Variable("B"),)), chain),
+            AggregateRule("COUNT", AttributeAtom("G2", (Variable("H"),)), AttributeAtom("A0", (Variable("B"),)), chain),
+        ],
+    )
+    query = CausalQuery(
+        response=AttributeAtom("G1", one),
+        treatment=AttributeAtom("A2", one),
+        treatment_threshold=Comparison(AttributeAtom("A2", one), ">=", 1),
+    )
+    return Instance(database, program, [query])
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +474,7 @@ HARNESS_SETTINGS = dict(
 
 @settings(max_examples=100, **HARNESS_SETTINGS)
 @given(instances())
+@example(nested_aggregate_instance())
 def test_grounder_matches_the_per_binding_oracle(instance):
     check_instance(instance)
 
@@ -410,5 +482,6 @@ def test_grounder_matches_the_per_binding_oracle(instance):
 @pytest.mark.slow
 @settings(max_examples=1000, **HARNESS_SETTINGS)
 @given(instances())
+@example(nested_aggregate_instance())
 def test_grounder_matches_the_per_binding_oracle_thorough(instance):
     check_instance(instance)
