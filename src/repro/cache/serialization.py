@@ -14,6 +14,8 @@ Supported artifacts:
   interned attribute names, dual-CSR adjacency arrays (memory-mappable,
   deterministic node-id order; see ``docs/grounding.md``) and object arrays
   for keys/values;
+* a shard's unit-table collection — int64 counts, rows and codes, and
+  object arrays only per unit or per distinct value;
 * :class:`~repro.carl.unit_table.UnitTable` — the flat estimator input, all
   numeric except the unit keys.
 
@@ -33,9 +35,9 @@ import numpy as np
 # FORMAT_VERSION lives in the store (which also vets it on load) and is
 # re-exported here because this module owns the payload layouts it versions.
 from repro.cache.store import FORMAT_VERSION
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
+from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, NodeValues
+from repro.carl.unit_table import CodedValues, UnitTable, UnitTableInputs
 from repro.graph.csr import CSRGraph
-from repro.carl.unit_table import UnitTable, UnitTableInputs
 from repro.db.schema import ColumnSchema, TableSchema
 from repro.db.table import Table, as_object_array
 
@@ -133,7 +135,8 @@ def grounding_payload(
     as-is — no dict/set rebuild — and every iteration order is a pure
     function of node ids, identical in every process regardless of
     ``PYTHONHASHSEED``, keeping warm-cache unit tables bit-identical to cold
-    ones even in spawn workers with a different hash seed.
+    ones even in spawn workers with a different hash seed.  Values are the
+    held entries of the id-indexed value column, ascending by id.
 
     CSR index arrays are narrowed to int32 when they fit (they always do
     below 2**31 nodes/edges), which keeps this payload strictly smaller than
@@ -161,14 +164,8 @@ def grounding_payload(
         aggregate_nodes.append(node_index[node])
         aggregate_names.append(aggregate)
 
-    value_nodes: list[int] = []
-    value_data: list[Any] = []
-    index_lookup = node_index.get
-    for node, value in values.items():
-        node_position = index_lookup(node)
-        if node_position is not None:
-            value_nodes.append(node_position)
-            value_data.append(value)
+    column = NodeValues.from_mapping(graph, values)
+    value_nodes = np.flatnonzero(column.held)
 
     meta = {
         "format": FORMAT_VERSION,
@@ -187,20 +184,21 @@ def grounding_payload(
         "child_indices": np.asarray(csr.child_indices).astype(index_dtype, copy=False),
         "aggregate_nodes": np.asarray(aggregate_nodes, dtype=np.int64),
         "aggregate_names": as_object_array(aggregate_names),
-        "value_nodes": np.asarray(value_nodes, dtype=np.int64),
-        "value_data": as_object_array(value_data),
+        "value_nodes": value_nodes.astype(np.int64, copy=False),
+        "value_data": column.column[value_nodes],
     }
 
 
 def load_grounding(
     payload: Mapping[str, np.ndarray],
-) -> tuple[GroundedCausalGraph, dict[GroundedAttribute, Any]]:
-    """Decode :func:`grounding_payload` back into a graph + values mapping.
+) -> tuple[GroundedCausalGraph, NodeValues]:
+    """Decode :func:`grounding_payload` back into a graph + value column.
 
     The adjacency arrays are adopted directly (possibly still memory-mapped);
     only the node objects and the id-lookup dict are materialized, so a warm
     load is O(nodes) object construction instead of rebuilding hundreds of
-    thousands of per-node dicts and sets edge by edge.
+    thousands of per-node dicts and sets edge by edge.  The value column is
+    one scatter of ``value_data`` to ``value_nodes``.
     """
     meta = read_meta(payload)
     _expect_kind(meta, "grounding")
@@ -247,10 +245,12 @@ def load_grounding(
         ),
     )
 
-    values = dict(
-        zip(map(node_at, payload["value_nodes"].tolist()), payload["value_data"])
-    )
-    return graph, values
+    value_nodes = np.asarray(payload["value_nodes"], dtype=np.int64)
+    column = np.full(len(nodes), None, dtype=object)
+    held = np.zeros(len(nodes), dtype=bool)
+    column[value_nodes] = payload["value_data"]
+    held[value_nodes] = True
+    return graph, NodeValues(graph, column, held)
 
 
 # ----------------------------------------------------------------------
@@ -277,16 +277,28 @@ def unit_table_payload(unit_table: UnitTable) -> dict[str, np.ndarray]:
     }
 
 
+def _coded_entries(prefix: str, coded: CodedValues) -> dict[str, np.ndarray]:
+    return {f"{prefix}_codes": coded.codes, f"{prefix}_distinct": coded.distinct}
+
+
+def _load_coded(payload: Mapping[str, np.ndarray], prefix: str) -> CodedValues:
+    return CodedValues(
+        np.asarray(payload[f"{prefix}_codes"], dtype=np.int64), payload[f"{prefix}_distinct"]
+    )
+
+
 def unit_inputs_payload(
     inputs: UnitTableInputs, span: tuple[int, int, int] | None = None
 ) -> dict[str, np.ndarray]:
     """Encode one shard's unit-table collection (see ``docs/sharding.md``).
 
     This is how a shard worker hands its slice of the graph-walk phase back
-    to the dispatching process: row-id arrays are plain int64 (the store can
-    memory-map them), raw values stay object arrays so ints, bools and floats
-    round-trip as the exact Python objects the serial collection would have
-    gathered — anything else would change categorical covariate encodings.
+    to the dispatching process.  The collection is column-major already:
+    counts, rows and codes are int64 arrays (the store can memory-map
+    them), and the only object arrays are per unit (keys, raw outcomes) or
+    a value column's distinct values, so ints, bools and floats round-trip
+    as the exact Python objects the serial collection gathered — anything
+    else would change categorical covariate encodings.
 
     ``span`` — ``(start, stop, total units)`` of the collected unit range —
     is recorded in the meta entry when given.  Persistent shard partials
@@ -299,7 +311,7 @@ def unit_inputs_payload(
         "kind": "unit_inputs",
         "treatment_attribute": inputs.treatment_attribute,
         "response_attribute": inputs.response_attribute,
-        "covariate_order": list(inputs.covariate_order),
+        "covariates": list(inputs.buckets),
         "units": len(inputs.unit_keys),
     }
     if span is not None:
@@ -307,16 +319,15 @@ def unit_inputs_payload(
     payload: dict[str, np.ndarray] = {
         "meta": _meta_entry(meta),
         "unit_keys": as_object_array(list(inputs.unit_keys)),
-        "outcomes_raw": as_object_array(list(inputs.outcomes_raw)),
-        "treatments_raw": as_object_array(list(inputs.treatments_raw)),
+        "outcomes": as_object_array(inputs.outcomes.tolist()),
         "peer_counts": np.asarray(inputs.peer_counts, dtype=np.int64),
-        "peer_values_raw": as_object_array(list(inputs.peer_values_raw)),
-        "peer_group_ids": np.asarray(inputs.peer_group_ids, dtype=np.int64),
+        "peer_rows": np.asarray(inputs.peer_rows, dtype=np.int64),
+        **_coded_entries("treatment", inputs.treatments),
+        **_coded_entries("peer", inputs.peer_treatments),
     }
-    for position, name in enumerate(inputs.covariate_order):
-        bucket_values, bucket_rows = inputs.buckets[name]
-        payload[f"bucket_{position}_values"] = as_object_array(list(bucket_values))
-        payload[f"bucket_{position}_rows"] = np.asarray(bucket_rows, dtype=np.int64)
+    for position, (coded, rows) in enumerate(inputs.buckets.values()):
+        payload.update(_coded_entries(f"bucket_{position}", coded))
+        payload[f"bucket_{position}_rows"] = np.asarray(rows, dtype=np.int64)
     return payload
 
 
@@ -324,24 +335,22 @@ def load_unit_inputs(payload: Mapping[str, np.ndarray]) -> UnitTableInputs:
     """Decode :func:`unit_inputs_payload` back into a collection."""
     meta = read_meta(payload)
     _expect_kind(meta, "unit_inputs")
-    covariate_order = list(meta["covariate_order"])
-    buckets: dict[str, tuple[list[Any], list[int]]] = {}
-    for position, name in enumerate(covariate_order):
-        buckets[name] = (
-            payload[f"bucket_{position}_values"].tolist(),
-            payload[f"bucket_{position}_rows"].tolist(),
-        )
     return UnitTableInputs(
         treatment_attribute=meta["treatment_attribute"],
         response_attribute=meta["response_attribute"],
         unit_keys=payload["unit_keys"].tolist(),
-        outcomes_raw=payload["outcomes_raw"].tolist(),
-        treatments_raw=payload["treatments_raw"].tolist(),
-        peer_counts=payload["peer_counts"].tolist(),
-        peer_values_raw=payload["peer_values_raw"].tolist(),
-        peer_group_ids=payload["peer_group_ids"].tolist(),
-        covariate_order=covariate_order,
-        buckets=buckets,
+        outcomes=payload["outcomes"],
+        treatments=_load_coded(payload, "treatment"),
+        peer_counts=np.asarray(payload["peer_counts"], dtype=np.int64),
+        peer_treatments=_load_coded(payload, "peer"),
+        peer_rows=np.asarray(payload["peer_rows"], dtype=np.int64),
+        buckets={
+            name: (
+                _load_coded(payload, f"bucket_{position}"),
+                np.asarray(payload[f"bucket_{position}_rows"], dtype=np.int64),
+            )
+            for position, name in enumerate(meta["covariates"])
+        },
     )
 
 

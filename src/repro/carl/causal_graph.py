@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import graphlib
 import itertools
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, CycleError
+from repro.db.table import as_object_array
+from repro.graph.csr import CSRGraph, CycleError, sorted_unique
 
 
 class GroundedAttribute(NamedTuple):
@@ -397,7 +398,7 @@ class GroundedCausalGraph:
         parents, children = csr.edge_arrays()
         count = len(names)
         attribute_children: list[list[int]] = [[] for _ in names]
-        for edge in np.unique(node_code[parents] * count + node_code[children]).tolist():
+        for edge in sorted_unique(node_code[parents] * count + node_code[children]).tolist():
             attribute_children[edge // count].append(edge % count)
         # Children come first when each code's children are its predecessors.
         # A stdlib sort rather than a CSRGraph compile: the DAG has a handful
@@ -450,7 +451,7 @@ class GroundedCausalGraph:
 
         def push(positions: np.ndarray, nodes: np.ndarray) -> None:
             codes = node_code[nodes]
-            for code in np.unique(codes[downstream[codes]]).tolist():
+            for code in sorted_unique(codes[downstream[codes]]).tolist():
                 chosen = codes == code
                 pending.setdefault(code, []).append(positions[chosen] * n + nodes[chosen])
 
@@ -465,7 +466,7 @@ class GroundedCausalGraph:
             chunks = pending.pop(code, None)
             if chunks is None:
                 continue
-            positions, nodes = np.divmod(np.unique(np.concatenate(chunks)), n)
+            positions, nodes = np.divmod(sorted_unique(np.concatenate(chunks)), n)
             if code == target:
                 return positions, nodes
             owner, parents = layers.csr.parent_pairs(nodes)
@@ -557,3 +558,59 @@ class GroundedCausalGraph:
             f"GroundedCausalGraph(nodes={len(self._nodes)}, "
             f"edges={self.number_of_edges()}, attributes={len(self._by_attribute)})"
         )
+
+
+class NodeValues(Mapping[GroundedAttribute, Any]):
+    """The values of a grounded graph's nodes, as one id-indexed column.
+
+    ``column[i]`` is the value of node ``i`` and ``held[i]`` whether the
+    node has one (a held value may be None; a latent node, or a key no unit
+    holds, has none and reads None in the column).  Graph walks gather from
+    the two arrays by node id.  As a mapping from held nodes to their values
+    it is a read-only view for the public API (``CaRLEngine.values``,
+    ``verify_adjustment_set``, the tests): each lookup resolves the node's
+    id first.
+    """
+
+    __slots__ = ("graph", "column", "held")
+
+    def __init__(self, graph: GroundedCausalGraph, column: np.ndarray, held: np.ndarray) -> None:
+        self.graph = graph
+        self.column = column
+        self.held = held
+
+    @classmethod
+    def from_mapping(
+        cls, graph: GroundedCausalGraph, values: Mapping[GroundedAttribute, Any]
+    ) -> "NodeValues":
+        """The column form of a node -> value mapping (nodes not in
+        ``graph`` are dropped); ``values`` itself when it already is one
+        over ``graph``."""
+        if isinstance(values, NodeValues) and values.graph is graph:
+            return values
+        ids = graph.node_ids(values)
+        known = ids >= 0
+        column = np.full(len(graph), None, dtype=object)
+        held = np.zeros(len(graph), dtype=bool)
+        column[ids[known]] = as_object_array(list(values.values()))[known]
+        held[ids[known]] = True
+        return cls(graph, column, held)
+
+    def __getitem__(self, node: GroundedAttribute) -> Any:
+        index = self.graph.index_of(node)
+        if index is None or not self.held[index]:
+            raise KeyError(node)
+        return self.column[index]
+
+    def __contains__(self, node: object) -> bool:
+        try:
+            index = self.graph.index_of(node)  # type: ignore[arg-type]
+        except TypeError:  # unhashable
+            return False
+        return index is not None and bool(self.held[index])
+
+    def __iter__(self) -> Iterator[GroundedAttribute]:
+        return map(self.graph.node_at, np.flatnonzero(self.held).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.held))

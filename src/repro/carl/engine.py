@@ -43,9 +43,9 @@ from repro.cache.serialization import (
 from repro.cache.store import ArtifactCache, CacheKey
 from repro.carl.ast import CausalQuery, PeerCondition, Program
 from repro.carl.batch import BatchScratch
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
+from repro.carl.causal_graph import GroundedCausalGraph, NodeValues, grounded_attributes
 from repro.carl.errors import CaRLError, QueryError
-from repro.carl.grounding import Grounder, Grounding, aggregate_head_value
+from repro.carl.grounding import Grounder, Grounding
 from repro.carl.model import RelationalCausalModel
 from repro.carl.parser import parse_program, parse_query
 from repro.carl.peers import build_unifying_aggregate_rule, compute_peers
@@ -165,9 +165,10 @@ class CaRLEngine:
         return self._current_grounding()[0].graph
 
     @property
-    def values(self) -> dict[GroundedAttribute, Any]:
+    def values(self) -> NodeValues:
         """Observed + aggregated values of every grounded attribute node
-        (the current snapshot's; read-only, like :attr:`graph`)."""
+        (the current snapshot's id-indexed column, read as a mapping;
+        read-only, like :attr:`graph`)."""
         return self._current_grounding()[0].values
 
     def invalidate(self) -> None:
@@ -572,10 +573,10 @@ class CaRLEngine:
                 except SerializationError:
                     pass
 
-        grounding, grounding_seconds, units, outcome = self._units(plan)
+        grounding, grounding_seconds, units, admitted = self._units(plan)
         # The graph walks run outside the state lock.  A batch shares them
         # between queries with the same collection fingerprint.
-        collect = partial(self._collect, plan, 0, len(units), grounding, units, outcome)
+        collect = partial(self._collect, plan, 0, len(units), grounding, units, admitted)
         if scratch is not None:
             inputs = scratch.get_or_build(grounding.db_token, plan.fingerprint, collect)
         else:
@@ -612,14 +613,14 @@ class CaRLEngine:
         if isinstance(query, str):
             query = parse_query(query)
         plan = self._plan(query, self.default_embedding)
-        grounding, _, units, outcome = self._units(plan)
+        grounding, _, units, admitted = self._units(plan)
         if expected_units is not None and len(units) != expected_units:
             raise QueryError(
                 f"shard worker derived {len(units)} units for {query!s} but the "
                 f"dispatcher saw {expected_units}; the shared grounding and "
                 "database state are out of sync"
             )
-        return self._collect(plan, start, stop, grounding, units, outcome, allow_empty=True)
+        return self._collect(plan, start, stop, grounding, units, admitted, allow_empty=True)
 
     # ------------------------------------------------------------------
     # the query plan: resolve, restrict, collect, materialize
@@ -660,24 +661,24 @@ class CaRLEngine:
 
     def _units(
         self, plan: QueryPlan
-    ) -> tuple[Grounding, float, list[tuple[Any, ...]], Callable[[GroundedAttribute], Any]]:
+    ) -> tuple[Grounding, float, list[tuple[Any, ...]], np.ndarray | None]:
         """The grounding snapshot a planned query walks, the seconds spent
         producing it (:meth:`_current_grounding`), the restricted unit list,
-        and the reader collection takes each unit's outcome with.
+        and the node mask that restricts its response.
 
         Runs under the state lock (the bound instance's indexes are lazy).
         Deterministic in (database, program, query), which is what lets
-        shard workers re-derive the same unit list positionally.  The reader
-        is the snapshot's ``values.get`` unless the WHERE clause restricts
-        the base response (e.g. only single-blind submissions count towards
-        an author's average score): then it is :func:`aggregate_head_value`
-        bound to the allowed base-response keys, which aggregates a head
-        only when a walk reads it.
+        shard workers re-derive the same unit list positionally.  The mask
+        is None unless the WHERE clause restricts the base response (e.g.
+        only single-blind submissions count towards an author's average
+        score): then it marks the base-response nodes whose key the clause
+        admits, and collection aggregates each unit's head over those
+        parents only.
         """
+        allowed: set[Any] | None = None
         with self._state_lock:
             grounding, seconds = self._current_grounding()
             units = list(self.instance.units(plan.treatment))
-            outcome: Callable[[GroundedAttribute], Any] = grounding.values.get
             if plan.unit_variable is not None or plan.response_variable is not None:
                 bindings = self.grounder.condition_bindings(plan.query.condition)
                 if plan.unit_variable is not None:
@@ -689,14 +690,18 @@ class CaRLEngine:
                         )
                     )
                 if plan.response_variable is not None:
-                    # The base response's subject is an entity: one-key parents.
                     allowed = set(bindings.column(plan.response_variable))
-                    outcome = partial(
-                        aggregate_head_value, grounding.graph, grounding.values, allowed=allowed
-                    )
+                    base = self.model.derived_attributes[plan.response].base
         if not units:
             raise QueryError("the query condition excludes every unit")
-        return grounding, seconds, units, outcome
+        if allowed is None:
+            return grounding, seconds, units, None
+        # The base response's subject is an entity: one-key parents.
+        graph = grounding.graph
+        ids = graph.node_ids(grounded_attributes(base, zip(allowed)))
+        admitted = np.zeros(len(graph), dtype=bool)
+        admitted[ids[ids >= 0]] = True
+        return grounding, seconds, units, admitted
 
     def _collect(
         self,
@@ -705,24 +710,20 @@ class CaRLEngine:
         stop: int,
         grounding: Grounding,
         units: list[tuple[Any, ...]],
-        outcome: Callable[[GroundedAttribute], Any],
+        admitted: np.ndarray | None,
         allow_empty: bool = False,
     ) -> UnitTableInputs:
         """Peers and Theorem 5.2 adjustment sets of ``units[start:stop]``,
         with peers drawn from all of ``units`` (see :meth:`_units`).  Reads
         only the snapshot, so callers run it outside the state lock."""
-        selected = units[start:stop]
         graph = grounding.graph
-        peers = compute_peers(graph, plan.treatment, plan.response, selected, within=units)
+        peers = compute_peers(graph, plan.treatment, plan.response, units[start:stop], units)
         return collect_unit_table_inputs(
             graph,
             grounding.values,
-            outcome,
-            plan.treatment,
-            plan.response,
-            selected,
             peers,
             self.model.is_observed,
+            admitted=admitted,
             allow_empty=allow_empty,
         )
 

@@ -16,7 +16,10 @@ arrays, never one binding at a time:
   (aggregate heads, and keys no unit holds) get the next ids in the order
   a binding-by-binding grounder interns them (see :class:`_Assembly`);
 * each rule yields (parent id, child id) arrays, and one
-  :meth:`~repro.graph.csr.CSRGraph.from_edges` call compiles them all.
+  :meth:`~repro.graph.csr.CSRGraph.from_edges` call compiles them all;
+* node values are one id-indexed column with a held mask
+  (:class:`~repro.carl.causal_graph.NodeValues`), and the aggregate heads
+  of an attribute are valued in one CSR pass (:func:`head_values`).
 
 ``tests/grounding_oracle.py`` keeps the per-binding grounder this replaced;
 the grounding tests hold this one to it id for id (``docs/grounding.md``).
@@ -25,7 +28,8 @@ the grounding tests hold this one to it id for id (``docs/grounding.md``).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Container, Iterable, Mapping
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,6 +47,7 @@ from repro.carl.causal_graph import (
     GroundedAttribute,
     GroundedCausalGraph,
     GroundedRule,
+    NodeValues,
     grounded_attributes,
     node_sort_key,
 )
@@ -68,45 +73,20 @@ class Grounding:
     """One immutable grounding of a program, which queries read without a lock.
 
     ``graph`` is compiled before the snapshot is published and ``values``
-    (observed and aggregated value of every grounded node; latent nodes are
-    absent) is never written after, so any number of threads may walk them.
-    ``db_token`` is the database version token the snapshot was ground
-    from.  ``aggregate_rules`` counts the leading entries of the model's
+    (observed and aggregated value of every grounded node, as one
+    id-indexed column with a held mask; latent nodes hold none) is never
+    written after, so any number of threads may walk them.  ``db_token`` is
+    the database version token the snapshot was ground from.
+    ``aggregate_rules`` counts the leading entries of the model's
     append-only ``aggregate_rules`` list that the graph covers: rules
     registered later are added by :meth:`Grounder.extend`, which yields a
     new snapshot and leaves this one as it is.
     """
 
     graph: GroundedCausalGraph
-    values: dict[GroundedAttribute, Any]
+    values: NodeValues
     db_token: tuple[Any, ...]
     aggregate_rules: int
-
-
-def aggregate_head_value(
-    graph: GroundedCausalGraph,
-    values: Mapping[GroundedAttribute, Any],
-    head: GroundedAttribute,
-    allowed: Container[Any] | None = None,
-) -> Any:
-    """The value of aggregate node ``head``: its aggregate over the parents
-    that carry a value (not None), or None when none does.
-
-    ``allowed``, when given, admits only the parents whose one-component
-    key it contains (a query's WHERE clause on the aggregated attribute's
-    entity).  Heads ground with the program, heads spliced by
-    :meth:`Grounder.extend` and heads a query restricts all take their value
-    from this function (the grounder gathers the parents of many heads at
-    once, then aggregates each head's list exactly as here).
-    """
-    parent_values = [
-        values[parent]
-        for parent in graph.parent_nodes(head)
-        if values.get(parent) is not None and (allowed is None or parent.key[0] in allowed)
-    ]
-    if not parent_values:
-        return None
-    return apply_aggregate(graph.aggregate_of(head), parent_values)
 
 
 class _Assembly:
@@ -490,32 +470,28 @@ class Grounder:
             self._ground_into(assembly, rule.head, (rule.body,), rule.condition, rule.aggregate)
         return assembly.graph()
 
-    def grounded_attribute_values(
-        self, graph: GroundedCausalGraph
-    ) -> dict[GroundedAttribute, Any]:
+    def grounded_attribute_values(self, graph: GroundedCausalGraph) -> NodeValues:
         """Observed values for every grounded node (aggregates are computed).
 
         ``graph`` is this grounder's :meth:`ground`, so a declared node's id
         is its attribute's base offset plus its unit position.  Latent
-        attributes, and nodes no unit holds, are absent from the mapping.
-        Each observed attribute's values are one column of the bound
-        instance; aggregate heads are valued attribute by attribute, bases
-        before the aggregates over them.
+        attributes, and nodes no unit holds, hold no value.  Each observed
+        attribute's values are one column of the bound instance; aggregate
+        heads are valued attribute by attribute, bases before the
+        aggregates over them.
         """
-        nodes = graph._nodes  # noqa: SLF001 - read-only bulk access
-        by_id = np.empty(len(nodes), dtype=object)
-        values: dict[GroundedAttribute, Any] = {}
+        column = np.full(len(graph), None, dtype=object)
+        held = np.zeros(len(graph), dtype=bool)
         bases = self._bases()
         for name in self.model.schema.observed_attribute_names:
             unit_values = self.instance.unit_values(name)
             ids = slice(bases[name], bases[name] + len(unit_values))
-            values.update(zip(nodes[ids], unit_values))
-            by_id[ids] = as_object_array(unit_values)
+            column[ids] = as_object_array(unit_values)
+            held[ids] = True
         for heads in _aggregate_heads(graph):
-            head_values = _head_values(graph, heads, lambda parents: by_id[parents].tolist())
-            values.update(zip(map(nodes.__getitem__, heads.tolist()), head_values))
-            by_id[heads] = as_object_array(head_values)
-        return values
+            column[heads] = as_object_array(head_values(graph, column, heads))
+            held[heads] = True
+        return NodeValues(graph, column, held)
 
     def extend(self, grounding: Grounding) -> Grounding:
         """``grounding`` plus the model's aggregate rules registered after it.
@@ -542,19 +518,19 @@ class Grounder:
             for rule in rules
         ]
         graph = assembly.graph()
-        values = dict(grounding.values)
-        nodes = graph._nodes  # noqa: SLF001
-        value_of = values.get
+        column = np.full(len(graph), None, dtype=object)
+        held = np.zeros(len(graph), dtype=bool)
+        column[: len(old)] = grounding.values.column
+        held[: len(old)] = grounding.values.held
         new_heads = dict.fromkeys(np.concatenate(heads).tolist()) if heads else {}
         for attribute_heads in _aggregate_heads(graph, new_heads):
-            head_values = _head_values(
-                graph,
-                attribute_heads,
-                lambda parents: list(map(value_of, map(nodes.__getitem__, parents.tolist()))),
-            )
-            values.update(zip(map(nodes.__getitem__, attribute_heads.tolist()), head_values))
+            column[attribute_heads] = as_object_array(head_values(graph, column, attribute_heads))
+            held[attribute_heads] = True
         return Grounding(
-            graph, values, grounding.db_token, grounding.aggregate_rules + len(rules)
+            graph,
+            NodeValues(graph, column, held),
+            grounding.db_token,
+            grounding.aggregate_rules + len(rules),
         )
 
 
@@ -579,24 +555,43 @@ def _aggregate_heads(
     return [np.sort(np.asarray(ids, dtype=np.int64)) for ids in grouped.values()]
 
 
-def _head_values(
+def head_values(
     graph: GroundedCausalGraph,
+    column: np.ndarray,
     heads: np.ndarray,
-    parent_values: Callable[[np.ndarray], list[Any]],
+    admitted: np.ndarray | None = None,
 ) -> list[Any]:
-    """:func:`aggregate_head_value` of each node of ``heads``: the parents of
-    every head are gathered in one CSR pass (ascending by id, as
-    ``parent_nodes`` lists them) and each head's valued parents aggregated
-    by the scalar aggregate, so values stay bit-identical to it."""
-    owner, parents = graph.csr().parent_pairs(heads)
-    gathered = parent_values(parents)
-    counts = np.bincount(owner, minlength=len(heads)).tolist()
+    """The value of each aggregate node of ``heads``: its aggregate over the
+    parents that carry a value (not None) in the id-indexed ``column``, or
+    None when none does.
+
+    ``admitted``, a mask over node ids, keeps only the parents it marks (a
+    query's WHERE clause on the aggregated attribute's entity).  The parents
+    of every head are gathered in one CSR pass (ascending by id) and each
+    head's list aggregated by the scalar aggregate, so values stay
+    bit-identical to aggregating head by head.  A head id of -1 (an absent
+    node) reads None.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    present = heads >= 0
+    owner, parents = graph.csr().parent_pairs(heads[present])
+    if admitted is not None:
+        chosen = admitted[parents]
+        owner, parents = owner[chosen], parents[chosen]
+    gathered = column[parents]
+    valued = np.fromiter(
+        map(operator.is_not, gathered, itertools.repeat(None)), dtype=bool, count=gathered.size
+    )
+    gathered = gathered[valued].tolist()
+    counts = np.bincount(owner[valued], minlength=int(present.sum())).tolist()
     nodes = graph._nodes  # noqa: SLF001
     aggregates = graph._aggregates  # noqa: SLF001
-    result: list[Any] = []
+    result: list[Any] = [None] * len(heads)
     stop = 0
-    for head, count in zip(heads.tolist(), counts):
+    for position, head, count in zip(
+        np.flatnonzero(present).tolist(), heads[present].tolist(), counts
+    ):
         start, stop = stop, stop + count
-        valued = [value for value in gathered[start:stop] if value is not None]
-        result.append(apply_aggregate(aggregates[nodes[head]], valued) if valued else None)
+        if count:
+            result[position] = apply_aggregate(aggregates[nodes[head]], gathered[start:stop])
     return result

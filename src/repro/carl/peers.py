@@ -7,11 +7,21 @@ predicates, producing an aggregated response attribute over the treated
 units.  Relational *peers* of a unit are the other units whose treatment has
 a directed path to the unit's (possibly aggregated) response in the grounded
 causal graph (Definition 4.3).
+
+:func:`compute_peers` finds them for a whole list of units with batched
+walks and returns the walks' arrays (:class:`Peers`): each unit's peer
+treatment node ids, and whether its own treatment reaches its response.
+Unit-table collection consumes those arrays as they are, so no peer is ever
+turned into a key tuple or a grounded-attribute object on the query path;
+``tests/row_oracle.py`` keeps the unit-by-unit definition as a dict of peer
+keys.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -178,13 +188,59 @@ def build_unifying_aggregate_rule(
 # ----------------------------------------------------------------------
 # relational peers
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class Peers:
+    """The relational peers of a list of walked units, as node-id arrays.
+
+    ``peer_ids[indptr[i]:indptr[i + 1]]`` are the treatment node ids of
+    unit ``units[i]``'s peers, ascending.  ``treatment_ids`` and
+    ``response_ids`` are each unit's own treatment and response node ids
+    (-1 when the graph has no such node), and ``own_reaches`` whether the
+    unit's own treatment is or reaches its response (Theorem 5.2 adjusts
+    for its parents only then).  Unit-table collection reads these arrays
+    as they are; :meth:`values`, :meth:`to_dict` and lookups by unit are
+    views for inspection and the tests.
+    """
+
+    graph: GroundedCausalGraph
+    treatment_attribute: str
+    response_attribute: str
+    units: list[tuple[Any, ...]]
+    indptr: np.ndarray
+    peer_ids: np.ndarray
+    treatment_ids: np.ndarray
+    response_ids: np.ndarray
+    own_reaches: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        return iter(self.units)
+
+    def values(self) -> list[np.ndarray]:
+        """Each walked unit's peer treatment node ids, in unit order."""
+        return np.split(self.peer_ids, self.indptr[1:-1]) if self.units else []
+
+    def to_dict(self) -> dict[tuple[Any, ...], list[tuple[Any, ...]]]:
+        """``{unit: its peers' keys in node-id order}`` for every walked unit."""
+        node_at = self.graph.node_at
+        return {
+            unit: [node_at(peer).key for peer in ids.tolist()]
+            for unit, ids in zip(self.units, self.values())
+        }
+
+    def __getitem__(self, unit: tuple[Any, ...]) -> list[tuple[Any, ...]]:
+        return self.to_dict()[unit]
+
+
 def compute_peers(
     graph: GroundedCausalGraph,
     treatment_attribute: str,
     response_attribute: str,
     units: list[tuple[Any, ...]],
     within: list[tuple[Any, ...]] | None = None,
-) -> dict[tuple[Any, ...], list[tuple[Any, ...]]]:
+) -> Peers:
     """Relational peers of every unit (Definition 4.3).
 
     ``units`` are the unified treatment/response unit keys.  A unit ``p`` is
@@ -201,26 +257,43 @@ def compute_peers(
     behavior.
 
     The units are walked in blocks of :data:`WALK_BLOCK`, each block in one
-    batched walk (:meth:`GroundedCausalGraph.attribute_ancestor_pairs`).
+    batched walk (:meth:`GroundedCausalGraph.attribute_ancestor_pairs`);
+    the same walk tells whether each unit's own treatment reaches its
+    response.  Python runs once per unit (its node-id lookups), never per
+    peer.
     """
-    member = np.zeros(len(graph), dtype=bool)
-    member_ids = graph.node_ids(
-        GroundedAttribute(treatment_attribute, unit)
-        for unit in (units if within is None else within)
+    treatment_ids = graph.node_ids(GroundedAttribute(treatment_attribute, unit) for unit in units)
+    response_ids = graph.node_ids(GroundedAttribute(response_attribute, unit) for unit in units)
+    member_ids = (
+        treatment_ids
+        if within is None
+        else graph.node_ids(GroundedAttribute(treatment_attribute, unit) for unit in within)
     )
+    member = np.zeros(len(graph), dtype=bool)
     member[member_ids[member_ids >= 0]] = True
-    node_at = graph.node_at
-    peers: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
+    own_reaches = (treatment_ids >= 0) & (treatment_ids == response_ids)
+    counts = np.zeros(len(units), dtype=np.int64)
+    chunks: list[np.ndarray] = []
     for start in range(0, len(units), WALK_BLOCK):
-        block = units[start : start + WALK_BLOCK]
+        stop = min(start + WALK_BLOCK, len(units))
         positions, ancestors = graph.attribute_ancestor_pairs(
-            graph.node_ids(GroundedAttribute(response_attribute, unit) for unit in block),
-            treatment_attribute,
+            response_ids[start:stop], treatment_attribute
         )
-        own = graph.node_ids(GroundedAttribute(treatment_attribute, unit) for unit in block)
-        keep = member[ancestors] & (ancestors != own[positions])
-        keys = [node_at(ancestor).key for ancestor in ancestors[keep].tolist()]
-        bounds = np.searchsorted(positions[keep], np.arange(len(block) + 1)).tolist()
-        for position, unit in enumerate(block):
-            peers[unit] = keys[bounds[position] : bounds[position + 1]]
-    return peers
+        own = ancestors == treatment_ids[start:stop][positions]
+        own_reaches[start + positions[own]] = True
+        keep = member[ancestors] & ~own
+        chunks.append(ancestors[keep])
+        counts[start:stop] = np.bincount(positions[keep], minlength=stop - start)
+    indptr = np.zeros(len(units) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return Peers(
+        graph,
+        treatment_attribute,
+        response_attribute,
+        list(units),
+        indptr,
+        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64),
+        treatment_ids,
+        response_ids,
+        own_reaches,
+    )

@@ -16,12 +16,13 @@ sides of that process boundary share:
   (:func:`shard_ranges`, sized by :func:`_plan_query`), one
   :class:`ShardTask` per range;
 * workers hand their partial collections back as ``unit_inputs`` artifacts
-  (numeric row ids memory-mappable, raw values exact object round-trips)
-  and a :class:`FinishTask` merges them with
-  :func:`repro.carl.unit_table.merge_unit_table_inputs` — pure
-  concatenation, so the merged collection is *identical* to the serial one
-  and every downstream number (materialization, estimation) is
-  bit-identical by construction;
+  (int64 counts, rows and value codes, memory-mappable; object arrays only
+  per unit or per distinct value, exact round-trips) and a
+  :class:`FinishTask` merges them with
+  :func:`repro.carl.unit_table.merge_unit_table_inputs` — a concatenation
+  that remaps the few distinct values, so the merged collection is
+  *identical* to the serial one and every downstream number
+  (materialization, estimation) is bit-identical by construction;
 * partials are keyed deterministically by ``(grounding fingerprint,
   collection signature, unit range)`` (:func:`shard_partial_key`) and — in a
   persistent cache — outlive the session: a warm re-sweep probes the cache

@@ -6,10 +6,16 @@ treatment, the embedded treatments of its relational peers, and the embedded
 confounding covariates detected by Theorem 5.2.  Once built, any standard
 single-table causal estimator can be applied to it (Section 5.2.1).
 
-The build runs in two phases: :func:`collect_unit_table_inputs` walks the
-grounded graph once per block of units and gathers flat ``(value,
-unit-row)`` covariate buckets, and :func:`materialize_unit_table`
-binarizes, embeds and assembles them with vectorized numpy passes.
+The build runs in two phases over arrays.  :func:`collect_unit_table_inputs`
+takes the peer walk's node-id arrays (:class:`~repro.carl.peers.Peers`) and
+the grounding's id-indexed value column
+(:class:`~repro.carl.causal_graph.NodeValues`) and gathers a column-major
+:class:`UnitTableInputs`: per-unit arrays, and each value column (own and
+peer treatments, each covariate bucket) as integer codes into its distinct
+values (:class:`CodedValues`).  :func:`merge_unit_table_inputs`
+concatenates shard collections, and :func:`materialize_unit_table`
+binarizes, embeds and assembles them.  Python runs per unit, per distinct
+node or value, or per column, never per peer pair or per gathered value.
 ``tests/row_oracle.py`` keeps the unit-by-unit transcriptions of
 Algorithm 1 and of the collect phase that the parity tests hold this build
 to.
@@ -18,17 +24,30 @@ to.
 from __future__ import annotations
 
 import copy
-from collections import Counter
-from collections.abc import Callable, Sequence
+import itertools
+import math
+import operator
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.carl.causal_graph import WALK_BLOCK, GroundedAttribute, GroundedCausalGraph
+from repro.carl.causal_graph import (
+    WALK_BLOCK,
+    GroundedAttribute,
+    GroundedCausalGraph,
+    NodeValues,
+)
 from repro.carl.embeddings import Embedding, MeanEmbedding, get_embedding
 from repro.carl.errors import EstimationError
+from repro.carl.grounding import head_values
 from repro.db.aggregates import as_numeric_array
+from repro.db.query import first_codes
+from repro.db.table import as_object_array
+
+if TYPE_CHECKING:
+    from repro.carl.peers import Peers
 
 #: Maximum number of distinct categories one-hot encoded for a categorical covariate.
 MAX_CATEGORIES = 20
@@ -180,38 +199,146 @@ def default_binarizer(attribute: str) -> Callable[[Any], float]:
     return binarize
 
 
-_MISSING = object()
+@dataclass(frozen=True, eq=False)
+class CodedValues:
+    """One column of gathered raw values, as integer codes.
+
+    ``distinct`` is an object array of the column's distinct values in
+    first-seen order and ``codes[i]`` the position of the column's ``i``-th
+    value in it.  Values are distinct under Python ``dict`` equality, as a
+    ``Counter`` of the values would key them (``1``, ``1.0`` and ``True``
+    share a code, the first seen standing for all; NaN objects key by
+    identity), except that a negative float zero keeps a code of its own:
+    an embedded number keeps its sign bit, while categories, which merge
+    equal codes again, do not.
+    """
+
+    codes: np.ndarray
+    distinct: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @classmethod
+    def encode(cls, values: list[Any]) -> "CodedValues":
+        """The column of ``values``, keyed once per value at C level."""
+        codes, first_of, _ = first_codes(values)
+        zero = first_of.get(0)
+        if zero is not None:
+            # Some value equals zero: a negative float zero among them gets
+            # its own key.  Only that code's values are looked at.
+            negative = [
+                position
+                for position in np.flatnonzero(codes == codes[zero]).tolist()
+                if isinstance(values[position], float)
+                and math.copysign(1.0, values[position]) < 0
+            ]
+            if negative:
+                keys = list(values)
+                for position in negative:
+                    keys[position] = _NEGATIVE_ZERO
+                codes, first_of, _ = first_codes(keys)
+        return cls(codes, as_object_array([values[position] for position in first_of.values()]))
+
+    def decode(self) -> list[Any]:
+        """The column's values, one per code."""
+        return self.distinct[self.codes].tolist()
 
 
-@dataclass(frozen=True)
+#: The key a negative float zero is coded under (it equals every zero).
+_NEGATIVE_ZERO = object()
+
+
+def _first_seen(keys: np.ndarray, size: int) -> np.ndarray:
+    """For each entry of ``keys`` (ints in ``[0, size)``), the position of
+    the first entry equal to it: one pass over a dense table, no sort."""
+    table = np.full(size, keys.size, dtype=np.int64)
+    np.minimum.at(table, keys, np.arange(keys.size))
+    return table[keys]
+
+
+def _node_codes(column: np.ndarray, nodes: np.ndarray) -> CodedValues:
+    """The values of graph nodes ``nodes`` (ids into the value ``column``)
+    as codes.  Each distinct node is read and keyed once, in first-seen
+    order, so the codes are those of factorizing the gathered values."""
+    firsts = _first_seen(nodes, len(column))
+    leads = firsts == np.arange(nodes.size)
+    coded = CodedValues.encode(column[nodes[leads]].tolist())
+    return CodedValues(coded.codes[(np.cumsum(leads) - 1)[firsts]], coded.distinct)
+
+
+def _merge_codes(columns: Sequence[CodedValues]) -> CodedValues:
+    """Concatenated columns: their distinct values are merged in order,
+    each column's codes remapped (Python runs per distinct value)."""
+    merged = CodedValues.encode([value for coded in columns for value in coded.distinct.tolist()])
+    parts: list[np.ndarray] = []
+    offset = 0
+    for coded in columns:
+        parts.append(merged.codes[offset : offset + len(coded.distinct)][coded.codes])
+        offset += len(coded.distinct)
+    codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return CodedValues(codes.astype(np.int64, copy=False), merged.distinct)
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``codes`` that no earlier entry equals."""
+    first = np.zeros(codes.size, dtype=bool)
+    if codes.size:
+        order = np.argsort(codes)
+        ordered = codes[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        first[np.minimum.reduceat(order, starts)] = True
+    return first
+
+
+def _read(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The value column at node ids ``ids``, None where an id is -1."""
+    found = np.full(len(ids), None, dtype=object)
+    present = ids >= 0
+    found[present] = column[ids[present]]
+    return found
+
+
+def _is_not_none(values: np.ndarray) -> np.ndarray:
+    return np.fromiter(
+        map(operator.is_not, values, itertools.repeat(None)), dtype=bool, count=len(values)
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class UnitTableInputs:
     """The embedding- and binarization-independent inputs of one unit table.
 
     Everything :func:`collect_unit_table_inputs` gathers from the grounded
-    graph — kept units, raw treatment/outcome/peer values, and flat covariate
-    ``(value, unit-row)`` buckets — depends only on ``(graph, values,
-    outcome reader, treatment attribute, response attribute, units,
-    peers)``.  Queries that differ only in treatment threshold or embedding
-    can therefore share one collection and diverge at
+    graph — kept units, raw outcomes, treatments and peer treatments, and
+    the covariate buckets — depends only on ``(graph, values, outcome
+    restriction, treatment attribute, response attribute, units, peers)``.
+    Queries that differ only in treatment threshold or embedding can
+    therefore share one collection and diverge at
     :func:`materialize_unit_table`, which is how a batched
     :meth:`CaRLEngine.answer_all` amortizes graph walks.
 
-    Instances are treated as immutable after collection: materialization only
-    reads them, so one collection may back any number of concurrent
+    Column-major: per-unit fields have one entry per kept unit (row), and
+    each value column is :class:`CodedValues`.  ``peer_rows`` and each
+    bucket's rows give the row of every peer treatment and covariate value.
+    Instances are immutable after collection: materialization only reads
+    them, so one collection may back any number of concurrent
     materializations.
     """
 
     treatment_attribute: str
     response_attribute: str
     unit_keys: list[tuple[Any, ...]] = field(repr=False)
-    outcomes_raw: list[Any] = field(repr=False)
-    treatments_raw: list[Any] = field(repr=False)
-    peer_counts: list[int] = field(repr=False)
-    peer_values_raw: list[Any] = field(repr=False)
-    peer_group_ids: list[int] = field(repr=False)
-    covariate_order: list[str] = field(repr=False)
-    #: column name -> (flat values, flat unit-row ids)
-    buckets: dict[str, tuple[list[Any], list[int]]] = field(repr=False)
+    #: raw outcome per row (object array)
+    outcomes: np.ndarray = field(repr=False)
+    treatments: CodedValues = field(repr=False)
+    #: peers per row, valued or not (int64)
+    peer_counts: np.ndarray = field(repr=False)
+    #: the valued peers' raw treatments, row by row, and their rows (int64)
+    peer_treatments: CodedValues = field(repr=False)
+    peer_rows: np.ndarray = field(repr=False)
+    #: column name -> (values, rows), columns in first-gathered order
+    buckets: dict[str, tuple[CodedValues, np.ndarray]] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.unit_keys)
@@ -219,11 +346,11 @@ class UnitTableInputs:
 
 def build_unit_table(
     graph: GroundedCausalGraph,
-    values: dict[GroundedAttribute, Any],
+    values: Mapping[GroundedAttribute, Any],
     treatment_attribute: str,
     response_attribute: str,
     units: Sequence[tuple[Any, ...]],
-    peers: dict[tuple[Any, ...], list[tuple[Any, ...]]],
+    peers: "Peers",
     is_observed: Callable[[str], bool],
     embedding: str | Embedding = "mean",
     peer_embedding: str | Embedding | None = None,
@@ -233,17 +360,23 @@ def build_unit_table(
 
     Parameters mirror the paper's algorithm: the grounded causal graph, the
     observed (and aggregated) grounded values, the treatment and response
-    attribute functions, the unified units and their relational peers, and
-    the embedding functions used to collapse variable-size vectors.
+    attribute functions, the unified units and their relational peers
+    (``compute_peers(graph, treatment_attribute, response_attribute,
+    units)``), and the embedding functions used to collapse variable-size
+    vectors.
 
-    Implemented as :func:`collect_unit_table_inputs` (batched graph walks
-    and gathers) followed by :func:`materialize_unit_table` (binarization,
-    embedding and assembly); batch callers invoke the two phases
-    separately to share collections across queries.
+    Implemented as :func:`collect_unit_table_inputs` (array gathers)
+    followed by :func:`materialize_unit_table` (binarization, embedding and
+    assembly); batch callers invoke the two phases separately to share
+    collections across queries.
     """
+    if (peers.treatment_attribute, peers.response_attribute) != (
+        treatment_attribute,
+        response_attribute,
+    ) or peers.units != list(units):
+        raise EstimationError("the peers were computed for other units or attributes")
     inputs = collect_unit_table_inputs(
-        graph, values, values.get, treatment_attribute, response_attribute, units, peers,
-        is_observed,
+        graph, NodeValues.from_mapping(graph, values), peers, is_observed
     )
     return materialize_unit_table(
         inputs, embedding=embedding, peer_embedding=peer_embedding, binarize=binarize
@@ -252,61 +385,69 @@ def build_unit_table(
 
 def collect_unit_table_inputs(
     graph: GroundedCausalGraph,
-    values: dict[GroundedAttribute, Any],
-    outcome: Callable[[GroundedAttribute], Any],
-    treatment_attribute: str,
-    response_attribute: str,
-    units: Sequence[tuple[Any, ...]],
-    peers: dict[tuple[Any, ...], list[tuple[Any, ...]]],
+    values: NodeValues,
+    peers: "Peers",
     is_observed: Callable[[str], bool],
+    admitted: np.ndarray | None = None,
     allow_empty: bool = False,
 ) -> UnitTableInputs:
     """Phase 1 of the build: gather everything the table needs from the graph.
 
-    Collects, per kept unit, the raw outcome/treatment values, the raw peer
-    treatments, and the Theorem 5.2 adjustment-set values as flat covariate
+    Collects, per kept unit, the raw outcome and treatment, the raw peer
+    treatments, and the Theorem 5.2 adjustment-set values as covariate
     buckets.  The result is independent of the embedding and of treatment
     binarization (both are applied by :func:`materialize_unit_table`).
 
-    A unit is kept when its outcome and its treatment are not None.  Its
-    own covariates are the observed, non-treatment parents of ``T[u]``, in
-    id order, when ``T[u]`` reaches ``Y[u]`` (or is it); its peer
-    covariates are those of each peer whose treatment reaches ``Y[u]``, in
-    peer order, keeping a node's first occurrence in the row and dropping
-    the unit's own covariate nodes.  Only nodes ``values`` holds (even as
-    None) are gathered.  Columns are ordered by their first gathered value.
+    A unit of ``peers.units`` is kept when its outcome and its treatment
+    are not None.  Its own covariates are the observed, non-treatment
+    parents of ``T[u]``, in id order, when ``T[u]`` reaches ``Y[u]`` (or is
+    it); its peer covariates are those of each peer, in peer order, keeping
+    a node's first occurrence in the row and dropping the unit's own
+    covariate nodes.  Only nodes ``values`` holds (even as None) are
+    gathered.  Columns are ordered by their first gathered value.
 
-    ``outcome`` reads each unit's response node (``values.get``, or a reader
-    that aggregates a restricted response's head as it is read); every other
-    value comes from ``values``, whose keys are nodes of ``graph``.
-
-    The outcome and treatment reads are per unit; the rest is per block of
-    :data:`WALK_BLOCK` units: one batched walk
-    (:meth:`GroundedCausalGraph.attribute_ancestor_pairs`) decides which
-    treatments reach which responses, and covariates are CSR parent gathers
-    over ``(row, node)`` arrays.
+    The outcome is ``Y[u]``'s value, unless ``admitted`` (a mask over node
+    ids) restricts an aggregated response: then each unit's head is
+    aggregated over its admitted parents, in one CSR pass for all units
+    (:func:`~repro.carl.grounding.head_values`).  Every read is a gather from
+    the value column by node id.  Covariates are CSR parent gathers over
+    ``(row, node)`` arrays, per block of :data:`WALK_BLOCK` rows, and each
+    value column is coded once per distinct node at the end.
 
     ``allow_empty`` suppresses the no-units error: a shard worker collecting
     one unit *range* of a larger table may legitimately keep zero units (the
     merged collection raises instead when every shard came back empty).
     """
-    kept_units: list[tuple[Any, ...]] = []
-    outcomes_raw: list[Any] = []
-    treatments_raw: list[Any] = []
-    peer_counts: list[int] = []
-    peer_values_raw: list[Any] = []
-    peer_group_ids: list[int] = []
-    covariate_order: list[str] = []
-    #: column name -> (flat values, flat unit-row ids)
-    buckets: dict[str, tuple[list[Any], list[int]]] = {}
+    treatment_attribute = peers.treatment_attribute
+    column, held = values.column, values.held
+    response_ids, treatment_ids = peers.response_ids, peers.treatment_ids
+    if admitted is None:
+        outcomes = _read(column, response_ids)
+    else:
+        outcomes = as_object_array(head_values(graph, column, response_ids, admitted))
+    treatments = _read(column, treatment_ids)
+    keep = _is_not_none(outcomes) & _is_not_none(treatments)
+    kept = np.flatnonzero(keep)
+    if not kept.size and not allow_empty:
+        raise EstimationError(
+            f"no units with observed treatment {treatment_attribute!r} and response "
+            f"{peers.response_attribute!r}; cannot build a unit table"
+        )
+
+    # The kept rows' peers, as (row, peer node) pairs in row order.
+    counts = np.diff(peers.indptr)
+    pair_units = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    kept_pairs = keep[pair_units]
+    pair_rows = (np.cumsum(keep) - 1)[pair_units[kept_pairs]]
+    pair_nodes = peers.peer_ids[kept_pairs]
+    valued = held[pair_nodes]
+    row_bounds = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(counts[kept], out=row_bounds[1:])
 
     layers = graph.attribute_layers()
     n = np.int64(layers.csr.n)
     node_code = layers.node_code
     names = layers.names
-    node_at = graph.node_at
-    values_get = values.get
-    peers_get = peers.get
     # Attribute code -> whether its groundings are adjustment covariates:
     # the observed parent attributes of the treatment.  Only those are asked,
     # since a loaded grounding may hold groundings (another session's
@@ -324,139 +465,83 @@ def collect_unit_table_inputs(
         chosen = covariate[node_code[parents]]
         return rows[owner][chosen], parents[chosen]
 
-    for start in range(0, len(units), WALK_BLOCK):
-        response_nodes: list[GroundedAttribute] = []
-        treatment_nodes: list[GroundedAttribute] = []
-        block_peers: list[tuple[Any, ...]] = []
-        block_peer_counts: list[int] = []
-        for unit in units[start : start + WALK_BLOCK]:
-            response_node = GroundedAttribute(response_attribute, unit)
-            outcome_value = outcome(response_node)
-            if outcome_value is None:
-                continue
-            treatment_node = GroundedAttribute(treatment_attribute, unit)
-            treatment_value = values_get(treatment_node)
-            if treatment_value is None:
-                continue
-            unit_peers = peers_get(unit) or []
-            block_peers.extend(unit_peers)
-            block_peer_counts.append(len(unit_peers))
-            response_nodes.append(response_node)
-            treatment_nodes.append(treatment_node)
-            kept_units.append(unit)
-            outcomes_raw.append(outcome_value)
-            treatments_raw.append(treatment_value)
-        if not response_nodes:
-            continue
-        peer_counts.extend(block_peer_counts)
-        # One int object per row, shared by every entry that row gathers.
-        first_row = len(kept_units) - len(response_nodes)
-        row_ids = np.arange(first_row, len(kept_units)).astype(object)
-        rows = np.arange(len(response_nodes), dtype=np.int64)
-        response_ids = graph.node_ids(response_nodes)
-        treatment_ids = graph.node_ids(treatment_nodes)
-        peer_rows = np.repeat(rows, block_peer_counts)
-        peer_ids = graph.node_ids(
-            GroundedAttribute(treatment_attribute, peer) for peer in block_peers
-        )
-
-        present, found = _node_values(values_get, node_at, peer_ids)
-        peer_values_raw.extend(found[present].tolist())
-        peer_group_ids.extend(row_ids[peer_rows[present]].tolist())
-
-        # Theorem 5.2 adjustment sets: T[x] counts for row u when it is
-        # Y[u] or one of Y[u]'s treatment ancestors.
-        positions, ancestors = graph.attribute_ancestor_pairs(response_ids, treatment_attribute)
-        reached = positions * n + ancestors
-
-        def reaches(owners: np.ndarray, ids: np.ndarray) -> np.ndarray:
-            return (ids >= 0) & (
-                (ids == response_ids[owners]) | np.isin(owners * n + ids, reached)
-            )
-
-        own = np.flatnonzero(reaches(rows, treatment_ids))
-        own_rows, own_nodes = covariate_parents(own, treatment_ids[own])
-        walked = np.flatnonzero(reaches(peer_rows, peer_ids))
-        peer_cov_rows, peer_cov_nodes = covariate_parents(peer_rows[walked], peer_ids[walked])
+    own_rows = np.flatnonzero(peers.own_reaches[kept])
+    own_treatments = treatment_ids[kept]
+    own_bounds = np.searchsorted(own_rows, np.arange(0, kept.size + WALK_BLOCK, WALK_BLOCK))
+    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for block, start in enumerate(range(0, kept.size, WALK_BLOCK)):
+        stop = min(start + WALK_BLOCK, kept.size)
+        own = own_rows[own_bounds[block] : own_bounds[block + 1]]
+        own_cov_rows, own_cov_nodes = covariate_parents(own, own_treatments[own])
+        walked = slice(row_bounds[start], row_bounds[stop])
+        peer_cov_rows, peer_cov_nodes = covariate_parents(pair_rows[walked], pair_nodes[walked])
         # A node's first occurrence in a row wins; the row's own covariate
-        # nodes (valued or not) never enter its peer side.
-        codes = peer_cov_rows * n + peer_cov_nodes
-        first = np.zeros(codes.size, dtype=bool)
-        first[np.unique(codes, return_index=True)[1]] = True
-        first &= ~np.isin(codes, own_rows * n + own_nodes)
+        # nodes (valued or not) never enter its peer side.  Both code
+        # arrays ascend by row, the own one by node within a row too.
+        codes = (peer_cov_rows - start) * n + peer_cov_nodes
+        own_codes = (own_cov_rows - start) * n + own_cov_nodes
+        first = _first_occurrences(codes)
+        if own_codes.size:
+            at = np.minimum(np.searchsorted(own_codes, codes), own_codes.size - 1)
+            first &= own_codes[at] != codes
+        peer_cov_rows, peer_cov_nodes = peer_cov_rows[first], peer_cov_nodes[first]
 
-        # Entries in (row, own before peer, position) order, valued only.
-        entry_rows = np.concatenate((own_rows, peer_cov_rows[first]))
-        entry_nodes = np.concatenate((own_nodes, peer_cov_nodes[first]))
-        is_peer = np.repeat(np.array([0, 1], dtype=np.int64), (own_rows.size, int(first.sum())))
-        order = np.argsort(entry_rows * 2 + is_peer, kind="stable")
-        entry_rows, entry_nodes, is_peer = entry_rows[order], entry_nodes[order], is_peer[order]
-        present, found = _node_values(values_get, node_at, entry_nodes)
-        entry_rows, found = entry_rows[present], found[present]
-        columns = (node_code[entry_nodes] * 2 + is_peer)[present]
-        seen_columns, first_seen = np.unique(columns, return_index=True)
-        for column in seen_columns[np.argsort(first_seen)].tolist():
-            name = ("peer_" if column % 2 else "own_") + names[column // 2]
-            bucket = buckets.get(name)
-            if bucket is None:
-                covariate_order.append(name)
-                bucket = buckets[name] = ([], [])
-            chosen = columns == column
-            bucket[0].extend(found[chosen].tolist())
-            bucket[1].extend(row_ids[entry_rows[chosen]].tolist())
-
-    if not kept_units and not allow_empty:
-        raise EstimationError(
-            f"no units with observed treatment {treatment_attribute!r} and response "
-            f"{response_attribute!r}; cannot build a unit table"
+        # Entries in (row, own before peer, position) order: a merge of the
+        # two row-sorted lists.  Valued entries only.
+        own_at = np.arange(own_cov_rows.size) + np.searchsorted(peer_cov_rows, own_cov_rows)
+        peer_at = np.arange(peer_cov_rows.size) + np.searchsorted(
+            own_cov_rows, peer_cov_rows, side="right"
         )
+        entry_rows = np.empty(own_at.size + peer_at.size, dtype=np.int64)
+        entry_nodes = np.empty_like(entry_rows)
+        is_peer = np.ones_like(entry_rows)
+        entry_rows[own_at], entry_rows[peer_at] = own_cov_rows, peer_cov_rows
+        entry_nodes[own_at], entry_nodes[peer_at] = own_cov_nodes, peer_cov_nodes
+        is_peer[own_at] = 0
+        present = held[entry_nodes]
+        entry_nodes = entry_nodes[present]
+        entries.append(
+            (entry_rows[present], entry_nodes, (node_code[entry_nodes] * 2 + is_peer[present]))
+        )
+
+    if entries:
+        entry_rows, entry_nodes, slots = (np.concatenate(parts) for parts in zip(*entries))
+    else:
+        entry_rows = entry_nodes = slots = np.empty(0, dtype=np.int64)
+    buckets: dict[str, tuple[CodedValues, np.ndarray]] = {}
+    leads = _first_seen(slots, 2 * len(names)) == np.arange(slots.size)
+    for slot in slots[leads].tolist():
+        name = ("peer_" if slot % 2 else "own_") + names[slot // 2]
+        chosen = slots == slot
+        buckets[name] = (_node_codes(column, entry_nodes[chosen]), entry_rows[chosen])
 
     return UnitTableInputs(
         treatment_attribute=treatment_attribute,
-        response_attribute=response_attribute,
-        unit_keys=kept_units,
-        outcomes_raw=outcomes_raw,
-        treatments_raw=treatments_raw,
-        peer_counts=peer_counts,
-        peer_values_raw=peer_values_raw,
-        peer_group_ids=peer_group_ids,
-        covariate_order=covariate_order,
+        response_attribute=peers.response_attribute,
+        unit_keys=[peers.units[row] for row in kept.tolist()],
+        outcomes=outcomes[kept],
+        treatments=CodedValues.encode(treatments[kept].tolist()),
+        peer_counts=counts[kept],
+        peer_treatments=_node_codes(column, pair_nodes[valued]),
+        peer_rows=pair_rows[valued],
         buckets=buckets,
     )
-
-
-def _node_values(
-    values_get: Callable[..., Any],
-    node_at: Callable[[int], GroundedAttribute],
-    ids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(present, found)`` for the graph nodes ``ids``: whether ``values``
-    holds each node (-1 never), and its value as an object array.  Each
-    distinct node is looked up once."""
-    unique, inverse = np.unique(ids, return_inverse=True)
-    found = np.fromiter(
-        (values_get(node_at(i), _MISSING) if i >= 0 else _MISSING for i in unique.tolist()),
-        dtype=object,
-        count=unique.size,
-    )
-    present = np.fromiter(
-        (value is not _MISSING for value in found), dtype=bool, count=unique.size
-    )
-    return present[inverse], found[inverse]
 
 
 def merge_unit_table_inputs(parts: Sequence[UnitTableInputs]) -> UnitTableInputs:
     """Merge shard collections over consecutive unit ranges into one.
 
     Given collections produced by :func:`collect_unit_table_inputs` over
-    consecutive slices of one unit list (in slice order), the merge is pure
-    concatenation: per-unit fields append in shard order, bucket and peer
-    row ids shift by the number of units the earlier shards kept, and the
-    covariate column order is the first-seen order across shards — exactly
-    the order a single collection over the full unit list discovers.  The
-    merged result is therefore *identical* (not just equivalent) to the
-    unsharded collection, which is what makes sharded unit-table builds
-    bit-identical to serial ones: materialization sees the same inputs.
+    consecutive slices of one unit list (in slice order), the merge is a
+    concatenation: per-unit arrays append in shard order, bucket and peer
+    rows shift by the number of units the earlier shards kept, each value
+    column's distinct values merge in shard order (its codes remapped), and
+    the covariate column order is the first-seen order across shards —
+    exactly the order a single collection over the full unit list
+    discovers.  The merged result is therefore *identical* (not just
+    equivalent) to the unsharded collection, which is what makes sharded
+    unit-table builds bit-identical to serial ones: materialization sees the
+    same inputs.
     """
     if not parts:
         raise EstimationError("cannot merge zero unit-table shard collections")
@@ -471,49 +556,34 @@ def merge_unit_table_inputs(parts: Sequence[UnitTableInputs]) -> UnitTableInputs
                 f"({first.treatment_attribute!r}, {first.response_attribute!r}) vs "
                 f"({part.treatment_attribute!r}, {part.response_attribute!r})"
             )
-
-    unit_keys: list[tuple[Any, ...]] = []
-    outcomes_raw: list[Any] = []
-    treatments_raw: list[Any] = []
-    peer_counts: list[int] = []
-    peer_values_raw: list[Any] = []
-    peer_group_ids: list[int] = []
-    covariate_order: list[str] = []
-    buckets: dict[str, tuple[list[Any], list[int]]] = {}
-
-    offset = 0
-    for part in parts:
-        unit_keys.extend(part.unit_keys)
-        outcomes_raw.extend(part.outcomes_raw)
-        treatments_raw.extend(part.treatments_raw)
-        peer_counts.extend(part.peer_counts)
-        peer_values_raw.extend(part.peer_values_raw)
-        peer_group_ids.extend(row + offset for row in part.peer_group_ids)
-        for name in part.covariate_order:
-            bucket = buckets.get(name)
-            if bucket is None:
-                covariate_order.append(name)
-                bucket = buckets[name] = ([], [])
-            part_values, part_rows = part.buckets[name]
-            bucket[0].extend(part_values)
-            bucket[1].extend(row + offset for row in part_rows)
-        offset += len(part.unit_keys)
-
-    if not unit_keys:
+    offsets = np.cumsum([0] + [len(part) for part in parts]).tolist()
+    if not offsets[-1]:
         raise EstimationError(
             f"no units with observed treatment {first.treatment_attribute!r} and response "
             f"{first.response_attribute!r}; cannot build a unit table"
         )
+    buckets: dict[str, tuple[CodedValues, np.ndarray]] = {}
+    for name in dict.fromkeys(name for part in parts for name in part.buckets):
+        shards = [
+            (*part.buckets[name], offset)
+            for part, offset in zip(parts, offsets)
+            if name in part.buckets
+        ]
+        buckets[name] = (
+            _merge_codes([coded for coded, _, _ in shards]),
+            np.concatenate([rows + offset for _, rows, offset in shards]),
+        )
     return UnitTableInputs(
         treatment_attribute=first.treatment_attribute,
         response_attribute=first.response_attribute,
-        unit_keys=unit_keys,
-        outcomes_raw=outcomes_raw,
-        treatments_raw=treatments_raw,
-        peer_counts=peer_counts,
-        peer_values_raw=peer_values_raw,
-        peer_group_ids=peer_group_ids,
-        covariate_order=covariate_order,
+        unit_keys=[key for part in parts for key in part.unit_keys],
+        outcomes=np.concatenate([part.outcomes for part in parts]),
+        treatments=_merge_codes([part.treatments for part in parts]),
+        peer_counts=np.concatenate([part.peer_counts for part in parts]),
+        peer_treatments=_merge_codes([part.peer_treatments for part in parts]),
+        peer_rows=np.concatenate(
+            [part.peer_rows + offset for part, offset in zip(parts, offsets)]
+        ),
         buckets=buckets,
     )
 
@@ -528,7 +598,10 @@ def materialize_unit_table(
 
     Pure function of ``inputs`` (which it never mutates) plus the embedding
     and binarizer choices — the numpy-dominated half of the build,
-    safe to run concurrently over one shared collection.
+    safe to run concurrently over one shared collection.  ``binarize`` runs
+    once per distinct treatment value of each column, numbers are converted
+    once per distinct value and gathered by code, and categories are counted
+    by ``bincount`` over the codes.
     """
     treatment_attribute = inputs.treatment_attribute
     vectorized_binarize = binarize is None
@@ -537,11 +610,24 @@ def materialize_unit_table(
 
     kept_units = inputs.unit_keys
     n_units = len(kept_units)
-    treatment = _binarize_vector(inputs.treatments_raw, binarize, vectorized_binarize)
-    peer_flat = _binarize_vector(inputs.peer_values_raw, binarize, vectorized_binarize)
-    outcome = np.asarray(inputs.outcomes_raw, dtype=float)
+    treatment, treatment_failure = _binarize(
+        inputs.treatments, np.arange(n_units), binarize, vectorized_binarize
+    )
+    peer_flat, peer_failure = _binarize(
+        inputs.peer_treatments, inputs.peer_rows, binarize, vectorized_binarize
+    )
+    outcome, outcome_failure = _outcome_floats(inputs.outcomes)
+    # Algorithm 1 fails at the first row that fails: its treatment, then its
+    # peers' treatments in order, then its outcome.
+    failures = [
+        (row, rank, error)
+        for rank, (row, error) in enumerate((treatment_failure, peer_failure, outcome_failure))
+        if error is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
 
-    peer_gids = np.asarray(inputs.peer_group_ids, dtype=np.intp)
+    peer_gids = np.asarray(inputs.peer_rows, dtype=np.intp)
     if len(peer_flat) == 0:
         peer_matrix, peer_columns = np.empty((n_units, 0)), []
     else:
@@ -551,22 +637,21 @@ def materialize_unit_table(
 
     blocks: list[np.ndarray] = []
     columns: list[str] = []
-    for attribute in inputs.covariate_order:
-        flat_values, flat_group_ids = inputs.buckets[attribute]
-        group_ids = np.asarray(flat_group_ids, dtype=np.intp)
-        numeric = as_numeric_array(flat_values)
-        if numeric is None and _is_numeric_attribute([flat_values]):
-            numeric = np.asarray([_to_number(value) for value in flat_values], dtype=float)
+    for attribute, (coded, rows) in inputs.buckets.items():
+        group_ids = np.asarray(rows, dtype=np.intp)
+        distinct = coded.distinct.tolist()
+        numeric = as_numeric_array(distinct)
+        if numeric is None and _is_numeric_attribute([distinct]):
+            numeric = np.asarray([_to_number(value) for value in distinct], dtype=float)
         if numeric is not None:
+            flat = numeric[coded.codes]
             embedder = _fit_embedder(
-                copy.deepcopy(get_embedding(embedding)), numeric, group_ids, n_units
+                copy.deepcopy(get_embedding(embedding)), flat, group_ids, n_units
             )
-            block = _apply_embedder(embedder, numeric, group_ids, n_units)
+            block = _apply_embedder(embedder, flat, group_ids, n_units)
             block_columns = embedder.feature_names(f"cov_{attribute}")
         else:
-            block, block_columns = _encode_categorical_flat(
-                attribute, flat_values, group_ids, n_units
-            )
+            block, block_columns = _encode_categorical(attribute, coded, group_ids, n_units)
         blocks.append(block)
         columns.extend(block_columns)
     covariate_matrix = np.hstack(blocks) if blocks else np.empty((n_units, 0))
@@ -585,21 +670,42 @@ def materialize_unit_table(
     )
 
 
-def _binarize_vector(
-    raw_values: list[Any], binarize: Callable[[Any], float], vectorize: bool
-) -> np.ndarray:
-    """Binarize treatments in bulk; errors match a per-value ``binarize`` loop."""
-    if not raw_values:
-        return np.empty(0)
+def _binarize(
+    coded: CodedValues, rows: np.ndarray, binarize: Callable[[Any], float], vectorize: bool
+) -> tuple[np.ndarray, tuple[int, Exception | None]]:
+    """Binarize a treatment column once per distinct value: the binarized
+    column, and the row (``rows`` ascending, one per value) and error of
+    its first value whose binarization raised (error None when none did)."""
+    distinct = coded.distinct.tolist()
     if vectorize:
-        array = as_numeric_array(raw_values)
-        if array is not None:
-            valid = (array == 0.0) | (array == 1.0)
-            if bool(valid.all()):
-                return array
-            # Raise the per-value error for the first offending value.
-            binarize(raw_values[int(np.argmax(~valid))])
-    return np.asarray([binarize(value) for value in raw_values], dtype=float)
+        array = as_numeric_array(distinct)
+        if array is not None and bool(((array == 0.0) | (array == 1.0)).all()):
+            return array[coded.codes], (0, None)
+    binarized = np.full(len(distinct), np.nan)
+    failed: dict[int, Exception] = {}
+    for code, value in enumerate(distinct):
+        try:
+            binarized[code] = binarize(value)
+        except Exception as error:  # noqa: BLE001 - raised in row order by the caller
+            failed[code] = error
+    if not failed:
+        return binarized[coded.codes], (0, None)
+    first = int(np.argmax(np.isin(coded.codes, list(failed))))
+    return binarized[coded.codes], (int(rows[first]), failed[int(coded.codes[first])])
+
+
+def _outcome_floats(outcomes: np.ndarray) -> tuple[np.ndarray, tuple[int, Exception | None]]:
+    """The outcomes as floats, and the row and error (as ``float`` raises
+    it) of the first that has none (error None when all do)."""
+    try:
+        return np.asarray(outcomes, dtype=float), (0, None)
+    except (TypeError, ValueError) as error:
+        for row, value in enumerate(outcomes.tolist()):
+            try:
+                float(value)
+            except (TypeError, ValueError) as failure:
+                return np.empty(0), (row, failure)
+        raise error
 
 
 def _defining_class(cls: type, method: str) -> type | None:
@@ -651,34 +757,36 @@ def _regroup(values: np.ndarray, group_ids: np.ndarray, n_groups: int) -> list[l
     return groups
 
 
-def _encode_categorical_flat(
-    attribute: str, values: list[Any], group_ids: np.ndarray, n_groups: int
+def _encode_categorical(
+    attribute: str, coded: CodedValues, group_ids: np.ndarray, n_groups: int
 ) -> tuple[np.ndarray, list[str]]:
     """Encode a categorical covariate as per-unit category fractions + count.
 
     For the common case of a single parent value per unit this reduces to a
     one-hot encoding.  The most frequent :data:`MAX_CATEGORIES` categories get
-    their own column; the rest share an ``other`` column.  Vectorized over
-    flat (value, unit) pairs.
+    their own column (ties in first-seen order, as ``Counter.most_common``
+    ranks them); the rest share an ``other`` column.  Categories are the
+    column's codes merged under ``dict`` equality, counted by ``bincount``.
     """
-    counts: Counter[Any] = Counter(values)
-    categories = [category for category, _ in counts.most_common(MAX_CATEGORIES)]
-    category_index = {category: position for position, category in enumerate(categories)}
-    has_other = len(counts) > len(categories)
+    distinct = coded.distinct.tolist()
+    merged, first_of, _ = first_codes(distinct)
+    labels = [distinct[position] for position in first_of.values()]
+    categories = merged[coded.codes]
+    counts = np.bincount(categories, minlength=len(labels))
+    top = np.argsort(-counts, kind="stable")[:MAX_CATEGORIES]
+    has_other = len(labels) > len(top)
+    position_of = np.full(len(labels), len(top), dtype=np.intp)
+    position_of[top] = np.arange(len(top))
 
-    width = len(categories) + (1 if has_other else 0) + 1  # + count column
+    width = len(top) + (1 if has_other else 0) + 1  # + count column
     matrix = np.zeros((n_groups, width), dtype=float)
     totals = np.bincount(group_ids, minlength=n_groups).astype(float)
-    if values:
-        other_position = len(categories)
-        positions = np.asarray(
-            [category_index.get(value, other_position) for value in values], dtype=np.intp
-        )
-        np.add.at(matrix, (group_ids, positions), 1.0 / totals[group_ids])
+    if len(coded):
+        np.add.at(matrix, (group_ids, position_of[categories]), 1.0 / totals[group_ids])
         nonempty = totals > 0
         matrix[nonempty, -1] = totals[nonempty]
 
-    columns = [f"cov_{attribute}_is_{_category_label(category)}" for category in categories]
+    columns = [f"cov_{attribute}_is_{_category_label(labels[code])}" for code in top.tolist()]
     if has_other:
         columns.append(f"cov_{attribute}_is_other")
     columns.append(f"cov_{attribute}_count")

@@ -19,7 +19,7 @@ deterministically, AVG of an empty group is 0.0, MIN/MAX of an empty group
 is an error, and VAR/SKEW of fewer than two values is 0.0.  These
 empty-input values belong to the functions (the embeddings rely on AVG's
 0.0): an aggregate *head* none of whose parents carries a value is None
-(:func:`repro.carl.grounding.aggregate_head_value`).
+(:func:`repro.carl.grounding.head_values`).
 """
 
 from __future__ import annotations

@@ -36,6 +36,16 @@ class CycleError(ValueError):
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of the int array ``values``, ascending: a sort
+    and a neighbour mask (a flag-less ``np.unique`` answers int64 with a
+    hash table, which is far slower than sorting)."""
+    ordered = np.sort(values)
+    if ordered.size:
+        ordered = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return ordered
+
+
 def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Concatenate the adjacency ranges of every node in ``frontier``.
 
@@ -89,10 +99,7 @@ class CSRGraph:
         if parents.size:
             # Encoding as child*n + parent sorts by (child, parent): exactly
             # the parent-CSR layout.  n < 2**31 in practice, so no overflow.
-            # Sorted, then deduplicated (``np.unique`` hashes, which is far
-            # slower on int64 codes than a sort).
-            codes = np.sort(children * np.int64(n) + parents)
-            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+            codes = sorted_unique(children * np.int64(n) + parents)
             edge_children, edge_parents = np.divmod(codes, np.int64(n))
         else:
             edge_children = edge_parents = _EMPTY
@@ -147,11 +154,11 @@ class CSRGraph:
         self, indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int], include: bool
     ) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        frontier = np.unique(np.asarray(list(sources), dtype=np.int64))
+        frontier = sorted_unique(np.asarray(list(sources), dtype=np.int64))
         if include:
             mask[frontier] = True
         while frontier.size:
-            frontier = np.unique(_gather(indptr, indices, frontier))
+            frontier = sorted_unique(_gather(indptr, indices, frontier))
             frontier = frontier[~mask[frontier]]
             mask[frontier] = True
         return mask
@@ -187,7 +194,7 @@ class CSRGraph:
             if not children.size:
                 break
             np.subtract.at(in_degree, children, 1)
-            ready = np.unique(children)
+            ready = sorted_unique(children)
             ready = ready[in_degree[ready] == 0]
             in_degree[ready] = -1
             frontier = ready
@@ -214,7 +221,7 @@ class CSRGraph:
 
         visited_up = np.zeros(self.n, dtype=bool)
         visited_down = np.zeros(self.n, dtype=bool)
-        up = np.unique(np.asarray(list(sources), dtype=np.int64))
+        up = sorted_unique(np.asarray(list(sources), dtype=np.int64))
         visited_up[up] = True
         down = _EMPTY
         while up.size or down.size:
@@ -225,7 +232,7 @@ class CSRGraph:
             # nodes (chain); parents become reachable through active colliders.
             pass_down = down[~given_mask[down]]
             bounce_down = down[conditioning_ancestors[down]]
-            next_up = np.unique(
+            next_up = sorted_unique(
                 np.concatenate(
                     (
                         _gather(self.parent_indptr, self.parent_indices, open_up),
@@ -233,7 +240,7 @@ class CSRGraph:
                     )
                 )
             )
-            next_down = np.unique(
+            next_down = sorted_unique(
                 np.concatenate(
                     (
                         _gather(self.child_indptr, self.child_indices, open_up),

@@ -239,7 +239,11 @@ class QueryDaemon:
     ) -> QuerySession:
         """Open one tenant's session (use as a context manager).
 
-        ``rate``/``burst`` shape the tenant's token bucket (``rate=None``
+        A tenant has one session at a time: opening a second one under the
+        name of an open session raises :class:`QueryError` (its quota would
+        otherwise multiply), and a closed tenant's name may be opened again.
+        Without ``tenant``, the session gets a generated name no open
+        session holds.  ``rate``/``burst`` shape the tenant's token bucket (``rate=None``
         disables rate limiting); ``max_inflight`` bounds the tenant's
         admitted-but-undelivered queries.  Both reject with
         :class:`AdmissionError` at ``submit``.  ``max_pending`` /
@@ -258,9 +262,20 @@ class QueryDaemon:
                 raise QueryError("the query daemon is closed")
             if self._draining:
                 raise QueryError("the query daemon is draining")
+            open_tenants = {session.tenant for session in self._sessions}
             if tenant is None:
                 tenant = f"tenant-{self._next_anonymous}"
                 self._next_anonymous += 1
+                while tenant in open_tenants:
+                    tenant = f"tenant-{self._next_anonymous}"
+                    self._next_anonymous += 1
+            elif tenant in open_tenants:
+                # A second session would get its own bucket and inflight
+                # count: the tenant's quota would multiply.
+                raise QueryError(
+                    f"tenant {tenant!r} already has an open session; close it "
+                    "before opening another"
+                )
             session = _TenantSession(
                 self,
                 tenant,

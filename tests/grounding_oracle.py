@@ -15,7 +15,8 @@ that it replaced, for tests and benchmarks only:
   first, then each rule's grounded heads and bodies added node by node
   through :meth:`GroundedCausalGraph.add_grounded_rule`;
 * :meth:`Grounder.grounded_attribute_values` — observed values node by
-  node, aggregates in a full topological order;
+  node, aggregates in a full topological order, each head by
+  :func:`aggregate_head_value`;
 * :meth:`Grounder.extend` — registered aggregate rules added node by node to
   a copy of the graph.
 
@@ -32,6 +33,7 @@ the specification itself is wrong.
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping
 from typing import Any
 
 from repro.carl.ast import (
@@ -46,10 +48,12 @@ from repro.carl.causal_graph import (
     GroundedAttribute,
     GroundedCausalGraph,
     GroundedRule,
+    NodeValues,
     node_sort_key,
 )
 from repro.carl.errors import GroundingError
-from repro.carl.grounding import Grounding, aggregate_head_value
+from repro.carl.grounding import Grounding
+from repro.db.aggregates import aggregate as apply_aggregate
 from repro.carl.model import RelationalCausalModel
 from repro.carl.schema import BoundInstance
 from repro.db.query import Atom as DbAtom
@@ -57,6 +61,28 @@ from repro.db.query import Bindings, ConjunctiveQuery
 from repro.db.query import Variable as DbVariable
 
 Binding = dict[str, Any]
+
+
+def aggregate_head_value(
+    graph: GroundedCausalGraph,
+    values: Mapping[GroundedAttribute, Any],
+    head: GroundedAttribute,
+    allowed: Container[Any] | None = None,
+) -> Any:
+    """The value of aggregate node ``head``, one head at a time: its
+    aggregate over the parents that carry a value (not None), or None when
+    none does.  ``allowed``, when given, admits only the parents whose
+    one-component key it contains (a query's WHERE clause on the aggregated
+    attribute's entity).  :func:`repro.carl.grounding.head_values` values
+    many heads at once by this rule."""
+    parent_values = [
+        values[parent]
+        for parent in graph.parent_nodes(head)
+        if values.get(parent) is not None and (allowed is None or parent.key[0] in allowed)
+    ]
+    if not parent_values:
+        return None
+    return apply_aggregate(graph.aggregate_of(head), parent_values)
 
 
 def units(instance: BoundInstance, attribute_name: str) -> list[tuple[Any, ...]]:
@@ -198,10 +224,10 @@ class Grounder:
         graph.validate_acyclic()
         return graph
 
-    def grounded_attribute_values(
-        self, graph: GroundedCausalGraph
-    ) -> dict[GroundedAttribute, Any]:
-        """Observed values for every grounded node (aggregates are computed)."""
+    def grounded_attribute_values(self, graph: GroundedCausalGraph) -> NodeValues:
+        """Observed values for every grounded node (aggregates are computed),
+        node by node into a dict, handed out in the column form the engine
+        reads."""
         values: dict[GroundedAttribute, Any] = {}
         for attribute_name in self.model.schema.observed_attribute_names:
             for key, value in attribute_values(self.instance, attribute_name).items():
@@ -211,7 +237,7 @@ class Grounder:
         for node in graph.topological_order():
             if graph.is_aggregate(node):
                 values[node] = aggregate_head_value(graph, values, node)
-        return values
+        return NodeValues.from_mapping(graph, values)
 
     def extend(self, grounding: Grounding) -> Grounding:
         """``grounding`` plus the model's aggregate rules registered after it."""
@@ -227,5 +253,8 @@ class Grounder:
         for head in heads:
             values[head] = aggregate_head_value(graph, values, head)
         return Grounding(
-            graph, values, grounding.db_token, grounding.aggregate_rules + len(rules)
+            graph,
+            NodeValues.from_mapping(graph, values),
+            grounding.db_token,
+            grounding.aggregate_rules + len(rules),
         )

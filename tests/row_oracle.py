@@ -14,8 +14,11 @@ transcriptions those replaced, for tests and benchmarks only:
   ``parent_adjustment_set`` walk per unit and per peer, and per-group
   embedding;
 * :func:`compute_peers` and :func:`collect_unit_table_inputs` — Definition
-  4.3's peers and the collect phase one unit at a time, with one ancestor
-  walk per response node (production walks a block of units at once).
+  4.3's peers as a ``{unit: peer keys}`` dict and the collect phase one
+  unit at a time, with one ancestor walk per response node and one value
+  appended per gathered node (production walks a block of units at once
+  and codes each value column; :meth:`RowInputs.decode` turns its
+  collection into this row form for comparison).
 
 Why keep it?  It is the executable specification.  Each function here is a
 direct transcription of the paper's definitions; the production path is an
@@ -31,6 +34,7 @@ import copy
 import hashlib
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -348,6 +352,42 @@ def compute_peers(
     return peers
 
 
+@dataclass(frozen=True)
+class RowInputs:
+    """A unit-table collection in row form: per-unit lists, and per value
+    column one raw value (and row) per gathered node, columns in
+    first-gathered order."""
+
+    treatment_attribute: str
+    response_attribute: str
+    unit_keys: list[tuple[Any, ...]]
+    outcomes: list[Any]
+    treatments: list[Any]
+    peer_counts: list[int]
+    peer_treatments: list[Any]
+    peer_rows: list[int]
+    #: (column name, values, rows) per covariate column
+    buckets: list[tuple[str, list[Any], list[int]]]
+
+    @classmethod
+    def decode(cls, inputs: UnitTableInputs) -> "RowInputs":
+        """The row form of a production (column-major, coded) collection."""
+        return cls(
+            treatment_attribute=inputs.treatment_attribute,
+            response_attribute=inputs.response_attribute,
+            unit_keys=list(inputs.unit_keys),
+            outcomes=list(inputs.outcomes.tolist()),
+            treatments=inputs.treatments.decode(),
+            peer_counts=inputs.peer_counts.tolist(),
+            peer_treatments=inputs.peer_treatments.decode(),
+            peer_rows=inputs.peer_rows.tolist(),
+            buckets=[
+                (name, coded.decode(), rows.tolist())
+                for name, (coded, rows) in inputs.buckets.items()
+            ],
+        )
+
+
 def collect_unit_table_inputs(
     graph: GroundedCausalGraph,
     values: dict[GroundedAttribute, Any],
@@ -358,9 +398,10 @@ def collect_unit_table_inputs(
     peers: dict[tuple[Any, ...], list[tuple[Any, ...]]],
     is_observed: Callable[[str], bool],
     allow_empty: bool = False,
-) -> UnitTableInputs:
-    """The collect phase unit by unit, with the production signature and
-    result: one ancestor walk per unit, covariate values appended as found."""
+) -> RowInputs:
+    """The collect phase unit by unit: one ancestor walk per unit, covariate
+    values appended as found.  Peers are ``{unit: peer keys}``, and each
+    unit's outcome is ``outcome(Y[u])``."""
     kept_units: list[tuple[Any, ...]] = []
     outcomes_raw: list[Any] = []
     treatments_raw: list[Any] = []
@@ -437,17 +478,16 @@ def collect_unit_table_inputs(
             f"no units with observed treatment {treatment_attribute!r} and response "
             f"{response_attribute!r}; cannot build a unit table"
         )
-    return UnitTableInputs(
+    return RowInputs(
         treatment_attribute=treatment_attribute,
         response_attribute=response_attribute,
         unit_keys=kept_units,
-        outcomes_raw=outcomes_raw,
-        treatments_raw=treatments_raw,
+        outcomes=outcomes_raw,
+        treatments=treatments_raw,
         peer_counts=peer_counts,
-        peer_values_raw=peer_values_raw,
-        peer_group_ids=peer_group_ids,
-        covariate_order=covariate_order,
-        buckets=buckets,
+        peer_treatments=peer_values_raw,
+        peer_rows=peer_group_ids,
+        buckets=[(name, *buckets[name]) for name in covariate_order],
     )
 
 

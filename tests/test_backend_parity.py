@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grounding_oracle
 import row_oracle
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
 from repro.carl.embeddings import EMBEDDINGS
@@ -339,7 +340,7 @@ def test_unit_table_backend_parity(setup, embedding):
     graph, values, units = setup
     peers = compute_peers(graph, "T", "Y", units)
 
-    def build(builder):
+    def build(builder, peers):
         try:
             return builder(
                 graph,
@@ -354,8 +355,8 @@ def test_unit_table_backend_parity(setup, embedding):
         except Exception as error:  # noqa: BLE001 - compared across paths
             return error
 
-    expected = build(row_oracle.build_unit_table)
-    actual = build(build_unit_table)
+    expected = build(row_oracle.build_unit_table, peers.to_dict())
+    actual = build(build_unit_table, peers)
     if isinstance(expected, Exception) or isinstance(actual, Exception):
         assert type(expected) is type(actual), (expected, actual)
         return
@@ -425,18 +426,23 @@ def test_custom_embedding_subclass_overrides_are_honoured():
 def test_engine_unit_table_matches_oracle(text):
     """The engine's unit table equals the oracle's Algorithm 1 run on the
     engine's own graph, values, units and peers, with each unit's outcome
-    as the engine's (restricted) outcome reader gives it."""
+    aggregated head by head over the parents the WHERE clause admits."""
     engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
     actual = engine.unit_table(text)
     plan = engine._plan(parse_query(text), "mean")
     treatment, response = plan.treatment, plan.response
-    grounding, _, units, outcome = engine._units(plan)
+    grounding, _, units, admitted = engine._units(plan)
+    graph = grounding.graph
     values = dict(grounding.values)
-    for unit in units:
-        values[GroundedAttribute(response, unit)] = outcome(GroundedAttribute(response, unit))
-    peers = compute_peers(grounding.graph, treatment, response, units)
+    if admitted is not None:
+        bindings = engine.grounder.condition_bindings(plan.query.condition)
+        allowed = set(bindings.column(plan.response_variable))
+        for unit in units:
+            head = GroundedAttribute(response, unit)
+            values[head] = grounding_oracle.aggregate_head_value(graph, values, head, allowed)
+    peers = compute_peers(graph, treatment, response, units)
     expected = row_oracle.build_unit_table(
-        grounding.graph, values, treatment, response, units, peers, engine.model.is_observed
+        graph, values, treatment, response, units, peers.to_dict(), engine.model.is_observed
     )
     assert_same_unit_table(expected, actual)
 

@@ -170,7 +170,7 @@ class TestCollectionSharing:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[5])  # the collected units
+            calls.append(args[2].units)  # the collected units (the peers')
             return collect(*args, **kwargs)
 
         monkeypatch.setattr(engine_module, "collect_unit_table_inputs", counting)

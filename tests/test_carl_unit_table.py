@@ -83,7 +83,8 @@ class TestToyUnitTable:
         assert any("_pad" in column for column in padded.covariate_columns)
 
     def test_custom_binarizer(self, toy_setup):
-        graph, values, units, peers, model = toy_setup
+        graph, values, units, _, model = toy_setup
+        peers = compute_peers(graph, "Qualification", "AVG_Score", units)
         table = build_unit_table(
             graph=graph,
             values=values,
@@ -101,7 +102,8 @@ class TestToyUnitTable:
 
 class TestErrors:
     def test_non_binary_treatment_without_threshold(self, toy_setup):
-        graph, values, units, peers, model = toy_setup
+        graph, values, units, _, model = toy_setup
+        peers = compute_peers(graph, "Qualification", "AVG_Score", units)
         with pytest.raises(EstimationError, match="non-binary"):
             build_unit_table(
                 graph=graph,
@@ -114,7 +116,7 @@ class TestErrors:
             )
 
     def test_no_valid_units(self, toy_setup):
-        graph, values, units, peers, model = toy_setup
+        graph, values, _, _, model = toy_setup
         with pytest.raises(EstimationError, match="no units"):
             build_unit_table(
                 graph=graph,
@@ -122,7 +124,7 @@ class TestErrors:
                 treatment_attribute="Prestige",
                 response_attribute="AVG_Score",
                 units=[("Ghost",)],
-                peers={("Ghost",): []},
+                peers=compute_peers(graph, "Prestige", "AVG_Score", [("Ghost",)]),
                 is_observed=model.is_observed,
             )
 
@@ -172,7 +174,7 @@ class TestCategoricalCovariates:
             treatment_attribute="SelfPay",
             response_attribute="Death",
             units=units,
-            peers={unit: [] for unit in units},
+            peers=compute_peers(graph, "SelfPay", "Death", units),
             is_observed=model.is_observed,
         )
         assert any("is_white" in column for column in table.covariate_columns)

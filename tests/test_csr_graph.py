@@ -21,8 +21,25 @@ from repro.cache import ArtifactCache, CacheKey, grounding_payload, load_groundi
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
 from graph_oracle import DAG, d_separated as dag_d_separated
 from repro.graph import CSRGraph, CycleError
+from repro.graph.csr import sorted_unique
 
 ATTRIBUTES = ("T", "Y", "Z")
+
+
+@given(
+    st.sampled_from([np.int32, np.int64]),
+    st.one_of(
+        st.lists(st.integers(-(2**31), 2**31 - 1), max_size=40),
+        st.lists(st.integers(-3, 3), max_size=40),
+    ),
+)
+def test_sorted_unique_matches_np_unique(dtype, values):
+    """The walks' sort-based dedup equals ``np.unique``: empty input, one
+    value, duplicates and negatives, on int32 and int64."""
+    array = np.asarray(values, dtype=dtype)
+    result = sorted_unique(array)
+    assert result.dtype == array.dtype
+    assert result.tolist() == np.unique(array).tolist()
 
 
 def node(index: int) -> GroundedAttribute:

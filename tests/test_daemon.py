@@ -284,6 +284,25 @@ def test_closing_one_session_leaves_the_daemon_usable(serial_answers):
         assert answer_fingerprint(outcome) == answer_fingerprint(serial_answers["ate"])
 
 
+def test_a_tenant_has_one_open_session_at_a_time():
+    """A second session under an open tenant's name would get its own
+    token bucket and in-flight cap, multiplying the tenant's quota: it is
+    refused until the first one closes.  Generated names skip taken ones."""
+    with QueryDaemon(fresh_engine(), jobs=1, shards=1) as daemon:
+        first = daemon.open_session(tenant="a", max_inflight=1)
+        with pytest.raises(QueryError, match="'a'"):
+            daemon.open_session(tenant="a")
+        assert list(daemon.stats()["tenants"]) == ["a"]
+        taken = daemon.open_session(tenant="tenant-0")
+        anonymous = daemon.open_session()
+        assert anonymous.tenant == "tenant-1"
+        first.close()
+        again = daemon.open_session(tenant="a")
+        assert list(daemon.stats()["tenants"]) == ["tenant-0", "tenant-1", "a"]
+        for session in (taken, anonymous, again):
+            session.close()
+
+
 # ----------------------------------------------------------------------
 # delivery contract: exactly once, or never — close included
 # ----------------------------------------------------------------------

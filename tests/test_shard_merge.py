@@ -19,21 +19,30 @@ signed infinities.
 from __future__ import annotations
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache.serialization import (
     load_unit_inputs,
     unit_inputs_payload,
 )
-from repro.cache.store import ArtifactCache
+from repro.cache.store import ArtifactCache, CacheKey
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import QueryError
 from repro.carl.shard import shard_ranges
-from repro.carl.unit_table import materialize_unit_table, merge_unit_table_inputs
+from repro.carl.unit_table import (
+    CodedValues,
+    UnitTableInputs,
+    materialize_unit_table,
+    merge_unit_table_inputs,
+)
 from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
 from repro.db.aggregates import AGGREGATES, GROUPED_AGGREGATES, grouped_aggregate
+from repro.db.table import as_object_array
 from repro.faults.plan import FaultRule
 from repro.observability import reset_registry
 
@@ -149,19 +158,100 @@ def test_sharded_collection_merges_to_serial(query, shards):
     assert merged.equals(serial)
 
 
-def test_unit_inputs_payload_round_trip():
-    engine = fresh_engine()
-    inputs = engine.collect_shard_inputs("Score[S] <= Prestige[A] ?", 0, 10**9)
-    loaded = load_unit_inputs(unit_inputs_payload(inputs))
+RAW = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["a", "b", ""]),
+)
+
+
+@st.composite
+def collections(draw) -> UnitTableInputs:
+    """A drawn collection: None, bool, int, float (NaN and inf among them)
+    and str values in every column; zero units is an empty shard."""
+    n_units = draw(st.integers(0, 6))
+    peer_counts = [draw(st.integers(0, 3)) for _ in range(n_units)]
+
+    def column(rows_of: list[int], values=RAW):
+        return CodedValues.encode([draw(values) for _ in rows_of]), np.asarray(rows_of, dtype=np.int64)
+
+    peer_rows = [row for row, count in enumerate(peer_counts) for _ in range(draw(st.integers(0, count)))]
+    buckets = {}
+    for name in draw(st.lists(st.sampled_from(["own_A", "peer_A", "own_B"]), unique=True)):
+        rows = sorted(draw(st.lists(st.integers(0, max(n_units - 1, 0)), max_size=2 * n_units)))
+        buckets[name] = column(rows, st.one_of(st.none(), RAW))
+    peer_treatments, peer_row_array = column(peer_rows, st.one_of(st.none(), RAW))
+    return UnitTableInputs(
+        treatment_attribute="T",
+        response_attribute="Y",
+        unit_keys=[(draw(st.integers(0, 9)), "k") for _ in range(n_units)],
+        outcomes=as_object_array([draw(RAW) for _ in range(n_units)]),
+        treatments=CodedValues.encode([draw(RAW) for _ in range(n_units)]),
+        peer_counts=np.asarray(peer_counts, dtype=np.int64),
+        peer_treatments=peer_treatments,
+        peer_rows=peer_row_array,
+        buckets=buckets,
+    )
+
+
+def exact(values) -> list[str]:
+    """Type and exact bits of each value (NaN objects compare by kind)."""
+    return [
+        f"{type(value).__name__}|{value.hex() if isinstance(value, float) else repr(value)}"
+        for value in values
+    ]
+
+
+def same_coded(loaded: CodedValues, original: CodedValues) -> bool:
+    return (
+        loaded.codes.dtype == np.int64
+        and loaded.codes.tolist() == original.codes.tolist()
+        and exact(loaded.distinct.tolist()) == exact(original.distinct.tolist())
+    )
+
+
+@given(collections())
+def test_unit_inputs_payload_round_trip(inputs):
+    """A partial written to and read back from an on-disk cache equals the
+    collection field for field, and holds object arrays only per unit or
+    per distinct value."""
+    payload = unit_inputs_payload(inputs, span=(0, len(inputs), len(inputs)))
+    columns = {"treatment": inputs.treatments, "peer": inputs.peer_treatments}
+    columns.update(
+        (f"bucket_{position}", coded) for position, (coded, _) in enumerate(inputs.buckets.values())
+    )
+    for name, array in payload.items():
+        if array.dtype == object:
+            prefix = name.removesuffix("_distinct")
+            bound = len(columns[prefix].distinct) if prefix != name else len(inputs)
+            assert len(array) <= bound, name
+    with tempfile.TemporaryDirectory() as root:
+        cache = ArtifactCache(root)
+        key = CacheKey(database="d" * 64, program="e" * 64, kind="unit_inputs")
+        cache.store(key, payload)
+        loaded = load_unit_inputs(cache.load(key))
+    assert loaded.treatment_attribute == inputs.treatment_attribute
+    assert loaded.response_attribute == inputs.response_attribute
     assert loaded.unit_keys == inputs.unit_keys
-    assert loaded.outcomes_raw == inputs.outcomes_raw
-    assert loaded.treatments_raw == inputs.treatments_raw
-    assert loaded.peer_counts == inputs.peer_counts
-    assert loaded.peer_values_raw == inputs.peer_values_raw
-    assert loaded.peer_group_ids == inputs.peer_group_ids
-    assert loaded.covariate_order == inputs.covariate_order
-    assert loaded.buckets == inputs.buckets
-    assert materialize_unit_table(loaded).equals(materialize_unit_table(inputs))
+    assert exact(loaded.outcomes.tolist()) == exact(inputs.outcomes.tolist())
+    assert same_coded(loaded.treatments, inputs.treatments)
+    assert loaded.peer_counts.tolist() == inputs.peer_counts.tolist()
+    assert same_coded(loaded.peer_treatments, inputs.peer_treatments)
+    assert loaded.peer_rows.tolist() == inputs.peer_rows.tolist()
+    assert list(loaded.buckets) == list(inputs.buckets)
+    for name, (coded, rows) in inputs.buckets.items():
+        assert same_coded(loaded.buckets[name][0], coded)
+        assert loaded.buckets[name][1].tolist() == rows.tolist()
+
+
+def test_coded_values_key_as_a_counter_does_but_keep_signed_zeros():
+    """``1``, ``1.0`` and ``True`` share the first-seen code, a NaN object
+    keys by identity, and a negative float zero keeps its own code."""
+    nan = float("nan")
+    coded = CodedValues.encode([True, 1, 1.0, "a", nan, nan, float("nan"), 0.0, -0.0, False, 0])
+    assert coded.codes.tolist() == [0, 0, 0, 1, 2, 2, 3, 4, 5, 4, 4]
+    assert exact(coded.distinct.tolist()) == exact([True, "a", nan, float("nan"), 0.0, -0.0])
 
 
 def test_merge_rejects_mismatched_collections():
