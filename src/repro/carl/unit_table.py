@@ -249,22 +249,15 @@ class CodedValues:
 _NEGATIVE_ZERO = object()
 
 
-def _first_seen(keys: np.ndarray, size: int) -> np.ndarray:
-    """For each entry of ``keys`` (ints in ``[0, size)``), the position of
-    the first entry equal to it: one pass over a dense table, no sort."""
-    table = np.full(size, keys.size, dtype=np.int64)
-    np.minimum.at(table, keys, np.arange(keys.size))
-    return table[keys]
-
-
 def _node_codes(column: np.ndarray, nodes: np.ndarray) -> CodedValues:
     """The values of graph nodes ``nodes`` (ids into the value ``column``)
     as codes.  Each distinct node is read and keyed once, in first-seen
     order, so the codes are those of factorizing the gathered values."""
-    firsts = _first_seen(nodes, len(column))
-    leads = firsts == np.arange(nodes.size)
-    coded = CodedValues.encode(column[nodes[leads]].tolist())
-    return CodedValues(coded.codes[(np.cumsum(leads) - 1)[firsts]], coded.distinct)
+    leads = nodes[_dense_first_occurrences(nodes, len(column))]
+    coded = CodedValues.encode(column[leads].tolist())
+    code_of = np.empty(len(column), dtype=np.int64)
+    code_of[leads] = coded.codes
+    return CodedValues(code_of[nodes], coded.distinct)
 
 
 def _merge_codes(columns: Sequence[CodedValues]) -> CodedValues:
@@ -280,8 +273,18 @@ def _merge_codes(columns: Sequence[CodedValues]) -> CodedValues:
     return CodedValues(codes.astype(np.int64, copy=False), merged.distinct)
 
 
+def _dense_first_occurrences(keys: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the entries of ``keys`` (ints in ``[0, size)``) that no
+    earlier entry equals: one pass over a dense table, no sort."""
+    positions = np.arange(keys.size)
+    table = np.full(size, keys.size, dtype=np.int64)
+    np.minimum.at(table, keys, positions)
+    return table[keys] == positions
+
+
 def _first_occurrences(codes: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``codes`` that no earlier entry equals."""
+    """Mask of the entries of ``codes`` that no earlier entry equals (a
+    sort: for codes whose range is too wide for a dense table)."""
     first = np.zeros(codes.size, dtype=bool)
     if codes.size:
         order = np.argsort(codes)
@@ -436,9 +439,8 @@ def collect_unit_table_inputs(
 
     # The kept rows' peers, as (row, peer node) pairs in row order.
     counts = np.diff(peers.indptr)
-    pair_units = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    kept_pairs = keep[pair_units]
-    pair_rows = (np.cumsum(keep) - 1)[pair_units[kept_pairs]]
+    kept_pairs = np.repeat(keep, counts)
+    pair_rows = np.repeat(np.cumsum(keep) - 1, counts)[kept_pairs]
     pair_nodes = peers.peer_ids[kept_pairs]
     valued = held[pair_nodes]
     row_bounds = np.zeros(kept.size + 1, dtype=np.int64)
@@ -468,7 +470,9 @@ def collect_unit_table_inputs(
     own_rows = np.flatnonzero(peers.own_reaches[kept])
     own_treatments = treatment_ids[kept]
     own_bounds = np.searchsorted(own_rows, np.arange(0, kept.size + WALK_BLOCK, WALK_BLOCK))
-    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    #: slot (attribute code * 2 + is peer) -> its blocks' rows and nodes,
+    #: slots in first-gathered order
+    slots: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
     for block, start in enumerate(range(0, kept.size, WALK_BLOCK)):
         stop = min(start + WALK_BLOCK, kept.size)
         own = own_rows[own_bounds[block] : own_bounds[block + 1]]
@@ -499,21 +503,20 @@ def collect_unit_table_inputs(
         entry_nodes[own_at], entry_nodes[peer_at] = own_cov_nodes, peer_cov_nodes
         is_peer[own_at] = 0
         present = held[entry_nodes]
-        entry_nodes = entry_nodes[present]
-        entries.append(
-            (entry_rows[present], entry_nodes, (node_code[entry_nodes] * 2 + is_peer[present]))
-        )
+        entry_rows, entry_nodes = entry_rows[present], entry_nodes[present]
+        entry_slots = node_code[entry_nodes] * 2 + is_peer[present]
+        leads = _dense_first_occurrences(entry_slots, 2 * len(names))
+        for slot in entry_slots[leads].tolist():
+            chosen = entry_slots == slot
+            slot_rows, slot_nodes = slots.setdefault(slot, ([], []))
+            slot_rows.append(entry_rows[chosen])
+            slot_nodes.append(entry_nodes[chosen])
 
-    if entries:
-        entry_rows, entry_nodes, slots = (np.concatenate(parts) for parts in zip(*entries))
-    else:
-        entry_rows = entry_nodes = slots = np.empty(0, dtype=np.int64)
     buckets: dict[str, tuple[CodedValues, np.ndarray]] = {}
-    leads = _first_seen(slots, 2 * len(names)) == np.arange(slots.size)
-    for slot in slots[leads].tolist():
+    for slot in list(slots):
+        slot_rows, slot_nodes = slots.pop(slot)  # each slot's blocks are freed as it is coded
         name = ("peer_" if slot % 2 else "own_") + names[slot // 2]
-        chosen = slots == slot
-        buckets[name] = (_node_codes(column, entry_nodes[chosen]), entry_rows[chosen])
+        buckets[name] = (_node_codes(column, np.concatenate(slot_nodes)), np.concatenate(slot_rows))
 
     return UnitTableInputs(
         treatment_attribute=treatment_attribute,
