@@ -28,6 +28,7 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
 
 import row_oracle
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
+from repro.carl.peers import compute_peers
 from repro.carl.unit_table import build_unit_table
 from repro.db.table import Table
 
@@ -123,10 +124,8 @@ def _make_grounded(n: int, seed: int = 1):
         for covariate in covariates[:-1]:
             values[covariate] = rng.uniform(0.0, 100.0)
         values[covariates[-1]] = rng.choice(("north", "south", "east", "west"))
-    peers: dict[tuple, list[tuple]] = {}
     for (index,) in units:
         ring = [((index + offset) % n,) for offset in range(1, N_PEERS + 1) if n > 1]
-        peers[(index,)] = ring
         for peer in ring:
             graph.add_grounded_rule(
                 GroundedRule(
@@ -134,13 +133,17 @@ def _make_grounded(n: int, seed: int = 1):
                     body=(GroundedAttribute("T", peer),),
                 )
             )
-    return graph, values, units, peers
+    return graph, values, units
 
 
 def bench_unit_table(n: int) -> dict:
-    graph, values, units, peers = _make_grounded(n)
+    graph, values, units = _make_grounded(n)
+    # Both builders take the same peers (found outside the timed region):
+    # production reads the walk's arrays, the oracle their {unit: keys} form.
+    peers = compute_peers(graph, "T", "Y", units)
+    peer_keys = peers.to_dict()
 
-    def build(builder):
+    def build(builder, peers):
         return builder(
             graph,
             values,
@@ -152,8 +155,8 @@ def bench_unit_table(n: int) -> dict:
             embedding="moments",
         )
 
-    oracle_result, oracle_seconds = _timed(lambda: build(row_oracle.build_unit_table))
-    result, production_seconds = _timed(lambda: build(build_unit_table))
+    oracle_result, oracle_seconds = _timed(lambda: build(row_oracle.build_unit_table, peer_keys))
+    result, production_seconds = _timed(lambda: build(build_unit_table, peers))
     assert len(oracle_result) == len(result) == n
     assert oracle_result.covariate_columns == result.covariate_columns
     return {

@@ -28,7 +28,6 @@ the grounding tests hold this one to it id for id (``docs/grounding.md``).
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
@@ -64,7 +63,7 @@ from repro.db.query import (
     gather_values,
 )
 from repro.db.query import Variable as DbVariable
-from repro.db.table import as_object_array
+from repro.db.table import as_object_array, not_none_mask
 from repro.graph.csr import CSRGraph
 
 
@@ -579,9 +578,7 @@ def head_values(
         chosen = admitted[parents]
         owner, parents = owner[chosen], parents[chosen]
     gathered = column[parents]
-    valued = np.fromiter(
-        map(operator.is_not, gathered, itertools.repeat(None)), dtype=bool, count=gathered.size
-    )
+    valued = not_none_mask(gathered)
     gathered = gathered[valued].tolist()
     counts = np.bincount(owner[valued], minlength=int(present.sum())).tolist()
     nodes = graph._nodes  # noqa: SLF001

@@ -24,9 +24,7 @@ to.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
-import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -43,8 +41,8 @@ from repro.carl.embeddings import Embedding, MeanEmbedding, get_embedding
 from repro.carl.errors import EstimationError
 from repro.carl.grounding import head_values
 from repro.db.aggregates import as_numeric_array
-from repro.db.query import first_codes
-from repro.db.table import as_object_array
+from repro.db.query import first_codes, first_positions
+from repro.db.table import as_object_array, not_none_mask
 
 if TYPE_CHECKING:
     from repro.carl.peers import Peers
@@ -270,7 +268,7 @@ def _merge_codes(columns: Sequence[CodedValues]) -> CodedValues:
         parts.append(merged.codes[offset : offset + len(coded.distinct)][coded.codes])
         offset += len(coded.distinct)
     codes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return CodedValues(codes.astype(np.int64, copy=False), merged.distinct)
+    return CodedValues(codes, merged.distinct)
 
 
 def _dense_first_occurrences(keys: np.ndarray, size: int) -> np.ndarray:
@@ -282,30 +280,12 @@ def _dense_first_occurrences(keys: np.ndarray, size: int) -> np.ndarray:
     return table[keys] == positions
 
 
-def _first_occurrences(codes: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``codes`` that no earlier entry equals (a
-    sort: for codes whose range is too wide for a dense table)."""
-    first = np.zeros(codes.size, dtype=bool)
-    if codes.size:
-        order = np.argsort(codes)
-        ordered = codes[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        first[np.minimum.reduceat(order, starts)] = True
-    return first
-
-
 def _read(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The value column at node ids ``ids``, None where an id is -1."""
     found = np.full(len(ids), None, dtype=object)
     present = ids >= 0
     found[present] = column[ids[present]]
     return found
-
-
-def _is_not_none(values: np.ndarray) -> np.ndarray:
-    return np.fromiter(
-        map(operator.is_not, values, itertools.repeat(None)), dtype=bool, count=len(values)
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +409,7 @@ def collect_unit_table_inputs(
     else:
         outcomes = as_object_array(head_values(graph, column, response_ids, admitted))
     treatments = _read(column, treatment_ids)
-    keep = _is_not_none(outcomes) & _is_not_none(treatments)
+    keep = not_none_mask(outcomes) & not_none_mask(treatments)
     kept = np.flatnonzero(keep)
     if not kept.size and not allow_empty:
         raise EstimationError(
@@ -484,7 +464,7 @@ def collect_unit_table_inputs(
         # arrays ascend by row, the own one by node within a row too.
         codes = (peer_cov_rows - start) * n + peer_cov_nodes
         own_codes = (own_cov_rows - start) * n + own_cov_nodes
-        first = _first_occurrences(codes)
+        first = first_positions(codes) == np.arange(codes.size)
         if own_codes.size:
             at = np.minimum(np.searchsorted(own_codes, codes), own_codes.size - 1)
             first &= own_codes[at] != codes

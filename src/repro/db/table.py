@@ -14,6 +14,8 @@ rows, same order, same content digests) with differential property tests.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
@@ -505,6 +507,14 @@ def as_object_array(values: Sequence[Any]) -> np.ndarray:
         for position, value in enumerate(values):
             array[position] = value
     return array
+
+
+def not_none_mask(values: np.ndarray) -> np.ndarray:
+    """Which entries of the object array ``values`` are not None (an
+    identity test per entry, at C level)."""
+    return np.fromiter(
+        map(operator.is_not, values, itertools.repeat(None)), dtype=bool, count=len(values)
+    )
 
 
 def _numeric_column_array(column: ColumnSchema, data: Sequence[Any]) -> np.ndarray | None:
