@@ -602,13 +602,6 @@ class NodeValues(Mapping[GroundedAttribute, Any]):
             raise KeyError(node)
         return self.column[index]
 
-    def __contains__(self, node: object) -> bool:
-        try:
-            index = self.graph.index_of(node)  # type: ignore[arg-type]
-        except TypeError:  # unhashable
-            return False
-        return index is not None and bool(self.held[index])
-
     def __iter__(self) -> Iterator[GroundedAttribute]:
         return map(self.graph.node_at, np.flatnonzero(self.held).tolist())
 
