@@ -14,8 +14,8 @@ Supported artifacts:
   interned attribute names, dual-CSR adjacency arrays (memory-mappable,
   deterministic node-id order; see ``docs/grounding.md``) and object arrays
   for keys/values;
-* a shard's unit-table collection — int64 counts, rows and codes, and
-  object arrays only per unit or per distinct value;
+* a shard's unit-table collection — counts, rows and codes as unsigned
+  integer arrays, and object arrays only per unit or per distinct value;
 * :class:`~repro.carl.unit_table.UnitTable` — the flat estimator input, all
   numeric except the unit keys.
 
@@ -277,14 +277,22 @@ def unit_table_payload(unit_table: UnitTable) -> dict[str, np.ndarray]:
     }
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """A non-negative int array in the narrowest unsigned dtype that holds
+    it (codes, rows and counts are far below 2**63; loads widen to int64)."""
+    return values.astype(np.min_scalar_type(int(values.max()) if values.size else 0))
+
+
+def _wide(payload: Mapping[str, np.ndarray], name: str) -> np.ndarray:
+    return np.asarray(payload[name], dtype=np.int64)
+
+
 def _coded_entries(prefix: str, coded: CodedValues) -> dict[str, np.ndarray]:
-    return {f"{prefix}_codes": coded.codes, f"{prefix}_distinct": coded.distinct}
+    return {f"{prefix}_codes": _narrow(coded.codes), f"{prefix}_distinct": coded.distinct}
 
 
 def _load_coded(payload: Mapping[str, np.ndarray], prefix: str) -> CodedValues:
-    return CodedValues(
-        np.asarray(payload[f"{prefix}_codes"], dtype=np.int64), payload[f"{prefix}_distinct"]
-    )
+    return CodedValues(_wide(payload, f"{prefix}_codes"), payload[f"{prefix}_distinct"])
 
 
 def unit_inputs_payload(
@@ -294,11 +302,13 @@ def unit_inputs_payload(
 
     This is how a shard worker hands its slice of the graph-walk phase back
     to the dispatching process.  The collection is column-major already:
-    counts, rows and codes are int64 arrays (the store can memory-map
-    them), and the only object arrays are per unit (keys, raw outcomes) or
-    a value column's distinct values, so ints, bools and floats round-trip
-    as the exact Python objects the serial collection gathered — anything
-    else would change categorical covariate encodings.
+    counts, rows and codes are stored in the narrowest unsigned dtype that
+    holds them (a value column's codes are mostly one byte each) and read
+    back as int64, and the only object arrays are per unit (keys, raw
+    outcomes) or a value column's distinct values, so ints, bools and
+    floats round-trip as the exact Python objects the serial collection
+    gathered — anything else would change categorical covariate
+    encodings.
 
     ``span`` — ``(start, stop, total units)`` of the collected unit range —
     is recorded in the meta entry when given.  Persistent shard partials
@@ -320,14 +330,14 @@ def unit_inputs_payload(
         "meta": _meta_entry(meta),
         "unit_keys": as_object_array(list(inputs.unit_keys)),
         "outcomes": as_object_array(inputs.outcomes.tolist()),
-        "peer_counts": np.asarray(inputs.peer_counts, dtype=np.int64),
-        "peer_rows": np.asarray(inputs.peer_rows, dtype=np.int64),
+        "peer_counts": _narrow(inputs.peer_counts),
+        "peer_rows": _narrow(inputs.peer_rows),
         **_coded_entries("treatment", inputs.treatments),
         **_coded_entries("peer", inputs.peer_treatments),
     }
     for position, (coded, rows) in enumerate(inputs.buckets.values()):
         payload.update(_coded_entries(f"bucket_{position}", coded))
-        payload[f"bucket_{position}_rows"] = np.asarray(rows, dtype=np.int64)
+        payload[f"bucket_{position}_rows"] = _narrow(rows)
     return payload
 
 
@@ -341,13 +351,13 @@ def load_unit_inputs(payload: Mapping[str, np.ndarray]) -> UnitTableInputs:
         unit_keys=payload["unit_keys"].tolist(),
         outcomes=payload["outcomes"],
         treatments=_load_coded(payload, "treatment"),
-        peer_counts=np.asarray(payload["peer_counts"], dtype=np.int64),
+        peer_counts=_wide(payload, "peer_counts"),
         peer_treatments=_load_coded(payload, "peer"),
-        peer_rows=np.asarray(payload["peer_rows"], dtype=np.int64),
+        peer_rows=_wide(payload, "peer_rows"),
         buckets={
             name: (
                 _load_coded(payload, f"bucket_{position}"),
-                np.asarray(payload[f"bucket_{position}_rows"], dtype=np.int64),
+                _wide(payload, f"bucket_{position}_rows"),
             )
             for position, name in enumerate(meta["covariates"])
         },

@@ -50,8 +50,8 @@ PREFIX = 16
 #: re-grounded on first use.  v3: an aggregate head none of whose parents
 #: carries a value has no value (v2 stored ``AGG([])``, e.g. AVG's 0.0), so
 #: a v2 grounding, or a unit table built on one, is rebuilt once.  v4: a
-#: shard's unit-table collection is column-major (int64 codes into each value
-#: column's distinct values), so a v3 partial, and with it every v3
+#: shard's unit-table collection is column-major (integer codes into each
+#: value column's distinct values), so a v3 partial, and with it every v3
 #: artifact, reads as a miss and is rebuilt once.
 FORMAT_VERSION = 4
 

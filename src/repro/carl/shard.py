@@ -16,7 +16,7 @@ sides of that process boundary share:
   (:func:`shard_ranges`, sized by :func:`_plan_query`), one
   :class:`ShardTask` per range;
 * workers hand their partial collections back as ``unit_inputs`` artifacts
-  (int64 counts, rows and value codes, memory-mappable; object arrays only
+  (counts, rows and value codes as narrow unsigned arrays; object arrays only
   per unit or per distinct value, exact round-trips) and a
   :class:`FinishTask` merges them with
   :func:`repro.carl.unit_table.merge_unit_table_inputs` — a concatenation

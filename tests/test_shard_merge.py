@@ -214,8 +214,9 @@ def same_coded(loaded: CodedValues, original: CodedValues) -> bool:
 @given(collections())
 def test_unit_inputs_payload_round_trip(inputs):
     """A partial written to and read back from an on-disk cache equals the
-    collection field for field, and holds object arrays only per unit or
-    per distinct value."""
+    collection field for field, holds object arrays only per unit or per
+    distinct value, and stores its integer arrays in the narrowest unsigned
+    dtype."""
     payload = unit_inputs_payload(inputs, span=(0, len(inputs), len(inputs)))
     columns = {"treatment": inputs.treatments, "peer": inputs.peer_treatments}
     columns.update(
@@ -226,6 +227,8 @@ def test_unit_inputs_payload_round_trip(inputs):
             prefix = name.removesuffix("_distinct")
             bound = len(columns[prefix].distinct) if prefix != name else len(inputs)
             assert len(array) <= bound, name
+        elif array.dtype.kind in "iu":  # counts, rows and codes: as narrow as they fit
+            assert array.dtype == np.min_scalar_type(int(array.max()) if array.size else 0), name
     with tempfile.TemporaryDirectory() as root:
         cache = ArtifactCache(root)
         key = CacheKey(database="d" * 64, program="e" * 64, kind="unit_inputs")
