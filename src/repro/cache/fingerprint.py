@@ -1,22 +1,16 @@
 """Content fingerprinting for the persistent artifact cache.
 
-Cached artifacts are meant to be pure functions of (database contents,
-relational causal model, query) — the grounding falls short, see the model
-fingerprint below; this module turns each of those inputs into a stable
+Cached artifacts are pure functions of (database contents, relational
+causal model, query); this module turns each of those inputs into a stable
 hex digest so the store can be content-addressed:
 
 * the *database* fingerprint delegates to
   :meth:`repro.db.database.Database.fingerprint` (schema + per-column
   digests, incrementally maintained via the tables' mutation counters);
 * the *model* fingerprint hashes the canonical AST serialization of the
-  schema declarations plus the rule set the model holds when it is called.
-  The engine calls it once, at construction, before any query registers a
-  unifying aggregate rule, so its cache keys name the program as written.
-  The grounding stored under that key is whatever the engine had ground
-  when it first stored one — with the leaf nodes of any aggregate rule an
-  earlier query registered, or without them — so one key can name two
-  different artifacts, depending on query order (``CaRLEngine._grounding_key``).
-  Per-rule grounding artifacts would make the key exact;
+  schema declarations plus the model's rules.  An engine's model is its
+  program, and answering queries never changes it, so the grounding stored
+  under the key is the same whatever a session answered first;
 * the *query* fingerprint hashes the canonical query AST together with the
   embedding it was materialized with.
 """
@@ -43,9 +37,8 @@ def database_fingerprint(database: Database) -> str:
 def model_fingerprint(program: Program, model: RelationalCausalModel) -> str:
     """Stable hash of the model the grounding is a function of.
 
-    Takes the declarations from the parsed ``program`` (the model never adds
-    declarations) and the rules from the live ``model`` (which accumulates
-    unifying aggregate rules as queries are answered).
+    Takes the declarations from the parsed ``program`` and the rules from
+    the ``model`` validated from it.
     """
     return _digest(
         canonical_text(
@@ -98,10 +91,7 @@ def query_fingerprint(query: CausalQuery, embedding: Any, resolution: Any = None
     Covers the query AST, the embedding, and the
     *resolved response* (the response attribute name plus, when the engine
     unified treatment and response units, the derived-attribute definition it
-    resolved to).  Including the resolution — rather than the engine's whole
-    accumulated rule list — keeps the key deterministic across sessions: a
-    session that answered other queries first produces the same key for this
-    query as a fresh one.
+    resolved to), so differently-unified requests never alias.
     """
     embedding_token = embedding if isinstance(embedding, str) else repr(embedding)
     return _digest(canonical_text([query, embedding_token, resolution]))

@@ -15,19 +15,19 @@ iteration order is a pure function of node ids: nothing here depends on
 ``PYTHONHASHSEED``, so warm-cache loads in spawn workers iterate exactly
 like the grounding process did.
 
-Peers and adjustment sets need, for many response nodes at once, the
-groundings of one attribute that reach each of them.
+Peers and adjustment sets need, for many responses at once, the groundings
+of one attribute that reach each of them.
 :meth:`GroundedCausalGraph.attribute_ancestor_pairs` answers that for a
-whole block of sources in one walk over ``(source position, node)`` codes,
-one attribute layer at a time, using the attribute DAG the graph's own edges
-induce (:meth:`GroundedCausalGraph.attribute_layers`).
+whole block of ``(position, seed node)`` pairs in one walk over ``(position,
+node)`` codes, one attribute layer at a time, using the attribute DAG the
+graph's own edges induce (:meth:`GroundedCausalGraph.attribute_layers`).
 
 The grounder builds a graph in bulk: it hands over the whole node table and
 one compiled CSR (``_from_parts``).  Hand-built graphs use
 ``add_node``/``add_grounded_rule``, which append to plain Python buffers,
-and the CSR is compiled on the next adjacency query.  The engine compiles a
-graph before it publishes it in a grounding snapshot and never mutates it
-after, so ``csr()`` on a published graph is a pure read.
+and the CSR is compiled on the next adjacency query.  The engine's graph is
+the grounding of its program, compiled once and never mutated, so ``csr()``
+on it is a pure read.
 """
 
 from __future__ import annotations
@@ -263,8 +263,9 @@ class GroundedCausalGraph:
 
     def node_ids(self, nodes: Iterable[GroundedAttribute]) -> np.ndarray:
         """Interned ids of ``nodes`` as an int64 array, -1 for unknown nodes."""
-        index_get = self._node_index.get
-        return np.fromiter((index_get(node, -1) for node in nodes), dtype=np.int64)
+        return np.fromiter(
+            map(self._node_index.get, nodes, itertools.repeat(-1)), dtype=np.int64
+        )
 
     @property
     def edges(self) -> list[tuple[GroundedAttribute, GroundedAttribute]]:
@@ -402,8 +403,7 @@ class GroundedCausalGraph:
             attribute_children[edge // count].append(edge % count)
         # Children come first when each code's children are its predecessors.
         # A stdlib sort rather than a CSRGraph compile: the DAG has a handful
-        # of nodes, and a splice compiles only the grounded graph and the
-        # model's recursion check.
+        # of nodes.
         sorter = graphlib.TopologicalSorter(dict(enumerate(attribute_children)))
         try:
             order = list(sorter.static_order())
@@ -425,14 +425,17 @@ class GroundedCausalGraph:
         return layers
 
     def attribute_ancestor_pairs(
-        self, sources: np.ndarray, attribute: str
+        self, seeds: np.ndarray, attribute: str, positions: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched ancestors of one attribute: ``(positions, ancestors)``
         holds one pair per grounding ``ancestors[i]`` of ``attribute`` with a
-        directed path to node ``sources[positions[i]]``, sorted by (position,
-        node id).  A source id of -1 (an absent node) has no ancestors.
+        directed path to a seed of position ``positions[i]``, sorted by
+        (position, node id).  Seed node ``seeds[j]`` is at position
+        ``positions[j]`` (default ``j``), so a position may have any number
+        of seeds.  A seed id of -1 (an absent node) has no ancestors, and a
+        seed is not its own ancestor.
 
-        One walk serves every source.  It runs over int64 ``position * n +
+        One walk serves every seed.  It runs over int64 ``position * n +
         node`` codes, one attribute at a time, in the reverse topological
         order of :meth:`attribute_layers`: every child attribute of a layer is
         walked before it, so each layer is complete, and deduplicated once,
@@ -455,9 +458,10 @@ class GroundedCausalGraph:
                 chosen = codes == code
                 pending.setdefault(code, []).append(positions[chosen] * n + nodes[chosen])
 
-        sources = np.asarray(sources, dtype=np.int64)
-        positions = np.flatnonzero(sources >= 0)
-        seeds = sources[positions]
+        seeds = np.asarray(seeds, dtype=np.int64)
+        present = seeds >= 0
+        positions = np.flatnonzero(present) if positions is None else positions[present]
+        seeds = seeds[present]
         # A node is not its own ancestor, and no grounding of ``attribute``
         # reaches another one: a seed of the target layer contributes nothing.
         proper = node_code[seeds] != target

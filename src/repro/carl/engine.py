@@ -15,6 +15,7 @@ Ties the whole pipeline of Section 5 together:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 import threading
@@ -41,14 +42,14 @@ from repro.cache.serialization import (
     unit_table_payload,
 )
 from repro.cache.store import ArtifactCache, CacheKey
-from repro.carl.ast import CausalQuery, PeerCondition, Program
+from repro.carl.ast import AggregateRule, CausalQuery, PeerCondition, Program
 from repro.carl.batch import BatchScratch
 from repro.carl.causal_graph import GroundedCausalGraph, NodeValues, grounded_attributes
 from repro.carl.errors import CaRLError, QueryError
 from repro.carl.grounding import Grounder, Grounding
-from repro.carl.model import RelationalCausalModel
+from repro.carl.model import DerivedAttribute, RelationalCausalModel
 from repro.carl.parser import parse_program, parse_query
-from repro.carl.peers import build_unifying_aggregate_rule, compute_peers
+from repro.carl.peers import ResponseRelation, build_unifying_aggregate_rule, compute_peers
 from repro.carl.queries import ATEResult, EffectsResult, QueryAnswer
 from repro.carl.schema import RelationalCausalSchema
 from repro.carl.shard import DEFAULT_HANG_TIMEOUT
@@ -79,6 +80,10 @@ class QueryPlan:
     #: The query's response, or the unifying aggregate that carries it onto
     #: the treated units (Section 4.3).
     response: str
+    #: Its aggregate's definition, and the rule when the program does not
+    #: declare it (never ground: :meth:`CaRLEngine._units` evaluates it).
+    derived: DerivedAttribute | None
+    unifying: AggregateRule | None
     #: WHERE-clause variables over the treated entity (restricting the units)
     #: and over the base response's entity (restricting its aggregation).
     unit_variable: str | None
@@ -95,9 +100,10 @@ class CaRLEngine:
     Query answering (:meth:`answer`, :meth:`answer_all`, :meth:`unit_table`,
     :meth:`diagnostics`, :meth:`conditional_effects`) is thread-safe: a query
     takes the current immutable :class:`~repro.carl.grounding.Grounding`
-    snapshot under an internal lock and walks it outside the lock.  Mutating
-    the underlying database concurrently with query answering is not
-    supported (see ``docs/batching.md``).
+    snapshot under an internal lock and walks it outside the lock.  The
+    model never changes after construction, and the snapshot only when the
+    database does.  Mutating the underlying database concurrently with
+    query answering is not supported (see ``docs/batching.md``).
     """
 
     def __init__(
@@ -123,28 +129,20 @@ class CaRLEngine:
         #: Persistent artifact cache (a path enables one rooted there); the
         #: engine probes it before grounding and before unit-table builds.
         self.cache = ArtifactCache(cache) if isinstance(cache, (str, Path)) else cache
-        #: Fingerprint of the program as written (schema declarations +
-        #: declared rules).  Cache keys are built from this, never from the
-        #: session's accumulated rule list, so identical work keys
-        #: identically across sessions regardless of query order.
+        #: Fingerprint of the program (schema declarations + declared rules),
+        #: which every cache key is built from.
         self._program_fingerprint = model_fingerprint(program, self.model)
         #: Number of times this engine actually ground the program (cache
         #: hits do not count; staleness re-grounds do).
         self.grounding_runs = 0
 
-        #: The published grounding snapshot (None until first use).  It may
-        #: lag the model's aggregate rules: a rule registered by response
-        #: resolution is ground into a new snapshot only when a query needs
-        #: the graph, so a unit-table cache hit never touches it.
+        #: The published grounding snapshot of the program (None until a
+        #: query needs the graph, so a unit-table cache hit never grounds).
         self._grounding: Grounding | None = None  # guarded-by: _state_lock
-        #: The snapshot of the program as written, which the published one
-        #: extends with registered aggregate rules; it alone is stored as
-        #: the program's grounding artifact.
-        self._program_grounding: Grounding | None = None  # guarded-by: _state_lock
-        #: Reentrant lock guarding snapshot publication, the model's rule
-        #: lists and the bound instance's lazy indexes.  Graph walks read an
-        #: immutable snapshot and run outside it, as do the numpy-dominated
-        #: phases (embedding, binarization, estimation, artifact I/O).
+        #: Reentrant lock guarding snapshot publication and the bound
+        #: instance's lazy indexes.  Graph walks read an immutable snapshot
+        #: and run outside it, as do the numpy-dominated phases (embedding,
+        #: binarization, estimation, artifact I/O).
         self._state_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -158,9 +156,9 @@ class CaRLEngine:
         and holds a grounding for the current (database fingerprint, program
         fingerprint).  If the database has mutated since the last grounding —
         detected via its version token — the program is re-ground
-        automatically.  The graph covers every aggregate rule registered so
-        far, and a graph once returned never changes: registering another
-        unifying aggregate publishes a new graph instead of growing this one.
+        automatically.  A graph once returned never changes.  It holds the
+        program's rules only: a unifying aggregate a query needs is
+        evaluated into a relation, not ground into the graph.
         """
         return self._current_grounding()[0].graph
 
@@ -183,10 +181,7 @@ class CaRLEngine:
         """
         with self._state_lock:
             self._grounding = None
-            self._program_grounding = None
             self.instance = self.schema.bind(self.database)
-            # Rebind rather than rebuild: the grounder keeps grounding the
-            # program as written, not the rules registered since.
             self.grounder.instance = self.instance
 
     def _current_grounding(self) -> tuple[Grounding, float]:
@@ -194,32 +189,23 @@ class CaRLEngine:
         spent producing it.
 
         A snapshot of an older database version token is dropped and the
-        program re-ground (or cache-loaded), and aggregate rules registered
-        after the snapshot was taken are spliced into a new one.  The
-        seconds are 0.0 unless this call grounded, loaded or extended:
-        concurrent callers serialize on the state lock, so only the thread
-        that did the work reports it.
+        program re-ground (or cache-loaded).  The seconds are 0.0 unless
+        this call grounded or loaded: concurrent callers serialize on the
+        state lock, so only the thread that did the work reports it.
         """
         with self._state_lock:
             started = time.perf_counter()
             grounding = self._grounding
-            if grounding is not None and grounding.db_token != self.database.version_token():
-                self.invalidate()
-                grounding = None
-            if grounding is None:
-                grounding = self._program_grounding = self._load_or_ground()
-            if grounding.aggregate_rules < len(self.model.aggregate_rules):
-                grounding = self.grounder.extend(grounding)
-            if grounding is self._grounding:
+            if grounding is not None and grounding.db_token == self.database.version_token():
                 return grounding, 0.0
-            self._grounding = grounding
-            return grounding, time.perf_counter() - started
+            if grounding is not None:
+                self.invalidate()
+            self._grounding = self._load_or_ground()
+            return self._grounding, time.perf_counter() - started
 
     def _load_or_ground(self) -> Grounding:  # guarded-by: _state_lock
-        """A fresh snapshot of the program as written over the current
-        database: cache load, else ground (and store).  Aggregate rules
-        registered since are the caller's to splice in, so the artifact is
-        the same whatever the session answered first."""
+        """A fresh snapshot of the program over the current database: cache
+        load, else ground (and store)."""
         db_token = self.database.version_token()
         ground_span = get_registry().start_span("engine.ground")
         key = self._grounding_key()
@@ -240,19 +226,14 @@ class CaRLEngine:
             if key is not None:
                 self.cache.store(key, grounding_payload(graph, values))
         get_registry().finish_span(ground_span, cached=loaded is not None)
-        return Grounding(graph, values, db_token, self.grounder.aggregate_rules)
+        return Grounding(graph, values, db_token)
 
     # ------------------------------------------------------------------
     # artifact-cache plumbing
     # ------------------------------------------------------------------
     def _grounding_key(self) -> CacheKey | None:
-        """Key of the grounding artifact: (database, program-as-written).
-
-        The artifact stored under this key is the grounding of exactly the
-        program as written, whatever the session answered first: unifying
-        aggregate rules a session registers are spliced on top of it by
-        :meth:`Grounder.extend` and never stored under it.
-        """
+        """Key of the grounding artifact: (database, program).  The artifact
+        is the snapshot queries walk, whatever the session answered first."""
         if self.cache is None:
             return None
         return CacheKey(
@@ -283,8 +264,7 @@ class CaRLEngine:
         The reported ``grounding_seconds`` is the grounding work this call
         actually performed: 0.0 when the grounded graph already existed (or
         the answer came straight from a cached unit table), else the time
-        this call spent grounding, loading the grounding from the cache, or
-        splicing in a unifying aggregate it registered.
+        this call spent grounding or loading the grounding from the cache.
 
         Safe to call concurrently from multiple threads; ``_scratch`` is the
         batch memo a thread-mode session's scheduler passes to every answer.
@@ -573,10 +553,10 @@ class CaRLEngine:
                 except SerializationError:
                     pass
 
-        grounding, grounding_seconds, units, admitted = self._units(plan)
+        grounding, grounding_seconds, units, admitted, relation = self._units(plan)
         # The graph walks run outside the state lock.  A batch shares them
         # between queries with the same collection fingerprint.
-        collect = partial(self._collect, plan, 0, len(units), grounding, units, admitted)
+        collect = partial(self._collect, plan, 0, len(units), grounding, units, admitted, relation)
         if scratch is not None:
             inputs = scratch.get_or_build(grounding.db_token, plan.fingerprint, collect)
         else:
@@ -613,28 +593,29 @@ class CaRLEngine:
         if isinstance(query, str):
             query = parse_query(query)
         plan = self._plan(query, self.default_embedding)
-        grounding, _, units, admitted = self._units(plan)
+        grounding, _, units, admitted, relation = self._units(plan)
         if expected_units is not None and len(units) != expected_units:
             raise QueryError(
                 f"shard worker derived {len(units)} units for {query!s} but the "
                 f"dispatcher saw {expected_units}; the shared grounding and "
                 "database state are out of sync"
             )
-        return self._collect(plan, start, stop, grounding, units, admitted, allow_empty=True)
+        return self._collect(
+            plan, start, stop, grounding, units, admitted, relation, allow_empty=True
+        )
 
     # ------------------------------------------------------------------
     # the query plan: resolve, restrict, collect, materialize
     # ------------------------------------------------------------------
     def _plan(self, query: CausalQuery, embedding: str) -> QueryPlan:
-        """Resolve ``query`` against the model, without grounding.
+        """Resolve ``query`` against the program, without grounding.
 
-        Runs under the state lock: response resolution may register a
-        unifying aggregate rule on the shared model.  A bad treatment,
-        response or WHERE clause raises here, before any cache probe or
-        grounding.  The unit-table key covers the resolved response and its
-        definition, so differently-unified requests never alias, while
-        identical requests key identically whatever the session answered
-        before.
+        A pure function of the program and the query: the schema and the
+        model never change, so no lock is taken.  A bad treatment, response
+        or WHERE clause raises here, before any cache probe or grounding.
+        The unit-table key covers the resolved response and its definition,
+        so differently-unified requests never alias, while identical
+        requests key identically whatever the session answered before.
         """
         treatment = query.treatment.name
         if not self.schema.has_attribute(treatment):
@@ -643,65 +624,77 @@ class CaRLEngine:
             raise QueryError(
                 f"treatment attribute {treatment!r} is latent; it cannot be used as a treatment"
             )
-        with self._state_lock:
-            response = self._resolve_response(query, self.schema.subject_of(treatment))
-            derived = self.model.derived_attributes.get(response)
-            restriction = self._restriction_variables(query, treatment, response)
-            table_key = None
-            if self.cache is not None:
-                resolution = [response] if derived is None else [response, derived]
-                table_key = CacheKey(
-                    database=database_fingerprint(self.database),
-                    program=self._program_fingerprint,
-                    kind="unit_table",
-                    detail=query_fingerprint(query, embedding, resolution),
-                )
+        response, derived, unifying = self._resolve_response(
+            query, self.schema.subject_of(treatment)
+        )
+        base = response if derived is None else derived.base
+        restriction = self._restriction_variables(query, treatment, base)
+        table_key = None
+        if self.cache is not None:
+            resolution = [response] if derived is None else [response, derived]
+            table_key = CacheKey(
+                database=database_fingerprint(self.database),
+                program=self._program_fingerprint,
+                kind="unit_table",
+                detail=query_fingerprint(query, embedding, resolution),
+            )
         fingerprint = collect_fingerprint(treatment, response, derived, query.condition)
-        return QueryPlan(query, treatment, response, *restriction, table_key, fingerprint)
+        return QueryPlan(
+            query, treatment, response, derived, unifying, *restriction, table_key, fingerprint
+        )
 
     def _units(
         self, plan: QueryPlan
-    ) -> tuple[Grounding, float, list[tuple[Any, ...]], np.ndarray | None]:
+    ) -> tuple[
+        Grounding, float, list[tuple[Any, ...]], np.ndarray | None, ResponseRelation | None
+    ]:
         """The grounding snapshot a planned query walks, the seconds spent
         producing it (:meth:`_current_grounding`), the restricted unit list,
-        and the node mask that restricts its response.
+        the node mask that restricts its response, and the relation of a
+        unifying response (:meth:`ResponseRelation.evaluate`).
 
-        Runs under the state lock (the bound instance's indexes are lazy).
         Deterministic in (database, program, query), which is what lets
         shard workers re-derive the same unit list positionally.  The mask
         is None unless the WHERE clause restricts the base response (e.g.
         only single-blind submissions count towards an author's average
         score): then it marks the base-response nodes whose key the clause
-        admits, and collection aggregates each unit's head over those
-        parents only.
+        admits, and collection aggregates each unit's response over those
+        parents only.  The relation is None unless the plan carries a rule.
         """
         allowed: set[Any] | None = None
-        with self._state_lock:
+        kept: list[bool] | None = None
+        with self._state_lock:  # the bound instance's indexes are lazy
             grounding, seconds = self._current_grounding()
-            units = list(self.instance.units(plan.treatment))
+            units = self.instance.units(plan.treatment)
             if plan.unit_variable is not None or plan.response_variable is not None:
-                bindings = self.grounder.condition_bindings(plan.query.condition)
+                condition = self.grounder.condition_bindings(plan.query.condition)
                 if plan.unit_variable is not None:
                     # The treated subject is an entity: one-key units.
-                    allowed_keys = set(bindings.column(plan.unit_variable))
-                    units = list(
-                        itertools.compress(
-                            units, map(allowed_keys.__contains__, map(operator.itemgetter(0), units))
-                        )
-                    )
+                    allowed_keys = set(condition.column(plan.unit_variable))
+                    kept = list(map(allowed_keys.__contains__, map(operator.itemgetter(0), units)))
                 if plan.response_variable is not None:
-                    allowed = set(bindings.column(plan.response_variable))
-                    base = self.model.derived_attributes[plan.response].base
+                    allowed = set(condition.column(plan.response_variable))
+            if plan.unifying is not None:
+                bindings = self.grounder.condition_bindings(plan.unifying.condition)
+                nodes = self.grounder.atom_ids(grounding.graph, plan.unifying.body, bindings)
+                unit_of = self.instance.unit_index(self.schema.subject_of(plan.treatment))
+        units = list(units if kept is None else itertools.compress(units, kept))
         if not units:
             raise QueryError("the query condition excludes every unit")
-        if allowed is None:
-            return grounding, seconds, units, None
-        # The base response's subject is an entity: one-key parents.
         graph = grounding.graph
-        ids = graph.node_ids(grounded_attributes(base, zip(allowed)))
-        admitted = np.zeros(len(graph), dtype=bool)
-        admitted[ids[ids >= 0]] = True
-        return grounding, seconds, units, admitted
+        admitted = None
+        if allowed is not None:
+            # The base response's subject is an entity: one-key parents.
+            base = plan.response if plan.derived is None else plan.derived.base
+            ids = graph.node_ids(grounded_attributes(base, zip(allowed)))
+            admitted = np.zeros(len(graph), dtype=bool)
+            admitted[ids[ids >= 0]] = True
+        relation = None
+        if plan.unifying is not None:
+            if kept is not None:  # positions count the kept units
+                unit_of = dict(zip(map(operator.itemgetter(0), units), range(len(units))))
+            relation = ResponseRelation.evaluate(plan.unifying, bindings, unit_of, nodes)
+        return grounding, seconds, units, admitted, relation
 
     def _collect(
         self,
@@ -711,13 +704,18 @@ class CaRLEngine:
         grounding: Grounding,
         units: list[tuple[Any, ...]],
         admitted: np.ndarray | None,
+        relation: ResponseRelation | None,
         allow_empty: bool = False,
     ) -> UnitTableInputs:
         """Peers and Theorem 5.2 adjustment sets of ``units[start:stop]``,
         with peers drawn from all of ``units`` (see :meth:`_units`).  Reads
         only the snapshot, so callers run it outside the state lock."""
         graph = grounding.graph
-        peers = compute_peers(graph, plan.treatment, plan.response, units[start:stop], units)
+        if relation is not None:
+            relation = relation.slice(start, stop)
+        peers = compute_peers(
+            graph, plan.treatment, plan.response, units[start:stop], units, relation=relation
+        )
         return collect_unit_table_inputs(
             graph,
             grounding.values,
@@ -738,8 +736,11 @@ class CaRLEngine:
             binarize = lambda value: 1.0 if threshold.evaluate(value) else 0.0  # noqa: E731
         return materialize_unit_table(inputs, embedding=embedding, binarize=binarize)
 
-    def _resolve_response(self, query: CausalQuery, treatment_subject: str) -> str:
-        """Resolve (and if needed create) the response attribute over the treated units.
+    def _resolve_response(
+        self, query: CausalQuery, treatment_subject: str
+    ) -> tuple[str, DerivedAttribute | None, AggregateRule | None]:
+        """Resolve the response attribute over the treated units (the
+        ``response``, ``derived`` and ``unifying`` of :class:`QueryPlan`).
 
         Implements the unification of Section 4.3: when the response lives on
         a different predicate than the treatment, an aggregated response
@@ -748,83 +749,74 @@ class CaRLEngine:
         requested = query.response.name
 
         # Already-known attribute (declared or derived) on the treated units.
-        if self.model.is_derived(requested):
-            if self.model.subject_of(requested) == treatment_subject:
-                return requested
-            base = self.model.derived_attributes[requested].base
-            aggregate = self.model.derived_attributes[requested].aggregate
-            return self._ensure_unifying_aggregate(base, treatment_subject, aggregate)
+        derived = self.model.derived_attributes.get(requested)
+        if derived is not None:
+            if derived.subject == treatment_subject:
+                return requested, derived, None
+            return self._unifying_aggregate(derived.base, treatment_subject, derived.aggregate)
 
         if self.schema.has_attribute(requested):
             if self.schema.subject_of(requested) == treatment_subject:
-                return requested
+                return requested, None, None
             if not self.schema.is_observed(requested):
                 raise QueryError(f"response attribute {requested!r} is latent")
-            return self._ensure_unifying_aggregate(requested, treatment_subject, "AVG")
+            return self._unifying_aggregate(requested, treatment_subject, "AVG")
 
         # ``AGG_Base`` style response that is not declared: auto-derive it.
         prefix, _, base = requested.partition("_")
         if base and prefix.upper() in AGGREGATES and self.schema.has_attribute(base):
-            return self._ensure_unifying_aggregate(base, treatment_subject, prefix.upper())
+            return self._unifying_aggregate(base, treatment_subject, prefix.upper())
 
         raise QueryError(f"unknown response attribute {requested!r}")
 
-    def _ensure_unifying_aggregate(  # guarded-by: _state_lock
+    def _unifying_aggregate(
         self, base_attribute: str, treatment_subject: str, aggregate: str
-    ) -> str:
-        """Register (once) the aggregate rule that unifies response and treated units.
-
-        Only the model learns the rule here; it is ground into a new
-        snapshot when a query next needs the graph, so a unit-table cache
-        hit never touches it.
+    ) -> tuple[str, DerivedAttribute | None, AggregateRule | None]:
+        """The aggregate that unifies response and treated units: the
+        program's own when it declares one, else a rule along the relational
+        path, returned and never registered.  That rule is named
+        ``AGG_Base``, or ``AGG_Base__Subject`` when the program declares
+        ``AGG_Base`` with another subject or base.
         """
         if not self.schema.is_observed(base_attribute):
             raise QueryError(f"response attribute {base_attribute!r} is latent")
         if self.schema.subject_of(base_attribute) == treatment_subject:
-            return base_attribute
+            return base_attribute, None, None
 
-        desired = f"{aggregate}_{base_attribute}"
-        existing = self.model.derived_attributes.get(desired)
+        declared = self.model.derived_attributes
+        name = f"{aggregate}_{base_attribute}"
+        existing = declared.get(name)
         if existing is not None:
             if existing.subject == treatment_subject and existing.base == base_attribute:
-                return desired
-            desired = f"{aggregate}_{base_attribute}__{treatment_subject}"
-            existing = self.model.derived_attributes.get(desired)
+                return name, existing, None
+            name = f"{aggregate}_{base_attribute}__{treatment_subject}"
+            existing = declared.get(name)
             if existing is not None:
-                return desired
+                return name, existing, None
 
         rule = build_unifying_aggregate_rule(
             self.schema, base_attribute, treatment_subject, aggregate=aggregate
         )
-        if rule.head.name != desired:
-            rule = type(rule)(
-                aggregate=rule.aggregate,
-                head=type(rule.head)(name=desired, terms=rule.head.terms),
-                body=rule.body,
-                condition=rule.condition,
-            )
-        self.model.add_aggregate_rule(rule)
-        return desired
+        rule = dataclasses.replace(rule, head=dataclasses.replace(rule.head, name=name))
+        return name, DerivedAttribute(name, aggregate, base_attribute, treatment_subject), rule
 
     # ------------------------------------------------------------------
     # query conditions (unit and response restrictions)
     # ------------------------------------------------------------------
     def _restriction_variables(
-        self, query: CausalQuery, treatment_attribute: str, response_attribute: str
+        self, query: CausalQuery, treatment_attribute: str, base: str
     ) -> tuple[str | None, str | None]:
         """The WHERE-clause variables that restrict a query, found from the
         schema alone (so before any grounding): ``(variable over the treated
-        entity, variable over the base response's entity)``.  The first
-        restricts the units, the second the parents an aggregated response
-        is computed from (None when the response lives on the treated
-        entity).  A non-trivial clause with neither restricts nothing and
-        raises :class:`QueryError`; an unknown predicate or attribute, or an
-        atom of the wrong arity, raises :class:`SchemaBindingError`.
+        entity, variable over the entity of the response's base)``.  The
+        first restricts the units, the second the parents an aggregated
+        response is computed from (None when the response lives on the
+        treated entity).  A non-trivial clause with neither restricts nothing
+        and raises :class:`QueryError`; an unknown predicate or attribute, or
+        an atom of the wrong arity, raises :class:`SchemaBindingError`.
         """
         if query.condition.is_trivial:
             return None, None
-        derived = self.model.derived_attributes.get(response_attribute)
-        base = derived.base if derived is not None else response_attribute
         treatment_subject = self.schema.subject_of(treatment_attribute)
         response_subject = self.model.subject_of(base)
         entities = self.schema.variable_entities(query.condition)

@@ -28,7 +28,7 @@ the grounding tests hold this one to it id for id (``docs/grounding.md``).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -76,21 +76,17 @@ class Grounding:
     id-indexed column with a held mask; latent nodes hold none) is never
     written after, so any number of threads may walk them.  ``db_token`` is
     the database version token the snapshot was ground from.
-    ``aggregate_rules`` counts the leading entries of the model's
-    append-only ``aggregate_rules`` list that the graph covers: rules
-    registered later are added by :meth:`Grounder.extend`, which yields a
-    new snapshot and leaves this one as it is.
     """
 
     graph: GroundedCausalGraph
     values: NodeValues
     db_token: tuple[Any, ...]
-    aggregate_rules: int
 
 
 class _Assembly:
     """The node table, aggregate marks and edge id arrays of one grounding
-    under construction.
+    under construction, starting from every declared node: each attribute's
+    ``units`` from its base offset in ``bases``.
 
     :meth:`intern` gives a node not yet in the table the next id, so the
     ids of nodes outside the declared ranges follow the order they are
@@ -100,20 +96,18 @@ class _Assembly:
     them in.
     """
 
-    def __init__(
-        self,
-        nodes: list[GroundedAttribute],
-        node_index: dict[GroundedAttribute, int],
-        by_attribute: dict[str, list[int]],
-        aggregates: dict[GroundedAttribute, str],
-        bases: dict[str, int],
-    ) -> None:
-        self.nodes = nodes
-        self.node_index = node_index
-        self.by_attribute = by_attribute
-        self.aggregates = aggregates
+    def __init__(self, bases: dict[str, int], units: Callable[[str], list[tuple[Any, ...]]]) -> None:
         #: declared attribute -> id of its first unit's node
         self.bases = bases
+        self.nodes: list[GroundedAttribute] = []
+        self.by_attribute: dict[str, list[int]] = {}
+        for name, base in bases.items():
+            keys = units(name)
+            if keys:
+                self.by_attribute[name] = list(range(base, base + len(keys)))
+                self.nodes += grounded_attributes(name, keys)
+        self.node_index = dict(zip(self.nodes, range(len(self.nodes))))
+        self.aggregates: dict[GroundedAttribute, str] = {}
         self.parents: list[np.ndarray] = []
         self.children: list[np.ndarray] = []
 
@@ -137,13 +131,7 @@ class _Assembly:
 
 
 class Grounder:
-    """Grounds a relational causal model against a bound instance.
-
-    :meth:`ground` grounds the model's causal rules and the aggregate rules
-    it held when the grounder was made (``aggregate_rules`` of them: for an
-    engine, the program as written).  Aggregate rules registered on the
-    model later are spliced in by :meth:`extend`.
-    """
+    """Grounds a relational causal model against a bound instance."""
 
     def __init__(self, model: RelationalCausalModel, instance: BoundInstance) -> None:
         if model.schema is not instance.schema:
@@ -155,7 +143,6 @@ class Grounder:
                 )
         self.model = model
         self.instance = instance
-        self.aggregate_rules = len(model.aggregate_rules)
 
     # ------------------------------------------------------------------
     # condition evaluation
@@ -284,6 +271,20 @@ class Grounder:
             map(index.get, keys, itertools.repeat(-1)), dtype=np.int64, count=count
         )
 
+    def atom_ids(
+        self, graph: GroundedCausalGraph, atom: AttributeAtom, bindings: Bindings
+    ) -> np.ndarray:
+        """Each binding's node id of ``atom`` in ``graph``, a grounding of
+        this grounder's, -1 where it has no such node: a declared node's id
+        is its base offset plus its unit position, and only a key no unit
+        holds is looked up."""
+        positions = self._unit_positions(atom, bindings)
+        ids = positions + self._bases()[atom.name]
+        outside = np.flatnonzero(positions < 0)
+        keys = self._key_tuples(atom, bindings, outside)
+        ids[outside] = graph.node_ids(grounded_attributes(atom.name, keys))
+        return ids
+
     def _declared_ids(
         self, assembly: _Assembly, atom: AttributeAtom, bindings: Bindings
     ) -> np.ndarray:
@@ -404,18 +405,6 @@ class Grounder:
             offset += len(self.instance.units(name))
         return bases
 
-    def _assembly(self) -> _Assembly:
-        """An assembly holding every declared node."""
-        bases = self._bases()
-        nodes: list[GroundedAttribute] = []
-        by_attribute: dict[str, list[int]] = {}
-        for name, base in bases.items():
-            units = self.instance.units(name)
-            if units:
-                by_attribute[name] = list(range(base, base + len(units)))
-                nodes += grounded_attributes(name, units)
-        return _Assembly(nodes, dict(zip(nodes, range(len(nodes)))), by_attribute, {}, bases)
-
     def _grounded_rules(
         self,
         head: AttributeAtom,
@@ -426,7 +415,7 @@ class Grounder:
         """One rule's groundings, read back from its id arrays: one grounded
         rule per head in first-binding order, its body in ``node_sort_key``
         order."""
-        assembly = self._assembly()
+        assembly = _Assembly(self._bases(), self.instance.units)
         head_ids = self._ground_into(assembly, head, body, condition, aggregate)
         first_binding = first_positions(head_ids) == np.arange(len(head_ids))
         bodies: dict[int, set[int]] = {head_id: set() for head_id in head_ids[first_binding].tolist()}
@@ -462,10 +451,10 @@ class Grounder:
         attribute-level cycles, and every grounded edge maps onto an
         attribute edge, so the graph of an accepted model is acyclic.
         """
-        assembly = self._assembly()
+        assembly = _Assembly(self._bases(), self.instance.units)
         for rule in self.model.rules:
             self._ground_into(assembly, rule.head, rule.body, rule.condition)
-        for rule in self.model.aggregate_rules[: self.aggregate_rules]:
+        for rule in self.model.aggregate_rules:
             self._ground_into(assembly, rule.head, (rule.body,), rule.condition, rule.aggregate)
         return assembly.graph()
 
@@ -487,108 +476,69 @@ class Grounder:
             ids = slice(bases[name], bases[name] + len(unit_values))
             column[ids] = as_object_array(unit_values)
             held[ids] = True
-        for heads in _aggregate_heads(graph):
-            column[heads] = as_object_array(head_values(graph, column, heads))
+        for aggregate, heads in _aggregate_heads(graph):
+            owner, parents = graph.csr().parent_pairs(heads)
+            column[heads] = as_object_array(
+                head_values(column, aggregate, owner, parents, len(heads))
+            )
             held[heads] = True
         return NodeValues(graph, column, held)
 
-    def extend(self, grounding: Grounding) -> Grounding:
-        """``grounding`` plus the model's aggregate rules registered after it.
 
-        The new rules are ground through the same array path as
-        :meth:`ground`, on top of the snapshot's nodes and edges, and the
-        result compiles once, whatever the number of new heads.  A head
-        already in the snapshot keeps its id.
-        """
-        rules = self.model.aggregate_rules[grounding.aggregate_rules :]
-        old = grounding.graph
-        assembly = _Assembly(
-            list(old._nodes),  # noqa: SLF001 - the snapshot is never mutated
-            dict(old._node_index),  # noqa: SLF001
-            {name: list(ids) for name, ids in old._by_attribute.items()},  # noqa: SLF001
-            dict(old._aggregates),  # noqa: SLF001
-            self._bases(),
-        )
-        old_parents, old_children = old.csr().edge_arrays()
-        assembly.parents.append(old_parents)
-        assembly.children.append(old_children)
-        heads = [
-            self._ground_into(assembly, rule.head, (rule.body,), rule.condition, rule.aggregate)
-            for rule in rules
-        ]
-        graph = assembly.graph()
-        column = np.full(len(graph), None, dtype=object)
-        held = np.zeros(len(graph), dtype=bool)
-        column[: len(old)] = grounding.values.column
-        held[: len(old)] = grounding.values.held
-        new_heads = dict.fromkeys(np.concatenate(heads).tolist()) if heads else {}
-        for attribute_heads in _aggregate_heads(graph, new_heads):
-            column[attribute_heads] = as_object_array(head_values(graph, column, attribute_heads))
-            held[attribute_heads] = True
-        return Grounding(
-            graph,
-            NodeValues(graph, column, held),
-            grounding.db_token,
-            grounding.aggregate_rules + len(rules),
-        )
-
-
-def _aggregate_heads(
-    graph: GroundedCausalGraph, heads: Iterable[int] | None = None
-) -> list[np.ndarray]:
-    """The aggregate heads of ``graph`` (or the given head ids), grouped by
-    attribute and ascending by id, with an attribute's group after the
+def _aggregate_heads(graph: GroundedCausalGraph) -> list[tuple[str, np.ndarray]]:
+    """The aggregate heads of ``graph`` grouped by attribute, each group
+    ascending by id and with its aggregate (one per attribute: the model
+    rejects conflicting definitions), and an attribute's group after the
     groups of the aggregates it reads (nested aggregates)."""
-    nodes = graph._nodes  # noqa: SLF001
-    if heads is None:
-        index = graph._node_index  # noqa: SLF001
-        heads = [index[node] for node in graph._aggregates]  # noqa: SLF001
+    index = graph._node_index  # noqa: SLF001
     grouped: dict[str, list[int]] = {}
-    for head in heads:
-        grouped.setdefault(nodes[head].attribute, []).append(head)
+    aggregate_of: dict[str, str] = {}
+    for node, aggregate in graph._aggregates.items():  # noqa: SLF001
+        grouped.setdefault(node.attribute, []).append(index[node])
+        aggregate_of[node.attribute] = aggregate
     if len(grouped) > 1:
         # Parents before children in the attribute DAG the edges induce.
         layers = graph.attribute_layers()
         rank = {layers.names[code]: position for position, code in enumerate(reversed(layers.order))}
         grouped = dict(sorted(grouped.items(), key=lambda item: rank[item[0]]))
-    return [np.sort(np.asarray(ids, dtype=np.int64)) for ids in grouped.values()]
+    return [
+        (aggregate_of[name], np.sort(np.asarray(ids, dtype=np.int64)))
+        for name, ids in grouped.items()
+    ]
 
 
 def head_values(
-    graph: GroundedCausalGraph,
     column: np.ndarray,
-    heads: np.ndarray,
+    aggregate: str,
+    owner: np.ndarray,
+    parents: np.ndarray,
+    count: int,
     admitted: np.ndarray | None = None,
 ) -> list[Any]:
-    """The value of each aggregate node of ``heads``: its aggregate over the
-    parents that carry a value (not None) in the id-indexed ``column``, or
-    None when none does.
+    """The value of each of ``count`` aggregate heads: ``aggregate`` over
+    the head's parents that carry a value (not None) in the id-indexed
+    ``column``, or None when none does.
 
+    Head ``owner[i]`` has parent node ``parents[i]``, the pairs ascending
+    by owner and each head's parents by id: the CSR parents of declared
+    heads (:meth:`~repro.graph.csr.CSRGraph.parent_pairs`), or a unifying
+    response's relation (:class:`~repro.carl.peers.ResponseRelation`).
     ``admitted``, a mask over node ids, keeps only the parents it marks (a
-    query's WHERE clause on the aggregated attribute's entity).  The parents
-    of every head are gathered in one CSR pass (ascending by id) and each
-    head's list aggregated by the scalar aggregate, so values stay
-    bit-identical to aggregating head by head.  A head id of -1 (an absent
-    node) reads None.
+    query's WHERE clause on the aggregated attribute's entity).  Each
+    head's list goes to the scalar aggregate, so values stay bit-identical
+    to aggregating head by head.
     """
-    heads = np.asarray(heads, dtype=np.int64)
-    present = heads >= 0
-    owner, parents = graph.csr().parent_pairs(heads[present])
     if admitted is not None:
         chosen = admitted[parents]
         owner, parents = owner[chosen], parents[chosen]
     gathered = column[parents]
     valued = not_none_mask(gathered)
     gathered = gathered[valued].tolist()
-    counts = np.bincount(owner[valued], minlength=int(present.sum())).tolist()
-    nodes = graph._nodes  # noqa: SLF001
-    aggregates = graph._aggregates  # noqa: SLF001
-    result: list[Any] = [None] * len(heads)
+    counts = np.bincount(owner[valued], minlength=count).tolist()
+    result: list[Any] = [None] * count
     stop = 0
-    for position, head, count in zip(
-        np.flatnonzero(present).tolist(), heads[present].tolist(), counts
-    ):
-        start, stop = stop, stop + count
-        if count:
-            result[position] = apply_aggregate(aggregates[nodes[head]], gathered[start:stop])
+    for head, number in enumerate(counts):
+        start, stop = stop, stop + number
+        if number:
+            result[head] = apply_aggregate(aggregate, gathered[start:stop])
     return result

@@ -14,15 +14,18 @@ treatment node ids, and whether its own treatment reaches its response.
 Unit-table collection consumes those arrays as they are, so no peer is ever
 turned into a key tuple or a grounded-attribute object on the query path;
 ``tests/row_oracle.py`` keeps the unit-by-unit definition as a dict of peer
-keys.
+keys.  A unifying aggregate the program does not declare is never ground:
+its rule is evaluated into a :class:`ResponseRelation`, which the walk
+starts from instead of a head node.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from repro.carl.ast import AggregateRule, AttributeAtom, Condition, PredicateAto
 from repro.carl.causal_graph import WALK_BLOCK, GroundedAttribute, GroundedCausalGraph
 from repro.carl.errors import QueryError
 from repro.carl.schema import RelationalCausalSchema
+from repro.db.query import Bindings
+from repro.graph.csr import sorted_unique
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +190,44 @@ def build_unifying_aggregate_rule(
     )
 
 
+class ResponseRelation(NamedTuple):
+    """A unifying response over a unit list: unit ``positions[i]``
+    aggregates base node ``nodes[i]`` by ``aggregate``.  The pairs are
+    sorted and unique: the parents each unit's head would have if the rule
+    were ground."""
+
+    aggregate: str
+    positions: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def evaluate(
+        cls, rule: AggregateRule, bindings: Bindings, unit_of: dict[Any, int], nodes: np.ndarray
+    ) -> "ResponseRelation":
+        """The relation of a unifying ``rule`` from its condition's
+        ``bindings``: a head key maps to its unit's position in ``unit_of``,
+        and each binding's base key to its node id in ``nodes``.  A base key
+        no unit holds has a node when another rule ground one (it may have
+        ancestors); a key with no unit or no node is dropped (such a parent
+        would carry no value and reach nothing)."""
+        heads = bindings.column(rule.head.terms[0].name)
+        positions = np.fromiter(
+            map(unit_of.get, heads, itertools.repeat(-1)), dtype=np.int64, count=len(heads)
+        )
+        found = (positions >= 0) & (nodes >= 0)
+        n = np.int64(nodes.max(initial=0) + 1)
+        positions, nodes = np.divmod(sorted_unique(positions[found] * n + nodes[found]), n)
+        return cls(rule.aggregate, positions, nodes)
+
+    def slice(self, start: int, stop: int) -> "ResponseRelation":
+        """The pairs of positions ``[start, stop)``, positions shifted by
+        ``-start``: the relation over ``units[start:stop]``."""
+        low, high = np.searchsorted(self.positions, (start, stop)).tolist()
+        return ResponseRelation(
+            self.aggregate, self.positions[low:high] - start, self.nodes[low:high]
+        )
+
+
 # ----------------------------------------------------------------------
 # relational peers
 # ----------------------------------------------------------------------
@@ -197,9 +240,10 @@ class Peers:
     ``response_ids`` are each unit's own treatment and response node ids
     (-1 when the graph has no such node), and ``own_reaches`` whether the
     unit's own treatment is or reaches its response (Theorem 5.2 adjusts
-    for its parents only then).  Unit-table collection reads these arrays
-    as they are; :meth:`values`, :meth:`to_dict` and lookups by unit are
-    views for inspection and the tests.
+    for its parents only then); ``relation`` is a unifying response, which
+    no node carries.  Unit-table collection reads these arrays as they are;
+    :meth:`values`, :meth:`to_dict` and lookups by unit are views for
+    inspection and the tests.
     """
 
     graph: GroundedCausalGraph
@@ -211,6 +255,7 @@ class Peers:
     treatment_ids: np.ndarray
     response_ids: np.ndarray
     own_reaches: np.ndarray
+    relation: ResponseRelation | None = None
 
     def __len__(self) -> int:
         return len(self.units)
@@ -240,6 +285,7 @@ def compute_peers(
     response_attribute: str,
     units: list[tuple[Any, ...]],
     within: list[tuple[Any, ...]] | None = None,
+    relation: ResponseRelation | None = None,
 ) -> Peers:
     """Relational peers of every unit (Definition 4.3).
 
@@ -247,7 +293,8 @@ def compute_peers(
     a peer of ``x`` when there is a directed path from ``T[p]`` to ``Y[x]``
     in the grounded graph, with ``p != x``; each unit's peers come in
     ascending node-id order of their treatment nodes, and a unit without a
-    response node has none.
+    response node has none.  A ``relation`` over ``units`` gives ``Y[x]`` as
+    the aggregate of ``x``'s base nodes, whose ancestors are its ancestors.
 
     ``within`` restricts peer *membership* independently of which units are
     walked: a shard worker computes peers for its unit-range slice only, but
@@ -263,7 +310,13 @@ def compute_peers(
     peer.
     """
     treatment_ids = graph.node_ids(GroundedAttribute(treatment_attribute, unit) for unit in units)
-    response_ids = graph.node_ids(GroundedAttribute(response_attribute, unit) for unit in units)
+    if relation is None:
+        response_ids = graph.node_ids(GroundedAttribute(response_attribute, unit) for unit in units)
+        seed_positions = np.flatnonzero(response_ids >= 0)
+        seeds = response_ids[seed_positions]
+    else:
+        response_ids = np.full(len(units), -1, dtype=np.int64)
+        seed_positions, seeds = relation.positions, relation.nodes
     member_ids = (
         treatment_ids
         if within is None
@@ -274,10 +327,12 @@ def compute_peers(
     own_reaches = (treatment_ids >= 0) & (treatment_ids == response_ids)
     counts = np.zeros(len(units), dtype=np.int64)
     chunks: list[np.ndarray] = []
-    for start in range(0, len(units), WALK_BLOCK):
+    blocks = np.searchsorted(seed_positions, np.arange(0, len(units) + WALK_BLOCK, WALK_BLOCK))
+    for block, start in enumerate(range(0, len(units), WALK_BLOCK)):
         stop = min(start + WALK_BLOCK, len(units))
+        low, high = blocks[block], blocks[block + 1]
         positions, ancestors = graph.attribute_ancestor_pairs(
-            response_ids[start:stop], treatment_attribute
+            seeds[low:high], treatment_attribute, seed_positions[low:high] - start
         )
         own = ancestors == treatment_ids[start:stop][positions]
         own_reaches[start + positions[own]] = True
@@ -296,4 +351,5 @@ def compute_peers(
         treatment_ids,
         response_ids,
         own_reaches,
+        relation,
     )

@@ -362,18 +362,14 @@ def _publish_engine_state(
     """
     with engine._state_lock:  # noqa: SLF001 - dispatcher-side engine internals
         # Ground (or cache-load) once, up front.
-        engine._current_grounding()  # noqa: SLF001
-        # The artifact holds the program as written; a worker splices the
-        # aggregate rules its own queries register, as the dispatcher did.
-        program = engine._program_grounding  # noqa: SLF001
-        assert program is not None  # set by _current_grounding
+        grounding, _ = engine._current_grounding()  # noqa: SLF001
         db_fp = database_fingerprint(engine.database)
         program_fp = engine._program_fingerprint  # noqa: SLF001
         table_keys: list[tuple[str, CacheKey]] = []
         if not inherit:
             grounding_key = CacheKey(database=db_fp, program=program_fp, kind="grounding")
             if not cache.contains(grounding_key):
-                cache.store(grounding_key, grounding_payload(program.graph, program.values))
+                cache.store(grounding_key, grounding_payload(grounding.graph, grounding.values))
             else:
                 _touch(cache.path_for(grounding_key))
             cache.pin(grounding_key)
@@ -416,7 +412,7 @@ def _plan_query(
     plan = engine._plan(query, embedding)  # noqa: SLF001
     if plan.table_key is not None and cache.contains(plan.table_key):
         return plan, None
-    _, _, units, _ = engine._units(plan)  # noqa: SLF001
+    _, _, units, _, _ = engine._units(plan)  # noqa: SLF001
     return plan, len(units)
 
 

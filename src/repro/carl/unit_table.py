@@ -288,6 +288,7 @@ def _read(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return found
 
 
+
 @dataclass(frozen=True, eq=False)
 class UnitTableInputs:
     """The embedding- and binarization-independent inputs of one unit table.
@@ -389,13 +390,14 @@ def collect_unit_table_inputs(
     covariate nodes.  Only nodes ``values`` holds (even as None) are
     gathered.  Columns are ordered by their first gathered value.
 
-    The outcome is ``Y[u]``'s value, unless ``admitted`` (a mask over node
-    ids) restricts an aggregated response: then each unit's head is
-    aggregated over its admitted parents, in one CSR pass for all units
-    (:func:`~repro.carl.grounding.head_values`).  Every read is a gather from
-    the value column by node id.  Covariates are CSR parent gathers over
-    ``(row, node)`` arrays, per block of :data:`WALK_BLOCK` rows, and each
-    value column is coded once per distinct node at the end.
+    The outcome is ``Y[u]``'s value, unless ``peers.relation`` gives a
+    unifying response or ``admitted`` (a mask over node ids) restricts a
+    declared aggregate: then each unit's outcome is aggregated over its
+    admitted relation pairs or head parents, in one pass for all units
+    (:func:`~repro.carl.grounding.head_values`).  Every read is a gather
+    from the value column by node id.  Covariates are CSR parent gathers
+    over ``(row, node)`` arrays, per block of :data:`WALK_BLOCK` rows, and
+    each value column is coded once per distinct node at the end.
 
     ``allow_empty`` suppresses the no-units error: a shard worker collecting
     one unit *range* of a larger table may legitimately keep zero units (the
@@ -404,10 +406,18 @@ def collect_unit_table_inputs(
     treatment_attribute = peers.treatment_attribute
     column, held = values.column, values.held
     response_ids, treatment_ids = peers.response_ids, peers.treatment_ids
-    if admitted is None:
+    pairs = peers.relation
+    heads = np.flatnonzero(response_ids >= 0)
+    if pairs is None and admitted is not None and heads.size:
+        # A declared aggregate (one per attribute: the model rejects
+        # conflicting definitions), over its heads' parents.
+        owner, parents = graph.csr().parent_pairs(response_ids[heads])
+        aggregate = graph.aggregate_of(graph.node_at(int(response_ids[heads[0]])))
+        pairs = (aggregate, heads[owner], parents)
+    if pairs is None:
         outcomes = _read(column, response_ids)
     else:
-        outcomes = as_object_array(head_values(graph, column, response_ids, admitted))
+        outcomes = as_object_array(head_values(column, *pairs, len(peers), admitted))
     treatments = _read(column, treatment_ids)
     keep = not_none_mask(outcomes) & not_none_mask(treatments)
     kept = np.flatnonzero(keep)
@@ -431,9 +441,7 @@ def collect_unit_table_inputs(
     node_code = layers.node_code
     names = layers.names
     # Attribute code -> whether its groundings are adjustment covariates:
-    # the observed parent attributes of the treatment.  Only those are asked,
-    # since a loaded grounding may hold groundings (another session's
-    # unifying aggregates) that this session's model cannot classify.
+    # the observed parent attributes of the treatment.
     covariate = np.zeros(len(names), dtype=bool)
     treatment_code = layers.code_of.get(treatment_attribute)
     for code, below in enumerate(layers.children):

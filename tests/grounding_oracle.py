@@ -17,13 +17,14 @@ that it replaced, for tests and benchmarks only:
 * :meth:`Grounder.grounded_attribute_values` — observed values node by
   node, aggregates in a full topological order, each head by
   :func:`aggregate_head_value`;
-* :meth:`Grounder.extend` — registered aggregate rules added node by node to
-  a copy of the graph.
+* :meth:`Grounder.extend` — aggregate rules the program does not declare
+  added node by node to a copy of a grounding's graph, its new heads valued
+  one by one.  The engine never grounds such a rule: it evaluates a
+  unifying aggregate into a relation (``CaRLEngine._units``), and
+  ``tests/test_unifying_relation.py`` holds that relation to this splice.
 
-Like the production grounder, :meth:`Grounder.ground` covers the aggregate
-rules the model held when the grounder was made, so an engine can run on
-either (the harness in ``tests/test_grounding_harness.py`` swaps this one
-in to compare answers).
+An engine can run on either grounder (the harness in
+``tests/test_grounding_harness.py`` swaps this one in to compare answers).
 
 Units and observed values are read row by row from the subject tables, as
 the bound instance once did, so the oracle shares no column reader with the
@@ -114,7 +115,6 @@ class Grounder:
     def __init__(self, model: RelationalCausalModel, instance: BoundInstance) -> None:
         self.model = model
         self.instance = instance
-        self.aggregate_rules = len(model.aggregate_rules)
         self._values: dict[str, dict[tuple[Any, ...], Any]] = {}
 
     # ------------------------------------------------------------------
@@ -162,6 +162,15 @@ class Grounder:
         if left.name not in self._values:
             self._values[left.name] = attribute_values(self.instance, left.name)
         return comparison.evaluate(self._values[left.name].get(key))
+
+    def atom_ids(
+        self, graph: GroundedCausalGraph, atom: AttributeAtom, bindings: Bindings
+    ) -> Any:
+        """Each binding's node id of ``atom`` in ``graph`` (-1 for none),
+        looked up one binding at a time."""
+        return graph.node_ids(
+            GroundedAttribute(atom.name, self._ground_key(atom, binding)) for binding in bindings
+        )
 
     def _ground_key(self, atom: AttributeAtom, binding: Binding) -> tuple[Any, ...]:
         key = []
@@ -218,7 +227,7 @@ class Grounder:
         for rule in self.model.rules:
             for grounded_rule in self.ground_rule(rule):
                 graph.add_grounded_rule(grounded_rule)
-        for rule in self.model.aggregate_rules[: self.aggregate_rules]:
+        for rule in self.model.aggregate_rules:
             for grounded_rule in self.ground_aggregate_rule(rule):
                 graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
         graph.validate_acyclic()
@@ -239,9 +248,10 @@ class Grounder:
                 values[node] = aggregate_head_value(graph, values, node)
         return NodeValues.from_mapping(graph, values)
 
-    def extend(self, grounding: Grounding) -> Grounding:
-        """``grounding`` plus the model's aggregate rules registered after it."""
-        rules = self.model.aggregate_rules[grounding.aggregate_rules :]
+    def extend(self, grounding: Grounding, rules: list[AggregateRule]) -> Grounding:
+        """``grounding`` plus the aggregate ``rules``: their grounded rules
+        added to a copy of its graph, which recompiles through the
+        incremental ``csr()``, and each new head valued from its parents."""
         graph = grounding.graph.copy()
         heads: list[GroundedAttribute] = []
         for rule in rules:
@@ -252,9 +262,4 @@ class Grounder:
         values = dict(grounding.values)
         for head in heads:
             values[head] = aggregate_head_value(graph, values, head)
-        return Grounding(
-            graph,
-            NodeValues.from_mapping(graph, values),
-            grounding.db_token,
-            grounding.aggregate_rules + len(rules),
-        )
+        return Grounding(graph, NodeValues.from_mapping(graph, values), grounding.db_token)

@@ -431,7 +431,7 @@ def test_engine_unit_table_matches_oracle(text):
     actual = engine.unit_table(text)
     plan = engine._plan(parse_query(text), "mean")
     treatment, response = plan.treatment, plan.response
-    grounding, _, units, admitted = engine._units(plan)
+    grounding, _, units, admitted, _ = engine._units(plan)
     graph = grounding.graph
     values = dict(grounding.values)
     if admitted is not None:

@@ -300,7 +300,7 @@ def test_gathered_covariates_are_a_valid_adjustment_set(dataset, query):
     engine = CaRLEngine(data.database, data.program)
     plan = engine._plan(parse_query(query), "mean")
     treatment, response = plan.treatment, plan.response
-    grounding, _, units, admitted = engine._units(plan)
+    grounding, _, units, admitted, _ = engine._units(plan)
     graph, values, is_observed = grounding.graph, grounding.values, engine.model.is_observed
     peers = compute_peers(graph, treatment, response, units)
     inputs = collect_unit_table_inputs(graph, values, peers, is_observed, admitted=admitted)

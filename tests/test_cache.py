@@ -64,13 +64,16 @@ class TestFingerprints:
         right.load_rows("t", [{"a": "1"}])
         assert left.fingerprint() != right.fingerprint()
 
-    def test_model_fingerprint_tracks_dynamic_aggregates(self):
+    def test_answering_leaves_the_model_unchanged(self):
         engine = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)
+        rules = list(engine.model.aggregate_rules)
         before = model_fingerprint(engine.program, engine.model)
         engine.answer("MAX_Score[A] <= Prestige[A] ?")
-        # Unifying Score onto authors via MAX registered a new aggregate rule
-        # (the program itself only declares the AVG unification).
-        assert model_fingerprint(engine.program, engine.model) != before
+        # Unifying Score onto authors via MAX (the program itself declares
+        # only the AVG unification) is resolved in the query's plan: no rule
+        # is registered on the model.
+        assert engine.model.aggregate_rules == rules
+        assert model_fingerprint(engine.program, engine.model) == before
 
     def test_query_fingerprint_distinguishes_embedding_and_backend(self):
         query = parse_query("AVG_Score[A] <= Prestige[A] ?")
@@ -373,11 +376,11 @@ class TestEngineCache:
         assert len(engine.graph) > nodes_before  # no manual invalidate() needed
 
     def test_warm_cross_predicate_query_does_zero_grounding(self, tmp_path):
-        # A query whose response lives on another predicate registers a
-        # unifying aggregate rule at resolution time.  Warm engines must
-        # still answer it from the cache without any grounding: the
-        # unit-table probe runs before the graph is extended, and the cold
-        # engine stored the rule-extended grounding for miss paths.
+        # A query whose response lives on another predicate needs a unifying
+        # aggregate the program does not declare.  Warm engines must still
+        # answer it from the cache without any grounding: the unit-table
+        # probe runs before the graph is read, and the cold engine stored
+        # the program's grounding for miss paths.
         root = tmp_path / "cache"
         query = "MAX_Score[A] <= Prestige[A] ?"
         cold = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
@@ -390,8 +393,8 @@ class TestEngineCache:
         assert warm.cache_stats().get("grounding", {}).get("misses", 0) == 0
         assert warm_answer.result.ate == cold_answer.result.ate
 
-        # Even with the unit table evicted, the extended grounding loads
-        # instead of re-grounding.
+        # Even with the unit table evicted, the grounding loads instead of
+        # re-grounding.
         ArtifactCache(root).clear(kind="unit_table")
         warmish = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
         warmish_answer = warmish.answer(query)
@@ -400,14 +403,14 @@ class TestEngineCache:
         assert warmish_answer.result.ate == cold_answer.result.ate
 
     def test_cache_keys_do_not_depend_on_session_history(self, tmp_path):
-        # Session A answers a cross-predicate query (registering a unifying
-        # rule) before the plain query; session B answers only the plain
-        # query.  B must still hit A's artifacts — keys are built from the
-        # program as written plus the per-query resolution, never from the
-        # session's accumulated rule list.
+        # Session A answers a cross-predicate query (with a unifying
+        # aggregate the program does not declare) before the plain query;
+        # session B answers only the plain query.  B must still hit A's
+        # artifacts — keys are built from the program plus the per-query
+        # resolution, which no earlier query changes.
         root = tmp_path / "cache"
         session_a = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
-        session_a.answer("MAX_Score[A] <= Prestige[A] ?")  # registers MAX rule
+        session_a.answer("MAX_Score[A] <= Prestige[A] ?")
         plain = session_a.answer(QUICKSTART_QUERIES[0])
 
         session_b = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
@@ -417,10 +420,11 @@ class TestEngineCache:
         assert answer_b.result.ate == plain.result.ate
 
     def test_collects_on_a_grounding_holding_another_sessions_aggregate(self, tmp_path):
-        # Session A registers a unifying MAX rule before it grounds, so the
-        # grounding it stores under the program's key holds MAX_Score nodes.
-        # Session B loads that grounding without the MAX rule in its model
-        # and must still collect a query that misses the unit-table cache.
+        # Session A answers a unifying MAX query first and stores the
+        # grounding it walked.  That grounding is the program's: it holds no
+        # MAX_Score node, since the aggregate lives in the query's plan.
+        # Session B loads it and must collect a query that misses the
+        # unit-table cache.
         root = tmp_path / "cache"
         session_a = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
         session_a.answer("MAX_Score[A] <= Prestige[A] ?")
@@ -430,9 +434,27 @@ class TestEngineCache:
         session_b = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
         answer_b = session_b.answer(query)
         assert session_b.grounding_runs == 0
+        assert not session_b.graph.nodes_of("MAX_Score")
         assert session_b.cache_stats()["unit_table"]["misses"] == 1
         fresh = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM).answer(query)
         assert answer_b.result.ate == fresh.result.ate
+
+    def test_response_resolution_does_not_depend_on_session_history(self, tmp_path):
+        # Session B answers a unifying MAX query over authors before the same
+        # MAX over conferences that session A answered alone.  Both resolve
+        # the response to the name a fresh engine gives it, so B hits A's
+        # unit table.
+        root = tmp_path / "cache"
+        query = 'MAX_Score[C] <= Blind[C] = "single" ?'
+        session_a = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+        stored = session_a.unit_table(query)
+
+        session_b = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+        session_b.answer("MAX_Score[A] <= Prestige[A] ?")
+        table = session_b.unit_table(query)
+        assert table.response_attribute == "MAX_Score"
+        assert table.equals(stored)
+        assert session_b.cache_stats()["unit_table"] == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_unit_table_cache_used_by_unit_table_api(self, tmp_path):
         root = tmp_path / "cache"
@@ -444,7 +466,7 @@ class TestEngineCache:
         assert warm_table.equals(cold_table)  # bit-exact, via the loaded mmap
 
     def test_grounding_artifact_holds_the_program_whatever_the_query_order(self, tmp_path):
-        """``MAX_Score`` is registered by a query, not declared: answered
+        """``MAX_Score`` is not declared, only asked for by a query: answered
         first or second, it never enters the stored grounding, and a fresh
         engine over either artifact answers it identically."""
         from repro.cache.serialization import load_grounding

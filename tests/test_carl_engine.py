@@ -49,6 +49,10 @@ class TestGrounding:
 
 class TestAggregateHeadWithoutValuedParent:
     def test_declared_and_spliced_heads_have_no_value(self):
+        """``MAX_Score`` is not declared, so the engine builds its table from
+        the relation of the unifying rule (``CaRLEngine._units``).  That
+        table equals the one of a twin program that declares the rule, whose
+        head for Dan has no value, and neither keeps Dan."""
         dan_max = GroundedAttribute("MAX_Score", ("Dan",))
         query = "MAX_Score[A] <= Prestige[A] ?"
 
@@ -56,16 +60,17 @@ class TestAggregateHeadWithoutValuedParent:
         assert engine.values.get(GroundedAttribute("AVG_Score", ("Dan",))) is None
         table = engine.unit_table("AVG_Score[A] <= Prestige[A] ?")
         assert table.unit_keys == [("Bob",), ("Carlos",), ("Eva",)]
-        # Registered after grounding: the head is spliced into a new snapshot.
-        spliced = engine.unit_table(query)
-        assert engine.values.get(dan_max) is None
+        from_relation = engine.unit_table(query)
+        assert dan_max not in engine.graph
 
-        # A fresh engine's first query: the head is ground with the program.
-        fresh = CaRLEngine(toy_with_unscored_author(), TOY_REVIEW_PROGRAM)
-        declared = fresh.unit_table(query)
-        assert fresh.values.get(dan_max) is None
-        assert declared.equals(spliced)
-        assert len(declared) == 3
+        twin = CaRLEngine(
+            toy_with_unscored_author(),
+            TOY_REVIEW_PROGRAM + "MAX_Score[A] <= Score[S] WHERE Author(A, S);",
+        )
+        assert dan_max in twin.graph and twin.values[dan_max] is None
+        declared = twin.unit_table(query)
+        assert declared.equals(from_relation)
+        assert declared.unit_keys == [("Bob",), ("Carlos",), ("Eva",)]
 
 
 class TestATEQueries:

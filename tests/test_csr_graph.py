@@ -210,8 +210,9 @@ class TestCSRPayloadRoundTrip:
         assert loaded_graph.parents(node(1)) == set()
 
     def test_loaded_graph_stays_mutable(self, tmp_path):
-        # The engine splices dynamically-registered aggregate rules into a
-        # cache-loaded graph; the CSR snapshot must recompile lazily.
+        # A cache-loaded graph adopts its CSR as-is, yet the incremental API
+        # still works on it (the grounding oracle's splice adds rules to a
+        # copy of a loaded graph): the CSR recompiles lazily.
         graph = GroundedCausalGraph()
         graph.add_grounded_rule(GroundedRule(head=node(1), body=(node(0),)))
         payload = self.roundtrip(tmp_path, graph, {})

@@ -18,8 +18,9 @@ nested aggregates carry values, over a NULL parent too):
   ``tests/grounding_oracle.py``'s: node lists, CSR arrays, aggregate marks,
   the per-attribute id index and the values mapping;
 * an engine answers every query ``float.hex``-identically on either
-  grounder, and its graph after the queries (registered unifying aggregates
-  spliced in) is the oracle's too;
+  grounder, and its graph after the queries (still the program's grounding:
+  a unifying aggregate is evaluated per query, never ground) is the
+  oracle's too;
 * an invalid draw raises the same error class at the same stage on both:
   ``CaRLEngine(...)``, planning (before grounding), grounding, or the answer.
 """

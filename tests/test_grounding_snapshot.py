@@ -2,14 +2,15 @@
 
 A query reads one immutable :class:`~repro.carl.grounding.Grounding`: the
 compiled graph and the value map it took under the engine's state lock.
-Registering a unifying aggregate publishes a new snapshot instead of
-splicing into the old one, so
+The snapshot is the grounding of the program, and it changes only when the
+database does: a unifying aggregate the program does not declare lives in
+the query's plan and is evaluated into a relation, never ground.  So
 
-- a graph or value map a caller already holds never changes;
+- answering such a query leaves the engine's model, graph and value map as
+  they were, and compiles no graph;
 - the peer walk and the covariate collection run without the state lock;
-- queries that register aggregates concurrently answer exactly as they do
+- queries with undeclared responses answer concurrently exactly as they do
   alone on a fresh engine;
-- splicing compiles the graph once, not once per new aggregate head;
 - a response a WHERE clause restricts is aggregated only where a walk
   reads it, so a cold sharded query aggregates each head once.
 """
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.carl.engine as engine_module
+from repro.cache.fingerprint import model_fingerprint
 from repro.cache.store import ArtifactCache
 from repro.carl.batch import BatchScratch
 from repro.carl.engine import CaRLEngine
@@ -32,8 +34,8 @@ from repro.datasets import generate_synthetic_review_data
 from repro.db.aggregates import AGGREGATES
 from repro.graph.csr import CSRGraph
 
-#: Responses the synthetic program does not declare: answering each
-#: registers a unifying aggregate over ``Score``.
+#: Responses the synthetic program does not declare: each is a unifying
+#: aggregate over ``Score`` that the query's plan carries.
 UNDECLARED = [
     "MAX_Score[A] <= Prestige[A] ?",
     "MEDIAN_Score[A] <= Prestige[A] ?",
@@ -73,24 +75,27 @@ def test_held_graph_and_values_do_not_grow(synthetic_300):
     graph, values = engine.graph, engine.values
     nodes, length = len(graph), len(values)
     parents, children = (array.copy() for array in graph.csr().edge_arrays())
+    rules = list(engine.model.aggregate_rules)
+    fingerprint = model_fingerprint(engine.program, engine.model)
 
-    engine.answer(UNDECLARED[0])
+    for query in UNDECLARED:
+        engine.answer(query)
 
+    # The engine kept its snapshot: no aggregate was ground into it.
+    assert engine.graph is graph
+    assert engine.values is values
     assert len(graph) == nodes
     assert len(values) == length
     held_parents, held_children = graph.csr().edge_arrays()
     assert np.array_equal(held_parents, parents)
     assert np.array_equal(held_children, children)
-    # The engine itself moved on to a snapshot holding the new aggregate.
-    assert len(engine.graph) > nodes
-    assert engine.graph.nodes_of("MAX_Score")
-    assert len(engine.values) > length
     assert not graph.nodes_of("MAX_Score")
+    # Nor was any rule registered on the model.
+    assert engine.model.aggregate_rules == rules
+    assert model_fingerprint(engine.program, engine.model) == fingerprint
 
 
-def test_splicing_a_new_aggregate_compiles_the_graph_at_most_twice(
-    synthetic_300, monkeypatch
-):
+def test_an_undeclared_response_compiles_no_graph(synthetic_300, monkeypatch):
     engine = fresh_engine(synthetic_300)
     engine.graph  # noqa: B018 - grounded before the count starts
     compile_edges = CSRGraph.from_edges
@@ -101,10 +106,11 @@ def test_splicing_a_new_aggregate_compiles_the_graph_at_most_twice(
         return compile_edges(n, parents, children)
 
     monkeypatch.setattr(CSRGraph, "from_edges", classmethod(counting))
-    engine.answer(UNDECLARED[0])
-    # One compile of the extended graph, one for the model's
-    # attribute-level recursion check when the rule registers.
-    assert len(calls) <= 2, len(calls)
+    answer = engine.answer(UNDECLARED[0])
+    # Neither a spliced graph nor the model's recursion check of a newly
+    # registered rule: the aggregate is a relation in the query's plan.
+    assert calls == []
+    assert answer.grounding_seconds == 0.0
 
 
 def test_graph_walks_run_without_the_state_lock(synthetic_300, monkeypatch):
@@ -141,8 +147,8 @@ def test_graph_walks_run_without_the_state_lock(synthetic_300, monkeypatch):
 
 def test_concurrent_registrations_match_fresh_serial_engines(synthetic_300):
     """More threads than cores, switching often: the four undeclared
-    responses register and splice their aggregates while the other queries
-    walk earlier snapshots."""
+    responses evaluate their relations while the other queries walk the
+    same snapshot."""
     queries = [
         *UNDECLARED,
         "AVG_Score[A] <= Prestige[A] ?",

@@ -31,12 +31,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.serialization import load_unit_table
 from repro.cache.store import ArtifactCache
 from repro.carl import shard
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import EstimationError, GroundingError, ParseError, QueryError
+from repro.carl.parser import parse_query
 from repro.carl.queries import QueryAnswer
-from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
+from repro.datasets import TOY_REVIEW_PROGRAM, generate_synthetic_review_data, toy_review_database
 from repro.faults.injection import clear_plan, install_plan
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.observability import reset_registry
@@ -566,3 +568,24 @@ def test_failed_scheduler_start_leaks_nothing(monkeypatch, tmp_path):
             run(engine)
         assert engine.cache.pinned_paths() == set()
         assert not list((tmp_path / "cache").glob("*/*.pin.*"))
+
+
+def test_rebuilt_workers_resolve_a_response_as_the_dispatcher(monkeypatch, tmp_path):
+    """Workers that rebuild their engine resolve an undeclared response as
+    the dispatcher does, whatever the dispatcher answered before: the table
+    the batch caches is the serial one of an engine with the same history."""
+    monkeypatch.setenv(shard.NO_INHERIT_ENV, "1")
+    data = generate_synthetic_review_data(n_authors=300, seed=1)
+    earlier = "MAX_Score[A] <= Prestige[A] ?"
+    query = 'MAX_Score[V] <= Blind[V] = "single" ?'
+    engine = CaRLEngine(data.database, data.program, cache=tmp_path / "cache")
+    engine.answer(earlier)
+    engine.answer_all([query], jobs=2, executor="process")
+    plan = engine._plan(parse_query(query), "mean")  # noqa: SLF001
+    cached = load_unit_table(engine.cache.load(plan.table_key))
+
+    serial = CaRLEngine(data.database, data.program)
+    serial.answer(earlier)
+    expected = serial.unit_table(query)
+    assert cached.equals(expected)
+    assert cached.response_attribute == "MAX_Score"

@@ -132,7 +132,7 @@ def collect_via_shards(engine, query, shards):
 
     parsed = parse_query(query) if isinstance(query, str) else query
     # Derive the full unit count exactly as the dispatcher does.
-    _, _, units, _ = engine._units(engine._plan(parsed, "mean"))  # noqa: SLF001
+    _, _, units, _, _ = engine._units(engine._plan(parsed, "mean"))  # noqa: SLF001
     n_units = len(units)
     parts = [
         engine.collect_shard_inputs(parsed, start, stop, expected_units=n_units)

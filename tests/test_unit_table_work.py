@@ -36,7 +36,7 @@ def test_severity_collection_and_materialization_do_no_per_pair_python(monkeypat
     engine = CaRLEngine(data.database, data.program)
     query = parse_query(QUERY)
     plan = engine._plan(query, "mean")  # noqa: SLF001
-    grounding, _, units, admitted = engine._units(plan)  # noqa: SLF001
+    grounding, _, units, admitted, relation = engine._units(plan)  # noqa: SLF001
     peers = compute_peers(grounding.graph, plan.treatment, plan.response, units)
     assert (len(units), sum(map(len, peers.values()))) == (800, 4238)
 
@@ -52,7 +52,7 @@ def test_severity_collection_and_materialization_do_no_per_pair_python(monkeypat
         return node_at(self, index)
 
     monkeypatch.setattr(GroundedCausalGraph, "node_at", counting_node_at)
-    inputs = engine._collect(plan, 0, len(units), grounding, units, admitted)  # noqa: SLF001
+    inputs = engine._collect(plan, 0, len(units), grounding, units, admitted, relation)  # noqa: SLF001
     assert calls[0] + CountingValues.reads <= len(units)
 
     evaluate = Comparison.evaluate
