@@ -263,9 +263,8 @@ class GroundedCausalGraph:
 
     def node_ids(self, nodes: Iterable[GroundedAttribute]) -> np.ndarray:
         """Interned ids of ``nodes`` as an int64 array, -1 for unknown nodes."""
-        return np.fromiter(
-            map(self._node_index.get, nodes, itertools.repeat(-1)), dtype=np.int64
-        )
+        index_get = self._node_index.get
+        return np.fromiter((index_get(node, -1) for node in nodes), dtype=np.int64)
 
     @property
     def edges(self) -> list[tuple[GroundedAttribute, GroundedAttribute]]:

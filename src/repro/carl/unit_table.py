@@ -288,7 +288,6 @@ def _read(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return found
 
 
-
 @dataclass(frozen=True, eq=False)
 class UnitTableInputs:
     """The embedding- and binarization-independent inputs of one unit table.

@@ -181,6 +181,8 @@ def _variants(engine: CaRLEngine, query: CausalQuery) -> list[CausalQuery]:
 
 
 def _same_table(expected, actual) -> None:
+    """The row oracle's table, up to the last bits of the covariates: its
+    mean embedding sums in another order than production's."""
     assert expected.unit_keys == actual.unit_keys
     assert expected.peer_columns == actual.peer_columns
     assert expected.covariate_columns == actual.covariate_columns
@@ -201,10 +203,10 @@ def check_query(database: Database, program, query: CausalQuery) -> bool:
     if plan[0] == "error" or plan[1].unifying is None:
         return False
     plan = plan[1]
-    derived = _outcome(lambda: engine._units(plan))  # noqa: SLF001
-    if derived[0] == "error":
+    unit_list = _outcome(lambda: engine._units(plan))  # noqa: SLF001
+    if unit_list[0] == "error":
         return False
-    grounding, _, units, admitted, relation = derived[1]
+    grounding, _, units, admitted, relation = unit_list[1]
     treatment, response = plan.treatment, plan.response
 
     # The oracle: the rule spliced into the graph, its heads valued over
@@ -244,7 +246,11 @@ def check_query(database: Database, program, query: CausalQuery) -> bool:
         )
     )
 
-    # The engine: the relation, whole and over shard ranges.
+    # The engine: the relation, whole and over shard ranges.  A twin
+    # program that declares the rule builds bit for bit the same table.
+    declared = CaRLEngine(database, twin)
+    assert declared._plan(query, "mean").unifying is None  # noqa: SLF001
+    declared_table = _outcome(lambda: declared.unit_table(query))
     peers = compute_peers(grounding.graph, treatment, response, units, relation=relation)
     assert peers.to_dict() == expected_peers
     whole = _outcome(
@@ -270,10 +276,9 @@ def check_query(database: Database, program, query: CausalQuery) -> bool:
         else:
             _same_table(expected_table[1], table[1])
             assert table[1].equals(engine.unit_table(query))
+            assert table[1].equals(declared_table[1])
 
-    # A twin program that declares the rule answers bit for bit the same.
-    declared = CaRLEngine(database, twin)
-    assert declared._plan(query, "mean").unifying is None  # noqa: SLF001
+    # And answers bit for bit the same.
     assert _outcome(lambda: _answer_fields(engine.answer(query))) == _outcome(
         lambda: _answer_fields(declared.answer(query))
     )
