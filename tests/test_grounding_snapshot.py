@@ -9,8 +9,9 @@ the query's plan and is evaluated into a relation, never ground.  So
 - answering such a query leaves the engine's model, graph and value map as
   they were, and compiles no graph;
 - the peer walk and the covariate collection run without the state lock;
-- queries with undeclared responses answer concurrently exactly as they do
-  alone on a fresh engine;
+- queries with undeclared responses answer concurrently, on threads or
+  sharded over worker processes, exactly as they do alone on a fresh
+  engine;
 - a response a WHERE clause restricts is aggregated only where a walk
   reads it, so a cold sharded query aggregates each head once.
 """
@@ -166,6 +167,19 @@ def test_concurrent_registrations_match_fresh_serial_engines(synthetic_300):
         alone = fresh_engine(synthetic_300).answer(query)
         assert isinstance(batch[index], QueryAnswer), batch[index]
         assert exact(batch[index]) == exact(alone), query
+
+
+def test_sharded_undeclared_responses_match_fresh_serial_engines(synthetic_300):
+    """Each undeclared response, with and without a WHERE clause over the
+    treated and the response's entities, sharded over worker processes.
+    Workers fork-inherit the engine, or rebuild it from the published
+    artifacts (where the start method is spawn, or with
+    ``REPRO_SHARD_NO_INHERIT`` set) and resolve the response themselves."""
+    where = ' WHERE Writes(A, S), SubmittedTo(S, C), Blind[C] = "single"'
+    queries = [*UNDECLARED, *(query.replace(" ?", " ?" + where) for query in UNDECLARED)]
+    batch = fresh_engine(synthetic_300).answer_all(queries, jobs=2, executor="process")
+    for index, query in enumerate(queries):
+        assert exact(batch[str(index)]) == exact(fresh_engine(synthetic_300).answer(query)), query
 
 
 def test_scratch_drops_entries_of_an_older_token():
