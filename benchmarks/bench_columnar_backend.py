@@ -27,7 +27,8 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
         sys.path.insert(0, str(_path))
 
 import row_oracle
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
+from graph_builder import build_graph
+from repro.carl.causal_graph import GroundedAttribute
 from repro.carl.peers import compute_peers
 from repro.carl.unit_table import build_unit_table
 from repro.db.table import Table
@@ -108,7 +109,8 @@ def _make_grounded(n: int, seed: int = 1):
     categorical covariate and ring peers — the shape of the paper's unit
     tables (confounders feeding both arms, dense relational neighborhoods)."""
     rng = random.Random(seed)
-    graph = GroundedCausalGraph()
+    nodes: list[GroundedAttribute] = []
+    edges: list[tuple[GroundedAttribute, GroundedAttribute]] = []
     values: dict[GroundedAttribute, object] = {}
     units = [(index,) for index in range(n)]
     for unit in units:
@@ -117,8 +119,9 @@ def _make_grounded(n: int, seed: int = 1):
         covariates = tuple(
             GroundedAttribute(attribute, unit) for attribute in NUMERIC_COVARIATES
         ) + (GroundedAttribute("Region", unit),)
-        graph.add_grounded_rule(GroundedRule(head=treatment, body=covariates))
-        graph.add_grounded_rule(GroundedRule(head=outcome, body=(treatment, *covariates)))
+        nodes += (treatment, *covariates, outcome)
+        edges += ((covariate, treatment) for covariate in covariates)
+        edges += ((parent, outcome) for parent in (treatment, *covariates))
         values[treatment] = rng.randrange(2)
         values[outcome] = rng.uniform(0.0, 5.0)
         for covariate in covariates[:-1]:
@@ -126,14 +129,8 @@ def _make_grounded(n: int, seed: int = 1):
         values[covariates[-1]] = rng.choice(("north", "south", "east", "west"))
     for (index,) in units:
         ring = [((index + offset) % n,) for offset in range(1, N_PEERS + 1) if n > 1]
-        for peer in ring:
-            graph.add_grounded_rule(
-                GroundedRule(
-                    head=GroundedAttribute("Y", (index,)),
-                    body=(GroundedAttribute("T", peer),),
-                )
-            )
-    return graph, values, units
+        edges += ((GroundedAttribute("T", peer), GroundedAttribute("Y", (index,))) for peer in ring)
+    return build_graph(nodes, edges), values, units
 
 
 def bench_unit_table(n: int) -> dict:

@@ -51,6 +51,7 @@ for _path in (_ROOT / "src", _ROOT / "tests"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
+import graph_builder
 import grounding_oracle
 from repro.cache import ArtifactCache, CacheKey, grounding_payload, load_grounding
 from repro.cache.serialization import FORMAT_VERSION, _meta_entry  # noqa: PLC2701 - bench-only
@@ -80,18 +81,17 @@ KEY_V1 = CacheKey(database="ab" * 32, program="cd" * 32, kind="grounding_v1")
 
 def build_graph() -> GroundedCausalGraph:
     """A deterministic ~360k-edge DAG: node i draws parents from i-1, i//2, i//3."""
-    graph = GroundedCausalGraph()
     nodes = [
         GroundedAttribute(ATTRIBUTES[index % len(ATTRIBUTES)], (index,))
         for index in range(N_NODES)
     ]
-    for node in nodes:
-        graph.add_node(node)
-    for index in range(1, N_NODES):
-        for parent in {index - 1, index // 2, index // 3}:
-            if parent != index:
-                graph.add_edge(nodes[parent], nodes[index])
-    return graph
+    edges = [
+        (nodes[parent], nodes[index])
+        for index in range(1, N_NODES)
+        for parent in (index - 1, index // 2, index // 3)
+        if parent != index
+    ]
+    return graph_builder.build_graph(nodes, edges)
 
 
 def v1_payload(graph: GroundedCausalGraph) -> dict[str, np.ndarray]:
@@ -190,7 +190,7 @@ def grounding_gate() -> int:
             np.array_equal(getattr(csr, name), getattr(oracle_csr, name))
             for name in ("parent_indptr", "parent_indices", "child_indptr", "child_indices")
         )
-        and list(graph._aggregates.items()) == list(oracle_graph._aggregates.items())  # noqa: SLF001
+        and list(graph.aggregate_marks.items()) == list(oracle_graph.aggregate_marks.items())
         and values == oracle_values
     )
     if not same:

@@ -143,7 +143,6 @@ def grounding_payload(
     the v1 edge-list layout for any graph with more edges than nodes.
     """
     nodes = graph.nodes
-    node_index = dict(zip(nodes, range(len(nodes))))
     csr = graph.csr()
 
     attribute_ids: dict[str, int] = {}
@@ -158,12 +157,7 @@ def grounding_payload(
 
     index_dtype = np.int32 if len(nodes) < 2**31 and csr.n_edges < 2**31 else np.int64
 
-    aggregate_nodes: list[int] = []
-    aggregate_names: list[str] = []
-    for node, aggregate in graph._aggregates.items():  # noqa: SLF001 - hot path
-        aggregate_nodes.append(node_index[node])
-        aggregate_names.append(aggregate)
-
+    marks = graph.aggregate_marks
     column = NodeValues.from_mapping(graph, values)
     value_nodes = np.flatnonzero(column.held)
 
@@ -182,8 +176,8 @@ def grounding_payload(
         "parent_indices": np.asarray(csr.parent_indices).astype(index_dtype, copy=False),
         "child_indptr": np.asarray(csr.child_indptr).astype(index_dtype, copy=False),
         "child_indices": np.asarray(csr.child_indices).astype(index_dtype, copy=False),
-        "aggregate_nodes": np.asarray(aggregate_nodes, dtype=np.int64),
-        "aggregate_names": as_object_array(aggregate_names),
+        "aggregate_nodes": graph.node_ids(marks),
+        "aggregate_names": as_object_array(list(marks.values())),
         "value_nodes": value_nodes.astype(np.int64, copy=False),
         "value_data": column.column[value_nodes],
     }
@@ -231,7 +225,7 @@ def load_grounding(
             payload["aggregate_names"].tolist(),
         )
     )
-    graph = GroundedCausalGraph._from_parts(  # noqa: SLF001 - loader fast path
+    graph = GroundedCausalGraph(
         nodes,
         dict(zip(nodes, range(len(nodes)))),
         by_attribute,

@@ -22,12 +22,12 @@ whole block of ``(position, seed node)`` pairs in one walk over ``(position,
 node)`` codes, one attribute layer at a time, using the attribute DAG the
 graph's own edges induce (:meth:`GroundedCausalGraph.attribute_layers`).
 
-The grounder builds a graph in bulk: it hands over the whole node table and
-one compiled CSR (``_from_parts``).  Hand-built graphs use
-``add_node``/``add_grounded_rule``, which append to plain Python buffers,
-and the CSR is compiled on the next adjacency query.  The engine's graph is
-the grounding of its program, compiled once and never mutated, so ``csr()``
-on it is a pure read.
+A graph is built once: its constructor takes a complete node table, the
+aggregate marks and one compiled CSR, and the grounder and the artifact
+loader each call it once.  Nothing changes a built graph afterwards, so
+``csr()`` and :meth:`GroundedCausalGraph.attribute_layers` are pure reads,
+and the marks are read through one read-only view
+(:attr:`GroundedCausalGraph.aggregate_marks`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from types import MappingProxyType
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -131,13 +132,6 @@ class AttributeLayers(NamedTuple):
         return mask
 
 
-class GroundedRule(NamedTuple):
-    """A grounded rule: head node, body nodes, and the originating rule index."""
-
-    head: GroundedAttribute
-    body: tuple[GroundedAttribute, ...]
-
-
 class GroundedCausalGraph:
     """Interned-node DAG over grounded attributes with attribute-aware queries.
 
@@ -148,97 +142,35 @@ class GroundedCausalGraph:
     matches the order the grounder discovered the units in.
     """
 
-    def __init__(self) -> None:
-        self._nodes: list[GroundedAttribute] = []
-        self._node_index: dict[GroundedAttribute, int] = {}
-        #: attribute name -> node ids (ascending: appended in intern order).
-        self._by_attribute: dict[str, list[int]] = {}
-        self._aggregates: dict[GroundedAttribute, str] = {}
-        #: edges appended since the last CSR compile, as id pairs.
-        self._pending_parents: list[int] = []
-        self._pending_children: list[int] = []
-        self._csr: CSRGraph | None = None
-        #: derived from one compiled CSR; stale once ``csr()`` recompiles.
-        self._layers: AttributeLayers | None = None
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _intern(self, node: GroundedAttribute) -> int:
-        index = self._node_index.get(node)
-        if index is None:
-            index = len(self._nodes)
-            self._node_index[node] = index
-            self._nodes.append(node)
-            self._by_attribute.setdefault(node.attribute, []).append(index)
-        return index
-
-    def add_node(self, node: GroundedAttribute, aggregate: str | None = None) -> None:
-        """Register a grounded attribute node (idempotent)."""
-        self._intern(node)
-        if aggregate is not None:
-            self._aggregates[node] = aggregate
-
-    def add_edge(self, parent: GroundedAttribute, child: GroundedAttribute) -> None:
-        """Add the directed edge ``parent -> child`` (idempotent), creating
-        missing nodes."""
-        if parent == child:
-            raise ValueError(f"self-loop not allowed: {parent!r}")
-        self._pending_parents.append(self._intern(parent))
-        self._pending_children.append(self._intern(child))
-
-    def add_grounded_rule(self, rule: GroundedRule, aggregate: str | None = None) -> None:
-        """Add a grounded rule: nodes for head and body, edges body -> head."""
-        self.add_node(rule.head, aggregate=aggregate)
-        for parent in rule.body:
-            if parent != rule.head:
-                self.add_edge(parent, rule.head)
-            else:
-                self.add_node(parent)
-
-    # ------------------------------------------------------------------
-    # CSR compilation
-    # ------------------------------------------------------------------
-    def csr(self) -> CSRGraph:
-        """The compiled CSR adjacency, recompiled lazily after mutations."""
-        n = len(self._nodes)
-        csr = self._csr
-        if csr is not None and csr.n == n and not self._pending_parents:
-            return csr
-        parents = np.asarray(self._pending_parents, dtype=np.int64)
-        children = np.asarray(self._pending_children, dtype=np.int64)
-        if csr is not None and csr.n_edges:
-            old_parents, old_children = csr.edge_arrays()
-            parents = np.concatenate((old_parents, parents))
-            children = np.concatenate((old_children, children))
-        self._csr = CSRGraph.from_edges(n, parents, children)
-        self._pending_parents = []
-        self._pending_children = []
-        return self._csr
-
-    @classmethod
-    def _from_parts(
-        cls,
+    def __init__(
+        self,
         nodes: list[GroundedAttribute],
         node_index: dict[GroundedAttribute, int],
         by_attribute: dict[str, list[int]],
         aggregates: dict[GroundedAttribute, str],
         csr: CSRGraph,
-    ) -> "GroundedCausalGraph":
+    ) -> None:
         """A compiled graph over an interned node table, taken as given.
 
-        The bulk path of the grounder (:class:`repro.carl.grounding.Grounder`)
-        and of :func:`repro.cache.serialization.load_grounding`, which hold
-        the id table and the edges as arrays already: nothing is interned
-        node by node, and the CSR is adopted as-is (possibly memory-mapped).
+        Node ``i`` is ``nodes[i]`` and ``node_index`` inverts that;
+        ``by_attribute`` lists each attribute's node ids ascending, in
+        first-intern order of the attributes; ``aggregates`` marks the
+        aggregate heads, in mark order.  ``csr`` is adopted as-is (possibly
+        memory-mapped).  The grounder (:class:`repro.carl.grounding.Grounder`)
+        and :func:`repro.cache.serialization.load_grounding` build graphs
+        this way, and nothing changes one afterwards.
         """
-        graph = cls()
-        graph._nodes = nodes
-        graph._node_index = node_index
-        graph._by_attribute = by_attribute
-        graph._aggregates = aggregates
-        graph._csr = csr
-        return graph
+        self._nodes = nodes
+        self._node_index = node_index
+        self._by_attribute = by_attribute
+        self._aggregates = aggregates
+        self._csr = csr
+        #: derived from ``csr`` on the first batched walk
+        self._layers: AttributeLayers | None = None
+
+    def csr(self) -> CSRGraph:
+        """The compiled CSR adjacency the graph was built with."""
+        return self._csr
 
     # ------------------------------------------------------------------
     # inspection
@@ -269,7 +201,7 @@ class GroundedCausalGraph:
     @property
     def edges(self) -> list[tuple[GroundedAttribute, GroundedAttribute]]:
         """All edges as ``(parent, child)`` pairs, sorted by (parent, child) id."""
-        csr = self.csr()
+        csr = self._csr
         nodes = self._nodes
         counts = np.diff(csr.child_indptr)
         parent_ids = np.repeat(np.arange(csr.n, dtype=np.int64), counts)
@@ -279,14 +211,14 @@ class GroundedCausalGraph:
         ]
 
     def number_of_edges(self) -> int:
-        return self.csr().n_edges
+        return self._csr.n_edges
 
     def has_edge(self, parent: GroundedAttribute, child: GroundedAttribute) -> bool:
         parent_id = self._node_index.get(parent)
         child_id = self._node_index.get(child)
         if parent_id is None or child_id is None:
             return False
-        return self.csr().has_edge(parent_id, child_id)
+        return self._csr.has_edge(parent_id, child_id)
 
     def nodes_of(self, attribute: str) -> list[GroundedAttribute]:
         """All groundings of one attribute function (``A_Delta`` in the paper),
@@ -296,6 +228,11 @@ class GroundedCausalGraph:
 
     def attribute_names(self) -> list[str]:
         return list(self._by_attribute)
+
+    @property
+    def aggregate_marks(self) -> Mapping[GroundedAttribute, str]:
+        """Each aggregate head -> its aggregate, in mark order (read-only)."""
+        return MappingProxyType(self._aggregates)
 
     def is_aggregate(self, node: GroundedAttribute) -> bool:
         return node in self._aggregates
@@ -309,7 +246,7 @@ class GroundedCausalGraph:
         if index is None:
             return []
         nodes = self._nodes
-        return [nodes[parent] for parent in self.csr().parents_of(index).tolist()]
+        return [nodes[parent] for parent in self._csr.parents_of(index).tolist()]
 
     def child_nodes(self, node: GroundedAttribute) -> list[GroundedAttribute]:
         """Direct children of ``node`` in ascending node-id order."""
@@ -317,7 +254,7 @@ class GroundedCausalGraph:
         if index is None:
             return []
         nodes = self._nodes
-        return [nodes[child] for child in self.csr().children_of(index).tolist()]
+        return [nodes[child] for child in self._csr.children_of(index).tolist()]
 
     def parents(self, node: GroundedAttribute) -> set[GroundedAttribute]:
         return set(self.parent_nodes(node))
@@ -351,46 +288,34 @@ class GroundedCausalGraph:
         index = self._node_index.get(node)
         if index is None:
             return set()
-        return self._mask_nodes(self.csr().ancestor_mask((index,)))
+        return self._mask_nodes(self._csr.ancestor_mask((index,)))
 
     def descendants(self, node: GroundedAttribute) -> set[GroundedAttribute]:
         index = self._node_index.get(node)
         if index is None:
             return set()
-        return self._mask_nodes(self.csr().descendant_mask((index,)))
-
-    def ancestors_of_set(self, nodes: Iterable[GroundedAttribute]) -> set[GroundedAttribute]:
-        """Union of the ancestors of every node in ``nodes``, plus the nodes."""
-        ids = [
-            index
-            for index in (self._node_index.get(node) for node in nodes)
-            if index is not None
-        ]
-        if not ids:
-            return set()
-        return self._mask_nodes(self.csr().ancestor_mask(ids, include_sources=True))
+        return self._mask_nodes(self._csr.descendant_mask((index,)))
 
     def has_directed_path(self, source: GroundedAttribute, target: GroundedAttribute) -> bool:
         source_id = self._node_index.get(source)
         target_id = self._node_index.get(target)
         if source_id is None or target_id is None:
             return False
-        return self.csr().has_directed_path(source_id, target_id)
+        return self._csr.has_directed_path(source_id, target_id)
 
     def attribute_layers(self) -> AttributeLayers:
-        """The attribute DAG of the compiled graph, computed once per compile.
+        """The attribute DAG of the graph, computed once.
 
-        A published graph is never mutated, so its layers are computed on
-        the first batched walk and shared by every later one.  Raises
+        A graph never changes, so its layers are computed on the first
+        batched walk and shared by every later one.  Raises
         :class:`~repro.graph.csr.CycleError` when some groundings of one
         attribute reach each other (through any number of attributes): a
         program whose attribute dependencies are acyclic (the model rejects
         recursive rules) never grounds such a graph.
         """
-        csr = self.csr()
-        layers = self._layers
-        if layers is not None and layers.csr is csr:
-            return layers
+        if self._layers is not None:
+            return self._layers
+        csr = self._csr
         names = list(self._by_attribute)
         node_code = np.empty(csr.n, dtype=np.int64)
         for code, ids in enumerate(self._by_attribute.values()):
@@ -483,36 +408,7 @@ class GroundedCausalGraph:
         """Deterministic topological order (level-synchronous Kahn over CSR);
         raises :class:`~repro.graph.csr.CycleError` on cyclic graphs."""
         nodes = self._nodes
-        return [nodes[index] for index in self.csr().topological_order().tolist()]
-
-    def validate_acyclic(self) -> None:
-        self.csr().topological_order()
-
-    def copy(self) -> "GroundedCausalGraph":
-        """An independent graph with the same node ids, aggregate marks and
-        edges; adding to the copy leaves this graph untouched."""
-        return self._with_csr(self.csr())
-
-    def do(self, nodes: Iterable[GroundedAttribute]) -> "GroundedCausalGraph":
-        """Mutilated graph for an intervention on ``nodes``: the same node ids
-        and aggregate marks, with every edge into an intervened node removed."""
-        csr = self.csr()
-        intervened = np.zeros(csr.n, dtype=bool)
-        intervened[sorted(self._as_ids(nodes))] = True
-        parents, children = csr.edge_arrays()
-        keep = ~intervened[children]
-        return self._with_csr(CSRGraph.from_edges(csr.n, parents[keep], children[keep]))
-
-    def _with_csr(self, csr: CSRGraph) -> "GroundedCausalGraph":
-        """A graph over this graph's nodes and aggregate marks with ``csr``
-        as its (compiled, immutable) adjacency."""
-        return GroundedCausalGraph._from_parts(
-            list(self._nodes),
-            dict(self._node_index),
-            {name: list(ids) for name, ids in self._by_attribute.items()},
-            dict(self._aggregates),
-            csr,
-        )
+        return [nodes[index] for index in self._csr.topological_order().tolist()]
 
     def _as_ids(
         self, nodes: Iterable[GroundedAttribute] | GroundedAttribute
@@ -553,7 +449,7 @@ class GroundedCausalGraph:
             return True
         if x_ids & y_ids:
             return False
-        reachable = self.csr().dconnected_mask(sorted(x_ids), sorted(given_ids))
+        reachable = self._csr.dconnected_mask(sorted(x_ids), sorted(given_ids))
         return not any(reachable[index] for index in y_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,7 +16,9 @@ arrays, never one binding at a time:
   (aggregate heads, and keys no unit holds) get the next ids in the order
   a binding-by-binding grounder interns them (see :class:`_Assembly`);
 * each rule yields (parent id, child id) arrays, and one
-  :meth:`~repro.graph.csr.CSRGraph.from_edges` call compiles them all;
+  :meth:`~repro.graph.csr.CSRGraph.from_edges` call compiles them all.  The
+  graph is built in one constructor call and never changes; a grounded
+  head's bodies are read off it as the head's parents;
 * node values are one id-indexed column with a held mask
   (:class:`~repro.carl.causal_graph.NodeValues`), and the aggregate heads
   of an attribute are valued in one CSR pass (:func:`head_values`).
@@ -34,18 +36,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.carl.ast import (
-    AggregateRule,
-    AttributeAtom,
-    CausalRule,
-    Comparison,
-    Condition,
-    Variable,
-)
+from repro.carl.ast import AttributeAtom, Comparison, Condition, Variable
 from repro.carl.causal_graph import (
     GroundedAttribute,
     GroundedCausalGraph,
-    GroundedRule,
     NodeValues,
     grounded_attributes,
     node_sort_key,
@@ -125,7 +119,7 @@ class _Assembly:
         parents = np.concatenate(self.parents) if self.parents else np.empty(0, np.int64)
         children = np.concatenate(self.children) if self.children else np.empty(0, np.int64)
         csr = CSRGraph.from_edges(len(self.nodes), parents, children)
-        return GroundedCausalGraph._from_parts(  # noqa: SLF001 - the grounder's bulk path
+        return GroundedCausalGraph(
             self.nodes, self.node_index, self.by_attribute, self.aggregates, csr
         )
 
@@ -405,40 +399,6 @@ class Grounder:
             offset += len(self.instance.units(name))
         return bases
 
-    def _grounded_rules(
-        self,
-        head: AttributeAtom,
-        body: tuple[AttributeAtom, ...],
-        condition: Condition,
-        aggregate: str | None = None,
-    ) -> list[GroundedRule]:
-        """One rule's groundings, read back from its id arrays: one grounded
-        rule per head in first-binding order, its body in ``node_sort_key``
-        order."""
-        assembly = _Assembly(self._bases(), self.instance.units)
-        head_ids = self._ground_into(assembly, head, body, condition, aggregate)
-        first_binding = first_positions(head_ids) == np.arange(len(head_ids))
-        bodies: dict[int, set[int]] = {head_id: set() for head_id in head_ids[first_binding].tolist()}
-        for parents, children in zip(assembly.parents, assembly.children):
-            for parent, child in zip(parents.tolist(), children.tolist()):
-                bodies[child].add(parent)
-        nodes = assembly.nodes
-        return [
-            GroundedRule(
-                head=nodes[head_id],
-                body=tuple(sorted((nodes[parent] for parent in parents), key=node_sort_key)),
-            )
-            for head_id, parents in bodies.items()
-        ]
-
-    def ground_rule(self, rule: CausalRule) -> list[GroundedRule]:
-        """All groundings of one relational causal rule."""
-        return self._grounded_rules(rule.head, rule.body, rule.condition)
-
-    def ground_aggregate_rule(self, rule: AggregateRule) -> list[GroundedRule]:
-        """All groundings of one aggregate rule (head nodes are aggregate nodes)."""
-        return self._grounded_rules(rule.head, (rule.body,), rule.condition, rule.aggregate)
-
     # ------------------------------------------------------------------
     # graph assembly
     # ------------------------------------------------------------------
@@ -490,11 +450,11 @@ def _aggregate_heads(graph: GroundedCausalGraph) -> list[tuple[str, np.ndarray]]
     ascending by id and with its aggregate (one per attribute: the model
     rejects conflicting definitions), and an attribute's group after the
     groups of the aggregates it reads (nested aggregates)."""
-    index = graph._node_index  # noqa: SLF001
+    marks = graph.aggregate_marks
     grouped: dict[str, list[int]] = {}
     aggregate_of: dict[str, str] = {}
-    for node, aggregate in graph._aggregates.items():  # noqa: SLF001
-        grouped.setdefault(node.attribute, []).append(index[node])
+    for (node, aggregate), node_id in zip(marks.items(), graph.node_ids(marks).tolist()):
+        grouped.setdefault(node.attribute, []).append(node_id)
         aggregate_of[node.attribute] = aggregate
     if len(grouped) > 1:
         # Parents before children in the attribute DAG the edges induce.

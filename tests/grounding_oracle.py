@@ -8,20 +8,20 @@ that it replaced, for tests and benchmarks only:
 
 * :meth:`Grounder.condition_bindings` — one dict per satisfying assignment,
   filtered by evaluating every comparison binding by binding;
-* :meth:`Grounder.ground_rule` / :meth:`Grounder.ground_aggregate_rule` —
-  one grounded head per distinct head, its body a ``set`` sorted by
-  ``node_sort_key``;
-* :meth:`Grounder.ground` — every declared attribute's units interned
-  first, then each rule's grounded heads and bodies added node by node
-  through :meth:`GroundedCausalGraph.add_grounded_rule`;
+* :meth:`Grounder.ground_rule` — one grounded head per distinct head, its
+  body a ``set`` sorted by ``node_sort_key``;
+* :meth:`Grounder.ground` — every declared attribute's units first, then
+  each rule's grounded heads, each followed by its body, collected node by
+  node and built in one call (``tests/graph_builder.py``);
 * :meth:`Grounder.grounded_attribute_values` — observed values node by
   node, aggregates in a full topological order, each head by
   :func:`aggregate_head_value`;
-* :meth:`Grounder.extend` — aggregate rules the program does not declare
-  added node by node to a copy of a grounding's graph, its new heads valued
-  one by one.  The engine never grounds such a rule: it evaluates a
-  unifying aggregate into a relation (``CaRLEngine._units``), and
-  ``tests/test_unifying_relation.py`` holds that relation to this splice.
+* :meth:`Grounder.extend` — a new graph over a grounding's nodes and edges
+  plus the grounded aggregate rules the program does not declare, its new
+  heads valued one by one.  The engine never grounds such a rule: it
+  evaluates a unifying aggregate into a relation (``CaRLEngine._units``),
+  and ``tests/test_unifying_relation.py`` holds that relation to this
+  splice.
 
 An engine can run on either grounder (the harness in
 ``tests/test_grounding_harness.py`` swaps this one in to compare answers).
@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Container, Mapping
 from typing import Any
 
+from graph_builder import build_graph
 from repro.carl.ast import (
     AggregateRule,
     AttributeAtom,
@@ -48,7 +49,6 @@ from repro.carl.ast import (
 from repro.carl.causal_graph import (
     GroundedAttribute,
     GroundedCausalGraph,
-    GroundedRule,
     NodeValues,
     node_sort_key,
 )
@@ -188,49 +188,61 @@ class Grounder:
     # ------------------------------------------------------------------
     # rule grounding
     # ------------------------------------------------------------------
-    def ground_rule(self, rule: CausalRule) -> list[GroundedRule]:
-        """All groundings of one relational causal rule."""
+    def ground_rule(
+        self, head: AttributeAtom, body: tuple[AttributeAtom, ...], condition: Condition
+    ) -> dict[GroundedAttribute, tuple[GroundedAttribute, ...]]:
+        """All groundings of one rule, head -> body: heads in first-binding
+        order, each body the set of its grounded atoms sorted by
+        ``node_sort_key``."""
         grounded: dict[GroundedAttribute, set[GroundedAttribute]] = {}
-        for binding in self.condition_bindings(rule.condition):
-            head = GroundedAttribute(rule.head.name, self._ground_key(rule.head, binding))
-            body = tuple(
-                GroundedAttribute(atom.name, self._ground_key(atom, binding))
-                for atom in rule.body
+        for binding in self.condition_bindings(condition):
+            grounded_head = GroundedAttribute(head.name, self._ground_key(head, binding))
+            grounded.setdefault(grounded_head, set()).update(
+                GroundedAttribute(atom.name, self._ground_key(atom, binding)) for atom in body
             )
-            grounded.setdefault(head, set()).update(body)
-        return [
-            GroundedRule(head=head, body=tuple(sorted(body, key=node_sort_key)))
-            for head, body in grounded.items()
-        ]
+        return {
+            grounded_head: tuple(sorted(parents, key=node_sort_key))
+            for grounded_head, parents in grounded.items()
+        }
 
-    def ground_aggregate_rule(self, rule: AggregateRule) -> list[GroundedRule]:
-        """All groundings of one aggregate rule (head nodes are aggregate nodes)."""
-        grounded: dict[GroundedAttribute, set[GroundedAttribute]] = {}
-        for binding in self.condition_bindings(rule.condition):
-            head = GroundedAttribute(rule.head.name, self._ground_key(rule.head, binding))
-            parent = GroundedAttribute(rule.body.name, self._ground_key(rule.body, binding))
-            grounded.setdefault(head, set()).add(parent)
-        return [
-            GroundedRule(head=head, body=tuple(sorted(body, key=node_sort_key)))
-            for head, body in grounded.items()
-        ]
+    def _add_rule(
+        self,
+        nodes: list[GroundedAttribute],
+        edges: list[tuple[GroundedAttribute, GroundedAttribute]],
+        aggregates: dict[GroundedAttribute, str],
+        rule: CausalRule | AggregateRule,
+    ) -> list[GroundedAttribute]:
+        """Collect one rule's grounded heads, bodies and body -> head edges
+        (an aggregate rule also marks its heads); returns the heads."""
+        if isinstance(rule, CausalRule):
+            body, aggregate = rule.body, None
+        else:
+            body, aggregate = (rule.body,), rule.aggregate
+        grounded = self.ground_rule(rule.head, body, rule.condition)
+        for head, parents in grounded.items():
+            nodes.append(head)
+            nodes.extend(parents)
+            edges.extend((parent, head) for parent in parents if parent != head)
+            if aggregate is not None:
+                aggregates[head] = aggregate
+        return list(grounded)
 
     # ------------------------------------------------------------------
     # graph assembly
     # ------------------------------------------------------------------
     def ground(self) -> GroundedCausalGraph:
         """Ground every rule of the model and assemble ``G(Phi_Delta)``."""
-        graph = GroundedCausalGraph()
-        for attribute_name in self.model.schema.attribute_names:
-            for key in units(self.instance, attribute_name):
-                graph.add_node(GroundedAttribute(attribute_name, key))
-        for rule in self.model.rules:
-            for grounded_rule in self.ground_rule(rule):
-                graph.add_grounded_rule(grounded_rule)
-        for rule in self.model.aggregate_rules:
-            for grounded_rule in self.ground_aggregate_rule(rule):
-                graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
-        graph.validate_acyclic()
+        nodes = [
+            GroundedAttribute(attribute_name, key)
+            for attribute_name in self.model.schema.attribute_names
+            for key in units(self.instance, attribute_name)
+        ]
+        edges: list[tuple[GroundedAttribute, GroundedAttribute]] = []
+        aggregates: dict[GroundedAttribute, str] = {}
+        for rule in (*self.model.rules, *self.model.aggregate_rules):
+            self._add_rule(nodes, edges, aggregates, rule)
+        graph = build_graph(nodes, edges, aggregates)
+        graph.topological_order()  # raises CycleError on a cyclic grounding
         return graph
 
     def grounded_attribute_values(self, graph: GroundedCausalGraph) -> NodeValues:
@@ -249,16 +261,15 @@ class Grounder:
         return NodeValues.from_mapping(graph, values)
 
     def extend(self, grounding: Grounding, rules: list[AggregateRule]) -> Grounding:
-        """``grounding`` plus the aggregate ``rules``: their grounded rules
-        added to a copy of its graph, which recompiles through the
-        incremental ``csr()``, and each new head valued from its parents."""
-        graph = grounding.graph.copy()
+        """``grounding`` plus the aggregate ``rules``: a new graph over its
+        nodes, edges and marks and their grounded rules (its nodes keep
+        their ids), and each new head valued from its parents."""
+        nodes, edges = grounding.graph.nodes, grounding.graph.edges
+        aggregates = dict(grounding.graph.aggregate_marks)
         heads: list[GroundedAttribute] = []
         for rule in rules:
-            for grounded_rule in self.ground_aggregate_rule(rule):
-                graph.add_grounded_rule(grounded_rule, aggregate=rule.aggregate)
-                heads.append(grounded_rule.head)
-        graph.csr()
+            heads += self._add_rule(nodes, edges, aggregates, rule)
+        graph = build_graph(nodes, edges, aggregates)
         values = dict(grounding.values)
         for head in heads:
             values[head] = aggregate_head_value(graph, values, head)

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import grounding_oracle
 import row_oracle
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
+from graph_builder import build_graph
+from repro.carl.causal_graph import GroundedAttribute
 from repro.carl.embeddings import EMBEDDINGS
 from repro.carl.engine import CaRLEngine
 from repro.carl.parser import parse_query
@@ -288,17 +289,17 @@ def grounded_setups(draw):
     only indirectly); treatments and outcomes can be missing.
     """
     n_units = draw(st.integers(min_value=1, max_value=7))
-    graph = GroundedCausalGraph()
+    nodes: list[GroundedAttribute] = []
+    edges: list[tuple[GroundedAttribute, GroundedAttribute]] = []
     values: dict[GroundedAttribute, object] = {}
     units = [(index,) for index in range(n_units)]
 
     for unit in units:
         treatment = GroundedAttribute("T", unit)
         outcome = GroundedAttribute("Y", unit)
-        graph.add_node(treatment)
-        graph.add_node(outcome)
+        nodes += (treatment, outcome)
         if draw(st.booleans()):
-            graph.add_grounded_rule(GroundedRule(head=outcome, body=(treatment,)))
+            edges.append((treatment, outcome))
         if draw(st.booleans()):
             values[treatment] = draw(st.sampled_from([0, 1, True, False, 0.0, 1.0]))
         if draw(st.booleans()):
@@ -306,9 +307,10 @@ def grounded_setups(draw):
         for attribute in ("C1", "C2"):
             if draw(st.booleans()):
                 covariate = GroundedAttribute(attribute, unit)
-                graph.add_grounded_rule(GroundedRule(head=treatment, body=(covariate,)))
+                nodes.append(covariate)
+                edges.append((covariate, treatment))
                 if draw(st.booleans()):
-                    graph.add_grounded_rule(GroundedRule(head=outcome, body=(covariate,)))
+                    edges.append((covariate, outcome))
                 if attribute == "C1":
                     values[covariate] = draw(floats_with_nan)
                 else:
@@ -317,21 +319,16 @@ def grounded_setups(draw):
     for source in units:
         for target in units:
             if source != target and draw(st.integers(0, 3)) == 0:
-                graph.add_grounded_rule(
-                    GroundedRule(
-                        head=GroundedAttribute("Y", target),
-                        body=(GroundedAttribute("T", source),),
-                    )
-                )
+                edges.append((GroundedAttribute("T", source), GroundedAttribute("Y", target)))
     # Random indirect paths through intermediate nodes M[m].
     for middle in range(draw(st.integers(min_value=0, max_value=3))):
         intermediate = GroundedAttribute("M", (middle,))
         for unit in units:
             if draw(st.booleans()):
-                graph.add_edge(GroundedAttribute("T", unit), intermediate)
+                edges.append((GroundedAttribute("T", unit), intermediate))
             if draw(st.booleans()):
-                graph.add_edge(intermediate, GroundedAttribute("Y", unit))
-    return graph, values, units
+                edges.append((intermediate, GroundedAttribute("Y", unit)))
+    return build_graph(nodes, edges), values, units
 
 
 @given(grounded_setups(), st.sampled_from(sorted(EMBEDDINGS)))

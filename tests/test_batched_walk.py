@@ -21,9 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import row_oracle
+from graph_builder import build_graph
 from repro.carl import peers as peers_module
 from repro.carl.ast import COMPARISON_OPERATORS, AttributeAtom, Comparison, Variable
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, NodeValues
+from repro.carl.causal_graph import GroundedAttribute, NodeValues
 from repro.carl.covariates import parent_adjustment_set, verify_adjustment_set
 from repro.carl.engine import CaRLEngine
 from repro.carl.errors import EstimationError
@@ -104,11 +105,7 @@ def layered_setups(draw, max_attributes=7, max_keys=8):
                 if dense or draw(st.integers(0, 2)) == 0:
                     parent = GroundedAttribute(names[lower], (body,))
                     edges.append((parent, GroundedAttribute(names[upper], (head,))))
-    graph = GroundedCausalGraph()
-    for node in draw(st.permutations(nodes)):
-        graph.add_node(node)
-    for parent, child in edges:
-        graph.add_edge(parent, child)
+    graph = build_graph(draw(st.permutations(nodes)), edges)
 
     threshold = draw(st.one_of(st.none(), THRESHOLDS))
     binary = threshold is None and draw(st.integers(0, 3)) > 0
@@ -212,12 +209,13 @@ def check_against_oracle(setup):
 def fixed_setup(edges, values, threshold=None):
     """A hand-built setup over ``T``, ``Y`` and the covariate ``C``, units
     ``(0,)``, ``(1,)``, ``(2,)``, each walked in a block of its own."""
-    graph = GroundedCausalGraph()
-    for name in ("C", "T", "Y"):
-        for index in range(3):
-            graph.add_node(GroundedAttribute(name, (index,)))
-    for (parent, parent_key), (child, child_key) in edges:
-        graph.add_edge(GroundedAttribute(parent, (parent_key,)), GroundedAttribute(child, (child_key,)))
+    graph = build_graph(
+        [GroundedAttribute(name, (index,)) for name in ("C", "T", "Y") for index in range(3)],
+        [
+            (GroundedAttribute(parent, (parent_key,)), GroundedAttribute(child, (child_key,)))
+            for (parent, parent_key), (child, child_key) in edges
+        ],
+    )
     values = {GroundedAttribute(name, (key,)): value for (name, key), value in values.items()}
     observed = {"C": True, "T": True, "Y": True}
     return graph, values, "T", "Y", [(0,), (1,), (2,)], None, observed, 1, threshold

@@ -339,6 +339,21 @@ class TestEngineCache:
             assert warm_result.correlation == cold_result.correlation
             assert warm_result.n_units == cold_result.n_units
 
+    def test_warm_graph_adopts_the_artifact_csr(self, tmp_path):
+        # A warm engine's graph holds the stored CSR arrays as they are:
+        # memory-mapped int32, neither recompiled nor copied.
+        root = tmp_path / "cache"
+        cold = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+        warm = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM, cache=root)
+        cold_csr, csr = cold.graph.csr(), warm.graph.csr()
+        assert (cold.grounding_runs, warm.grounding_runs) == (1, 0)
+        for member in ("parent_indptr", "parent_indices", "child_indptr", "child_indices"):
+            array = getattr(csr, member)
+            assert isinstance(array, np.memmap) and array.dtype == np.int32, member
+            assert np.array_equal(array, getattr(cold_csr, member)), member
+        warm.answer(QUICKSTART_QUERIES[0])
+        assert warm.graph.csr() is csr
+
     def test_uncached_engine_matches_cached(self, tmp_path):
         _, cached = self.run_pipeline(tmp_path / "cache")
         plain = CaRLEngine(toy_review_database(), TOY_REVIEW_PROGRAM)

@@ -27,6 +27,7 @@ from repro.cache import (
     load_unit_table,
     unit_table_payload,
 )
+from graph_builder import build_graph
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.carl.unit_table import UnitTable
 from repro.db.schema import ColumnSchema, TableSchema
@@ -117,15 +118,19 @@ def groundings(draw) -> tuple[GroundedCausalGraph, dict[GroundedAttribute, objec
             continue
         seen.add(node)
         nodes.append(node)
-    graph = GroundedCausalGraph()
+    aggregates = {}
     for node in nodes:
         aggregate = draw(st.sampled_from([None, None, "AVG", "SUM"]))
-        graph.add_node(node, aggregate=aggregate)
+        if aggregate is not None:
+            aggregates[node] = aggregate
     # Edges only from earlier to later nodes: acyclic by construction.
-    for child_index in range(1, len(nodes)):
-        for parent_index in range(child_index):
-            if draw(st.booleans()) and draw(st.booleans()):
-                graph.add_edge(nodes[parent_index], nodes[child_index])
+    edges = [
+        (nodes[parent_index], nodes[child_index])
+        for child_index in range(1, len(nodes))
+        for parent_index in range(child_index)
+        if draw(st.booleans()) and draw(st.booleans())
+    ]
+    graph = build_graph(nodes, edges, aggregates)
     values = {
         node: draw(grounded_values) for node in nodes if draw(st.integers(0, 3)) > 0
     }
@@ -256,7 +261,7 @@ def test_unit_table_nan_inf_survive(tmp_path):
 
 
 def test_empty_grounding_roundtrip(tmp_path):
-    graph, values = GroundedCausalGraph(), {}
+    graph, values = build_graph(), {}
     loaded_graph, loaded_values = load_grounding(
         roundtrip(tmp_path, grounding_payload(graph, values))
     )

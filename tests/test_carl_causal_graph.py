@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
+from graph_builder import build_graph
+from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.graph import CycleError
 
 
@@ -15,20 +16,17 @@ def node(attribute: str, *key: object) -> GroundedAttribute:
 
 @pytest.fixture()
 def small_graph() -> GroundedCausalGraph:
-    graph = GroundedCausalGraph()
-    graph.add_grounded_rule(
-        GroundedRule(head=node("Score", "s1"), body=(node("Prestige", "a1"), node("Prestige", "a2")))
+    return build_graph(
+        [node("Score", "s1")],
+        [
+            (node("Prestige", "a1"), node("Score", "s1")),
+            (node("Prestige", "a2"), node("Score", "s1")),
+            (node("Prestige", "a2"), node("Score", "s2")),
+            (node("Qual", "a1"), node("Prestige", "a1")),
+            (node("Score", "s1"), node("AVG_Score", "a1")),
+        ],
+        {node("AVG_Score", "a1"): "AVG"},
     )
-    graph.add_grounded_rule(
-        GroundedRule(head=node("Score", "s2"), body=(node("Prestige", "a2"),))
-    )
-    graph.add_grounded_rule(
-        GroundedRule(head=node("Prestige", "a1"), body=(node("Qual", "a1"),))
-    )
-    graph.add_grounded_rule(
-        GroundedRule(head=node("AVG_Score", "a1"), body=(node("Score", "s1"),)), aggregate="AVG"
-    )
-    return graph
 
 
 class TestStructure:
@@ -63,6 +61,13 @@ class TestStructure:
         assert small_graph.is_aggregate(node("AVG_Score", "a1"))
         assert small_graph.aggregate_of(node("AVG_Score", "a1")) == "AVG"
         assert small_graph.aggregate_of(node("Score", "s1")) is None
+
+    def test_aggregate_marks_are_a_read_only_view_in_mark_order(self):
+        marks = {node("MAX_Score", "a2"): "MAX", node("AVG_Score", "a1"): "AVG"}
+        graph = build_graph([node("AVG_Score", "a1"), node("MAX_Score", "a2")], aggregates=marks)
+        assert list(graph.aggregate_marks.items()) == list(marks.items())
+        with pytest.raises(TypeError):
+            graph.aggregate_marks[node("AVG_Score", "a1")] = "SUM"  # type: ignore[index]
 
 
 class TestReachabilityAndSeparation:
@@ -101,20 +106,13 @@ class TestReachabilityAndSeparation:
         assert small_graph.attribute_ancestor_pairs(sources, "Missing")[0].size == 0
 
     def test_attribute_walk_requires_acyclic_attribute_graph(self):
-        graph = GroundedCausalGraph()
-        graph.add_edge(node("A", 1), node("B", 1))
-        graph.add_edge(node("B", 1), node("A", 2))
+        graph = build_graph(edges=[(node("A", 1), node("B", 1)), (node("B", 1), node("A", 2))])
         with pytest.raises(CycleError, match="attribute graph"):
             graph.attribute_ancestor_pairs(graph.node_ids([node("A", 2)]), "A")
 
     def test_directed_path(self, small_graph):
         assert small_graph.has_directed_path(node("Prestige", "a2"), node("AVG_Score", "a1"))
         assert not small_graph.has_directed_path(node("AVG_Score", "a1"), node("Prestige", "a2"))
-
-    def test_do_removes_incoming_edges(self, small_graph):
-        mutilated = small_graph.do([node("Prestige", "a1")])
-        assert not mutilated.has_edge(node("Qual", "a1"), node("Prestige", "a1"))
-        assert mutilated.has_edge(node("Prestige", "a1"), node("Score", "s1"))
 
     def test_d_separation_on_grounded_graph(self, small_graph):
         # Qual[a1] -> Prestige[a1] -> Score[s1]: blocked by the treatment node.
@@ -140,12 +138,10 @@ class TestNodeIdOrdering:
 
     @pytest.fixture()
     def numeric_graph(self) -> GroundedCausalGraph:
-        graph = GroundedCausalGraph()
-        for index in range(1, 13):
-            graph.add_grounded_rule(
-                GroundedRule(head=node("Score", 0), body=(node("Prestige", index),))
-            )
-        return graph
+        return build_graph(
+            [node("Score", 0)],
+            [(node("Prestige", index), node("Score", 0)) for index in range(1, 13)],
+        )
 
     def test_nodes_of_numeric_keys_in_numeric_order(self, numeric_graph):
         keys = [item.key for item in numeric_graph.nodes_of("Prestige")]

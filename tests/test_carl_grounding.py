@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.carl.causal_graph import GroundedAttribute
+from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.carl.grounding import Grounder
 from repro.carl.model import RelationalCausalModel
 from repro.carl.parser import parse_program, parse_rule
@@ -53,35 +53,38 @@ class TestConditionEvaluation:
 
 
 class TestRuleGrounding:
-    def test_example_3_6_quality_groundings(self, grounder):
-        rule = parse_rule("Quality[S] <= Qualification[A], Prestige[A] WHERE Author(A, S)")
-        grounded = {g.head: set(g.body) for g in grounder.ground_rule(rule)}
-        assert grounded[node("Quality", "s1")] == {
+    """Example 3.6's grounded rules, read off the grounded graph: each rule
+    is the program's only one with its head attribute, so a head's parents
+    are its grounded body."""
+
+    @pytest.fixture(scope="class")
+    def graph(self, grounder) -> GroundedCausalGraph:
+        return grounder.ground()
+
+    def test_example_3_6_quality_groundings(self, graph):
+        assert graph.parents(node("Quality", "s1")) == {
             node("Qualification", "Bob"),
             node("Qualification", "Eva"),
             node("Prestige", "Bob"),
             node("Prestige", "Eva"),
         }
-        assert grounded[node("Quality", "s2")] == {
+        assert graph.parents(node("Quality", "s2")) == {
             node("Qualification", "Eva"),
             node("Prestige", "Eva"),
         }
 
-    def test_example_3_6_prestige_groundings(self, grounder):
-        rule = parse_rule("Prestige[A] <= Qualification[A] WHERE Person(A)")
-        grounded = grounder.ground_rule(rule)
-        assert len(grounded) == 3
-        assert all(len(g.body) == 1 for g in grounded)
+    def test_example_3_6_prestige_groundings(self, graph):
+        heads = graph.nodes_of("Prestige")
+        assert len(heads) == 3
+        assert all(graph.parents(head) == {node("Qualification", *head.key)} for head in heads)
 
-    def test_aggregate_rule_grounding(self, grounder):
-        rule = parse_rule("AVG_Score[A] <= Score[S] WHERE Author(A, S)")
-        grounded = {g.head: set(g.body) for g in grounder.ground_aggregate_rule(rule)}
-        assert grounded[node("AVG_Score", "Eva")] == {
+    def test_aggregate_rule_grounding(self, graph):
+        assert graph.parents(node("AVG_Score", "Eva")) == {
             node("Score", "s1"),
             node("Score", "s2"),
             node("Score", "s3"),
         }
-        assert grounded[node("AVG_Score", "Bob")] == {node("Score", "s1")}
+        assert graph.parents(node("AVG_Score", "Bob")) == {node("Score", "s1")}
 
 
 class TestGraphAssembly:
@@ -108,7 +111,9 @@ class TestGraphAssembly:
 
     def test_graph_is_acyclic(self, grounder):
         graph = grounder.ground()
-        graph.validate_acyclic()
+        position = {item: index for index, item in enumerate(graph.topological_order())}
+        assert len(position) == len(graph)
+        assert all(position[parent] < position[child] for parent, child in graph.edges)
 
     def test_directed_paths_match_figure_5(self, grounder):
         graph = grounder.ground()

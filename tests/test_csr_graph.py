@@ -3,11 +3,10 @@
 The dict-of-dicts DAG the grounded graph used to be is kept in
 ``tests/graph_oracle.py`` as the oracle: Hypothesis builds random DAGs both
 ways and checks that nodes, edges, parents/children, ancestor/descendant
-closures, topological order, the do-operator and d-separation all agree
-between the oracle and the CSR arrays.  A second group pins the CSR
+closures, topological order and d-separation all agree between the oracle
+and the CSR arrays.  A second group pins the CSR
 grounding payload round trip: stored arrays come back identical (empty
-graphs, isolated nodes and aggregate nodes included), and a loaded graph
-stays mutable.
+graphs, isolated nodes and aggregate nodes included).
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache, CacheKey, grounding_payload, load_grounding
-from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph, GroundedRule
+from graph_builder import build_graph
+from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from graph_oracle import DAG, d_separated as dag_d_separated
 from repro.graph import CSRGraph, CycleError
 from repro.graph.csr import sorted_unique
@@ -58,15 +58,14 @@ def random_dags(draw) -> tuple[GroundedCausalGraph, DAG]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = [pair for pair in pairs if draw(st.booleans())]
     order = draw(st.permutations(chosen)) if chosen else []
-    graph = GroundedCausalGraph()
+    nodes = [node(index) for index in range(n)]
+    edges = [(node(parent), node(child)) for parent, child in order]
     oracle = DAG()
-    for index in range(n):
-        graph.add_node(node(index))
-        oracle.add_node(node(index))
-    for parent, child in order:
-        graph.add_edge(node(parent), node(child))
-        oracle.add_edge(node(parent), node(child))
-    return graph, oracle
+    for item in nodes:
+        oracle.add_node(item)
+    for parent, child in edges:
+        oracle.add_edge(parent, child)
+    return build_graph(nodes, edges), oracle
 
 
 class TestOracleEquivalence:
@@ -112,23 +111,6 @@ class TestOracleEquivalence:
             assert position[parent] < position[child]
         assert graph.topological_order() == order  # stable across calls
 
-    @settings(max_examples=100)
-    @given(graphs=random_dags(), data=st.data())
-    def test_do_matches_oracle(self, graphs, data):
-        graph, oracle = graphs
-        nodes = oracle.nodes
-        targets = data.draw(st.lists(st.sampled_from(nodes), max_size=3)) if nodes else []
-        edges_before = graph.edges
-        mutilated = graph.do(targets)
-        expected = oracle.do(targets)
-        assert mutilated.nodes == graph.nodes  # same node ids
-        assert set(mutilated.edges) == set(expected.edges)
-        for item in oracle.nodes:
-            assert mutilated.parent_nodes(item) == sorted(
-                expected.parents(item), key=graph.index_of
-            )
-        assert graph.edges == edges_before  # the source graph is untouched
-
     @settings(max_examples=60)
     @given(graphs=random_dags(), data=st.data())
     def test_d_separation_matches_classic_bayes_ball(self, graphs, data):
@@ -146,19 +128,9 @@ class TestOracleEquivalence:
 
 class TestCycleDetection:
     def test_cycle_raises(self):
-        graph = GroundedCausalGraph()
-        graph.add_edge(node(0), node(1))
-        graph.add_edge(node(1), node(2))
-        graph.add_edge(node(2), node(0))
+        graph = build_graph(edges=[(node(0), node(1)), (node(1), node(2)), (node(2), node(0))])
         with pytest.raises(CycleError):
             graph.topological_order()
-        with pytest.raises(CycleError):
-            graph.validate_acyclic()
-
-    def test_self_loop_rejected(self):
-        graph = GroundedCausalGraph()
-        with pytest.raises(ValueError):
-            graph.add_edge(node(0), node(0))
 
 
 class TestCSRPayloadRoundTrip:
@@ -172,12 +144,11 @@ class TestCSRPayloadRoundTrip:
         return loaded
 
     def test_csr_arrays_roundtrip_identical(self, tmp_path):
-        graph = GroundedCausalGraph()
-        graph.add_grounded_rule(GroundedRule(head=node(2), body=(node(0), node(1))))
-        graph.add_grounded_rule(
-            GroundedRule(head=node(3), body=(node(2),)), aggregate="AVG"
+        graph = build_graph(
+            [node(2), node(0), node(1), node(3), node(4)],  # node(4) is isolated
+            [(node(0), node(2)), (node(1), node(2)), (node(2), node(3))],
+            {node(3): "AVG"},
         )
-        graph.add_node(node(4))  # isolated node
         payload = self.roundtrip(tmp_path, graph, {node(0): 1.5})
         loaded_graph, loaded_values = load_grounding(payload)
         original, reloaded = graph.csr(), loaded_graph.csr()
@@ -192,7 +163,7 @@ class TestCSRPayloadRoundTrip:
         assert loaded_values == {node(0): 1.5}
 
     def test_empty_graph_roundtrip(self, tmp_path):
-        payload = self.roundtrip(tmp_path, GroundedCausalGraph(), {})
+        payload = self.roundtrip(tmp_path, build_graph(), {})
         loaded_graph, loaded_values = load_grounding(payload)
         assert len(loaded_graph) == 0
         assert loaded_graph.number_of_edges() == 0
@@ -200,35 +171,15 @@ class TestCSRPayloadRoundTrip:
         assert loaded_values == {}
 
     def test_isolated_nodes_only(self, tmp_path):
-        graph = GroundedCausalGraph()
-        for index in range(4):
-            graph.add_node(node(index))
+        graph = build_graph(map(node, range(4)))
         payload = self.roundtrip(tmp_path, graph, {})
         loaded_graph, _ = load_grounding(payload)
         assert loaded_graph.nodes == graph.nodes
         assert loaded_graph.number_of_edges() == 0
         assert loaded_graph.parents(node(1)) == set()
 
-    def test_loaded_graph_stays_mutable(self, tmp_path):
-        # A cache-loaded graph adopts its CSR as-is, yet the incremental API
-        # still works on it (the grounding oracle's splice adds rules to a
-        # copy of a loaded graph): the CSR recompiles lazily.
-        graph = GroundedCausalGraph()
-        graph.add_grounded_rule(GroundedRule(head=node(1), body=(node(0),)))
-        payload = self.roundtrip(tmp_path, graph, {})
-        loaded_graph, _ = load_grounding(payload)
-        loaded_graph.add_grounded_rule(
-            GroundedRule(head=node(5), body=(node(1),)), aggregate="SUM"
-        )
-        assert loaded_graph.has_edge(node(1), node(5))
-        assert loaded_graph.has_edge(node(0), node(1))
-        assert loaded_graph.number_of_edges() == 2
-        assert loaded_graph.ancestors(node(5)) == {node(0), node(1)}
-
     def test_payload_uses_int32_csr_arrays(self, tmp_path):
-        graph = GroundedCausalGraph()
-        graph.add_edge(node(0), node(1))
-        payload = grounding_payload(graph, {})
+        payload = grounding_payload(build_graph(edges=[(node(0), node(1))]), {})
         for member in ("parent_indptr", "parent_indices", "child_indptr", "child_indices"):
             assert payload[member].dtype == np.int32
 

@@ -8,6 +8,7 @@ separator against the known answer.
 
 from __future__ import annotations
 
+from graph_builder import build_graph
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 from repro.carl.covariates import _minimal_separator
 
@@ -22,10 +23,7 @@ def as_nodes(names: str | list[str]) -> GroundedAttribute | list[GroundedAttribu
 
 
 def build(edges: list[tuple[str, str]]) -> GroundedCausalGraph:
-    graph = GroundedCausalGraph()
-    for parent, child in edges:
-        graph.add_edge(node(parent), node(child))
-    return graph
+    return build_graph(edges=[(node(parent), node(child)) for parent, child in edges])
 
 
 def d_separated(graph, x, y, given=()) -> bool:

@@ -372,8 +372,8 @@ def _graph_state(graph, values) -> tuple[Any, ...]:
             np.asarray(array).tolist()
             for array in (csr.parent_indptr, csr.parent_indices, csr.child_indptr, csr.child_indices)
         ),
-        list(graph._aggregates.items()),  # noqa: SLF001
-        list(graph._by_attribute.items()),  # noqa: SLF001
+        list(graph.aggregate_marks.items()),
+        [(name, graph.nodes_of(name)) for name in graph.attribute_names()],
         values,
     )
 

@@ -34,10 +34,6 @@ from repro.analysis import all_rules, run_lint
 from repro.analysis.baseline import apply_baseline, load_baseline, save_baseline
 from repro.analysis.cli import lint_main
 from repro.carl.causal_graph import GroundedAttribute, node_sort_key
-from repro.carl.grounding import Grounder
-from repro.carl.model import RelationalCausalModel
-from repro.carl.parser import parse_program
-from repro.datasets import TOY_REVIEW_PROGRAM, toy_review_database
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO = Path(__file__).resolve().parents[1]
@@ -397,19 +393,6 @@ def test_node_sort_key_totally_orders_heterogeneous_keys():
     singletons = [n for n in ordered if n.attribute == "A" and len(n.key) == 1]
     assert singletons == [node("A", 1.5), node("A", 2), node("A", True),
                           node("A", "x"), node("A", (1, 2))]
-
-
-def test_grounded_rule_bodies_are_structurally_sorted():
-    program = parse_program(TOY_REVIEW_PROGRAM)
-    model = RelationalCausalModel.from_program(program)
-    grounder = Grounder(model, model.schema.bind(toy_review_database()))
-    checked = 0
-    for rule in model.rules:
-        for grounded in grounder.ground_rule(rule):
-            body = list(grounded.body)
-            assert body == sorted(body, key=node_sort_key)
-            checked += 1
-    assert checked > 0
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the core data structures.
 
 These check structural invariants of the grounded causal graph (its CSR
-walks, the do-operator and d-separation), the embedding functions and the
-aggregate functions over randomly generated inputs.
+walks and d-separation), the embedding functions and the aggregate
+functions over randomly generated inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.carl.embeddings import (
     MomentsEmbedding,
     PaddingEmbedding,
 )
+from graph_builder import build_graph
 from repro.carl.causal_graph import GroundedAttribute, GroundedCausalGraph
 
 # ----------------------------------------------------------------------
@@ -37,14 +38,12 @@ def vertex(index: int) -> GroundedAttribute:
 def random_dags(draw) -> GroundedCausalGraph:
     """Random DAGs built by only adding edges from lower to higher node ids."""
     n_nodes = draw(st.integers(min_value=2, max_value=12))
-    graph = GroundedCausalGraph()
-    for index in range(n_nodes):
-        graph.add_node(vertex(index))
     possible_edges = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
     edges = draw(st.lists(st.sampled_from(possible_edges), max_size=2 * n_nodes, unique=True))
-    for parent, child in edges:
-        graph.add_edge(vertex(parent), vertex(child))
-    return graph
+    return build_graph(
+        map(vertex, range(n_nodes)),
+        [(vertex(parent), vertex(child)) for parent, child in edges],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -66,19 +65,6 @@ def test_dag_ancestor_descendant_duality(graph: GroundedCausalGraph):
     for node in graph.nodes:
         for ancestor in graph.ancestors(node):
             assert node in graph.descendants(ancestor)
-
-
-@given(random_dags())
-@settings(max_examples=40, deadline=None)
-def test_do_operator_removes_exactly_incoming_edges(graph: GroundedCausalGraph):
-    targets = [node for node in graph.nodes if node.key[0] % 2 == 0]
-    mutilated = graph.do(targets)
-    for parent, child in graph.edges:
-        if child in targets:
-            assert not mutilated.has_edge(parent, child)
-        else:
-            assert mutilated.has_edge(parent, child)
-    assert mutilated.nodes == graph.nodes
 
 
 @given(random_dags(), st.data())
